@@ -15,8 +15,8 @@
 // beyond the paper), updates (mixed read/write throughput over the
 // sharded update write path, beyond the paper), autopilot (bounded-
 // latency engine-side write coalescing, beyond the paper), snapshot
-// (reader qps under a forced alignment storm: legacy room-lock reads vs
-// epoch-routed reads vs pinned snapshots, beyond the paper), manyviews
+// (reader qps under a forced alignment storm: epoch-routed reads vs
+// pinned snapshots, beyond the paper), manyviews
 // (many-views scaling, beyond the paper), tiered (qps vs hot-tier
 // fraction over the simulated capacity tier, beyond the paper), serve
 // (HTTP scatter-gather throughput and tail latency over tenants x
@@ -119,7 +119,7 @@ var experiments = []experiment{
 	{"autopilot", "autopilot write coalescing: lone vs auto vs batched writes, p50/p99 flush latency (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunAutopilot(s))
 	}},
-	{"snapshot", "reader qps under forced alignment storm: room-lock vs epoch vs pinned-snapshot reads (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
+	{"snapshot", "reader qps under forced alignment storm: epoch vs pinned-snapshot reads (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunSnapshot(s))
 	}},
 	{"manyviews", "many-views scaling: batched creation, delta publication latency, first-touch reads over lazy views (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {

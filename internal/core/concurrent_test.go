@@ -68,6 +68,48 @@ func TestQueryParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestBaselineParallelEquivalence checks the sharded kernel at its edges
+// on the one-source route a baseline engine runs: for every registered
+// generator, worker counts from "default" past the page count, and ranges
+// from everything to nothing, the answer equals the column's serial
+// FullScan exactly.
+func TestBaselineParallelEquivalence(t *testing.T) {
+	const pages = 96
+	ranges := [][2]uint64{
+		{0, ccDomain}, // everything
+		{0, 0},        // single point at the bottom
+		{ccDomain / 4, ccDomain / 2},
+		{ccDomain - 10, ccDomain},  // top sliver
+		{ccDomain + 1, ^uint64(0)}, // nothing qualifies
+	}
+	for _, name := range dist.Names() {
+		t.Run(name, func(t *testing.T) {
+			g, err := dist.ByName(name, 7, 0, ccDomain, pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := testColumn(t, pages, g)
+			eng := newEngine(t, col, BaselineConfig())
+			for _, r := range ranges {
+				wantCount, wantSum, err := col.FullScan(r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
+					got, err := eng.QueryParallel(r[0], r[1], workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Count != wantCount || got.Sum != wantSum || got.PagesScanned != pages {
+						t.Errorf("[%d,%d] workers=%d: got %+v, want (%d,%d) over %d pages",
+							r[0], r[1], workers, got, wantCount, wantSum, pages)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentAdaptiveQueries hammers one adaptive engine from many
 // goroutines and then validates every answer against a serial baseline
 // engine over the same column: concurrent routing, scanning, and view

@@ -47,19 +47,19 @@ type Engine struct {
 	mapper *view.Mapper
 
 	// mu serializes view-set mutation and page rewiring (exclusive room)
-	// against the update room and — for engines configured with
-	// Config.RoomLockReads — against the legacy scan room. Epoch-routed
-	// queries never take it: they read published immutable states, and
-	// the copy-on-write write path keeps writers off every page a pinned
-	// capture can reach (§2.4 consistency comes from flush-then-publish
-	// instead of reader/writer exclusion).
+	// against the update room and the live-set readers of the scan room
+	// (Views, String). Queries never take it: they read published
+	// immutable states, and the copy-on-write write path keeps writers
+	// off every page a pinned capture can reach (§2.4 consistency comes
+	// from flush-then-publish instead of reader/writer exclusion).
 	mu roomLock
 
 	// state is the current published routed-read state; stateMu/stateCond
 	// guard the retirement walk from oldest to newest (see state.go).
-	// pendingRetired parks displaced frames across a failed publication;
-	// retireErr records the first error surfaced while retiring states
-	// (returned by Close).
+	// pendingRetired parks displaced frames across a failed publication,
+	// and across publications that run while applied writes are still
+	// unaligned (see publishStateLocked); retireErr records the first
+	// error surfaced while retiring states (returned by Close).
 	state          atomic.Pointer[engineState]
 	stateMu        sync.Mutex
 	stateCond      *sync.Cond

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/asv-db/asv/internal/bitvec"
 	"github.com/asv-db/asv/internal/obs"
@@ -59,93 +60,66 @@ type Answer struct {
 // answering); a write that lands after the flush is serialized after
 // this query and becomes visible with the next published state.
 func (e *Engine) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
+	if err := e.flushPendingForRead(); err != nil {
+		opt.Trace.Finish()
+		return Answer{Trace: opt.Trace}, err
+	}
+	st := e.acquireState()
+	defer e.releaseState(st)
+	return e.read(st, lo, hi, opt, true)
+}
+
+// read is the one body of every read — live, snapshot and baseline,
+// traced or not: the public entries only obtain the pinned state, and
+// everything after the pin happens here in Listing 1's order (route, scan
+// the chosen views, build the candidate as a by-product, publish it).
+// adapt permits the candidate; a baseline engine, a frozen capture or a
+// closed state never builds one. Trace sites go through the nil-safe
+// obs.Span, so an untraced read runs the same code minus the recording.
+func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bool) (Answer, error) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	e.stats.queries.Add(1)
-	if e.cfg.RoomLockReads {
-		return e.queryOptRoomPath(lo, hi, opt)
-	}
+	defer opt.Trace.Finish()
+	var root *obs.Span // nil when tracing is off: every span site below is then a no-op
 	if opt.Trace != nil {
-		return e.queryOptTraced(lo, hi, opt)
+		root = opt.Trace.Root
+		root.SetAttr("lo", int64(lo))
+		root.SetAttr("hi", int64(hi))
+		// The pin span covers the trace's start up to here: for a live
+		// read the pending-write flush and the acquire, for a snapshot
+		// the handle lookup.
+		pin := root.ChildAt("pin", root.Start, 0)
+		pin.SetAttr("epoch_gen", int64(st.gen))
+		pin.SetAttr("views", int64(st.snap.Len()))
+		pin.Finish()
 	}
-	if !e.cfg.Adaptive {
-		if err := e.flushPendingForRead(); err != nil {
-			return Answer{}, err
-		}
-		st := e.acquireState()
-		defer e.releaseState(st)
-		ans, err := e.answerState(st, lo, hi, opt, false)
-		e.journalTierPromotions()
-		return ans, err
+	ans := Answer{Trace: opt.Trace}
+	collect := e.buildCollect(lo, hi, opt, &ans)
+	res, cand, err := e.scanState(st, lo, hi, collect, e.resolveOptWorkers(opt), adapt, root)
+	ans.QueryResult = res
+	if err == nil {
+		err = sealAnswer(&ans)
 	}
-	if err := e.flushPendingForRead(); err != nil {
-		return Answer{}, err
-	}
-	st := e.acquireState()
-	ans, cand, err := e.answerStateAdapt(st, lo, hi, opt)
-	gen := st.gen
-	e.releaseState(st)
 	if err != nil {
+		if cand != nil {
+			_ = cand.Release() //asv:ignore-err discarding the candidate after a seal error; that error is returned
+		}
 		return ans, err
 	}
-	err = e.finishAdaptive(&ans, cand, gen)
+	if cand != nil {
+		// Publish the candidate the pinned scan built under the exclusive
+		// room and apply the retention decision's side effects.
+		merge := root.Child("merge")
+		dec, displaced := e.publishCandidate(cand, st.gen)
+		ans.CandidateBuilt = true
+		ans.Decision = dec
+		err = e.applyDecision(dec, cand, displaced)
+		merge.Finish()
+	}
 	e.journalTierPromotions()
 	return ans, err
-}
-
-// finishAdaptive runs the shared tail of every adaptive read path:
-// publish the candidate the pinned scan built (if any) under the
-// exclusive room and apply the retention decision's side effects to the
-// answer. Epoch, room-lock and snapshot-adaptive reads all end here, so
-// the publication protocol cannot silently diverge between them.
-func (e *Engine) finishAdaptive(ans *Answer, cand *view.View, gen uint64) error {
-	if cand == nil {
-		return nil
-	}
-	dec, displaced := e.publishCandidate(cand, gen)
-	ans.CandidateBuilt = true
-	ans.Decision = dec
-	return e.applyDecision(dec, cand, displaced)
-}
-
-// queryOptRoomPath is the legacy read path behind Config.RoomLockReads:
-// queries enter the scan-shared room like they did before epoch routing,
-// stalling whenever alignment or lifecycle work holds the exclusive
-// room. Answers and side effects are identical — the `snapshot` bench
-// panel keeps this path around to measure what the redesign bought.
-func (e *Engine) queryOptRoomPath(lo, hi uint64, opt QueryOptions) (Answer, error) {
-	e.mu.RLock()
-	for e.pendingCount.Load() > 0 {
-		e.mu.RUnlock()
-		e.mu.Lock()
-		// Re-check under the exclusive room: a racing query may have
-		// flushed the same batch first.
-		var err error
-		if e.pendingCount.Load() > 0 {
-			_, err = e.flushLocked()
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return Answer{}, err
-		}
-		e.mu.RLock()
-	}
-	if !e.cfg.Adaptive {
-		defer e.mu.RUnlock()
-		st := e.acquireState()
-		defer e.releaseState(st)
-		return e.answerState(st, lo, hi, opt, false)
-	}
-	st := e.acquireState()
-	ans, cand, err := e.answerStateAdapt(st, lo, hi, opt)
-	gen := st.gen
-	e.releaseState(st)
-	e.mu.RUnlock()
-	if err != nil {
-		return ans, err
-	}
-	return ans, e.finishAdaptive(&ans, cand, gen)
 }
 
 // flushPendingForRead flushes the buffered update batch, if any, so the
@@ -163,29 +137,6 @@ func (e *Engine) flushPendingForRead() error {
 	}
 	_, err := e.flushLocked()
 	return err
-}
-
-// answerState answers [lo, hi] against a pinned state without adaptive
-// side effects — the snapshot and baseline read path. countQuery is set
-// by callers that did not already bump the query counter (the Snapshot
-// handle); Engine.QueryOpt counts at its own entry.
-func (e *Engine) answerState(st *engineState, lo, hi uint64, opt QueryOptions, countQuery bool) (Answer, error) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if countQuery {
-		e.stats.queries.Add(1)
-	}
-	var ans Answer
-	ans.Trace = opt.Trace
-	collect := e.buildCollect(lo, hi, opt, &ans)
-	workers := e.resolveOptWorkers(opt)
-	res, _, err := e.scanState(st, lo, hi, collect, workers, false, traceRoot(opt))
-	ans.QueryResult = res
-	if err != nil {
-		return ans, err
-	}
-	return ans, sealAnswer(&ans)
 }
 
 // resolveOptWorkers maps the options' worker override (or its absence)
@@ -247,32 +198,14 @@ func sealAnswer(ans *Answer) error {
 	return nil
 }
 
-// answerStateAdapt runs the full Listing-1 path against a pinned state:
-// route, scan, materialize options, and build the candidate view for the
-// caller to publish under the exclusive room.
-func (e *Engine) answerStateAdapt(st *engineState, lo, hi uint64, opt QueryOptions) (Answer, *view.View, error) {
-	var ans Answer
-	ans.Trace = opt.Trace
-	collect := e.buildCollect(lo, hi, opt, &ans)
-	workers := e.resolveOptWorkers(opt)
-	res, cand, err := e.scanState(st, lo, hi, collect, workers, true, traceRoot(opt))
-	ans.QueryResult = res
-	if err != nil {
-		return ans, cand, err
-	}
-	if err := sealAnswer(&ans); err != nil {
-		if cand != nil {
-			_ = cand.Release() //asv:ignore-err discarding the candidate after a seal error; that error is returned
-		}
-		return ans, nil, err
-	}
-	return ans, cand, nil
-}
-
 // routeState returns the capture-side source views for [lo, hi]
 // according to the configured mode and multi-view policy — the epoch
-// counterpart of the live-set routing of §2.1.
+// counterpart of the live-set routing of §2.1. A baseline engine is the
+// degenerate route: the captured full view is its only source.
 func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.SnapView {
+	if !e.cfg.Adaptive {
+		return []*viewset.SnapView{snap.Full()}
+	}
 	if e.cfg.Mode != MultiView {
 		return []*viewset.SnapView{snap.RouteSingle(lo, hi)}
 	}
@@ -301,16 +234,12 @@ func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.Sn
 }
 
 // scanState is the pinned-state body of a routed query: route over the
-// capture, scan every source (through the parallel kernel when workers >
-// 1), and — when adapt is set and the capture permits — build the
-// candidate view from query-private state for the caller to publish.
-// Nothing here reads live view or set fields, which is what lets any
-// number of scans overlap alignment, rebuilds and retirement.
+// capture, scan every source, and — when adapt is set and the capture
+// permits — build the candidate view from query-private state for the
+// caller to publish. Nothing here reads live view or set fields, which
+// is what lets any number of scans overlap alignment, rebuilds and
+// retirement.
 func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
-	if !e.cfg.Adaptive {
-		res, err := e.fullScanState(st, lo, hi, collect, workers, tsp)
-		return res, nil, err
-	}
 	snap := st.snap
 	route := tsp.Child("route")
 	sources := e.routeState(snap, lo, hi)
@@ -321,13 +250,11 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 			e.stats.fullViewQueries.Add(1)
 		}
 	}
-	if route != nil {
-		route.SetAttr("views", int64(len(sources)))
-		if res.UsedFullView {
-			route.SetAttr("full_view", 1)
-		}
-		route.Finish()
+	route.SetAttr("views", int64(len(sources)))
+	if res.UsedFullView {
+		route.SetAttr("full_view", 1)
 	}
+	route.Finish()
 	scanSp := tsp.Child("scan")
 	tierBase, mapBase := e.traceBaselines(scanSp)
 	var processed *bitvec.Vector
@@ -340,7 +267,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 	// state published by Close skips building rather than mmap-and-
 	// release on every query (stale decisions are re-checked at
 	// publication anyway).
-	if adapt && !snap.Frozen() && !st.closed {
+	if adapt && e.cfg.Adaptive && !snap.Frozen() && !st.closed {
 		var err error
 		builder, err = view.NewBuilder(e.col, e.cfg.Create, e.mapper)
 		if err != nil {
@@ -349,89 +276,30 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 	}
 	ext := view.NewRangeExtender(lo, hi)
 	filter := e.pageFilter(lo, hi)
-	var emit func(pid uint64, pg []byte)
-	if collect != nil || builder != nil {
+	emit := collect
+	if builder != nil {
 		emit = func(pid uint64, pg []byte) {
 			if collect != nil {
 				collect(pid, pg)
 			}
-			if builder != nil {
-				builder.AddPage(int(pid))
-			}
+			builder.AddPage(int(pid))
 		}
 	}
 	for _, sv := range sources {
-		n := sv.NumPages()
-		var vsp *obs.Span
-		var vspBefore int
-		if scanSp != nil {
-			vspBefore = res.PagesScanned
-			vsp = scanSp.Child("view")
-			vsp.SetAttr("lo", int64(sv.Lo()))
-			vsp.SetAttr("hi", int64(sv.Hi()))
-			vsp.SetAttr("tlb_pages", int64(n))
-			if sv.Lazy() {
-				vsp.SetAttr("lazy", 1)
-			}
+		vsp := scanSp.Child("view")
+		vsp.SetAttr("lo", int64(sv.Lo()))
+		vsp.SetAttr("hi", int64(sv.Hi()))
+		vsp.SetAttr("tlb_pages", int64(sv.NumPages()))
+		if sv.Lazy() {
+			vsp.SetAttr("lazy", 1)
 		}
-		fetch := func(i int) ([]byte, error) { return sv.PageBytes(i), nil }
-		if processed != nil {
-			if workers <= 1 {
-				// Serial multi-view scan: keep dedup and filter fused in
-				// one allocation-free pass (the paper's hot path).
-				for i := 0; i < n; i++ {
-					pg := sv.PageBytes(i)
-					pid := storage.PageID(pg)
-					if processed.TestAndSet(int(pid)) {
-						continue
-					}
-					s := filter(pg)
-					res.PagesScanned++
-					if s.Count == 0 {
-						ext.ObserveExcluded(s)
-						continue
-					}
-					res.Count += s.Count
-					res.Sum += s.Sum
-					if emit != nil {
-						emit(pid, pg)
-					}
-				}
-				if vsp != nil {
-					vsp.SetAttr("pages_scanned", int64(res.PagesScanned-vspBefore))
-					vsp.Finish()
-				}
-				continue
-			}
-			// Sharded multi-view scan: resolve this source's
-			// not-yet-processed pages in scan order before splitting —
-			// TestAndSet stays single-threaded (bitvec is not atomic).
-			refs := make([][]byte, 0, n)
-			for i := 0; i < n; i++ {
-				pg := sv.PageBytes(i)
-				if processed.TestAndSet(int(storage.PageID(pg))) {
-					continue
-				}
-				refs = append(refs, pg)
-			}
-			n = len(refs)
-			fetch = func(i int) ([]byte, error) { return refs[i], nil }
-		}
-		qual, excl, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, emit)
-		if err != nil {
-			if builder != nil {
-				_ = builder.Abort() //asv:ignore-err aborting the candidate after a scan error; that error is returned
-			}
-			return res, nil, err
-		}
+		n, qual, excl := e.scanSource(sv, workers, filter, processed, emit)
 		res.PagesScanned += n
 		res.Count += qual.Count
 		res.Sum += qual.Sum
 		ext.ObserveExcluded(excl)
-		if vsp != nil {
-			vsp.SetAttr("pages_scanned", int64(res.PagesScanned-vspBefore))
-			vsp.Finish()
-		}
+		vsp.SetAttr("pages_scanned", int64(n))
+		vsp.Finish()
 	}
 	e.stats.pagesScanned.Add(uint64(res.PagesScanned))
 	if scanSp != nil {
@@ -458,35 +326,58 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 	return res, cand, nil
 }
 
-// fullScanState answers [lo, hi] from the state's captured full view —
-// the baseline path. The same page-sharded kernel serves aggregates and
-// collecting callers; the autopilot's cost model picks the fan-out and
-// is fed the observed wall time exactly like the routed path.
-func (e *Engine) fullScanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, tsp *obs.Span) (QueryResult, error) {
-	res := QueryResult{ViewsUsed: 1, UsedFullView: true}
-	full := st.snap.Full()
-	n := full.NumPages()
-	scanSp := tsp.Child("scan")
-	tierBase, mapBase := e.traceBaselines(scanSp)
-	if scanSp != nil {
-		scanSp.SetAttr("tlb_pages", int64(n))
+// scanSource filters one routed source and returns the pages it read,
+// the merged scan of the pages with at least one match (Count/Sum are
+// the source's share of the answer) and of the zero-match pages (whose
+// boundary fields feed candidate-range extension, §2.2). processed,
+// non-nil for a multi-view cover, skips pages an earlier source already
+// read. emit, when non-nil, sees every qualifying page in page order on
+// the calling goroutine — the candidate builder and the row collectors
+// depend on that order.
+//
+// A scan runs serially — dedup and filter fused in one allocation-free
+// pass, the paper's hot path — unless more than one worker is allowed
+// and the source has at least minParallelScanPages pages; with an
+// autopilot the cost model picks the fan-out under that cap. Worker
+// count never changes results (shards reduce in page order). Either way
+// the scan times itself once and feeds the scan_ns_per_page histogram
+// and the cost model.
+func (e *Engine) scanSource(sv *viewset.SnapView, workers int, filter func([]byte) storage.PageScan,
+	processed *bitvec.Vector, emit func(pid uint64, pg []byte)) (scanned int, qual, excl storage.PageScan) {
+
+	n := sv.NumPages()
+	if e.model != nil {
+		workers = e.model.ScanWorkers(n, workers, minParallelScanPages)
 	}
-	fetch := func(i int) ([]byte, error) { return full.PageBytes(i), nil }
-	var emit func(pid uint64, pg []byte)
-	if collect != nil {
-		emit = collect
+	t0 := time.Now()
+	if workers > 1 && n >= minParallelScanPages {
+		scanned, qual, excl = scanSharded(sv, workers, filter, processed, emit)
+	} else {
+		workers = 1
+		for i := 0; i < n; i++ {
+			pg := sv.PageBytes(i)
+			pid := storage.PageID(pg)
+			if processed != nil && processed.TestAndSet(int(pid)) {
+				continue
+			}
+			s := filter(pg)
+			scanned++
+			if s.Count == 0 {
+				excl.Merge(s)
+				continue
+			}
+			qual.Merge(s)
+			if emit != nil {
+				emit(pid, pg)
+			}
+		}
 	}
-	qual, _, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, emit)
-	if err != nil {
-		return res, err
+	if scanned > 0 {
+		elapsed := time.Since(t0)
+		if e.model != nil {
+			e.model.ObserveScan(scanned, workers, elapsed)
+		}
+		e.ins.scanNsPerPage.Observe(uint64(elapsed) / uint64(scanned))
 	}
-	res.Count = qual.Count
-	res.Sum = qual.Sum
-	res.PagesScanned = n
-	e.stats.pagesScanned.Add(uint64(n))
-	e.stats.fullViewQueries.Add(1)
-	if scanSp != nil {
-		e.finishScanSpan(scanSp, &res, tierBase, mapBase)
-	}
-	return res, nil
+	return scanned, qual, excl
 }

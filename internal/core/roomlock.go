@@ -10,7 +10,9 @@ import (
 // The engine's locking discipline needs three access modes, one more than
 // a sync.RWMutex offers:
 //
-//   - scan-shared: any number of routed read-only queries at once,
+//   - scan-shared: any number of live-set readers at once (Views, the
+//     autopilot's demotion sweep; queries read published states and
+//     never enter a room),
 //   - update-shared: any number of Update callers at once (each also
 //     holds a per-shard buffer lock, which serializes same-page writes),
 //   - exclusive: flush/alignment, view-set mutation, close.
@@ -68,7 +70,7 @@ type roomObs struct {
 	journal *obs.Journal
 }
 
-// RLock enters the scan-shared room (read-locked query path).
+// RLock enters the scan-shared room.
 //
 //asv:acquires=scan
 func (l *roomLock) RLock() { l.enter(roomScan) }

@@ -13,14 +13,13 @@ import (
 	"github.com/asv-db/asv/internal/xrand"
 )
 
-// TestSnapshotEquivalence is the epoch-path equivalence table: for every
+// TestSnapshotEquivalence is the read-path equivalence table: for every
 // registered generator, a full adaptive query sequence must be
-// byte-identical across (a) the Query wrapper on the lock-free epoch
-// path, (b) QueryOpt with no options, and (c) Query on the legacy
-// room-lock path (Config.RoomLockReads) — answers, telemetry, and the
-// adapted view sets. A fourth engine answers every query from a freshly
-// pinned snapshot, which must agree on Count and Sum (snapshots do not
-// adapt, so scan telemetry legitimately differs).
+// byte-identical across the Query wrapper and QueryOpt with no options —
+// answers, telemetry, and the adapted view sets. A third engine answers
+// every query from a freshly pinned snapshot, which must agree on Count
+// and Sum (snapshots do not adapt, so scan telemetry legitimately
+// differs).
 func TestSnapshotEquivalence(t *testing.T) {
 	const pages = 96
 	queries := workload.SelectivitySweep(13, 30, ccDomain, ccDomain/2, ccDomain/100)
@@ -30,15 +29,12 @@ func TestSnapshotEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk := func(roomLock bool) *Engine {
-				cfg := syncConfig()
-				cfg.RoomLockReads = roomLock
-				return newEngine(t, testColumn(t, pages, g), cfg)
+			mk := func() *Engine {
+				return newEngine(t, testColumn(t, pages, g), syncConfig())
 			}
-			epoch := mk(false)
-			opts := mk(false)
-			room := mk(true)
-			pinned := mk(false)
+			epoch := mk()
+			opts := mk()
+			pinned := mk()
 			for i, q := range queries {
 				re, err := epoch.Query(q.Lo, q.Hi)
 				if err != nil {
@@ -48,15 +44,8 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rr, err := room.Query(q.Lo, q.Hi)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if re != ao.QueryResult {
 					t.Fatalf("query %d [%d,%d]: Query %+v != QueryOpt %+v", i, q.Lo, q.Hi, re, ao.QueryResult)
-				}
-				if re != rr {
-					t.Fatalf("query %d [%d,%d]: epoch %+v != room-lock %+v", i, q.Lo, q.Hi, re, rr)
 				}
 				snap, err := pinned.Snapshot()
 				if err != nil {
@@ -74,18 +63,15 @@ func TestSnapshotEquivalence(t *testing.T) {
 						i, q.Lo, q.Hi, rs.Count, rs.Sum, re.Count, re.Sum)
 				}
 			}
-			ve, vo, vr := epoch.Views(), opts.Views(), room.Views()
-			if len(ve) != len(vo) || len(ve) != len(vr) {
-				t.Fatalf("view sets diverged: %d / %d / %d", len(ve), len(vo), len(vr))
+			ve, vo := epoch.Views(), opts.Views()
+			if len(ve) != len(vo) {
+				t.Fatalf("view sets diverged: %d / %d", len(ve), len(vo))
 			}
 			for i := range ve {
-				for _, other := range [][]int{{vo[i].NumPages()}, {vr[i].NumPages()}} {
-					if ve[i].NumPages() != other[0] {
-						t.Fatalf("view %d page counts diverged", i)
-					}
+				if ve[i].NumPages() != vo[i].NumPages() {
+					t.Fatalf("view %d page counts diverged", i)
 				}
-				if ve[i].Lo() != vo[i].Lo() || ve[i].Hi() != vo[i].Hi() ||
-					ve[i].Lo() != vr[i].Lo() || ve[i].Hi() != vr[i].Hi() {
+				if ve[i].Lo() != vo[i].Lo() || ve[i].Hi() != vo[i].Hi() {
 					t.Fatalf("view %d ranges diverged", i)
 				}
 			}
@@ -171,10 +157,9 @@ func TestQuartetWrapperEquivalence(t *testing.T) {
 }
 
 // TestEpochReadsBypassScanRoom is the pinned acceptance test for the
-// redesign: routed reads no longer acquire the scan room, so a reader
+// epoch redesign: routed reads do not acquire the scan room, so a reader
 // completes while a goroutine holds the exclusive room (as alignment,
-// rebuilds and lifecycle work do) — and the same read on the legacy
-// room-lock path demonstrably stalls until the room is released.
+// rebuilds and lifecycle work do).
 func TestEpochReadsBypassScanRoom(t *testing.T) {
 	const pages = 64
 	g := dist.NewSine(21, 0, ccDomain, 8)
@@ -202,20 +187,9 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 
 	baseline := newEngine(t, testColumn(t, pages, g), BaselineConfig())
 
-	roomCfg := frozenCfg
-	roomCfg.RoomLockReads = true
-	room := newEngine(t, testColumn(t, pages, g), roomCfg)
-	if _, err := room.Query(0, ccDomain/10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := room.Query(ccDomain/2, ccDomain/2+ccDomain/10); err != nil {
-		t.Fatal(err)
-	}
-
 	// Occupy each engine's exclusive room, as a mid-alignment flush does.
 	eng.mu.Lock()
 	baseline.mu.Lock()
-	room.mu.Lock()
 
 	probe := func(name string, run func() error) {
 		t.Helper()
@@ -242,25 +216,6 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 		_, err := baseline.Query(100, ccDomain/20)
 		return err
 	})
-
-	// The legacy path must block on the occupied room — that contrast is
-	// exactly what the `snapshot` bench panel measures.
-	blocked := make(chan QueryResult, 1)
-	go func() {
-		r, _ := room.Query(100, ccDomain/20)
-		blocked <- r
-	}()
-	select {
-	case <-blocked:
-		t.Fatal("room-lock read completed while the exclusive room was held")
-	case <-time.After(100 * time.Millisecond):
-	}
-	room.mu.Unlock()
-	select {
-	case <-blocked:
-	case <-time.After(5 * time.Second):
-		t.Fatal("room-lock read never completed after release")
-	}
 
 	eng.mu.Unlock()
 	baseline.mu.Unlock()
@@ -445,6 +400,70 @@ func TestCloseWaitsForFinalStatePins(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close never returned after the pin was released")
+	}
+}
+
+// TestBarePublicationParksDisplacedFrames pins the frame-recycling
+// hazard of a publication that is not an alignment (candidate insert, a
+// lifecycle duty) while applied writes are still unaligned: the views
+// those writes did not touch keep sharing captures that resolve to the
+// displaced frames, so the frames must stay parked until the alignment's
+// own publication — retiring them with the bare publication let the next
+// shadowing write recycle a frame under a pinned reader, which then
+// answered from another page's bytes.
+func TestBarePublicationParksDisplacedFrames(t *testing.T) {
+	const pages = 64
+	col := testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages))
+	cfg := syncConfig()
+	cfg.LazyViews = false
+	e := newEngine(t, col, cfg)
+	lo, hi := uint64(ccDomain/4), uint64(ccDomain/2)
+	if _, err := e.CreateView(lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	wantCount, wantSum, err := col.FullScan(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite one row of the view with its own value: the page is
+	// shadowed (its old frame displaced) and the write stays buffered.
+	row := -1
+	var val uint64
+	for r := 0; r < col.Rows() && row < 0; r++ {
+		if val, err = col.Value(r); err != nil {
+			t.Fatal(err)
+		} else if val >= lo && val <= hi {
+			row = r
+		}
+	}
+	if row < 0 {
+		t.Fatal("setup: no row inside the view")
+	}
+	if err := e.Update(row, val); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	err = e.publishStateLocked()
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.acquireState()
+	defer e.releaseState(st)
+	// The next shadowing write takes whatever frame the allocator hands
+	// out — the displaced one, if the bare publication retired it.
+	if err := e.Update(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := e.read(st, lo, hi, QueryOptions{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.UsedFullView {
+		t.Fatal("setup: pinned read routed to the full view")
+	}
+	if ans.Count != wantCount || ans.Sum != wantSum {
+		t.Fatalf("pinned read over a recycled frame: %d/%d, want %d/%d", ans.Count, ans.Sum, wantCount, wantSum)
 	}
 }
 

@@ -174,6 +174,15 @@ func (e *Engine) publishStateLocked() error {
 		}
 		e.stateMu.Unlock()
 	}
+	if e.pendingCount.Load() > 0 {
+		// Applied-but-unaligned writes are buffered, so this is not their
+		// alignment's publication (that one drains the buffer first):
+		// partial views those writes did not touch keep sharing captures
+		// that still resolve to the displaced frames, in this successor
+		// too. Park the frames; the alignment's own publication refreshes
+		// those views and retires them.
+		e.pendingRetired, retired = retired, nil
+	}
 	st := &engineState{snap: snap, gen: e.gen, closed: e.closed, publishedAt: time.Now().UnixNano()}
 	st.refs.init(1)
 	old := e.state.Load()
@@ -318,11 +327,7 @@ func (s *Snapshot) Query(lo, hi uint64) (QueryResult, error) {
 // Adaptive side effects never happen on a snapshot read; the answer's
 // telemetry reflects the pinned routing.
 func (s *Snapshot) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
-	st := s.pinned()
-	if st == nil {
-		return Answer{}, errSnapshotClosed
-	}
-	return s.e.answerState(st, lo, hi, opt, true)
+	return s.query(lo, hi, opt, false)
 }
 
 // QueryOptAdapt answers [lo, hi] from the pinned epoch like QueryOpt
@@ -334,23 +339,16 @@ func (s *Snapshot) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
 // publication step briefly takes the exclusive room, so unlike QueryOpt
 // this call may wait on maintenance work (after the answer is computed).
 func (s *Snapshot) QueryOptAdapt(lo, hi uint64, opt QueryOptions) (Answer, error) {
+	return s.query(lo, hi, opt, true)
+}
+
+// query runs the engine's one read body against the handle's pin.
+func (s *Snapshot) query(lo, hi uint64, opt QueryOptions, adapt bool) (Answer, error) {
 	st := s.pinned()
 	if st == nil {
 		return Answer{}, errSnapshotClosed
 	}
-	e := s.e
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	e.stats.queries.Add(1)
-	if !e.cfg.Adaptive {
-		return e.answerState(st, lo, hi, opt, false)
-	}
-	ans, cand, err := e.answerStateAdapt(st, lo, hi, opt)
-	if err != nil {
-		return ans, err
-	}
-	return ans, e.finishAdaptive(&ans, cand, st.gen)
+	return s.e.read(st, lo, hi, opt, adapt)
 }
 
 // Gen reports the pinned state's candidate-invalidation generation;

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the engine's telemetry seam: the obs instrument handles
-// every hot path bumps, the traced variant of QueryOpt, and the
+// every hot path bumps, the span helpers of the read path, and the
 // Telemetry()/Journal() read surfaces. The discipline mirrors
 // Engine.tier: instruments are always on (a handful of atomic adds,
 // resolved once in NewEngine and only dereferenced afterwards), while
@@ -111,15 +111,6 @@ func (e *Engine) Telemetry() obs.Snapshot {
 // nil-safe, so callers may drain unconditionally.
 func (e *Engine) Journal() *obs.Journal { return e.journal }
 
-// traceRoot extracts the root span of the options' trace (nil when
-// tracing is off — the zero-cost sentinel every span site tests).
-func traceRoot(opt QueryOptions) *obs.Span {
-	if opt.Trace != nil {
-		return opt.Trace.Root
-	}
-	return nil
-}
-
 // traceBaselines snapshots the tier and address-space counters at scan
 // start so finishScanSpan can attribute the deltas. Only called with a
 // live span (sp non-nil means tracing is on).
@@ -157,47 +148,6 @@ func (e *Engine) finishScanSpan(sp *obs.Span, res *QueryResult, tierBase vmsim.T
 		}
 	}
 	sp.Finish()
-}
-
-// queryOptTraced is QueryOpt's traced twin: the same epoch-routed path,
-// with pin/route/scan/materialize/merge spans recorded on the trace's
-// root. It exists as a separate function so the untraced path keeps its
-// exact pre-telemetry shape.
-func (e *Engine) queryOptTraced(lo, hi uint64, opt QueryOptions) (Answer, error) {
-	tr := opt.Trace
-	root := tr.Root
-	root.SetAttr("lo", int64(lo))
-	root.SetAttr("hi", int64(hi))
-	pin := root.Child("pin")
-	if err := e.flushPendingForRead(); err != nil {
-		pin.Finish()
-		tr.Finish()
-		return Answer{Trace: tr}, err
-	}
-	st := e.acquireState()
-	pin.SetAttr("epoch_gen", int64(st.gen))
-	pin.SetAttr("views", int64(st.snap.Len()))
-	pin.Finish()
-	if !e.cfg.Adaptive {
-		ans, err := e.answerState(st, lo, hi, opt, false)
-		e.releaseState(st)
-		e.journalTierPromotions()
-		tr.Finish()
-		return ans, err
-	}
-	ans, cand, err := e.answerStateAdapt(st, lo, hi, opt)
-	gen := st.gen
-	e.releaseState(st)
-	if err != nil {
-		tr.Finish()
-		return ans, err
-	}
-	merge := root.Child("merge")
-	err = e.finishAdaptive(&ans, cand, gen)
-	merge.Finish()
-	e.journalTierPromotions()
-	tr.Finish()
-	return ans, err
 }
 
 // journalTierPromotions folds promote-on-access activity into the

@@ -166,6 +166,100 @@ func TestTraceSpanAttributionTieredLazy(t *testing.T) {
 	}
 }
 
+// TestTracedReadShape: live, snapshot and adaptive-snapshot reads run one
+// body, so a traced read of each kind returns a finished root carrying
+// the normalized range and a pin child naming the epoch it read.
+func TestTracedReadShape(t *testing.T) {
+	const lo, hi = ccDomain / 8, ccDomain / 2
+	e := newEngine(t, testColumn(t, 64, dist.NewSine(3, 0, ccDomain, 8)), syncConfig())
+	if _, err := e.Query(0, ccDomain/4); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for _, r := range []struct {
+		name string
+		read func(lo, hi uint64, opt QueryOptions) (Answer, error)
+	}{
+		{"snapshot", snap.QueryOpt},
+		{"snapshot-adapt", snap.QueryOptAdapt},
+		{"live", e.QueryOpt},
+	} {
+		tr := obs.NewTrace("query")
+		ans, err := r.read(hi, lo, QueryOptions{Trace: tr}) // swapped bounds: attrs carry the normalized range
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if ans.Trace != tr {
+			t.Fatalf("%s: answer does not echo the trace", r.name)
+		}
+		root := tr.Root
+		if root.End == 0 {
+			t.Fatalf("%s: root span unfinished", r.name)
+		}
+		checkSpanTree(t, root)
+		if v, ok := attrVal(root, "lo"); !ok || v != lo {
+			t.Fatalf("%s: root lo = %d (ok=%v), want %d", r.name, v, ok, lo)
+		}
+		if v, ok := attrVal(root, "hi"); !ok || v != hi {
+			t.Fatalf("%s: root hi = %d (ok=%v), want %d", r.name, v, ok, hi)
+		}
+		if len(root.Children) == 0 || root.Children[0].Name != "pin" {
+			t.Fatalf("%s: first child is not the pin span:\n%s", r.name, tr)
+		}
+		pin := root.Children[0]
+		if v, ok := attrVal(pin, "epoch_gen"); !ok || v != int64(snap.Gen()) {
+			t.Fatalf("%s: pin epoch_gen = %d (ok=%v), want %d", r.name, v, ok, snap.Gen())
+		}
+		// The adaptive snapshot read may have grown the live set by then.
+		if v, ok := attrVal(pin, "views"); !ok || v < int64(snap.Views()) {
+			t.Fatalf("%s: pin views = %d (ok=%v), want >= %d", r.name, v, ok, snap.Views())
+		}
+		for _, name := range []string{"route", "scan", "view"} {
+			if findSpan(root, name) == nil {
+				t.Fatalf("%s: no %s span:\n%s", r.name, name, tr)
+			}
+		}
+	}
+}
+
+// TestSerialMultiViewScansFeedCostModel: every non-empty source scan —
+// serial ones included, which is what a MultiView cover runs by default —
+// adds one scan_ns_per_page sample and one cost-model observation.
+func TestSerialMultiViewScansFeedCostModel(t *testing.T) {
+	const pages = 64
+	cfg := syncConfig()
+	cfg.Mode = MultiView
+	cfg.Autopilot = quietAutopilot()
+	e := newEngine(t, testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages)), cfg)
+	specs := make([]ViewSpec, 8)
+	for i := range specs {
+		lo := uint64(i) * ccDomain / 10
+		specs[i] = ViewSpec{Lo: lo, Hi: lo + ccDomain/10 + ccDomain/100}
+	}
+	if _, err := e.CreateViewsOpt(specs); err != nil {
+		t.Fatal(err)
+	}
+	samples := func() uint64 { return e.Telemetry().Histograms["scan_ns_per_page"].Count }
+	before := samples()
+	res, err := e.Query(ccDomain/100, 8*ccDomain/10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ViewsUsed != len(specs) || res.UsedFullView {
+		t.Fatalf("setup: routed %d views (full=%v), want the %d-view cover", res.ViewsUsed, res.UsedFullView, len(specs))
+	}
+	if got := samples() - before; got != uint64(res.ViewsUsed) {
+		t.Fatalf("scan_ns_per_page gained %d samples over %d non-empty source scans", got, res.ViewsUsed)
+	}
+	if e.Autopilot().Model().ScanNsPerPage() == 0 {
+		t.Fatal("cost model observed no scans")
+	}
+}
+
 // checkSpanTree verifies a finished trace is well-formed: every span
 // ended at or after it started, and every child lies inside its parent —
 // except synthetic counter-derived spans ("stall"), whose end can exceed
@@ -306,14 +400,24 @@ func TestTracedQueryJournalStress(t *testing.T) {
 // TestQueryOptTelemetryOffNoExtraAllocs pins the zero-cost contract: an
 // untraced query allocates exactly the same with the journal enabled as
 // with all telemetry options off — every obs site on the off-path is a
-// nil test or an always-on atomic, never an allocation.
+// nil test or an always-on atomic, never an allocation — and the absolute
+// counts are pinned too, so folding the traced, snapshot and baseline
+// paths into one body cannot quietly tax the untraced one. A baseline
+// query allocates 2/run (the one-source route and the page filter), as it
+// did with a path of its own. An adaptive exact-fit hit — routed to the
+// view an identical earlier query created, candidate built and discarded
+// as a subset — allocates 18/run; it was 19 while a single-source scan
+// reached its pages through the sharded kernel's fetch closure.
 func TestQueryOptTelemetryOffNoExtraAllocs(t *testing.T) {
 	measure := func(cfg Config) float64 {
 		col := testColumn(t, 64, dist.NewSine(3, 0, ccDomain, 8))
 		e := newEngine(t, col, cfg)
-		// Warm once so lazy one-time setup is outside the measurement.
-		if _, err := e.QueryOpt(100, ccDomain/2, QueryOptions{}); err != nil {
-			t.Fatal(err)
+		// Warm twice so lazy one-time setup and the adaptive engine's
+		// view creation are outside the measurement.
+		for i := 0; i < 2; i++ {
+			if _, err := e.QueryOpt(100, ccDomain/2, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return testing.AllocsPerRun(200, func() {
 			if _, err := e.QueryOpt(100, ccDomain/2, QueryOptions{}); err != nil {
@@ -321,13 +425,24 @@ func TestQueryOptTelemetryOffNoExtraAllocs(t *testing.T) {
 			}
 		})
 	}
-	off := measure(BaselineConfig())
-	on := func() Config {
-		cfg := BaselineConfig()
+	journalled := func(cfg Config) Config {
 		cfg.JournalEvents = 256
 		return cfg
-	}()
-	if got := measure(on); got != off {
-		t.Fatalf("journal-enabled untraced query allocates %.1f/run, telemetry-off %.1f/run", got, off)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want float64
+	}{
+		{"baseline", BaselineConfig(), 2},
+		{"exact-fit hit", syncConfig(), 18},
+	} {
+		off := measure(c.cfg)
+		if off != c.want {
+			t.Errorf("%s: untraced query allocates %.1f/run, want %.1f", c.name, off, c.want)
+		}
+		if got := measure(journalled(c.cfg)); got != off {
+			t.Errorf("%s: journal-enabled untraced query allocates %.1f/run, telemetry-off %.1f/run", c.name, got, off)
+		}
 	}
 }

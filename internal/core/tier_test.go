@@ -6,6 +6,7 @@ import (
 
 	"github.com/asv-db/asv/internal/autopilot"
 	"github.com/asv-db/asv/internal/dist"
+	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/vmsim"
 )
@@ -89,6 +90,41 @@ func TestTieredQueryByteIdentical(t *testing.T) {
 	}
 	if s.HotFrames > s.HotBudget {
 		t.Fatalf("promote-on-touch overshot the budget: %+v", s)
+	}
+}
+
+// TestSnapshotReadJournalsTierPromotions: promote-on-access is journalled
+// by the one read body, so a snapshot read that pulls every page back to
+// the hot tier accounts for all of them, like a live read does.
+func TestSnapshotReadJournalsTierPromotions(t *testing.T) {
+	const pages = 64
+	cfg := tieredConfig(pages)
+	cfg.JournalEvents = 256
+	e := newEngine(t, testColumn(t, pages, dist.NewSine(9, 0, ccDomain, 8)), cfg)
+	tier := e.Tier()
+	for p := 0; p < pages; p++ {
+		tier.Demote(p)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if _, err := snap.Query(0, ccDomain); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := e.TierStats()
+	if ts.Promotions != pages {
+		t.Fatalf("setup: %d promotions, want %d", ts.Promotions, pages)
+	}
+	var journalled uint64
+	for _, ev := range e.Journal().Events() {
+		if ev.Type == obs.EvTierPromoteBatch {
+			journalled += uint64(ev.A)
+		}
+	}
+	if journalled != ts.Promotions {
+		t.Fatalf("journalled %d promoted pages, tier counted %d", journalled, ts.Promotions)
 	}
 }
 

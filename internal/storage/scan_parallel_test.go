@@ -22,50 +22,6 @@ func testColumn(t *testing.T, pages int, g dist.Generator) *Column {
 	return c
 }
 
-// TestFullScanParallelEquivalence checks, for every registered generator
-// and several worker counts, that the parallel scan kernel reproduces the
-// serial aggregates exactly — the equivalence table the parallel query
-// path relies on.
-func TestFullScanParallelEquivalence(t *testing.T) {
-	const (
-		pages  = 96
-		domain = 1_000_000
-	)
-	ranges := [][2]uint64{
-		{0, domain}, // everything
-		{0, 0},      // single point at the bottom
-		{domain / 4, domain / 2},
-		{domain - 10, domain},    // top sliver
-		{domain + 1, ^uint64(0)}, // nothing qualifies
-	}
-	for _, name := range dist.Names() {
-		t.Run(name, func(t *testing.T) {
-			g, err := dist.ByName(name, 7, 0, domain, pages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col := testColumn(t, pages, g)
-			defer col.Close()
-			for _, r := range ranges {
-				wantCount, wantSum, err := col.FullScan(r[0], r[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
-					gotCount, gotSum, err := col.FullScanParallel(r[0], r[1], workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotCount != wantCount || gotSum != wantSum {
-						t.Errorf("%s [%d,%d] workers=%d: got (%d,%d), want (%d,%d)",
-							name, r[0], r[1], workers, gotCount, gotSum, wantCount, wantSum)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestPageScanMerge exercises the shard reducer directly: merging in any
 // order must equal a serial ScanFilter over the concatenation.
 func TestPageScanMerge(t *testing.T) {

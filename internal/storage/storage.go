@@ -39,9 +39,8 @@ const (
 
 	// MinParallelScanPages is the smallest scan for which page sharding
 	// pays: below it, goroutine startup dominates the sub-µs per-page
-	// filter and the serial loop wins even on many cores. Shared by every
-	// parallel scan kernel (FullScanParallel here, the engine's routed
-	// kernel in internal/core).
+	// filter and the serial loop wins even on many cores. The engine's
+	// sharded scan kernel (internal/core) respects it.
 	MinParallelScanPages = 64
 )
 
@@ -462,66 +461,6 @@ func (c *Column) FullScan(lo, hi uint64) (count int, sum uint64, err error) {
 		sum += s.Sum
 	}
 	return count, sum, nil
-}
-
-// FullScanParallel answers [lo, hi] like FullScan but shards the pages
-// across `workers` goroutines (<= 0 selects GOMAXPROCS), mirroring the
-// FillParallel design. Workers scan disjoint contiguous page blocks into
-// private PageScan accumulators that are merged in block order, so the
-// aggregates are byte-identical to a serial FullScan: count and wrapping
-// sum are commutative, and no worker ever writes shared state. NewColumn
-// resolves every page into the soft-TLB, making PageBytes a pure read on
-// this path. With one worker (or a one-page column) it falls back to the
-// serial FullScan.
-func (c *Column) FullScanParallel(lo, hi uint64, workers int) (count int, sum uint64, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.numPages {
-		workers = c.numPages
-	}
-	if workers <= 1 || c.numPages < MinParallelScanPages {
-		return c.FullScan(lo, hi)
-	}
-	var (
-		wg      sync.WaitGroup
-		shards  = make([]PageScan, workers)
-		errOnce sync.Once
-		scanErr error
-	)
-	per := (c.numPages + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start, end := w*per, (w+1)*per
-		if end > c.numPages {
-			end = c.numPages
-		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			var acc PageScan
-			for p := start; p < end; p++ {
-				pg, err := c.PageBytes(p)
-				if err != nil {
-					errOnce.Do(func() { scanErr = err })
-					return
-				}
-				acc.Merge(ScanFilter(pg, lo, hi))
-			}
-			shards[w] = acc
-		}(w, start, end)
-	}
-	wg.Wait()
-	if scanErr != nil {
-		return 0, 0, scanErr
-	}
-	var total PageScan
-	for _, s := range shards {
-		total.Merge(s)
-	}
-	return total.Count, total.Sum, nil
 }
 
 // Close unmaps the full view and removes the backing file. The caller must

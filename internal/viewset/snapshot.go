@@ -435,11 +435,17 @@ func (s *Snapshot) RouteSingle(lo, hi uint64) *SnapView {
 	return best
 }
 
-// RouteMulti routes [lo, hi] in multi-view mode over the capture,
-// mirroring Set.RouteMulti: greedily pick, among captured views covering
-// the first uncovered point, the one indexing the fewest pages (furthest
-// reach breaks ties). It returns nil when the captured partials cannot
-// cover the range; the caller falls back to RouteSingle.
+// RouteMulti routes [lo, hi] in multi-view mode over the capture (§2.1):
+// find a set of partial views that fully cover the range in conjunction.
+// Following the paper — "the system tries to answer a query using
+// multiple views if possible, instead of directing the query to a single
+// (potentially larger) view" — the greedy pass repeatedly picks, among
+// the captured views covering the first uncovered point, the one
+// indexing the fewest pages (furthest reach breaks ties). Pages shared
+// between the chosen views are deduplicated by the caller's
+// processed-pages bitvector, so a chain of small overlapping views scans
+// at most their page union. It returns nil when the captured partials
+// cannot cover the range; the caller falls back to RouteSingle.
 func (s *Snapshot) RouteMulti(lo, hi uint64) []*SnapView {
 	tick := s.set.clock.Add(1)
 	var out []*SnapView
@@ -469,8 +475,10 @@ func (s *Snapshot) RouteMulti(lo, hi uint64) []*SnapView {
 
 // CoveredInterval returns the maximal contiguous value interval
 // containing [lo, hi] that the given captured sources cover in
-// conjunction — the capture-side counterpart of Set.CoveredInterval,
-// clamping candidate-range extension (§2.2).
+// conjunction. The adaptive engine clamps candidate-range extension to
+// this interval: pages outside it were never scanned, so nothing may be
+// claimed about them (§2.2). Sources that do not contiguously cover the
+// query claim nothing beyond the query itself.
 func (s *Snapshot) CoveredInterval(sources []*SnapView, lo, hi uint64) (uint64, uint64) {
 	ivs := make([]valueInterval, 0, len(sources))
 	for _, sv := range sources {
@@ -479,11 +487,11 @@ func (s *Snapshot) CoveredInterval(sources []*SnapView, lo, hi uint64) (uint64, 
 	return coveredInterval(ivs, lo, hi)
 }
 
-// touchLive records a routing hit for a view that is still tracked by
-// the live set's temperature accounting. Unlike touch it never
-// resurrects an entry: a snapshot may route to a view that was evicted
-// from the live set after the capture, and its usage record is gone for
-// good.
+// touchLive records a routing hit at the given clock tick for the LRU
+// and temperature accounting of a view the live set still tracks. It
+// never resurrects an entry: a snapshot may route to a view that was
+// evicted from the live set after the capture, and its usage record is
+// gone for good.
 func (s *Set) touchLive(v *view.View, tick uint64) {
 	if v.Full() {
 		return

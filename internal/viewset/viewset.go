@@ -8,11 +8,11 @@
 // superset rules with the user-set discard tolerance d and replacement
 // tolerance r.
 //
-// Concurrency contract: the read side — RouteSingle, RouteMulti, Full,
-// Partials, Len, Frozen, CoveredInterval, Clock, Temperatures — is safe
-// for any number of concurrent callers (the LRU clock is atomic, the
-// usage map has its own lock, and the partial-view slice is
-// copy-on-write, so routing only ever reads immutable snapshots). The
+// Concurrency contract: queries route over an immutable Snapshot of the
+// set (snapshot.go), never over the live set. The live read side — Full,
+// Partials, Len, Frozen, Clock, Temperatures — is safe for any number of
+// concurrent callers (the LRU clock is atomic, the usage map has its own
+// lock, and the partial-view slice is copy-on-write). The
 // write side — Consider, Insert, Remove, ReplaceExisting, Contains,
 // Clear, SetLimitPolicy — must be externally serialized against both
 // readers and other writers; the adaptive engine holds its write lock
@@ -182,22 +182,6 @@ func New(full *view.View, maxViews, discardTol, replaceTol int) *Set {
 // SetLimitPolicy selects the behaviour when the view limit is hit.
 func (s *Set) SetLimitPolicy(p LimitPolicy) { s.limitPolicy = p }
 
-// touch records a routing hit at the given clock tick for LRU and
-// temperature accounting.
-func (s *Set) touch(v *view.View, tick uint64) {
-	if v.Full() {
-		return
-	}
-	s.lruMu.Lock()
-	u := s.usage[v]
-	u.uses++
-	if tick > u.last {
-		u.last = tick
-	}
-	s.usage[v] = u
-	s.lruMu.Unlock()
-}
-
 // Full returns the full view.
 func (s *Set) Full() *view.View { return s.full }
 
@@ -218,59 +202,6 @@ func (s *Set) Len() int { return len(s.partials) }
 // candidate generation: "If the limit has been reached already, we stop
 // the generation of new partial views altogether" (§2.2).
 func (s *Set) Frozen() bool { return s.frozen }
-
-// RouteSingle implements single-view mode (§2.1): among the views that
-// fully cover [lo, hi], return the one indexing the fewest physical pages.
-// The full view always qualifies, so the result is never nil.
-func (s *Set) RouteSingle(lo, hi uint64) *view.View {
-	tick := s.clock.Add(1)
-	best := s.full
-	for _, v := range s.partials {
-		if v.Covers(lo, hi) && v.NumPages() < best.NumPages() {
-			best = v
-		}
-	}
-	s.touch(best, tick)
-	return best
-}
-
-// RouteMulti implements multi-view mode (§2.1): find a set of partial
-// views that fully cover [lo, hi] in conjunction. Following the paper —
-// "the system tries to answer a query using multiple views if possible,
-// instead of directing the query to a single (potentially larger) view" —
-// the greedy pass repeatedly picks, among the views covering the first
-// uncovered point, the one indexing the fewest physical pages (furthest
-// reach breaks ties). Shared pages between the chosen views are
-// deduplicated by the caller's processed-pages bitvector, so a chain of
-// small overlapping views scans at most their page union. RouteMulti
-// returns nil when the partial views cannot cover the range; the caller
-// then falls back to RouteSingle.
-func (s *Set) RouteMulti(lo, hi uint64) []*view.View {
-	tick := s.clock.Add(1)
-	ps := s.partials // immutable snapshot
-	var out []*view.View
-	c := lo
-	for {
-		var best *view.View
-		for _, v := range ps {
-			if v.Lo() <= c && c <= v.Hi() {
-				if best == nil || v.NumPages() < best.NumPages() ||
-					(v.NumPages() == best.NumPages() && v.Hi() > best.Hi()) {
-					best = v
-				}
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		out = append(out, best)
-		s.touch(best, tick)
-		if best.Hi() >= hi {
-			return out
-		}
-		c = best.Hi() + 1 // best.Hi() < hi <= MaxUint64: no overflow
-	}
-}
 
 // replaceAt installs cand in place of the view at index i, copy-on-write.
 func (s *Set) replaceAt(i int, cand *view.View) {
@@ -445,18 +376,4 @@ func (s *Set) Temperatures() []Temperature {
 	}
 	s.lruMu.Unlock()
 	return out
-}
-
-// CoveredInterval returns the maximal contiguous value interval containing
-// [lo, hi] that the given source views cover in conjunction. The adaptive
-// engine clamps candidate-range extension to this interval: pages outside
-// it were never scanned, so nothing may be claimed about them (§2.2).
-func (s *Set) CoveredInterval(sources []*view.View, lo, hi uint64) (uint64, uint64) {
-	ivs := make([]valueInterval, 0, len(sources))
-	for _, v := range sources {
-		ivs = append(ivs, valueInterval{v.Lo(), v.Hi()})
-	}
-	// Sources that do not contiguously cover the query (routing bug or
-	// caller misuse) claim nothing beyond the query itself.
-	return coveredInterval(ivs, lo, hi)
 }

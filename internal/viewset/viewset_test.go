@@ -49,6 +49,18 @@ func (f *fixture) newSet(maxViews, d, r int) *Set {
 	return New(full, maxViews, d, r)
 }
 
+// snap captures the set the way the engine publishes it — queries route
+// over this immutable capture, never over the live set.
+func (f *fixture) snap(s *Set) *Snapshot {
+	f.t.Helper()
+	sn, err := s.Snapshot(f.capFull(s))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { _ = sn.ReleaseViews() })
+	return sn
+}
+
 func TestRouteSinglePrefersSmallest(t *testing.T) {
 	f := newFixture(t)
 	s := f.newSet(10, 0, 0)
@@ -61,27 +73,32 @@ func TestRouteSinglePrefersSmallest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := s.RouteSingle(150_000, 250_000)
-	if got != narrow {
-		t.Fatalf("RouteSingle picked %v, want the narrow view", got)
+	sn := f.snap(s)
+	got := sn.RouteSingle(150_000, 250_000)
+	if got.View() != narrow {
+		t.Fatalf("RouteSingle picked %v, want the narrow view", got.View())
 	}
 	// Query not covered by any partial -> full view.
-	got = s.RouteSingle(900_000, 950_000)
-	if !got.Full() {
-		t.Fatalf("RouteSingle picked %v, want full view", got)
+	got = sn.RouteSingle(900_000, 950_000)
+	if !got.Full() || got != sn.Full() {
+		t.Fatalf("RouteSingle picked %v, want full view", got.View())
 	}
 	// Query covered only by the wide view.
-	got = s.RouteSingle(500_000, 700_000)
-	if got != wide {
-		t.Fatalf("RouteSingle picked %v, want wide view", got)
+	got = sn.RouteSingle(500_000, 700_000)
+	if got.View() != wide {
+		t.Fatalf("RouteSingle picked %v, want wide view", got.View())
 	}
 }
 
 func TestRouteSingleEmptySet(t *testing.T) {
 	f := newFixture(t)
 	s := f.newSet(10, 0, 0)
-	if got := s.RouteSingle(0, 10); !got.Full() {
+	sn := f.snap(s)
+	if got := sn.RouteSingle(0, 10); !got.Full() {
 		t.Fatal("empty set must route to full view")
+	}
+	if got := sn.RouteMulti(0, 10); got != nil {
+		t.Fatalf("empty set covered a range: %v", got)
 	}
 }
 
@@ -96,20 +113,21 @@ func TestRouteMultiGreedyCover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.RouteMulti(100_000, 800_000)
+	sn := f.snap(s)
+	got := sn.RouteMulti(100_000, 800_000)
 	if len(got) != 3 {
 		t.Fatalf("RouteMulti used %d views, want 3", len(got))
 	}
-	if got[0] != a || got[1] != b || got[2] != c {
+	if got[0].View() != a || got[1].View() != b || got[2].View() != c {
 		t.Fatalf("RouteMulti order wrong: %v", got)
 	}
 	// A query inside one view needs just that view.
-	got = s.RouteMulti(260_000, 290_000)
+	got = sn.RouteMulti(260_000, 290_000)
 	if len(got) != 1 {
 		t.Fatalf("RouteMulti used %d views, want 1", len(got))
 	}
 	// Gap in coverage -> nil.
-	if got := s.RouteMulti(100_000, 950_000); got != nil {
+	if got := sn.RouteMulti(100_000, 950_000); got != nil {
 		t.Fatalf("RouteMulti covered a gap: %v", got)
 	}
 }
@@ -128,14 +146,15 @@ func TestRouteMultiPrefersCheapestViews(t *testing.T) {
 	// The paper's multi-view mode prefers multiple (smaller) views over a
 	// single larger one: expect the short view first, then the long one to
 	// finish the cover.
-	got := s.RouteMulti(0, 400_000)
-	if len(got) != 2 || got[0] != short || got[1] != long {
+	sn := f.snap(s)
+	got := sn.RouteMulti(0, 400_000)
+	if len(got) != 2 || got[0].View() != short || got[1].View() != long {
 		t.Fatalf("RouteMulti = %v, want [short long]", got)
 	}
 	// With equal page counts, furthest reach wins the tie: a query fully
 	// inside both still picks just one view.
-	got = s.RouteMulti(250_000, 400_000)
-	if len(got) != 1 || got[0] != long {
+	got = sn.RouteMulti(250_000, 400_000)
+	if len(got) != 1 || got[0].View() != long {
 		t.Fatalf("RouteMulti tail = %v, want [long]", got)
 	}
 }
@@ -287,26 +306,30 @@ func TestClear(t *testing.T) {
 func TestCoveredInterval(t *testing.T) {
 	f := newFixture(t)
 	s := f.newSet(10, 0, 0)
-	a := f.mkView(100, 200)
-	b := f.mkView(150, 400)
-	c := f.mkView(401, 500) // adjacent to b
-	d := f.mkView(900, 999) // disjoint
+	for _, r := range [][2]uint64{
+		{100, 200},
+		{150, 400},
+		{401, 500}, // adjacent to the previous view
+		{900, 999}, // disjoint
+	} {
+		if err := s.Insert(f.mkView(r[0], r[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := f.snap(s)
+	parts := sn.Partials()
 
-	lo, hi := s.CoveredInterval([]*view.View{a, b, c, d}, 180, 450)
+	lo, hi := sn.CoveredInterval(parts, 180, 450)
 	if lo != 100 || hi != 500 {
 		t.Fatalf("CoveredInterval = [%d,%d], want [100,500]", lo, hi)
 	}
 	// Full view source covers the whole domain.
-	full, err := view.NewFull(f.col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi = s.CoveredInterval([]*view.View{full}, 5, 10)
+	lo, hi = sn.CoveredInterval([]*SnapView{sn.Full()}, 5, 10)
 	if lo != 0 || hi != ^uint64(0) {
 		t.Fatalf("full-view interval = [%d,%d]", lo, hi)
 	}
 	// Sources not covering the query: falls back to the query itself.
-	lo, hi = s.CoveredInterval([]*view.View{a}, 300, 350)
+	lo, hi = sn.CoveredInterval(parts[:1], 300, 350)
 	if lo != 300 || hi != 350 {
 		t.Fatalf("uncovered interval = [%d,%d], want [300,350]", lo, hi)
 	}
@@ -352,10 +375,12 @@ func TestTemperatures(t *testing.T) {
 	if err := s.Insert(cold); err != nil {
 		t.Fatal(err)
 	}
-	// Route inside hot's range repeatedly; cold is never hit.
+	// Route inside hot's range repeatedly; cold is never hit. Routing a
+	// capture touches the live set's LRU accounting.
+	sn := f.snap(s)
 	for i := 0; i < 5; i++ {
-		if got := s.RouteSingle(100_000, 200_000); got != hot {
-			t.Fatalf("routed to %v", got)
+		if got := sn.RouteSingle(100_000, 200_000); got.View() != hot {
+			t.Fatalf("routed to %v", got.View())
 		}
 	}
 	temps := s.Temperatures()
@@ -423,8 +448,9 @@ func TestReplaceExistingTransfersTemperature(t *testing.T) {
 	if err := s.Insert(old); err != nil {
 		t.Fatal(err)
 	}
+	sn := f.snap(s)
 	for i := 0; i < 3; i++ {
-		s.RouteSingle(100_000, 200_000)
+		sn.RouteSingle(100_000, 200_000)
 	}
 	repl := f.mkView(0, 400_000)
 	if s.ReplaceExisting(f.mkView(1, 2), repl) {
