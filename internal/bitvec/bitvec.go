@@ -141,6 +141,26 @@ func (v *Vector) Or(o *Vector) {
 	}
 }
 
+// OrAt ORs words into v starting at bit offset off: bit j of words[k]
+// lands on bit off+64k+j. It is how a row set takes a page's match mask
+// at the page's row offset, which is rarely word-aligned. Every one bit
+// must land inside the vector; zero bits may hang over its end.
+func (v *Vector) OrAt(off int, words []uint64) {
+	w, sh := off/wordBits, uint(off)%wordBits
+	for k, x := range words {
+		if x == 0 {
+			continue
+		}
+		if top := off + k*wordBits + bits.Len64(x); off < 0 || top > v.n {
+			panic(fmt.Sprintf("bitvec: bits [%d,%d) out of range [0,%d)", off, top, v.n))
+		}
+		v.words[w+k] |= x << sh
+		if hi := x >> (wordBits - sh); hi != 0 { // a shift by 64 (sh == 0) yields 0
+			v.words[w+k+1] |= hi
+		}
+	}
+}
+
 // And sets v to the bitwise AND of v and o. Both vectors must have equal length.
 func (v *Vector) And(o *Vector) {
 	if v.n != o.n {

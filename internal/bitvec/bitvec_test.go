@@ -259,6 +259,56 @@ func TestQuickTestAndSetOnce(t *testing.T) {
 	}
 }
 
+// Property: OrAt at any offset equals setting the same bits one by one,
+// including masks whose zero tail hangs over the end of the vector.
+func TestQuickOrAtMatchesSet(t *testing.T) {
+	f := func(words []uint64, offRaw uint16, pre []uint16) bool {
+		if len(words) > 8 {
+			words = words[:8]
+		}
+		off := int(offRaw % 700)
+		const n = 700 + 509 // like a page mask: 8 words carry 509 usable bits
+		for k := range words {
+			for j := 0; j < 64; j++ {
+				if off+k*64+j >= n {
+					words[k] &^= 1 << j
+				}
+			}
+		}
+		got, want := New(n), New(n)
+		for _, i := range pre {
+			got.Set(int(i) % n)
+			want.Set(int(i) % n)
+		}
+		got.OrAt(off, words)
+		for k, x := range words {
+			for j := 0; j < 64; j++ {
+				if x&(1<<j) != 0 {
+					want.Set(off + k*64 + j)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			if got.Get(i) != want.Get(i) {
+				return false
+			}
+		}
+		return got.Count() == want.Count()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestOrAtOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OrAt past the end did not panic")
+		}
+	}()
+	New(100).OrAt(64, []uint64{1 << 36})
+}
+
 func BenchmarkSet(b *testing.B) {
 	v := New(1 << 20)
 	b.ResetTimer()

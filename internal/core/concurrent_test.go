@@ -20,51 +20,72 @@ const ccDomain = 1_000_000
 // every registered generator and both routing modes, a full adaptive query
 // sequence answered with parallel scan kernels must be result-identical —
 // counts, sums, scanned pages, and the adapted view set — to the serial
-// run on an identical column.
+// run on an identical column. The sequence cycles through plain,
+// Aggregate and Rows queries, each held against a brute-force walk of the
+// column, once under the default view limit (every query builds a
+// candidate: the kernels run with boundary observations) and once under a
+// limit of one view (where candidates are kept at all, the second freezes
+// the set: no builder, no bounds).
 func TestQueryParallelEquivalence(t *testing.T) {
 	const pages = 96
 	queries := workload.SelectivitySweep(11, 30, ccDomain, ccDomain/2, ccDomain/100)
+	building, frozen := 0, 0 // queries answered with and without a candidate
 	for _, name := range dist.Names() {
 		for _, mode := range []Mode{SingleView, MultiView} {
 			t.Run(fmt.Sprintf("%s_%s", name, mode), func(t *testing.T) {
-				g, err := dist.ByName(name, 5, 0, ccDomain, pages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mkEngine := func(parallelism int) *Engine {
-					cfg := syncConfig()
-					cfg.Mode = mode
-					cfg.Parallelism = parallelism
-					return newEngine(t, testColumn(t, pages, g), cfg)
-				}
-				serial := mkEngine(0)
-				parallel := mkEngine(3)
-				for i, q := range queries {
-					rs, err := serial.Query(q.Lo, q.Hi)
+				for _, maxViews := range []int{DefaultConfig().MaxViews, 1} {
+					g, err := dist.ByName(name, 5, 0, ccDomain, pages)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rp, err := parallel.Query(q.Lo, q.Hi)
-					if err != nil {
-						t.Fatal(err)
+					mkEngine := func(parallelism int) *Engine {
+						cfg := syncConfig()
+						cfg.Mode = mode
+						cfg.Parallelism = parallelism
+						cfg.MaxViews = maxViews
+						return newEngine(t, testColumn(t, pages, g), cfg)
 					}
-					if rs != rp {
-						t.Fatalf("query %d [%d,%d]: serial %+v != parallel %+v", i, q.Lo, q.Hi, rs, rp)
+					serial := mkEngine(0)
+					parallel := mkEngine(3)
+					model := newRefModel(serial.col)
+					for i, q := range queries {
+						opt := materializations(i)
+						as, err := serial.QueryOpt(q.Lo, q.Hi, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ap, err := parallel.QueryOpt(q.Lo, q.Hi, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if as.QueryResult != ap.QueryResult {
+							t.Fatalf("max %d views, query %d [%d,%d]: serial %+v != parallel %+v", maxViews, i, q.Lo, q.Hi, as.QueryResult, ap.QueryResult)
+						}
+						model.check(t, fmt.Sprintf("max %d views, serial query %d", maxViews, i), q.Lo, q.Hi, opt, as)
+						model.check(t, fmt.Sprintf("max %d views, parallel query %d", maxViews, i), q.Lo, q.Hi, opt, ap)
+						if as.CandidateBuilt {
+							building++
+						} else {
+							frozen++
+						}
 					}
-				}
-				// The adaptive side effects must match too: same views over
-				// the same ranges with the same page counts.
-				vs, vp := serial.Views(), parallel.Views()
-				if len(vs) != len(vp) {
-					t.Fatalf("view sets diverged: %d vs %d", len(vs), len(vp))
-				}
-				for i := range vs {
-					if vs[i].Lo() != vp[i].Lo() || vs[i].Hi() != vp[i].Hi() || vs[i].NumPages() != vp[i].NumPages() {
-						t.Fatalf("view %d diverged: %v vs %v", i, vs[i], vp[i])
+					// The adaptive side effects must match too: same views over
+					// the same ranges with the same page counts.
+					vs, vp := serial.Views(), parallel.Views()
+					if len(vs) != len(vp) {
+						t.Fatalf("view sets diverged: %d vs %d", len(vs), len(vp))
+					}
+					for i := range vs {
+						if vs[i].Lo() != vp[i].Lo() || vs[i].Hi() != vp[i].Hi() || vs[i].NumPages() != vp[i].NumPages() {
+							t.Fatalf("view %d diverged: %v vs %v", i, vs[i], vp[i])
+						}
 					}
 				}
 			})
 		}
+	}
+	if building == 0 || frozen == 0 {
+		t.Fatalf("%d queries built a candidate, %d ran on a frozen set: the table must cover both", building, frozen)
 	}
 }
 
@@ -90,20 +111,24 @@ func TestBaselineParallelEquivalence(t *testing.T) {
 			}
 			col := testColumn(t, pages, g)
 			eng := newEngine(t, col, BaselineConfig())
+			model := newRefModel(col)
 			for _, r := range ranges {
 				wantCount, wantSum, err := col.FullScan(r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
-					got, err := eng.QueryParallel(r[0], r[1], workers)
+				for i, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
+					opt := materializations(i)
+					opt.Workers, opt.HasWorkers = workers, true
+					got, err := eng.QueryOpt(r[0], r[1], opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got.Count != wantCount || got.Sum != wantSum || got.PagesScanned != pages {
 						t.Errorf("[%d,%d] workers=%d: got %+v, want (%d,%d) over %d pages",
-							r[0], r[1], workers, got, wantCount, wantSum, pages)
+							r[0], r[1], workers, got.QueryResult, wantCount, wantSum, pages)
 					}
+					model.check(t, fmt.Sprintf("workers=%d", workers), r[0], r[1], opt, got)
 				}
 			}
 		})
@@ -375,7 +400,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 		t.Helper()
 		st := eng.acquireState()
 		defer eng.releaseState(st)
-		_, cand, err := eng.scanState(st, lo, hi, nil, 1, true, nil)
+		_, cand, err := eng.scanState(st, lo, hi, nil, nil, 1, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +474,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 	// A scan in flight when Close lands: its candidate must be discarded,
 	// never inserted into the cleared set.
 	st := eng.acquireState()
-	_, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, 1, true, nil)
+	_, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, nil, 1, true, nil)
 	gen := st.gen
 	eng.releaseState(st)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
@@ -29,16 +30,60 @@ func newRefModel(col *storage.Column) *refModel {
 }
 
 func (m *refModel) query(lo, hi uint64) (count int, sum uint64) {
-	for _, v := range m.vals {
-		if v >= lo && v <= hi {
-			count++
-			sum += v
-		}
-	}
-	return count, sum
+	agg, _ := m.materialize(lo, hi)
+	return agg.Count, agg.Sum
 }
 
 func (m *refModel) update(row int, v uint64) { m.vals[row] = v }
+
+// materialize answers [lo, hi] by brute force with everything an
+// Aggregate and a Rows query return.
+func (m *refModel) materialize(lo, hi uint64) (agg Aggregate, rows []int) {
+	rows = []int{}
+	for r, v := range m.vals {
+		if v < lo || v > hi {
+			continue
+		}
+		if agg.Count == 0 || v < agg.Min {
+			agg.Min = v
+		}
+		if agg.Count == 0 || v > agg.Max {
+			agg.Max = v
+		}
+		agg.Count++
+		agg.Sum += v
+		rows = append(rows, r)
+	}
+	return agg, rows
+}
+
+// materializations cycles through what a query can ask to have
+// materialized, so that a sequence of queries i = 0, 1, 2, … covers the
+// plain, the aggregate-only, the rows-only and the combined kernel choice.
+func materializations(i int) QueryOptions {
+	return QueryOptions{ComputeAggregate: i%4 == 1 || i%4 == 3, CollectRows: i%4 >= 2}
+}
+
+// check holds an answer to [lo, hi] against the model: count and sum
+// always, Agg and Rows exactly when opt asked for them.
+func (m *refModel) check(t testing.TB, what string, lo, hi uint64, opt QueryOptions, ans Answer) {
+	t.Helper()
+	agg, rows := m.materialize(lo, hi)
+	if ans.Count != agg.Count || ans.Sum != agg.Sum {
+		t.Fatalf("%s [%d,%d]: count/sum %d/%d, brute force %d/%d", what, lo, hi, ans.Count, ans.Sum, agg.Count, agg.Sum)
+	}
+	if (ans.Agg != nil) != opt.ComputeAggregate || (ans.Rows != nil) != opt.CollectRows {
+		t.Fatalf("%s [%d,%d]: asked %+v, got Agg %v Rows %v", what, lo, hi, opt, ans.Agg != nil, ans.Rows != nil)
+	}
+	if ans.Agg != nil && *ans.Agg != agg {
+		t.Fatalf("%s [%d,%d]: aggregate %+v, brute force %+v", what, lo, hi, *ans.Agg, agg)
+	}
+	if ans.Rows != nil {
+		if got := ans.Rows.Rows(); !slices.Equal(got, rows) {
+			t.Fatalf("%s [%d,%d]: %d row IDs, brute force %d, or other rows", what, lo, hi, len(got), len(rows))
+		}
+	}
+}
 
 // TestModelInterleavedQueriesAndUpdates drives the engine with a random
 // interleaving of range queries, point updates, batch flushes, and view

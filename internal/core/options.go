@@ -96,11 +96,17 @@ func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bo
 		pin.Finish()
 	}
 	ans := Answer{Trace: opt.Trace}
-	collect := e.buildCollect(lo, hi, opt, &ans)
-	res, cand, err := e.scanState(st, lo, hi, collect, e.resolveOptWorkers(opt), adapt, root)
+	if opt.ComputeAggregate {
+		ans.Agg = &Aggregate{}
+	}
+	collect, collected := e.buildCollect(lo, hi, opt, &ans)
+	res, cand, err := e.scanState(st, lo, hi, ans.Agg, collect, e.resolveOptWorkers(opt), adapt, root)
 	ans.QueryResult = res
-	if err == nil {
-		err = sealAnswer(&ans)
+	if err == nil && collected != nil && *collected != ans.Count {
+		// The filter pass and the mask pass must agree — captured pages
+		// are frozen for the state's lifetime, so a drift can only mean
+		// a kernel bug.
+		err = fmt.Errorf("core: rows drift: collected %d rows, counted %d", *collected, ans.Count)
 	}
 	if err != nil {
 		if cand != nil {
@@ -151,51 +157,23 @@ func (e *Engine) resolveOptWorkers(opt QueryOptions) int {
 	return resolveWorkers(opt.Workers)
 }
 
-// buildCollect assembles the optional materializations into one
-// page-collect callback (nil when nothing was requested) plus the
-// finisher that seals the Answer after the scan.
-func (e *Engine) buildCollect(lo, hi uint64, opt QueryOptions, ans *Answer) func(uint64, []byte) {
-	if !opt.CollectRows && !opt.ComputeAggregate {
-		return nil
+// buildCollect returns the page-collect callback of a Rows query, which
+// sees every qualifying page in page order: it takes the page's match
+// mask and ORs it into Answer.Rows at the page's row offset. collected
+// counts the rows it set, for read to hold against the filter's count.
+// Both are nil when no rows were asked for — an Aggregate is answered
+// from the filter pass alone and needs no callback.
+func (e *Engine) buildCollect(lo, hi uint64, opt QueryOptions, ans *Answer) (collect func(uint64, []byte), collected *int) {
+	if !opt.CollectRows {
+		return nil, nil
 	}
-	if opt.CollectRows {
-		ans.Rows = NewRowSet(e.col.Rows())
-	}
-	if opt.ComputeAggregate {
-		ans.Agg = &Aggregate{}
-	}
-	rs, agg := ans.Rows, ans.Agg
+	rs, n := NewRowSet(e.col.Rows()), new(int)
+	ans.Rows = rs
 	return func(pid uint64, pg []byte) {
-		base := int(pid) * storage.ValuesPerPage
-		storage.CollectMatches(pg, lo, hi, func(slot int, v uint64) {
-			if rs != nil {
-				rs.Add(base + slot)
-			}
-			if agg != nil {
-				if agg.Count == 0 || v < agg.Min {
-					agg.Min = v
-				}
-				if agg.Count == 0 || v > agg.Max {
-					agg.Max = v
-				}
-				agg.Count++
-			}
-		})
-	}
-}
-
-// sealAnswer finalizes the aggregate after the scan: the filtering pass
-// and the collecting pass must agree — captured pages are frozen for the
-// state's lifetime, so a drift can only mean a kernel bug.
-func sealAnswer(ans *Answer) error {
-	if ans.Agg == nil {
-		return nil
-	}
-	ans.Agg.Sum = ans.Sum
-	if ans.Agg.Count != ans.Count {
-		return fmt.Errorf("core: aggregate drift: %d != %d", ans.Agg.Count, ans.Count)
-	}
-	return nil
+		var mask storage.PageMask
+		*n += storage.MatchMask(pg, lo, hi, &mask)
+		rs.bits.OrAt(int(pid)*storage.ValuesPerPage, mask[:])
+	}, n
 }
 
 // routeState returns the capture-side source views for [lo, hi]
@@ -236,10 +214,12 @@ func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.Sn
 // scanState is the pinned-state body of a routed query: route over the
 // capture, scan every source, and — when adapt is set and the capture
 // permits — build the candidate view from query-private state for the
-// caller to publish. Nothing here reads live view or set fields, which
-// is what lets any number of scans overlap alignment, rebuilds and
-// retirement.
-func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
+// caller to publish. agg, when non-nil, receives count, sum, minimum and
+// maximum from the one filter pass; collect, non-nil for a Rows query,
+// is handed every qualifying page. Nothing here reads live view or set
+// fields, which is what lets any number of scans overlap alignment,
+// rebuilds and retirement.
+func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
 	snap := st.snap
 	route := tsp.Child("route")
 	sources := e.routeState(snap, lo, hi)
@@ -275,7 +255,8 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 		}
 	}
 	ext := view.NewRangeExtender(lo, hi)
-	filter := e.pageFilter(lo, hi)
+	filter := e.pageFilter(lo, hi, builder != nil, agg != nil)
+	var total storage.PageScan
 	emit := collect
 	if builder != nil {
 		emit = func(pid uint64, pg []byte) {
@@ -295,11 +276,14 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 		}
 		n, qual, excl := e.scanSource(sv, workers, filter, processed, emit)
 		res.PagesScanned += n
-		res.Count += qual.Count
-		res.Sum += qual.Sum
+		total.Merge(qual)
 		ext.ObserveExcluded(excl)
 		vsp.SetAttr("pages_scanned", int64(n))
 		vsp.Finish()
+	}
+	res.Count, res.Sum = total.Count, total.Sum
+	if agg != nil {
+		*agg = Aggregate{Count: total.Count, Sum: total.Sum, Min: total.Min, Max: total.Max}
 	}
 	e.stats.pagesScanned.Add(uint64(res.PagesScanned))
 	if scanSp != nil {

@@ -17,9 +17,10 @@ import (
 // registered generator, a full adaptive query sequence must be
 // byte-identical across the Query wrapper and QueryOpt with no options —
 // answers, telemetry, and the adapted view sets. A third engine answers
-// every query from a freshly pinned snapshot, which must agree on Count
-// and Sum (snapshots do not adapt, so scan telemetry legitimately
-// differs).
+// every query from a freshly pinned snapshot, which must agree on the
+// answer (snapshots do not adapt, so scan telemetry legitimately
+// differs). The QueryOpt side and the snapshot cycle through plain,
+// Aggregate and Rows queries, all held against a brute-force walk.
 func TestSnapshotEquivalence(t *testing.T) {
 	const pages = 96
 	queries := workload.SelectivitySweep(13, 30, ccDomain, ccDomain/2, ccDomain/100)
@@ -35,33 +36,35 @@ func TestSnapshotEquivalence(t *testing.T) {
 			epoch := mk()
 			opts := mk()
 			pinned := mk()
+			model := newRefModel(epoch.col)
 			for i, q := range queries {
 				re, err := epoch.Query(q.Lo, q.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ao, err := opts.QueryOpt(q.Lo, q.Hi, QueryOptions{})
+				// What a query asks to have materialized changes neither its
+				// routing telemetry nor what it adapts.
+				opt := materializations(i)
+				ao, err := opts.QueryOpt(q.Lo, q.Hi, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if re != ao.QueryResult {
 					t.Fatalf("query %d [%d,%d]: Query %+v != QueryOpt %+v", i, q.Lo, q.Hi, re, ao.QueryResult)
 				}
+				model.check(t, fmt.Sprintf("live query %d", i), q.Lo, q.Hi, opt, ao)
 				snap, err := pinned.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := snap.Query(q.Lo, q.Hi)
+				as, err := snap.QueryOpt(q.Lo, q.Hi, opt)
 				if cerr := snap.Close(); cerr != nil {
 					t.Fatal(cerr)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rs.Count != re.Count || rs.Sum != re.Sum {
-					t.Fatalf("query %d [%d,%d]: snapshot count/sum %d/%d != %d/%d",
-						i, q.Lo, q.Hi, rs.Count, rs.Sum, re.Count, re.Sum)
-				}
+				model.check(t, fmt.Sprintf("snapshot query %d", i), q.Lo, q.Hi, opt, as)
 			}
 			ve, vo := epoch.Views(), opts.Views()
 			if len(ve) != len(vo) {

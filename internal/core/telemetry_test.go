@@ -407,20 +407,23 @@ func TestTracedQueryJournalStress(t *testing.T) {
 // did with a path of its own. An adaptive exact-fit hit — routed to the
 // view an identical earlier query created, candidate built and discarded
 // as a subset — allocates 18/run; it was 19 while a single-source scan
-// reached its pages through the sharded kernel's fetch closure.
+// reached its pages through the sharded kernel's fetch closure. An
+// Aggregate query is answered from the filter pass, with no collect
+// closure: it allocates what the plain query does and the Aggregate value
+// it returns.
 func TestQueryOptTelemetryOffNoExtraAllocs(t *testing.T) {
-	measure := func(cfg Config) float64 {
+	measure := func(cfg Config, opt QueryOptions) float64 {
 		col := testColumn(t, 64, dist.NewSine(3, 0, ccDomain, 8))
 		e := newEngine(t, col, cfg)
 		// Warm twice so lazy one-time setup and the adaptive engine's
 		// view creation are outside the measurement.
 		for i := 0; i < 2; i++ {
-			if _, err := e.QueryOpt(100, ccDomain/2, QueryOptions{}); err != nil {
+			if _, err := e.QueryOpt(100, ccDomain/2, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(200, func() {
-			if _, err := e.QueryOpt(100, ccDomain/2, QueryOptions{}); err != nil {
+			if _, err := e.QueryOpt(100, ccDomain/2, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -437,12 +440,15 @@ func TestQueryOptTelemetryOffNoExtraAllocs(t *testing.T) {
 		{"baseline", BaselineConfig(), 2},
 		{"exact-fit hit", syncConfig(), 18},
 	} {
-		off := measure(c.cfg)
+		off := measure(c.cfg, QueryOptions{})
 		if off != c.want {
 			t.Errorf("%s: untraced query allocates %.1f/run, want %.1f", c.name, off, c.want)
 		}
-		if got := measure(journalled(c.cfg)); got != off {
+		if got := measure(journalled(c.cfg), QueryOptions{}); got != off {
 			t.Errorf("%s: journal-enabled untraced query allocates %.1f/run, telemetry-off %.1f/run", c.name, got, off)
+		}
+		if got := measure(c.cfg, QueryOptions{ComputeAggregate: true}); got > off+1 {
+			t.Errorf("%s: aggregate-only query allocates %.1f/run, a plain one %.1f/run: more than the Aggregate value on top", c.name, got, off)
 		}
 	}
 }

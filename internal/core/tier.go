@@ -23,30 +23,47 @@ import (
 const tierScanRetries = 3
 
 // tierScanFilter filters one page through the versioned/optimistic tier
-// bracket: touch (charging cold latency and possibly promoting), filter,
+// bracket: touch (charging cold latency and possibly promoting), scan,
 // validate, retry on a concurrent migration.
-func tierScanFilter(t *vmsim.FileTier, pg []byte, lo, hi uint64) storage.PageScan {
+func tierScanFilter(t *vmsim.FileTier, pg []byte, scan func(pg []byte) storage.PageScan) storage.PageScan {
 	pid := int(storage.PageID(pg))
 	for r := 0; ; r++ {
 		tok := t.Touch(pid)
-		s := storage.ScanFilter(pg, lo, hi)
+		s := scan(pg)
 		if t.Stable(pid, tok) || r >= tierScanRetries {
 			return s
 		}
 	}
 }
 
-// pageFilter returns the page-filter kernel for [lo, hi]: the plain
-// storage.ScanFilter when the engine runs single-tier (nil e.tier — the
-// zero-overhead default), or the tier-bracketed filter above. Every scan
-// path (serial dedup loop, sharded kernel, full scans) resolves its
-// filter through here, so tier accounting covers eager and lazy captures
-// uniformly — both hand back pages whose embedded PageID keys the tier.
-func (e *Engine) pageFilter(lo, hi uint64) func(pg []byte) storage.PageScan {
-	if t := e.tier; t != nil {
-		return func(pg []byte) storage.PageScan { return tierScanFilter(t, pg, lo, hi) }
+// pageFilter chooses the page kernel of one query over [lo, hi] — the
+// only place that does — and returns it as the filter every scan path
+// (serial dedup loop, sharded kernel; live, snapshot and baseline reads)
+// applies to each page. A query pays for the cheapest kernel that answers
+// it: count and sum; the qualifying minimum and maximum as well when an
+// Aggregate was asked for; and when a candidate is being built, the
+// boundary observations of the pages where nothing qualified, which
+// extend the candidate's range (§2.2). Row IDs are not the filter's
+// business: a Rows query collects them from the qualifying pages it is
+// handed (buildCollect).
+//
+// On a tiered engine the chosen kernel runs inside the tier bracket
+// above, so tier accounting covers eager and lazy captures uniformly —
+// both hand back pages whose embedded PageID keys the tier. Single-tier
+// (nil e.tier) is the zero-overhead default.
+func (e *Engine) pageFilter(lo, hi uint64, building, aggregate bool) func(pg []byte) storage.PageScan {
+	scan := storage.ScanCountSum
+	switch {
+	case building:
+		scan = storage.ScanCandidate
+	case aggregate:
+		scan = storage.ScanAggregate
 	}
-	return func(pg []byte) storage.PageScan { return storage.ScanFilter(pg, lo, hi) }
+	filter := func(pg []byte) storage.PageScan { return scan(pg, lo, hi) }
+	if t := e.tier; t != nil {
+		return func(pg []byte) storage.PageScan { return tierScanFilter(t, pg, filter) }
+	}
+	return filter
 }
 
 // TierStats snapshots the column tier's occupancy and migration

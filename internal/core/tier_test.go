@@ -53,23 +53,26 @@ func TestTieredQueryByteIdentical(t *testing.T) {
 	et := newEngine(t, testColumn(t, pages, g()), tieredConfig(pages/4))
 	eu := newEngine(t, testColumn(t, pages, g()), syncConfig())
 
+	model := newRefModel(eu.col)
 	check := func(stage string) {
 		t.Helper()
 		for i := 0; i < 16; i++ {
 			lo := uint64(i) * ccDomain / 20
 			hi := lo + ccDomain/10
-			rt, err := et.Query(lo, hi)
+			opt := materializations(i)
+			rt, err := et.QueryOpt(lo, hi, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ru, err := eu.Query(lo, hi)
+			ru, err := eu.QueryOpt(lo, hi, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rt.Count != ru.Count || rt.Sum != ru.Sum {
-				t.Fatalf("%s query %d: tiered (%d,%d) != untiered (%d,%d)",
-					stage, i, rt.Count, rt.Sum, ru.Count, ru.Sum)
+			if rt.QueryResult != ru.QueryResult {
+				t.Fatalf("%s query %d: tiered %+v != untiered %+v", stage, i, rt.QueryResult, ru.QueryResult)
 			}
+			model.check(t, stage+" tiered", lo, hi, opt, rt)
+			model.check(t, stage+" untiered", lo, hi, opt, ru)
 		}
 	}
 	check("hot")

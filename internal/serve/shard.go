@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	asv "github.com/asv-db/asv"
@@ -296,13 +297,31 @@ func (c *ShardedColumn) Views() int {
 }
 
 // Telemetry merges every shard's instrument snapshot (counters and
-// histogram buckets add; gauges take the last shard's reading).
+// histogram buckets add; gauges take the last shard's reading). The
+// shards live in one address space, whose map_* instruments are reported
+// once (see mergeSameSpace).
 func (c *ShardedColumn) Telemetry() obs.Snapshot {
 	out := obs.NewSnapshot()
 	for _, sc := range c.shards {
-		out = out.Merge(sc.Telemetry())
+		out = mergeSameSpace(out, sc.Telemetry())
 	}
 	return out
+}
+
+// mergeSameSpace folds o into s for two constituents of one DB — the
+// shards of a column, the columns of a tenant. Their own instruments add.
+// The map_* ones are not theirs: each constituent reports the counters of
+// the address space they all share, so adding them would count every mmap
+// call once per constituent. They are taken from one constituent instead
+// — the last merged, whose reading is the newest.
+func mergeSameSpace(s, o obs.Snapshot) obs.Snapshot {
+	s = s.Merge(o)
+	for name, v := range o.Counters {
+		if strings.HasPrefix(name, "map_") {
+			s.Counters[name] = v
+		}
+	}
+	return s
 }
 
 // Close releases every shard. Like asv.DB.Close it returns the first

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	asv "github.com/asv-db/asv"
@@ -53,8 +54,10 @@ func eqQueries() []workload.Query {
 // TestShardScatterGatherEquivalence pins the shard layer's fidelity
 // contract: for every generator, shard count and partitioning, the
 // scatter-gathered answers — row sets and every aggregate — are
-// byte-identical to a single engine over the same data, before and
-// after an identical update batch.
+// byte-identical to a single engine over the same data and to a
+// brute-force walk of its rows, before and after an identical update
+// batch. The probes cycle through rows-and-aggregate, aggregate-only and
+// rows-only queries, which run different page kernels.
 func TestShardScatterGatherEquivalence(t *testing.T) {
 	for _, name := range dist.Names() {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -99,20 +102,65 @@ func testEquivalence(t *testing.T, distName string, shards int, part Partitionin
 		t.Fatal(err)
 	}
 
+	// brute answers by walking every row of the reference column: what
+	// both engines must return whichever page kernel their query chose.
+	brute := func(lo, hi uint64, rows, agg bool) refAnswer {
+		var a asv.AggregateResult
+		ids := []int{}
+		for r := 0; r < ref.Rows(); r++ {
+			v, err := ref.Value(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v < lo || v > hi {
+				continue
+			}
+			if a.Count == 0 || v < a.Min {
+				a.Min = v
+			}
+			if a.Count == 0 || v > a.Max {
+				a.Max = v
+			}
+			a.Count++
+			a.Sum += v
+			ids = append(ids, r)
+		}
+		out := refAnswer{Count: a.Count, Sum: a.Sum}
+		if rows {
+			out.Rows = ids
+		}
+		if agg {
+			out.Agg = a
+		}
+		return out
+	}
+	kinds := []struct {
+		rows, agg bool
+		opts      []asv.QueryOption
+	}{
+		{true, true, []asv.QueryOption{asv.Rows(), asv.Aggregate()}},
+		{false, true, []asv.QueryOption{asv.Aggregate()}},
+		{true, false, []asv.QueryOption{asv.Rows()}},
+	}
 	compare := func(stage string) {
 		t.Helper()
 		for qi, q := range eqQueries() {
-			want, err := ref.QueryOpt(q.Lo, q.Hi, asv.Rows(), asv.Aggregate())
+			kind := kinds[qi%len(kinds)]
+			want, err := ref.QueryOpt(q.Lo, q.Hi, kind.opts...)
 			if err != nil {
 				t.Fatalf("%s q%d: reference: %v", stage, qi, err)
 			}
-			got, err := col.QueryOpt(q.Lo, q.Hi, asv.Rows(), asv.Aggregate())
+			got, err := col.QueryOpt(q.Lo, q.Hi, kind.opts...)
 			if err != nil {
 				t.Fatalf("%s q%d: sharded: %v", stage, qi, err)
 			}
 			if !reflect.DeepEqual(dataAnswer(got), dataAnswer(want)) {
 				t.Fatalf("%s q%d [%d, %d]: sharded answer diverged:\n got %+v\nwant %+v",
 					stage, qi, q.Lo, q.Hi, dataAnswer(got), dataAnswer(want))
+			}
+			if b := brute(q.Lo, q.Hi, kind.rows, kind.agg); !reflect.DeepEqual(dataAnswer(want), b) {
+				t.Fatalf("%s q%d [%d, %d]: both engines diverged from the brute-force walk:\n got %+v\nwant %+v",
+					stage, qi, q.Lo, q.Hi, dataAnswer(want), b)
 			}
 		}
 	}
@@ -227,5 +275,69 @@ func TestShardSnapshotSingleInstant(t *testing.T) {
 	if !reflect.DeepEqual(dataAnswer(after), dataAnswer(before)) {
 		t.Fatalf("pinned reads not repeatable across concurrent writes:\n got %+v\nwant %+v",
 			dataAnswer(after), dataAnswer(before))
+	}
+}
+
+// TestTelemetryCountsSharedAddressSpaceOnce: the shards of a column, and
+// the columns of a tenant, live in one address space, and each of them
+// reports that space's map_* instruments. The merged telemetry must carry
+// them once — what any one constituent reads — while the constituents'
+// own counters still add.
+func TestTelemetryCountsSharedAddressSpaceOnce(t *testing.T) {
+	cat := NewCatalog()
+	defer func() {
+		if err := cat.Close(); err != nil {
+			t.Errorf("catalog close: %v", err)
+		}
+	}()
+	tn, err := cat.Tenant("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []*ShardedColumn
+	for _, name := range []string{"a", "b"} {
+		col, err := tn.CreateColumn(name, eqPages, 4, RangeParts, asv.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Fill(asv.Sine(eqSeed, 0, eqDomain, 4)); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range eqQueries() { // adaptive queries map views: mmap calls on every shard
+			if _, err := col.QueryOpt(q.Lo, q.Hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cols = append(cols, col)
+	}
+
+	space := cols[0].shards[0].Telemetry() // any one constituent reads the whole space
+	if space.Counters["map_mmap_calls"] == 0 {
+		t.Fatal("setup: no mmap calls to count")
+	}
+	wantQueries := uint64(0)
+	for _, sc := range cols[0].shards {
+		wantQueries += sc.Telemetry().Counters["engine_queries"]
+	}
+	column, tenant := cols[0].Telemetry(), tn.Telemetry()
+	if got := column.Counters["engine_queries"]; got != wantQueries || got == space.Counters["engine_queries"] {
+		t.Errorf("column engine_queries = %d, want the shards' sum %d", got, wantQueries)
+	}
+	if got := tenant.Counters["engine_queries"]; got != 2*wantQueries {
+		t.Errorf("tenant engine_queries = %d, want both columns' sum %d", got, 2*wantQueries)
+	}
+	for name, want := range space.Counters {
+		if !strings.HasPrefix(name, "map_") {
+			continue
+		}
+		if got := column.Counters[name]; got != want {
+			t.Errorf("4-shard column reports %s = %d, its address space %d", name, got, want)
+		}
+		if got := tenant.Counters[name]; got != want {
+			t.Errorf("2-column tenant reports %s = %d, its address space %d", name, got, want)
+		}
+	}
+	if got, want := tenant.Gauges["map_vma_count"], space.Gauges["map_vma_count"]; got != want {
+		t.Errorf("tenant reports map_vma_count = %d, its address space %d", got, want)
 	}
 }

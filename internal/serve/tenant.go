@@ -333,11 +333,12 @@ func (t *Tenant) CloseColumn(name string) error {
 }
 
 // Telemetry merges the instrument snapshots of every column of the
-// tenant.
+// tenant. The columns live in the tenant's one DB, so its address
+// space's map_* instruments are reported once (see mergeSameSpace).
 func (t *Tenant) Telemetry() obs.Snapshot {
 	out := obs.NewSnapshot()
 	for _, col := range t.Columns() {
-		out = out.Merge(col.Telemetry())
+		out = mergeSameSpace(out, col.Telemetry())
 	}
 	return out
 }

@@ -91,61 +91,6 @@ func SetValueAt(page []byte, i int, v uint64) {
 	binary.LittleEndian.PutUint64(page[off:off+8], v)
 }
 
-// PageScan is the result of filtering one page against a range predicate.
-// Beyond the qualifying count and sum it reports the boundary values the
-// adaptive layer needs for candidate-range extension (§2.2): the largest
-// on-page value strictly below the predicate and the smallest strictly
-// above it.
-type PageScan struct {
-	Count    int    // qualifying values
-	Sum      uint64 // sum of qualifying values (wrapping; a checkable aggregate)
-	MaxBelow uint64 // largest value < lo, valid if HasBelow
-	MinAbove uint64 // smallest value > hi, valid if HasAbove
-	HasBelow bool
-	HasAbove bool
-}
-
-// Merge folds another PageScan into s — the shard reducer of the parallel
-// scan kernels. Count and Sum add (wrapping addition is commutative and
-// associative, so any shard order reduces to the serial result); the
-// boundary observations keep the tightest value on each side.
-func (s *PageScan) Merge(o PageScan) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.HasBelow && (!s.HasBelow || o.MaxBelow > s.MaxBelow) {
-		s.MaxBelow = o.MaxBelow
-		s.HasBelow = true
-	}
-	if o.HasAbove && (!s.HasAbove || o.MinAbove < s.MinAbove) {
-		s.MinAbove = o.MinAbove
-		s.HasAbove = true
-	}
-}
-
-// ScanFilter scans all value slots of a page against [lo, hi] (inclusive).
-func ScanFilter(page []byte, lo, hi uint64) PageScan {
-	var s PageScan
-	for i := 0; i < ValuesPerPage; i++ {
-		v := binary.LittleEndian.Uint64(page[HeaderSize+i*8 : HeaderSize+i*8+8])
-		switch {
-		case v < lo:
-			if !s.HasBelow || v > s.MaxBelow {
-				s.MaxBelow = v
-				s.HasBelow = true
-			}
-		case v > hi:
-			if !s.HasAbove || v < s.MinAbove {
-				s.MinAbove = v
-				s.HasAbove = true
-			}
-		default:
-			s.Count++
-			s.Sum += v
-		}
-	}
-	return s
-}
-
 // PageMinMax returns the smallest and largest value on the page (used to
 // build zone maps).
 func PageMinMax(page []byte) (min, max uint64) {
@@ -160,17 +105,6 @@ func PageMinMax(page []byte) (min, max uint64) {
 		}
 	}
 	return min, max
-}
-
-// CollectMatches calls emit(slot, value) for every qualifying slot of the
-// page, for callers that materialize row results rather than aggregates.
-func CollectMatches(page []byte, lo, hi uint64, emit func(slot int, v uint64)) {
-	for i := 0; i < ValuesPerPage; i++ {
-		v := binary.LittleEndian.Uint64(page[HeaderSize+i*8 : HeaderSize+i*8+8])
-		if v >= lo && v <= hi {
-			emit(i, v)
-		}
-	}
 }
 
 // Column is a physical column: numPages pages on a main-memory file, plus
