@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	asv "github.com/asv-db/asv"
 	"github.com/asv-db/asv/internal/autopilot"
 	"github.com/asv-db/asv/internal/core"
 	"github.com/asv-db/asv/internal/dist"
@@ -616,6 +617,66 @@ func BenchmarkQueryOptTracingOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTrace("query")
 		if _, err := eng.QueryOpt(0, benchDomain/2, core.QueryOptions{Trace: tr}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The hot query: one narrow Aggregate (0.1 % of the domain on a 16 384-page
+// linear column) whose view is already in place — the floor of the serve
+// path. A live read still builds a candidate and discards it, so the gap
+// between the two benchmarks is what adaptation costs a query that gains
+// nothing from it; a snapshot read builds nothing.
+
+// hotQueryColumn builds the column, asks the query twice (the first call
+// builds its view, the second finds it) and returns the column and the
+// query's bounds.
+func hotQueryColumn(b *testing.B) (*asv.Column, uint64, uint64) {
+	b.Helper()
+	const pages = 16384
+	db, err := asv.Open(asv.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = db.Close() }) //asv:ignore-err benchmark teardown
+	col, err := db.CreateColumn("hot", pages, asv.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := col.FillParallel(asv.Linear(7, 0, benchDomain, pages)); err != nil {
+		b.Fatal(err)
+	}
+	lo := uint64(benchDomain) / 3
+	hi := lo + benchDomain/1000
+	for i := 0; i < 2; i++ {
+		if _, err := col.QueryOpt(lo, hi, asv.Aggregate()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return col, lo, hi
+}
+
+func BenchmarkHotQueryLive(b *testing.B) {
+	col, lo, hi := hotQueryColumn(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := col.QueryOpt(lo, hi, asv.Aggregate()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHotQuerySnapshot(b *testing.B) {
+	col, lo, hi := hotQueryColumn(b)
+	snap, err := col.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = snap.Close() }() //asv:ignore-err benchmark teardown
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.QueryOpt(lo, hi, asv.Aggregate()); err != nil {
 			b.Fatal(err)
 		}
 	}

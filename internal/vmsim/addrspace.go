@@ -395,22 +395,17 @@ func (as *AddressSpace) unmapRangeLocked(start, end VPN) {
 
 // clearPagesLocked drops page-table entries in [lo, hi) of VMA v, freeing
 // demand-allocated anonymous frames and releasing file page references.
+// Its cost follows the populated page-table leaves under the range, not
+// the range's length (see pageTable.clearRange).
 //
 //asv:locked=mu
 func (as *AddressSpace) clearPagesLocked(v *VMA, lo, hi VPN) {
-	cleared := 0
-	for p := lo; p < hi; p++ {
-		if fr, ok := as.pt.get(p); ok {
-			as.pt.clear(p)
-			if v.file == nil {
-				as.kernel.freeFrame(fr)
-			} else {
-				cleared++
-			}
-		}
+	if v.file == nil {
+		as.pt.clearRange(lo, hi, as.kernel.freeFrame)
+		return
 	}
-	if v.file != nil && cleared > 0 {
-		v.file.addRefs(-cleared)
+	if n := as.pt.clearRange(lo, hi, func(FrameID) {}); n > 0 {
+		v.file.addRefs(-n)
 	}
 }
 

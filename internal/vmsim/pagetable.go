@@ -52,19 +52,36 @@ func (pt *pageTable) set(vpn VPN, f FrameID) {
 	leaf.entries[idx] = uint32(f) + 1
 }
 
-// clear removes the mapping at vpn, reclaiming empty leaves.
-func (pt *pageTable) clear(vpn VPN) {
-	key := vpn >> ptLeafBits
-	leaf := pt.leaves[key]
-	if leaf == nil {
-		return
+// clearRange removes every mapping in [lo, hi), passes each removed frame
+// to drop in address order, and returns how many it removed. It walks the
+// range one leaf at a time: one directory lookup per leaf, absent leaves
+// skipped, a present leaf left as soon as its last live entry is gone, and
+// emptied leaves reclaimed. So an unmap costs what is mapped under it, not
+// what it spans — a kernel's unmap likewise skips empty page-table levels,
+// which is what keeps releasing a column-sized reservation nearly free.
+func (pt *pageTable) clearRange(lo, hi VPN, drop func(FrameID)) int {
+	if lo >= hi {
+		return 0
 	}
-	idx := vpn & ptLeafMask
-	if leaf.entries[idx] != 0 {
-		leaf.entries[idx] = 0
-		leaf.count--
+	cleared := 0
+	for key := lo >> ptLeafBits; key <= (hi-1)>>ptLeafBits; key++ {
+		leaf := pt.leaves[key]
+		if leaf == nil {
+			continue
+		}
+		base := key << ptLeafBits
+		first, last := max(lo, base)-base, min(hi-base, ptLeafSize)
+		for i := first; i < last && leaf.count > 0; i++ {
+			if e := leaf.entries[i]; e != 0 {
+				leaf.entries[i] = 0
+				leaf.count--
+				cleared++
+				drop(FrameID(e - 1))
+			}
+		}
 		if leaf.count == 0 {
 			delete(pt.leaves, key)
 		}
 	}
+	return cleared
 }

@@ -481,7 +481,7 @@ func TestStatsCounting(t *testing.T) {
 // checkInvariants verifies the structural invariants the whole layer rests
 // on: VMAs sorted, non-overlapping, non-empty, within the address space;
 // every file-backed page present in the page table with the right frame;
-// no page-table entry outside any VMA.
+// and the conservation laws of checkConservation.
 func checkInvariants(t *testing.T, as *AddressSpace) {
 	t.Helper()
 	var prevEnd VPN
@@ -518,27 +518,118 @@ func checkInvariants(t *testing.T, as *AddressSpace) {
 			t.Fatalf("adjacent VMAs %d,%d are mergeable but unmerged", i-1, i)
 		}
 	}
+	checkConservation(t, as)
+}
+
+// checkConservation checks that page-table entries, file refcounts and
+// frames balance: no entry lies outside a VMA, each leaf counts its live
+// entries and none is empty, each file's mapRefs equals the entries that
+// map it, and the anonymous entries are exactly the demand-zero frames in
+// use. It assumes as is the only address space of its kernel and that no
+// frame displaced by File.ReplacePageFrame is outstanding.
+func checkConservation(t *testing.T, as *AddressSpace) {
+	t.Helper()
+	anon, refs := 0, map[*File]int{}
+	func() {
+		as.mu.RLock()
+		defer as.mu.RUnlock()
+		for key, leaf := range as.pt.leaves {
+			live := 0
+			for i, e := range leaf.entries {
+				if e == 0 {
+					continue
+				}
+				live++
+				vpn := key<<ptLeafBits | VPN(i)
+				switch v := as.vmas.containing(vpn); {
+				case v == nil:
+					t.Fatalf("page-table entry at %#x lies outside every VMA", vpn)
+				case v.file == nil:
+					anon++
+				default:
+					refs[v.file]++
+				}
+			}
+			if live == 0 || live != leaf.count {
+				t.Fatalf("leaf %#x counts %d, holds %d live entries", key, leaf.count, live)
+			}
+		}
+	}()
+	k := as.kernel
+	k.mu.Lock()
+	files := make([]*File, 0, len(k.files))
+	for _, f := range k.files {
+		files = append(files, f)
+	}
+	k.mu.Unlock()
+	filePages := 0
+	for _, f := range files {
+		if got := f.MappedPages(); got != refs[f] {
+			t.Fatalf("file %q: mapRefs %d, page table maps it %d times", f.Name(), got, refs[f])
+		}
+		filePages += f.NumPages()
+	}
+	if demand := k.FramesInUse() - filePages; demand != anon {
+		t.Fatalf("%d demand-zero frames in use, %d anonymous page-table entries", demand, anon)
+	}
 }
 
 // TestRandomizedOps drives a random mix of mmap/munmap/rewire operations
-// and checks full invariants after each step — the workhorse test for
-// overlap resolution.
+// and demand-zero faults over a region of several page-table leaves whose
+// start is not leaf-aligned, and checks full invariants after each step —
+// the workhorse test for overlap resolution and for the leaf-wise unmap.
+// Every few hundred steps the whole region is unmapped, which must return
+// every demand-zero frame, and a fresh one is reserved.
 func TestRandomizedOps(t *testing.T) {
+	const pages = 3*ptLeafSize + 171
 	k := NewKernel(0)
-	f, _ := k.CreateFile("f", 256)
+	f, _ := k.CreateFile("f", pages)
+	framesBefore := k.FramesInUse()
 	as := k.NewAddressSpace()
-	addr, err := as.MmapAnon(256)
+	// A pad before the region puts its start off a leaf boundary.
+	pad, err := as.MmapAnon(37)
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, err := as.MmapAnon(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MunmapPages(pad, 37); err != nil {
+		t.Fatal(err)
+	}
+	release := func(step int) {
+		if err := as.MunmapPages(addr, pages); err != nil {
+			t.Fatalf("step %d: Munmap: %v", step, err)
+		}
+		checkInvariants(t, as)
+		if got := k.FramesInUse(); got != framesBefore {
+			t.Fatalf("step %d: %d frames in use after a full unmap, %d before", step, got, framesBefore)
+		}
+		if len(as.pt.leaves) != 0 || f.MappedPages() != 0 {
+			t.Fatalf("step %d: %d leaves, %d file pages mapped after a full unmap", step, len(as.pt.leaves), f.MappedPages())
+		}
+	}
+	// fault touches [va, va+n): pages inside a VMA must succeed (anonymous
+	// ones take a demand-zero frame), the rest must fault.
+	fault := func(step int, va Addr, n int) {
+		for p := VPN(va >> PageShift); p < VPN(va>>PageShift)+VPN(n); p++ {
+			as.mu.RLock()
+			mapped := as.vmas.containing(p) != nil
+			as.mu.RUnlock()
+			if _, err := as.PageData(p); (err == nil) != mapped {
+				t.Fatalf("step %d: PageData(%#x) = %v, mapped %v", step, p, err, mapped)
+			}
+		}
+	}
 	rng := newTestRand(12345)
-	for step := 0; step < 2000; step++ {
-		off := rng.Intn(256)
-		n := 1 + rng.Intn(256-off)
-		va := addr + Addr(rng.Intn(256-n))*PageSize
-		switch rng.Intn(3) {
+	for step := 0; step < 3000; step++ {
+		off := rng.Intn(pages)
+		n := 1 + rng.Intn(pages-off)
+		va := addr + Addr(rng.Intn(pages-n+1))*PageSize
+		fp := rng.Intn(pages - n + 1)
+		switch rng.Intn(6) {
 		case 0, 1:
-			fp := rng.Intn(256 - n + 1)
 			if err := as.MmapFileFixed(va, f, fp, n); err != nil {
 				t.Fatalf("step %d: MmapFileFixed: %v", step, err)
 			}
@@ -546,12 +637,26 @@ func TestRandomizedOps(t *testing.T) {
 			if err := as.MunmapPages(va, n); err != nil {
 				t.Fatalf("step %d: Munmap: %v", step, err)
 			}
+		case 3:
+			fault(step, va, min(n, 64))
+		case 4:
+			// MAP_FIXED over pages that have just faulted.
+			fault(step, va, n)
+			m := 1 + rng.Intn(n)
+			if err := as.MmapFileFixed(va+Addr(rng.Intn(n-m+1))*PageSize, f, fp, m); err != nil {
+				t.Fatalf("step %d: MmapFileFixed: %v", step, err)
+			}
+		case 5:
+			if rng.Intn(40) == 0 {
+				release(step)
+				if addr, err = as.MmapAnon(pages); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if step%100 == 0 {
-			checkInvariants(t, as)
-		}
+		checkInvariants(t, as)
 	}
-	checkInvariants(t, as)
+	release(3000)
 }
 
 func TestConcurrentMapAndRead(t *testing.T) {
@@ -636,6 +741,51 @@ func BenchmarkMmapFixedRuns(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = as.MmapFileFixed(addr, f, 0, 4096)
+	}
+}
+
+// BenchmarkMunmapReservation reserves a column-sized anonymous region and
+// releases it — a discarded candidate view's life at this layer — once
+// empty and once with 1 % of its pages, one in every hundred, rewired to
+// file pages, which populates every page-table leaf under it. The rewiring
+// is untimed. An unmap walks the page table by leaf, so an empty release
+// costs next to nothing at any size.
+func BenchmarkMunmapReservation(b *testing.B) {
+	for _, pages := range []int{8192, 16384, 65536} {
+		for _, mapped := range []int{0, pages / 100} {
+			name := fmt.Sprintf("pages=%d/empty", pages)
+			if mapped > 0 {
+				name = fmt.Sprintf("pages=%d/file1pct", pages)
+			}
+			b.Run(name, func(b *testing.B) {
+				k := NewKernel(0)
+				f, err := k.CreateFile("f", mapped)
+				if err != nil {
+					b.Fatal(err)
+				}
+				as := k.NewAddressSpace()
+				as.SetMaxMapCount(1 << 30)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					addr, err := as.MmapAnon(pages)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if mapped > 0 {
+						b.StopTimer()
+						for p := 0; p < mapped; p++ {
+							if err := as.MmapFileFixed(addr+Addr(100*p+50)*PageSize, f, p, 1); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+					}
+					if err := as.MunmapPages(addr, pages); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
