@@ -26,14 +26,21 @@ package asv
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"github.com/asv-db/asv/internal/autopilot"
 	"github.com/asv-db/asv/internal/core"
 	"github.com/asv-db/asv/internal/dist"
+	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/storage"
+	"github.com/asv-db/asv/internal/table"
 	"github.com/asv-db/asv/internal/view"
 	"github.com/asv-db/asv/internal/vmsim"
+	"github.com/asv-db/asv/internal/workload"
 )
 
 // PageSize is the page granularity of the storage layer (4 KiB).
@@ -414,3 +421,493 @@ func (c *Column) Close() error {
 // CreateOptions re-exports the view-creation optimization switches for
 // Config.Create.
 type CreateOptions = view.CreateOptions
+
+// MultiViewPolicy selects how multi-view covers compete with single views
+// in MultiView mode.
+type MultiViewPolicy = core.MultiViewPolicy
+
+// Multi-view policies.
+const (
+	// PreferMulti uses a multi-view cover whenever one exists — the
+	// paper's published behaviour.
+	PreferMulti = core.PreferMulti
+	// CostBased picks the plan with the fewer indexed pages — the paper's
+	// stated future work, implemented here.
+	CostBased = core.CostBased
+)
+
+// LimitPolicy selects the behaviour once MaxViews is reached.
+type LimitPolicy = core.LimitPolicy
+
+// Limit policies.
+const (
+	// Freeze stops creating views for good (the paper's behaviour).
+	Freeze = core.Freeze
+	// EvictLRU keeps adapting by evicting the least-recently-routed view.
+	EvictLRU = core.EvictLRU
+)
+
+// AggregateResult summarizes the qualifying values of a range query.
+// (The former name Aggregate now constructs the QueryOpt option.)
+type AggregateResult = core.Aggregate
+
+// RowSet is a materialized set of qualifying row IDs.
+type RowSet = core.RowSet
+
+// QueryRows answers [lo, hi] and materializes the qualifying row IDs,
+// with the same adaptive side effects as Query. It is a documented thin
+// wrapper over QueryOpt(lo, hi, asv.Rows()) — answers, telemetry and
+// side effects are byte-identical to that call.
+func (c *Column) QueryRows(lo, hi uint64) (*RowSet, Result, error) {
+	ans, err := c.QueryOpt(lo, hi, Rows())
+	return ans.Rows, ans.QueryResult, err
+}
+
+// QueryAggregate answers [lo, hi] with count, sum, min and max over the
+// qualifying values. It is a documented thin wrapper over
+// QueryOpt(lo, hi, asv.Aggregate()) — answers, telemetry and side
+// effects are byte-identical to that call.
+func (c *Column) QueryAggregate(lo, hi uint64) (AggregateResult, Result, error) {
+	ans, err := c.QueryOpt(lo, hi, Aggregate())
+	if ans.Agg == nil {
+		return AggregateResult{}, ans.QueryResult, err
+	}
+	return *ans.Agg, ans.QueryResult, err
+}
+
+// ViewRange is one requested [Lo, Hi] of a CreateViews call.
+type ViewRange = core.ViewRange
+
+// CreateViews builds one partial view per requested range in a single
+// column pass and publishes them in one state swap — semantically the
+// same views as calling CreateView per range, at the cost of one
+// qualification scan and one publication. Use it to stand up large view
+// sets (the many-views experiments create thousands this way). On error
+// nothing is inserted.
+//
+// It is a documented thin wrapper over CreateViewOpt with a Batch of the
+// remaining ranges and Pinned() — views, telemetry and side effects are
+// identical to that call; like CreateView, the legacy surface pins.
+func (c *Column) CreateViews(ranges []ViewRange) error {
+	if len(ranges) == 0 {
+		return nil
+	}
+	return c.CreateViewOpt(ranges[0].Lo, ranges[0].Hi, Batch(ranges[1:]...), Pinned())
+}
+
+// CreateViewsBatch is CreateViews under its original engine-side name —
+// the same documented thin pinned wrapper over CreateViewOpt.
+func (c *Column) CreateViewsBatch(ranges []ViewRange) error {
+	return c.CreateViews(ranges)
+}
+
+// WriteTo serializes the column's data pages (views are an adaptive cache
+// and are not persisted).
+func (c *Column) WriteTo(w io.Writer) (int64, error) { return c.col.WriteTo(w) }
+
+// Save writes the column to a file.
+func (c *Column) Save(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := c.col.WriteTo(f); err != nil {
+		_ = f.Close() //asv:ignore-err the write error is returned; closing the ruined file is best-effort
+		return err
+	}
+	return f.Close()
+}
+
+// LoadColumn materializes a column previously written with Save/WriteTo
+// and wraps it in an adaptive layer. The view set starts empty and regrows
+// from the workload.
+func (db *DB) LoadColumn(name, path string, cfg Config) (*Column, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return db.ReadColumn(name, f, cfg)
+}
+
+// ReadColumn is LoadColumn over an arbitrary reader. Safe for concurrent
+// callers, like the rest of the catalog.
+func (db *DB) ReadColumn(name string, r io.Reader, cfg Config) (*Column, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, dup := db.columns[name]; dup {
+		return nil, fmt.Errorf("asv: column %q already exists", name)
+	}
+	sc, err := storage.ReadColumn(db.kernel, db.space, name, r)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.NewEngine(sc, cfg)
+	if err != nil {
+		_ = sc.Close() //asv:ignore-err unwinding failed engine construction; the construction error is returned
+		return nil, err
+	}
+	c := &Column{db: db, col: sc, eng: eng, name: name}
+	db.columns[name] = c
+	return c, nil
+}
+
+// RangeQuery is one inclusive range predicate of a generated workload.
+type RangeQuery = workload.Query
+
+// ConcurrentStreams derives one deterministic query stream per client
+// from a single seed (n queries each, fixed selectivity sel over
+// [0, domainHi]). Client i's stream never depends on scheduling, so a
+// concurrent run fires exactly the same queries as its serial re-check —
+// the workload behind the `concurrent` asvbench panel.
+func ConcurrentStreams(seed uint64, clients, n int, domainHi uint64, sel float64) [][]RangeQuery {
+	return workload.ConcurrentClients(seed, clients, n, domainHi, sel)
+}
+
+// PointUpdate is one row overwrite of a generated update workload.
+type PointUpdate = workload.PointUpdate
+
+// ConcurrentUpdateStreams derives one deterministic update stream per
+// writer from a single seed (n uniform row overwrites each, values in
+// [valLo, valHi]). Writer i's stream never depends on scheduling or on
+// the writer count — the workload behind the `updates` asvbench panel.
+func ConcurrentUpdateStreams(seed uint64, writers, n, rows int, valLo, valHi uint64) [][]PointUpdate {
+	return workload.ConcurrentUpdaters(seed, writers, n, rows, valLo, valHi)
+}
+
+// Predicate is an inclusive range condition on one table column.
+type Predicate = table.Predicate
+
+// SelectResult is the outcome of a conjunctive table selection.
+type SelectResult = table.SelectResult
+
+// Table is a multi-column table; every column carries its own adaptive
+// view layer (the paper's Figure 1).
+type Table struct {
+	db  *DB
+	tbl *table.Table
+}
+
+// CreateTable creates a table whose columns each span numPages pages.
+// Safe for concurrent callers, like the rest of the catalog.
+func (db *DB) CreateTable(name string, numPages int, columns []string, cfg Config) (*Table, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, dup := db.tables[name]; dup {
+		return nil, fmt.Errorf("asv: table %q already exists", name)
+	}
+	t, err := table.New(db.kernel, db.space, name, numPages, columns, cfg)
+	if err != nil {
+		return nil, err
+	}
+	wrapped := &Table{db: db, tbl: t}
+	db.tables[name] = wrapped
+	return wrapped, nil
+}
+
+// Table returns a previously created table.
+func (db *DB) Table(name string) (*Table, bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, ok := db.tables[name]
+	return t, ok
+}
+
+// Name returns the table name.
+func (t *Table) Name() string { return t.tbl.Name() }
+
+// Columns returns the column names.
+func (t *Table) Columns() []string { return t.tbl.Columns() }
+
+// Rows returns the row count.
+func (t *Table) Rows() int { return t.tbl.Rows() }
+
+// FillColumn populates one column from a generator.
+func (t *Table) FillColumn(column string, g Generator) error {
+	eng, err := t.tbl.Engine(column)
+	if err != nil {
+		return err
+	}
+	return eng.Column().Fill(g)
+}
+
+// Select answers the conjunction (AND) of the predicates, adapting each
+// involved column's views as a side product.
+func (t *Table) Select(preds ...Predicate) (*SelectResult, error) {
+	return t.tbl.Select(preds)
+}
+
+// Count returns the number of rows matching the conjunction.
+func (t *Table) Count(preds ...Predicate) (int, error) { return t.tbl.Count(preds) }
+
+// Get materializes the named column values of one row.
+func (t *Table) Get(row int, columns ...string) ([]uint64, error) {
+	return t.tbl.Get(row, columns)
+}
+
+// Update overwrites one value (buffered; queries auto-flush).
+func (t *Table) Update(column string, row int, value uint64) error {
+	return t.tbl.Update(column, row, value)
+}
+
+// FlushUpdates realigns the views of every column.
+func (t *Table) FlushUpdates() error { return t.tbl.FlushUpdates() }
+
+// ColumnViews lists the partial views of one column.
+func (t *Table) ColumnViews(column string) ([]ViewInfo, error) {
+	eng, err := t.tbl.Engine(column)
+	if err != nil {
+		return nil, err
+	}
+	vs := eng.Views()
+	out := make([]ViewInfo, len(vs))
+	for i, v := range vs {
+		out[i] = ViewInfo{Lo: v.Lo(), Hi: v.Hi(), Pages: v.NumPages()}
+	}
+	return out, nil
+}
+
+// Close releases the table's columns and views.
+func (t *Table) Close() error {
+	t.db.mu.Lock()
+	delete(t.db.tables, t.tbl.Name())
+	t.db.mu.Unlock()
+	return t.tbl.Close()
+}
+
+// AutopilotMetrics is a snapshot of an autopilot's cumulative counters.
+type AutopilotMetrics = autopilot.Metrics
+
+// FlushInfo describes one coalesced autopilot flush (OnFlush hook).
+type FlushInfo = autopilot.FlushInfo
+
+// MaintainReport describes one autopilot maintenance tick (OnMaintain
+// hook).
+type MaintainReport = autopilot.MaintainReport
+
+// Sync is the column's read-your-writes barrier: it applies every write
+// accepted so far (draining the autopilot intake, when one runs) and
+// realigns all partial views. Without an autopilot it is FlushUpdates.
+func (c *Column) Sync() error {
+	_, err := c.eng.Sync()
+	return err
+}
+
+// QueuedUpdates returns the number of fire-and-forget writes accepted by
+// Update but not yet applied (always 0 without an autopilot).
+func (c *Column) QueuedUpdates() int { return c.eng.QueuedUpdates() }
+
+// AutopilotMetrics returns the column's autopilot counters; ok is false
+// when the column runs without an autopilot.
+func (c *Column) AutopilotMetrics() (AutopilotMetrics, bool) {
+	p := c.eng.Autopilot()
+	if p == nil {
+		return AutopilotMetrics{}, false
+	}
+	return p.Metrics(), true
+}
+
+// AutopilotFlushLatencies returns flush-latency samples (enqueue of the
+// oldest coalesced write → flush complete), nil without an autopilot.
+// Summarize with AutopilotPercentile.
+//
+// Deprecated: the autopilot no longer retains raw samples; the returned
+// values are synthesized from the flush-latency histogram's quantiles
+// and are quantized to log₂ bucket bounds. Read the histogram directly
+// from Column.Telemetry's "autopilot_flush_latency_ns" instead.
+func (c *Column) AutopilotFlushLatencies() []time.Duration {
+	p := c.eng.Autopilot()
+	if p == nil {
+		return nil
+	}
+	return p.FlushLatencies()
+}
+
+// AutopilotPercentile returns the q-quantile (0..1) of a latency sample
+// set by nearest rank.
+//
+// Deprecated: pair of AutopilotFlushLatencies. Prefer
+// HistogramSnapshot.Quantile on the "autopilot_flush_latency_ns"
+// histogram from Column.Telemetry.
+func AutopilotPercentile(ds []time.Duration, q float64) time.Duration {
+	return autopilot.Percentile(ds, q)
+}
+
+// Telemetry is a point-in-time snapshot of a column's instruments:
+// counters, gauges and log₂-bucket histograms, keyed by stable names
+// (engine_*, autopilot_*, tier_*, map_*, room_*, ...). Snapshots merge
+// (Merge) and encode to stable JSON (JSON), so they diff cleanly across
+// runs and embed in benchmark artifacts.
+type Telemetry = obs.Snapshot
+
+// HistogramSnapshot is one histogram's frozen state inside a Telemetry
+// snapshot; Quantile and Mean summarize it.
+type HistogramSnapshot = obs.HistogramSnapshot
+
+// QueryTrace is one traced query's span tree (see Trace).
+type QueryTrace = obs.Trace
+
+// TraceSpan is one timed region of a traced query.
+type TraceSpan = obs.Span
+
+// EngineEvent is one entry drained from the column's event journal.
+type EngineEvent = obs.Event
+
+// Telemetry snapshots every instrument of the column: the engine's own
+// histograms and counters, the autopilot's (when one runs), the tier's
+// (when tiering is enabled) and the simulated address space's. Reading
+// the snapshot never blocks queries — every instrument is a lock-free
+// atomic the hot paths bump unconditionally.
+func (c *Column) Telemetry() Telemetry { return c.eng.Telemetry() }
+
+// Events drains the column's event journal: the newest JournalEvents
+// engine events (epoch publications/retirements, autopilot duties, tier
+// migration batches, view lifecycle transitions, room handovers) in
+// sequence order. Returns nil when Config.JournalEvents left the
+// journal disabled.
+func (c *Column) Events() []EngineEvent { return c.eng.Journal().Events() }
+
+// MemoryStats is a column's tiered-memory readout: per-tier frame
+// counts, migration counters and the cumulative simulated cold-access
+// stall. On a single-tier column Tiered is false and every page counts
+// as hot.
+type MemoryStats struct {
+	Tiered      bool    // whether a second tier is attached
+	Pages       int     // tracked file pages
+	HotFrames   int     // pages currently in the hot (DRAM) tier
+	ColdFrames  int     // pages currently in the capacity tier
+	HotBudget   int     // configured hot-tier frame budget (0 untiered)
+	HotFraction float64 // HotFrames / Pages (1 untiered)
+	Demotions   uint64  // hot → cold page migrations
+	Promotions  uint64  // cold → hot page migrations
+	ColdTouches uint64  // page accesses that found the page cold
+	StallNanos  uint64  // cumulative simulated cold-access latency, ns
+}
+
+// MemoryStats snapshots the column's tier occupancy and migration
+// counters. Counters are monotonic; occupancy is advisory under
+// concurrent migration (each field is exact at its own read).
+func (c *Column) MemoryStats() MemoryStats {
+	s, ok := c.eng.TierStats()
+	if !ok {
+		n := c.NumPages()
+		return MemoryStats{Pages: n, HotFrames: n, HotFraction: 1}
+	}
+	return MemoryStats{
+		Tiered:      true,
+		Pages:       s.Pages,
+		HotFrames:   s.HotFrames,
+		ColdFrames:  s.ColdFrames,
+		HotBudget:   s.HotBudget,
+		HotFraction: s.HotFraction(),
+		Demotions:   s.Demotions,
+		Promotions:  s.Promotions,
+		ColdTouches: s.ColdTouches,
+		StallNanos:  s.StallNanos,
+	}
+}
+
+// QueryAnswer is the unified result of QueryOpt: the telemetry every
+// query reports (embedded Result), plus the materializations the options
+// asked for — Rows and Agg are nil unless requested.
+type QueryAnswer = core.Answer
+
+// QueryOpt answers the inclusive range query [lo, hi] according to the
+// options, adapting the view set as a side product exactly like Query:
+//
+//	ans, err := col.QueryOpt(lo, hi, asv.Rows(), asv.Aggregate(), asv.Workers(4))
+//	// ans.Count, ans.PagesScanned, ans.Rows, ans.Agg
+//
+// Reads are epoch-routed and lock-free: the query pins the currently
+// published engine state and scans its immutable capture, so alignment,
+// rebuilds and autopilot maintenance never stall readers. Updates
+// buffered at entry are flushed first; a write racing in afterwards is
+// serialized after this query.
+func (c *Column) QueryOpt(lo, hi uint64, opts ...QueryOption) (QueryAnswer, error) {
+	var o core.QueryOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return c.eng.QueryOpt(lo, hi, o)
+}
+
+// Snapshot pins the column's current engine epoch and returns a handle
+// whose queries all observe exactly that instant — repeatable,
+// never-blocking reads. See Column.Snapshot for the semantics.
+type Snapshot struct {
+	col  *Column
+	snap *core.Snapshot
+}
+
+// Snapshot pins the current epoch. The snapshot reflects every write
+// applied to the column before the call (pending updates are flushed
+// first); writes and view maintenance after it are invisible through the
+// handle, and its queries never block on writers, alignment or the
+// autopilot. What a snapshot does NOT pin: engine statistics, the
+// column's catalog registration, and adaptive side effects of other
+// readers — it is a read view, not a transaction.
+//
+// Close the handle when done: an open snapshot keeps its epoch's views
+// and page frames alive, and Column.Close blocks until every snapshot is
+// closed.
+func (c *Column) Snapshot() (*Snapshot, error) {
+	s, err := c.eng.Snapshot() //asv:handoff the pin is owned by the returned handle; Snapshot.Close releases it
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{col: c, snap: s}, nil
+}
+
+// Query answers [lo, hi] from the pinned epoch. Identical queries on one
+// snapshot return identical answers regardless of concurrent writes.
+func (s *Snapshot) Query(lo, hi uint64) (Result, error) {
+	return s.snap.Query(lo, hi)
+}
+
+// QueryOpt answers [lo, hi] from the pinned epoch with options. Snapshot
+// reads are pure: no candidate views are built and no view-set state
+// changes, so the answer's CandidateBuilt is always false.
+func (s *Snapshot) QueryOpt(lo, hi uint64, opts ...QueryOption) (QueryAnswer, error) {
+	var o core.QueryOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return s.snap.QueryOpt(lo, hi, o)
+}
+
+// Views returns the number of partial views captured by the pinned epoch.
+func (s *Snapshot) Views() int { return s.snap.Views() }
+
+// Close releases the pin; idempotent.
+func (s *Snapshot) Close() error { return s.snap.Close() }
+
+// CreateViewOpt eagerly builds one partial view over [lo, hi] — plus one
+// per Batch range — according to the options, bypassing adaptivity:
+//
+//	err := col.CreateViewOpt(lo, hi, asv.Lazy(), asv.Pinned())
+//	err = col.CreateViewOpt(lo, hi, asv.Batch(more...))
+//
+// Without options the views follow the column's Config (LazyViews) and
+// are demotable by the tier lifecycle, exactly like adaptively created
+// views. All views of one call are built in a single column pass and
+// published atomically; on any error nothing is inserted.
+func (c *Column) CreateViewOpt(lo, hi uint64, opts ...ViewOption) error {
+	var o viewCreateOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	specs := make([]core.ViewSpec, 0, 1+len(o.extra))
+	add := func(lo, hi uint64) {
+		specs = append(specs, core.ViewSpec{
+			Lo: lo, Hi: hi,
+			Lazy: o.lazy, HasLazy: o.hasLazy,
+			Pinned: o.pinned,
+		})
+	}
+	add(lo, hi)
+	for _, r := range o.extra {
+		add(r.Lo, r.Hi)
+	}
+	_, err := c.eng.CreateViewsOpt(specs)
+	return err
+}
