@@ -16,7 +16,7 @@
 //	defer db.Close()
 //	col, _ := db.CreateColumn("readings", 4096, asv.DefaultConfig())
 //	col.Fill(asv.Uniform(1, 0, 100_000_000))
-//	res, _ := col.Query(1_000_000, 2_000_000)   // views appear as you query
+//	res, _ := col.QueryOpt(1_000_000, 2_000_000)   // views appear as you query
 //	fmt.Println(res.Count, res.PagesScanned)
 //
 // The heavy lifting lives in the internal packages (vmsim, storage, view,
@@ -30,7 +30,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/asv-db/asv/internal/autopilot"
 	"github.com/asv-db/asv/internal/core"
@@ -135,12 +134,21 @@ func Open(opts Options) (*DB, error) {
 // across the materialization so a duplicate name can never slip in
 // between check and insert.
 func (db *DB) CreateColumn(name string, numPages int, cfg Config) (*Column, error) {
+	return db.addColumn(name, cfg, func() (*storage.Column, error) {
+		return storage.NewColumn(db.kernel, db.space, name, numPages)
+	})
+}
+
+// addColumn registers a column whose storage newCol materializes: the
+// duplicate check, the materialization, the engine and the insert all run
+// under the catalog mutex, and a failed engine unwinds the storage.
+func (db *DB) addColumn(name string, cfg Config, newCol func() (*storage.Column, error)) (*Column, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.columns[name]; dup {
 		return nil, fmt.Errorf("asv: column %q already exists", name)
 	}
-	sc, err := storage.NewColumn(db.kernel, db.space, name, numPages)
+	sc, err := newCol()
 	if err != nil {
 		return nil, err
 	}
@@ -282,13 +290,13 @@ type ViewInfo struct {
 // Column is a physical column with its adaptive view layer.
 //
 // A Column is safe for concurrent use: any number of goroutines may call
-// Query/QueryRows/QueryAggregate simultaneously, and any number may call
-// Update/UpdateBatch simultaneously (writers append to page-sharded
-// buffers and only serialize per page group). The two groups exclude
-// each other — queries must observe fully aligned views — and
-// FlushUpdates, CreateView and RebuildViews are exclusive. Columns of
-// one DB are independent — concurrent work on different columns only
-// meets at the simulated kernel, which has its own locks.
+// QueryOpt simultaneously, and any number may call Update/UpdateBatch
+// simultaneously (writers append to page-sharded buffers and only
+// serialize per page group). The two groups exclude each other — queries
+// must observe fully aligned views — and FlushUpdates, CreateViewOpt and
+// RebuildViews are exclusive. Columns of one DB are independent —
+// concurrent work on different columns only meets at the simulated
+// kernel, which has its own locks.
 type Column struct {
 	db     *DB
 	col    *storage.Column
@@ -323,29 +331,6 @@ func (c *Column) FillParallel(g Generator) error { return c.col.FillParallel(g, 
 // Value reads one row.
 func (c *Column) Value(row int) (uint64, error) { return c.col.Value(row) }
 
-// Query answers the inclusive range query [lo, hi], adapting the view set
-// as a side product. It is a documented thin wrapper over QueryOpt with
-// no options — answers, telemetry and side effects are byte-identical to
-// that call. Query is safe for any number of concurrent callers: routed
-// reads are epoch-based and lock-free, scanning an immutable published
-// state, so update alignment and background maintenance never stall them
-// (see Config.Parallelism for intra-query parallelism).
-func (c *Column) Query(lo, hi uint64) (Result, error) {
-	ans, err := c.QueryOpt(lo, hi)
-	return ans.QueryResult, err
-}
-
-// QueryParallel answers [lo, hi] like Query but scans with GOMAXPROCS
-// page-sharded workers regardless of Config.Parallelism. It is a
-// documented thin wrapper over QueryOpt(lo, hi, asv.Workers(-1)). The
-// answer and every adaptive side effect are identical to Query — shards
-// reduce in page order with commutative aggregates — just faster on
-// large columns when cores are idle.
-func (c *Column) QueryParallel(lo, hi uint64) (Result, error) {
-	ans, err := c.QueryOpt(lo, hi, Workers(-1))
-	return ans.QueryResult, err
-}
-
 // Update overwrites one row through the full view and buffers the change
 // for the next FlushUpdates. Concurrent Update callers proceed in
 // parallel: the write path is sharded by physical page (see
@@ -370,22 +355,15 @@ func (c *Column) UpdateBatch(writes []RowWrite) error { return c.eng.UpdateBatch
 // FlushUpdates realigns all partial views with the buffered updates.
 func (c *Column) FlushUpdates() (UpdateReport, error) { return c.eng.FlushUpdates() }
 
-// CreateView eagerly builds a partial view over [lo, hi], bypassing
-// adaptivity — occasionally useful to pre-warm a known hot range. It is
-// a documented thin wrapper over CreateViewOpt(lo, hi, asv.Pinned()):
-// the view set, telemetry and every side effect are identical to that
-// call. The view is pinned — an explicitly requested range stays exempt
-// from tier demotion; use CreateViewOpt directly for a demotable view.
-func (c *Column) CreateView(lo, hi uint64) error {
-	return c.CreateViewOpt(lo, hi, Pinned())
-}
-
 // RebuildViews drops and recreates every partial view from scratch.
 func (c *Column) RebuildViews() error { return c.eng.RebuildViews() }
 
 // Views lists the current partial views.
-func (c *Column) Views() []ViewInfo {
-	vs := c.eng.Views()
+func (c *Column) Views() []ViewInfo { return viewInfos(c.eng) }
+
+// viewInfos lists an engine's current partial views.
+func viewInfos(eng *core.Engine) []ViewInfo {
+	vs := eng.Views()
 	out := make([]ViewInfo, len(vs))
 	for i, v := range vs {
 		out[i] = ViewInfo{Lo: v.Lo(), Hi: v.Hi(), Pages: v.NumPages()}
@@ -454,52 +432,8 @@ type AggregateResult = core.Aggregate
 // RowSet is a materialized set of qualifying row IDs.
 type RowSet = core.RowSet
 
-// QueryRows answers [lo, hi] and materializes the qualifying row IDs,
-// with the same adaptive side effects as Query. It is a documented thin
-// wrapper over QueryOpt(lo, hi, asv.Rows()) — answers, telemetry and
-// side effects are byte-identical to that call.
-func (c *Column) QueryRows(lo, hi uint64) (*RowSet, Result, error) {
-	ans, err := c.QueryOpt(lo, hi, Rows())
-	return ans.Rows, ans.QueryResult, err
-}
-
-// QueryAggregate answers [lo, hi] with count, sum, min and max over the
-// qualifying values. It is a documented thin wrapper over
-// QueryOpt(lo, hi, asv.Aggregate()) — answers, telemetry and side
-// effects are byte-identical to that call.
-func (c *Column) QueryAggregate(lo, hi uint64) (AggregateResult, Result, error) {
-	ans, err := c.QueryOpt(lo, hi, Aggregate())
-	if ans.Agg == nil {
-		return AggregateResult{}, ans.QueryResult, err
-	}
-	return *ans.Agg, ans.QueryResult, err
-}
-
-// ViewRange is one requested [Lo, Hi] of a CreateViews call.
-type ViewRange = core.ViewRange
-
-// CreateViews builds one partial view per requested range in a single
-// column pass and publishes them in one state swap — semantically the
-// same views as calling CreateView per range, at the cost of one
-// qualification scan and one publication. Use it to stand up large view
-// sets (the many-views experiments create thousands this way). On error
-// nothing is inserted.
-//
-// It is a documented thin wrapper over CreateViewOpt with a Batch of the
-// remaining ranges and Pinned() — views, telemetry and side effects are
-// identical to that call; like CreateView, the legacy surface pins.
-func (c *Column) CreateViews(ranges []ViewRange) error {
-	if len(ranges) == 0 {
-		return nil
-	}
-	return c.CreateViewOpt(ranges[0].Lo, ranges[0].Hi, Batch(ranges[1:]...), Pinned())
-}
-
-// CreateViewsBatch is CreateViews under its original engine-side name —
-// the same documented thin pinned wrapper over CreateViewOpt.
-func (c *Column) CreateViewsBatch(ranges []ViewRange) error {
-	return c.CreateViews(ranges)
-}
+// ViewRange is one extra [Lo, Hi] of a Batch view-creation option.
+type ViewRange struct{ Lo, Hi uint64 }
 
 // WriteTo serializes the column's data pages (views are an adaptive cache
 // and are not persisted).
@@ -533,23 +467,9 @@ func (db *DB) LoadColumn(name, path string, cfg Config) (*Column, error) {
 // ReadColumn is LoadColumn over an arbitrary reader. Safe for concurrent
 // callers, like the rest of the catalog.
 func (db *DB) ReadColumn(name string, r io.Reader, cfg Config) (*Column, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.columns[name]; dup {
-		return nil, fmt.Errorf("asv: column %q already exists", name)
-	}
-	sc, err := storage.ReadColumn(db.kernel, db.space, name, r)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(sc, cfg)
-	if err != nil {
-		_ = sc.Close() //asv:ignore-err unwinding failed engine construction; the construction error is returned
-		return nil, err
-	}
-	c := &Column{db: db, col: sc, eng: eng, name: name}
-	db.columns[name] = c
-	return c, nil
+	return db.addColumn(name, cfg, func() (*storage.Column, error) {
+		return storage.ReadColumn(db.kernel, db.space, name, r)
+	})
 }
 
 // RangeQuery is one inclusive range predicate of a generated workload.
@@ -659,12 +579,7 @@ func (t *Table) ColumnViews(column string) ([]ViewInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs := eng.Views()
-	out := make([]ViewInfo, len(vs))
-	for i, v := range vs {
-		out[i] = ViewInfo{Lo: v.Lo(), Hi: v.Hi(), Pages: v.NumPages()}
-	}
-	return out, nil
+	return viewInfos(eng), nil
 }
 
 // Close releases the table's columns and views.
@@ -705,32 +620,6 @@ func (c *Column) AutopilotMetrics() (AutopilotMetrics, bool) {
 		return AutopilotMetrics{}, false
 	}
 	return p.Metrics(), true
-}
-
-// AutopilotFlushLatencies returns flush-latency samples (enqueue of the
-// oldest coalesced write → flush complete), nil without an autopilot.
-// Summarize with AutopilotPercentile.
-//
-// Deprecated: the autopilot no longer retains raw samples; the returned
-// values are synthesized from the flush-latency histogram's quantiles
-// and are quantized to log₂ bucket bounds. Read the histogram directly
-// from Column.Telemetry's "autopilot_flush_latency_ns" instead.
-func (c *Column) AutopilotFlushLatencies() []time.Duration {
-	p := c.eng.Autopilot()
-	if p == nil {
-		return nil
-	}
-	return p.FlushLatencies()
-}
-
-// AutopilotPercentile returns the q-quantile (0..1) of a latency sample
-// set by nearest rank.
-//
-// Deprecated: pair of AutopilotFlushLatencies. Prefer
-// HistogramSnapshot.Quantile on the "autopilot_flush_latency_ns"
-// histogram from Column.Telemetry.
-func AutopilotPercentile(ds []time.Duration, q float64) time.Duration {
-	return autopilot.Percentile(ds, q)
 }
 
 // Telemetry is a point-in-time snapshot of a column's instruments:
@@ -813,7 +702,7 @@ func (c *Column) MemoryStats() MemoryStats {
 type QueryAnswer = core.Answer
 
 // QueryOpt answers the inclusive range query [lo, hi] according to the
-// options, adapting the view set as a side product exactly like Query:
+// options, adapting the view set as a side product:
 //
 //	ans, err := col.QueryOpt(lo, hi, asv.Rows(), asv.Aggregate(), asv.Workers(4))
 //	// ans.Count, ans.PagesScanned, ans.Rows, ans.Agg
@@ -858,15 +747,11 @@ func (c *Column) Snapshot() (*Snapshot, error) {
 	return &Snapshot{col: c, snap: s}, nil
 }
 
-// Query answers [lo, hi] from the pinned epoch. Identical queries on one
-// snapshot return identical answers regardless of concurrent writes.
-func (s *Snapshot) Query(lo, hi uint64) (Result, error) {
-	return s.snap.Query(lo, hi)
-}
-
-// QueryOpt answers [lo, hi] from the pinned epoch with options. Snapshot
-// reads are pure: no candidate views are built and no view-set state
-// changes, so the answer's CandidateBuilt is always false.
+// QueryOpt answers [lo, hi] from the pinned epoch with options. Identical
+// queries on one snapshot return identical answers regardless of
+// concurrent writes. Snapshot reads are pure: no candidate views are built
+// and no view-set state changes, so the answer's CandidateBuilt is always
+// false.
 func (s *Snapshot) QueryOpt(lo, hi uint64, opts ...QueryOption) (QueryAnswer, error) {
 	var o core.QueryOptions
 	for _, opt := range opts {

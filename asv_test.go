@@ -28,10 +28,10 @@ func TestOpenCreateQueryClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var first, last asv.Result
+	var first, last asv.QueryAnswer
 	for i := 0; i < 25; i++ {
 		lo := uint64(i) * 1_000_000
-		res, err := col.Query(lo, lo+2_000_000)
+		res, err := col.QueryOpt(lo, lo+2_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestUpdateFlow(t *testing.T) {
 	if err := col.Fill(asv.Uniform(3, 1000, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.CreateView(0, 500); err != nil {
+	if err := col.CreateViewOpt(0, 500, asv.Pinned()); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Update(10, 42); err != nil {
@@ -94,7 +94,7 @@ func TestUpdateFlow(t *testing.T) {
 		t.Fatalf("Value = %d, %v", v, err)
 	}
 	// The updated value must now be findable via the view layer.
-	res, err := col.Query(42, 42)
+	res, err := col.QueryOpt(42, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBaselineConfigNeverCreatesViews(t *testing.T) {
 	col, _ := db.CreateColumn("b", 64, asv.BaselineConfig())
 	_ = col.Fill(asv.Uniform(1, 0, 1000))
 	for i := 0; i < 5; i++ {
-		if _, err := col.Query(0, 500); err != nil {
+		if _, err := col.QueryOpt(0, 500); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestCloseReleasesEverything(t *testing.T) {
 	col, _ := db.CreateColumn("c", 64, asv.DefaultConfig())
 	_ = col.Fill(asv.Uniform(9, 0, 1_000_000))
 	for i := 0; i < 10; i++ {
-		if _, err := col.Query(uint64(i*10_000), uint64(i*10_000+5_000)); err != nil {
+		if _, err := col.QueryOpt(uint64(i*10_000), uint64(i*10_000+5_000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestRebuildViewsPublic(t *testing.T) {
 	defer db.Close()
 	col, _ := db.CreateColumn("r", 64, asv.DefaultConfig())
 	_ = col.Fill(asv.Linear(5, 0, 1_000_000, 64))
-	if err := col.CreateView(0, 100_000); err != nil {
+	if err := col.CreateViewOpt(0, 100_000, asv.Pinned()); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.RebuildViews(); err != nil {

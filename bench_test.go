@@ -151,7 +151,7 @@ func benchFig4(b *testing.B, distName string) {
 		b.StartTimer()
 		pages := 0
 		for _, q := range queries {
-			res, err := eng.Query(q.Lo, q.Hi)
+			res, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func BenchmarkFig4_FullscanBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+		if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func benchFig5(b *testing.B, sel float64, maxViews int) {
 		b.StartTimer()
 		views := 0
 		for _, q := range queries {
-			res, err := eng.Query(q.Lo, q.Hi)
+			res, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -245,12 +245,12 @@ func BenchmarkTable1_AccumulatedSpeedup(b *testing.B) {
 		var aTot, bTot time.Duration
 		for _, q := range queries {
 			t0 := time.Now()
-			if _, err := adaptive.Query(q.Lo, q.Hi); err != nil {
+			if _, err := adaptive.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			aTot += time.Since(t0)
 			t1 := time.Now()
-			if _, err := baseline.Query(q.Lo, q.Hi); err != nil {
+			if _, err := baseline.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			bTot += time.Since(t1)
@@ -282,7 +282,7 @@ func benchFig6(b *testing.B, distName string, opts view.CreateOptions) {
 	col := benchColumn(b, benchPages, g)
 	var mapper *view.Mapper
 	if opts.Concurrent {
-		mapper = view.NewMapper(0)
+		mapper = view.NewMapper()
 		defer mapper.Stop()
 	}
 	b.ResetTimer()
@@ -352,11 +352,9 @@ func benchFig7(b *testing.B, distName string, batch int, rebuild bool) {
 			b.Fatal(err)
 		}
 		for _, r := range ranges {
-			v, err := eng.CreateView(r.Lo, r.Hi)
-			if err != nil {
+			if _, err := eng.CreateViewsOpt([]core.ViewSpec{{Lo: r.Lo, Hi: r.Hi, Pinned: true}}); err != nil {
 				b.Fatal(err)
 			}
-			v.SetRange(r.Lo, r.Hi)
 		}
 		ups := workload.UniformUpdates(uint64(batch), batch, col.Rows(), 0, math.MaxUint64)
 		batchUpdates := make([]core.Update, 0, len(ups))
@@ -423,7 +421,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			col := benchColumn(b, benchPages, dist.NewUniform(42, 0, benchDomain))
 			// Thread the worker count through Config.Parallelism: its zero
-			// value is the true serial loop (QueryParallel would remap
+			// value is the true serial loop (the Workers option would remap
 			// workers<=0 to GOMAXPROCS and erase the baseline).
 			cfg := core.BaselineConfig()
 			cfg.Parallelism = v.workers
@@ -435,7 +433,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 			b.SetBytes(int64(benchPages) * storage.PageSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(0, benchDomain/2)
+				res, err := eng.QueryOpt(0, benchDomain/2, core.QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -469,7 +467,7 @@ func BenchmarkConcurrentClients(b *testing.B) {
 					go func(stream []workload.Query, i int) {
 						defer wg.Done()
 						q := stream[i%len(stream)]
-						if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+						if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 							b.Error(err)
 						}
 					}(streams[c], i)

@@ -38,7 +38,7 @@ func TestConcurrentCatalog(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := col.Query(0, 500_000); err != nil {
+				if _, err := col.QueryOpt(0, 500_000); err != nil {
 					errs <- err
 					return
 				}

@@ -9,8 +9,7 @@
 //	asvd -max-queued 512         # tighter per-tenant update backpressure
 //
 // Tenants are namespaces, created lazily on first reference: every data
-// route exists both as /t/{tenant}/... and without the prefix with the
-// tenant named in the X-Asv-Tenant header. Each tenant owns a private
+// route lives under /t/{tenant}/.... Each tenant owns a private
 // engine instance (its own simulated kernel and address space), and each
 // column can be split across N engine shards whose answers are
 // scatter-gathered back into one result.

@@ -149,7 +149,7 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 				}
 			}
 		}
-		res, err := eng.Query(q.Lo, q.Hi)
+		res, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			return err
 		}
@@ -197,10 +197,10 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 			m.Enqueued, m.Applied, m.Flushes, m.AvgCoalesce())
 		fmt.Printf("  flush triggers: %d count, %d bytes, %d deadline, %d backpressure, %d sync\n",
 			m.CountFlushes, m.ByteFlushes, m.DeadlineFlushes, m.BackpressureFlushes, m.SyncFlushes)
-		lats := p.FlushLatencies()
+		h := p.LatencyHistogram()
 		fmt.Printf("  flush latency: p50 %s, p99 %s (%d samples)\n",
-			autopilot.Percentile(lats, 0.50).Round(time.Microsecond),
-			autopilot.Percentile(lats, 0.99).Round(time.Microsecond), len(lats))
+			time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
+			time.Duration(h.Quantile(0.99)).Round(time.Microsecond), h.Count)
 		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
 			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
 		fmt.Printf("  cost model: %.0f ns/page scans, %.1f ns/unit alignment\n",
@@ -283,7 +283,7 @@ func snapshotDemo(eng *core.Engine, qs []workload.Query, rng *xrand.Rand, domain
 	}
 	defer snap.Close()
 	probe := qs[len(qs)/2]
-	before, err := snap.Query(probe.Lo, probe.Hi)
+	before, err := snap.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -304,11 +304,11 @@ func snapshotDemo(eng *core.Engine, qs []workload.Query, rng *xrand.Rand, domain
 	fmt.Printf("  mutated: %d overwrites flushed (%d dirty pages, +%d/-%d view pages realigned)\n",
 		overwrites, rep.DirtyPages, rep.PagesAdded, rep.PagesRemoved)
 
-	after, err := snap.Query(probe.Lo, probe.Hi)
+	after, err := snap.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
 	if err != nil {
 		return err
 	}
-	live, err := eng.Query(probe.Lo, probe.Hi)
+	live, err := eng.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -350,7 +350,7 @@ func tiersDemo(eng *core.Engine, qs []workload.Query) error {
 	}
 
 	probe := qs[len(qs)/2]
-	res, err := eng.Query(probe.Lo, probe.Hi)
+	res, err := eng.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
 	if err != nil {
 		return err
 	}

@@ -78,7 +78,7 @@ func TestFillParallelThroughFacade(t *testing.T) {
 	}
 
 	// Scenario columns answer adaptive queries like paper columns do.
-	res, err := par.Query(0, 10_000)
+	res, err := par.QueryOpt(0, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// A hot view an operator pre-warmed; queries grow more adaptively.
-		if err := col.CreateView(0, domain/64); err != nil {
+		if err := col.CreateViewOpt(0, domain/64); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func main() {
 				defer rwg.Done()
 				for !done.Load() {
 					for _, q := range qs {
-						if _, err := col.Query(q.Lo, q.Hi); err != nil {
+						if _, err := col.QueryOpt(q.Lo, q.Hi); err != nil {
 							log.Fatal(err)
 						}
 						qCount.Add(1)
@@ -126,24 +126,24 @@ func main() {
 	run(auto, "autopilot-coalesced updates")
 
 	m, _ := auto.AutopilotMetrics()
-	lats := auto.AutopilotFlushLatencies()
+	lat := auto.Telemetry().Histograms["autopilot_flush_latency_ns"]
 	fmt.Printf("\nautopilot telemetry:\n")
 	fmt.Printf("  %d writes coalesced into %d group commits (avg %.0f writes/flush)\n",
 		m.Applied, m.Flushes, m.AvgCoalesce())
 	fmt.Printf("  flush triggers: %d count-threshold, %d deadline, %d backpressure, %d sync\n",
 		m.CountFlushes, m.DeadlineFlushes, m.BackpressureFlushes, m.SyncFlushes)
 	fmt.Printf("  flush latency: p50 %s, p99 %s (bound 5ms + alignment)\n",
-		asv.AutopilotPercentile(lats, 0.50).Round(time.Microsecond),
-		asv.AutopilotPercentile(lats, 0.99).Round(time.Microsecond))
+		time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
+		time.Duration(lat.Quantile(0.99)).Round(time.Microsecond))
 	fmt.Printf("  lifecycle: %d maintenance ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
 		m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
 
 	// The two columns converged to the same data: same answers everywhere.
-	ra, err := auto.Query(0, domain/2)
+	ra, err := auto.QueryOpt(0, domain/2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rp, err := plain.Query(0, domain/2)
+	rp, err := plain.QueryOpt(0, domain/2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 // set as they go; a writer thread interleaves update bursts that take the
 // write lock and realign the views. At the end, every client's answers
 // are re-checked against a serial scan — concurrency must never change a
-// result. Also demos QueryParallel: intra-query page-sharded scanning.
+// result. Also demos the Workers option: intra-query page-sharded
+// scanning.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			for _, q := range streams[c] {
-				res, err := col.Query(q.Lo, q.Hi)
+				res, err := col.QueryOpt(q.Lo, q.Hi)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -99,7 +100,7 @@ func main() {
 	checked, drifted := 0, 0
 	for c := 0; c < clients; c++ {
 		for _, a := range answers[c] {
-			res, err := col.Query(a.lo, a.hi)
+			res, err := col.QueryOpt(a.lo, a.hi)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -113,13 +114,13 @@ func main() {
 
 	// Intra-query parallelism: one big scan, sharded across cores.
 	t0 := time.Now()
-	serial, err := col.Query(0, domain/2)
+	serial, err := col.QueryOpt(0, domain/2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	dSerial := time.Since(t0)
 	t1 := time.Now()
-	parallel, err := col.QueryParallel(0, domain/2)
+	parallel, err := col.QueryOpt(0, domain/2, asv.Workers(-1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	for i := 0; i < windows; i++ {
 		pos = pos*6364136223846793005 + 1442695040888963407 // LCG positions
 		lo := pos % (domain - width)
-		res, err := col.Query(lo, lo+width)
+		res, err := col.QueryOpt(lo, lo+width)
 		if err != nil {
 			log.Fatal(err)
 		}

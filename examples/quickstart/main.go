@@ -31,7 +31,7 @@ func main() {
 
 	// The first query has no views to use: it full-scans, and builds a
 	// partial view covering its range as a side product.
-	res, err := col.Query(10_000_000, 12_000_000)
+	res, err := col.QueryOpt(10_000_000, 12_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func main() {
 		res.Count, res.PagesScanned, res.UsedFullView)
 
 	// A second query inside the same range is answered from the new view.
-	res, err = col.Query(10_500_000, 11_500_000)
+	res, err = col.QueryOpt(10_500_000, 11_500_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,10 +43,10 @@ func main() {
 
 		// The same mid-domain range twice: the first query adapts, the
 		// second harvests the view.
-		if _, err := col.Query(40_000_000, 42_000_000); err != nil {
+		if _, err := col.QueryOpt(40_000_000, 42_000_000); err != nil {
 			log.Fatal(err)
 		}
-		res, err := col.Query(40_000_000, 42_000_000)
+		res, err := col.QueryOpt(40_000_000, 42_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func main() {
 		var roundTime time.Duration
 		for _, b := range bands {
 			t0 := time.Now()
-			res, err := col.Query(b.lo, b.hi)
+			res, err := col.QueryOpt(b.lo, b.hi)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func main() {
 
 	// Warm up the adaptive layer: a couple of queries grow views.
 	const lo, hi = 20_000_000, 24_000_000
-	if _, err := col.Query(lo, hi); err != nil {
+	if _, err := col.QueryOpt(lo, hi); err != nil {
 		log.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	live, err := col.Query(lo, hi)
+	live, err := col.QueryOpt(lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}

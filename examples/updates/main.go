@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// Pre-warm a view over the hot range, as an operator might.
-	if err := col.CreateView(hotLo, hotHi); err != nil {
+	if err := col.CreateViewOpt(hotLo, hotHi); err != nil {
 		log.Fatal(err)
 	}
 	v := col.Views()[0]
@@ -80,7 +80,7 @@ func main() {
 		time.Since(t0).Round(10*time.Microsecond))
 
 	// Correctness spot check: the view layer answers like a fresh scan.
-	res, err := col.Query(hotLo, hotHi)
+	res, err := col.QueryOpt(hotLo, hotHi)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func main() {
 		writers, writers*perWriter, wrote.Round(10*time.Microsecond),
 		float64(writers*perWriter)/wrote.Seconds(), rep.PagesAdded, rep.PagesRemoved)
 
-	check, err := col.Query(hotLo, hotHi)
+	check, err := col.QueryOpt(hotLo, hotHi)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // TestAutopilotFacade drives the autopilot through the public surface:
-// fire-and-forget updates, the Sync barrier, metrics and flush-latency
-// percentiles.
+// fire-and-forget updates, the Sync barrier, metrics and the flush-latency
+// histogram.
 func TestAutopilotFacade(t *testing.T) {
+	const flushLatency = "autopilot_flush_latency_ns"
 	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +23,7 @@ func TestAutopilotFacade(t *testing.T) {
 	if _, ok := plain.AutopilotMetrics(); ok {
 		t.Fatal("plain column reports an autopilot")
 	}
-	if plain.AutopilotFlushLatencies() != nil || plain.QueuedUpdates() != 0 {
+	if _, ok := plain.Telemetry().Histograms[flushLatency]; ok || plain.QueuedUpdates() != 0 {
 		t.Fatal("plain column leaks autopilot state")
 	}
 
@@ -38,7 +39,7 @@ func TestAutopilotFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []*Column{plain, col} {
-		if err := c.CreateView(0, 250_000); err != nil {
+		if err := c.CreateViewOpt(0, 250_000, Pinned()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,11 +64,11 @@ func TestAutopilotFacade(t *testing.T) {
 	if err := plain.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	ra, err := col.Query(0, 500_000)
+	ra, err := col.QueryOpt(0, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := plain.Query(0, 500_000)
+	rp, err := plain.QueryOpt(0, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestAutopilotFacade(t *testing.T) {
 	if !ok || m.Enqueued != 100 || m.Applied != 100 || m.Flushes == 0 {
 		t.Fatalf("metrics %+v ok=%v", m, ok)
 	}
-	lats := col.AutopilotFlushLatencies()
-	if len(lats) == 0 {
+	lat := col.Telemetry().Histograms[flushLatency]
+	if lat.Count == 0 {
 		t.Fatal("no flush latency samples")
 	}
-	if p99 := AutopilotPercentile(lats, 0.99); p99 < 0 {
-		t.Fatalf("p99 %s", p99)
+	if p50, p99 := lat.Quantile(0.50), lat.Quantile(0.99); p50 == 0 || p99 < p50 {
+		t.Fatalf("flush latency p50 %d ns, p99 %d ns", p50, p99)
 	}
 }

@@ -18,10 +18,11 @@ func TestQueryRowsAndAggregateFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, res, err := col.QueryRows(1000, 2000)
+	res, err := col.QueryOpt(1000, 2000, asv.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if rows.Len() != res.Count || rows.Len() == 0 {
 		t.Fatalf("rows=%d count=%d", rows.Len(), res.Count)
 	}
@@ -34,12 +35,12 @@ func TestQueryRowsAndAggregateFacade(t *testing.T) {
 		return true
 	})
 
-	agg, _, err := col.QueryAggregate(1000, 2000)
+	ans, err := col.QueryOpt(1000, 2000, asv.Aggregate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Count != res.Count || agg.Min < 1000 || agg.Max > 2000 {
-		t.Fatalf("aggregate %+v", agg)
+	if agg := ans.Agg; agg.Count != res.Count || agg.Min < 1000 || agg.Max > 2000 {
+		t.Fatalf("aggregate %+v", *agg)
 	}
 }
 
@@ -51,7 +52,7 @@ func TestSaveLoadFacade(t *testing.T) {
 	defer db.Close()
 	col, _ := db.CreateColumn("orig", 32, asv.DefaultConfig())
 	_ = col.Fill(asv.Sine(9, 0, 1_000_000, 8))
-	wantRes, err := col.Query(100_000, 300_000)
+	wantRes, err := col.QueryOpt(100_000, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSaveLoadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := loaded.Query(100_000, 300_000)
+	gotRes, err := loaded.QueryOpt(100_000, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPolicyFacadeRoundTrip(t *testing.T) {
 	_ = col.Fill(asv.Sine(3, 0, 1_000_000, 8))
 	for i := 0; i < 12; i++ {
 		lo := uint64(i) * 80_000
-		if _, err := col.Query(lo, lo+50_000); err != nil {
+		if _, err := col.QueryOpt(lo, lo+50_000); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,10 +72,6 @@ const (
 	// cap: a writer that outruns the pilot by this factor drains
 	// cooperatively instead of growing the intake without bound.
 	backpressureFactor = 8
-	// latencyRing caps how many quantile-derived samples FlushLatencies
-	// synthesizes from the latency histogram — the retention the
-	// deprecated sample API used to have.
-	latencyRing = 4096
 )
 
 // ErrStopped is returned by Enqueue after the pilot has been stopped
@@ -434,9 +430,9 @@ type Pilot struct {
 	mWarmed              atomic.Uint64
 	mPagesDemoted        atomic.Uint64
 
-	// latHist/batchHist replace the old bounded sample ring: lock-free
-	// log₂ histograms of flush latency (ns) and coalesce batch size.
-	// Handles stored once here, bumped from drain.
+	// latHist/batchHist are lock-free log₂ histograms of flush latency
+	// (ns) and coalesce batch size. Handles stored once here, bumped from
+	// drain.
 	latHist   *obs.Histogram
 	batchHist *obs.Histogram
 }
@@ -586,31 +582,6 @@ func (p *Pilot) Metrics() Metrics {
 		TLBPagesWarmed:      p.mWarmed.Load(),
 		PagesDemoted:        p.mPagesDemoted.Load(),
 	}
-}
-
-// FlushLatencies synthesizes flush-latency samples (enqueue of the oldest
-// queued write → flush complete) from the pilot's latency histogram: at
-// most latencyRing samples, the k-th being the ((k+0.5)/n)-quantile, so
-// Percentile over the result tracks the histogram's quantiles.
-//
-// Deprecated: the pilot no longer retains individual samples — values
-// are quantized to the histogram's log₂ bucket bounds. Read the
-// histogram directly via LatencyHistogram (or Engine.Telemetry's
-// autopilot_flush_latency_ns) instead.
-func (p *Pilot) FlushLatencies() []time.Duration {
-	h := p.latHist.Snapshot()
-	n := h.Count
-	if n == 0 {
-		return nil
-	}
-	if n > latencyRing {
-		n = latencyRing
-	}
-	out := make([]time.Duration, n)
-	for k := range out {
-		out[k] = time.Duration(h.Quantile((float64(k) + 0.5) / float64(n)))
-	}
-	return out
 }
 
 // LatencyHistogram snapshots the flush-latency histogram (ns).
@@ -920,24 +891,4 @@ func (p *Pilot) maintain() {
 	if p.cfg.OnMaintain != nil {
 		p.cfg.OnMaintain(rep)
 	}
-}
-
-// Percentile returns the q-quantile (0..1) of the samples by
-// nearest-rank; 0 when empty. Used by the harness panel for p50/p99
-// flush latency.
-func Percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

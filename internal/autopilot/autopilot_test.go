@@ -173,14 +173,14 @@ func TestDeadlineFlush(t *testing.T) {
 	if m.DeadlineFlushes != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
-	lats := p.FlushLatencies()
-	// Samples are quantile-derived from the log₂ latency histogram, so the
-	// 5ms flush reads back as its bucket's upper bound (< 8.4ms).
-	if len(lats) != 1 || lats[0] < 5*time.Millisecond || lats[0] >= 16*time.Millisecond {
-		t.Fatalf("latencies %v, want one sample in [5ms, 16ms)", lats)
-	}
-	if h := p.LatencyHistogram(); h.Count != 1 {
+	h := p.LatencyHistogram()
+	if h.Count != 1 {
 		t.Fatalf("latency histogram count %d, want 1", h.Count)
+	}
+	// The log₂ latency histogram reads the 5ms flush back as its bucket's
+	// upper bound (< 8.4ms).
+	if p50 := time.Duration(h.Quantile(0.5)); p50 < 5*time.Millisecond || p50 >= 16*time.Millisecond {
+		t.Fatalf("p50 latency %v, want [5ms, 16ms)", p50)
 	}
 }
 
@@ -438,23 +438,6 @@ func TestCostModelAlignWorkers(t *testing.T) {
 	}
 	if many != 8 {
 		t.Fatalf("heavy alignment got %d workers, want 8", many)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	ds := []time.Duration{5, 1, 4, 2, 3}
-	if got := Percentile(ds, 0.5); got != 3 {
-		t.Fatalf("p50 = %d, want 3", got)
-	}
-	if got := Percentile(ds, 0.99); got != 5 {
-		t.Fatalf("p99 = %d, want 5", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("empty percentile = %d", got)
-	}
-	// Input must stay untouched.
-	if ds[0] != 5 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 

@@ -37,11 +37,9 @@ func autoEngine(t *testing.T, g dist.Generator, pages int, ap *autopilot.Config)
 	cfg.Autopilot = ap
 	e := newEngine(t, testColumn(t, pages, g), cfg)
 	for _, r := range alignTestRanges {
-		v, err := e.CreateView(r[0], r[1])
-		if err != nil {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
-		v.SetRange(r[0], r[1])
 	}
 	return e
 }
@@ -112,11 +110,11 @@ func TestAutopilotEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := serial.Query(r[0], r[1])
+				rs, err := serial.QueryOpt(r[0], r[1], QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ra, err := auto.Query(r[0], r[1])
+				ra, err := auto.QueryOpt(r[0], r[1], QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,21 +208,19 @@ func TestAutopilotColdEviction(t *testing.T) {
 	// otherwise out-route the hot view and make it look cold too.
 	cfg.MaxViews = 2
 	e := newEngine(t, testColumn(t, 64, dist.NewLinear(5, 0, ccDomain, 64)), cfg)
-	hot, err := e.CreateView(0, ccDomain/4)
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain / 4, Pinned: true}}); err != nil {
+		t.Fatal(err)
+	}
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: ccDomain / 2, Hi: 3 * ccDomain / 4, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot.SetRange(0, ccDomain/4)
-	cold, err := e.CreateView(ccDomain/2, 3*ccDomain/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.SetRange(ccDomain/2, 3*ccDomain/4)
+	cold := created[0]
 
 	// 12 routed queries inside the hot view: the LRU clock passes
 	// ColdTicks and the cold view's age exceeds it.
 	for i := 0; i < 12; i++ {
-		if _, err := e.Query(1000, ccDomain/8); err != nil {
+		if _, err := e.QueryOpt(1000, ccDomain/8, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +239,7 @@ func TestAutopilotColdEviction(t *testing.T) {
 	}
 	// The engine keeps answering over the evicted range (full view).
 	wantCount, wantSum, _ := e.Column().FullScan(ccDomain/2, 3*ccDomain/4)
-	res, err := e.Query(ccDomain/2, 3*ccDomain/4)
+	res, err := e.QueryOpt(ccDomain/2, 3*ccDomain/4, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +311,11 @@ func TestAutopilotRebuildDefragments(t *testing.T) {
 	lo, hi := uint64(0), uint64(ccDomain/4)
 	cfg := syncConfig()
 	e := newEngine(t, testColumn(t, pages, dist.NewUniform(7, 0, ccDomain)), cfg)
-	v, err := e.CreateView(lo, hi)
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: lo, Hi: hi, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetRange(lo, hi)
+	v := created[0]
 
 	frag := fragmentView(t, e, lo, hi)
 	if frag == 0 {
@@ -367,7 +363,7 @@ func TestAutopilotRebuildDefragments(t *testing.T) {
 		}
 	}
 	wantCount, wantSum, _ := e.Column().FullScan(lo, hi)
-	res, err := e.Query(lo, hi)
+	res, err := e.QueryOpt(lo, hi, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +381,11 @@ func TestAutopilotRebuildDefragments(t *testing.T) {
 // soft-TLB through the pilot-target surface.
 func TestAutopilotWarmView(t *testing.T) {
 	e := newEngine(t, testColumn(t, 64, dist.NewSine(5, 0, ccDomain, 8)), syncConfig())
-	v, err := e.CreateView(0, ccDomain/4)
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain / 4, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := created[0]
 	// Lazy creation leaves every slot cold; the first warm materializes
 	// the view in full, and a second warm finds nothing to do.
 	n, err := pilotTarget{e}.WarmView(v)
@@ -417,23 +414,23 @@ func TestAutopilotWarmView(t *testing.T) {
 func TestAutopilotQueryDoesNotWaitOnIntake(t *testing.T) {
 	e := autoEngine(t, dist.NewLinear(5, 0, ccDomain, 64), 64, quietAutopilot())
 	r := alignTestRanges[0]
-	before, err := e.Query(r[0], r[1])
+	before, err := e.QueryOpt(r[0], r[1], QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Move one covered value out of the queried range, fire-and-forget.
-	rows, _, err := e.QueryRows(r[0], r[1])
+	covered, err := e.QueryOpt(r[0], r[1], QueryOptions{CollectRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() == 0 {
+	if covered.Rows.Len() == 0 {
 		t.Fatal("premise: no covered rows")
 	}
-	row := rows.Rows()[0]
+	row := covered.Rows.Rows()[0]
 	if err := e.Update(row, ccDomain-1); err != nil {
 		t.Fatal(err)
 	}
-	mid, err := e.Query(r[0], r[1])
+	mid, err := e.QueryOpt(r[0], r[1], QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +440,7 @@ func TestAutopilotQueryDoesNotWaitOnIntake(t *testing.T) {
 	if _, err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Query(r[0], r[1])
+	after, err := e.QueryOpt(r[0], r[1], QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +516,7 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 			// room against the autopilot's background slices.
 			for done := false; !done; {
 				for _, q := range qs {
-					if _, err := auto.Query(q.Lo, q.Hi); err != nil {
+					if _, err := auto.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -583,7 +580,7 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 			t.Fatalf("final column state diverged over [%d,%d]: (%d,%d) vs (%d,%d)",
 				q[0], q[1], sc, su, ac, au)
 		}
-		ar, err := auto.Query(q[0], q[1])
+		ar, err := auto.QueryOpt(q[0], q[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -595,8 +592,8 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 
 // TestAutopilotAdaptiveParallelism: with an autopilot, the scan fan-out
 // is chosen per operation — after the model learns that tiny scans do
-// not amortize worker startup, QueryParallel on a small routed view runs
-// serial while the answers stay byte-identical.
+// not amortize worker startup, a GOMAXPROCS-worker query on a small
+// routed view runs serial while the answers stay byte-identical.
 func TestAutopilotAdaptiveParallelism(t *testing.T) {
 	ap := quietAutopilot()
 	cfg := syncConfig()
@@ -612,11 +609,11 @@ func TestAutopilotAdaptiveParallelism(t *testing.T) {
 	}
 	queries := workload.SelectivitySweep(3, 40, ccDomain, ccDomain/2, ccDomain/100)
 	for _, q := range queries {
-		ra, err := e.QueryParallel(q.Lo, q.Hi, -1)
+		ra, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{Workers: -1, HasWorkers: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := plain.Query(q.Lo, q.Hi)
+		rp, err := plain.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func TestConcurrentAdaptiveQueries(t *testing.T) {
 				go func(c int) {
 					defer wg.Done()
 					for _, q := range streams[c] {
-						res, err := eng.Query(q.Lo, q.Hi)
+						res, err := eng.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 						if err != nil {
 							t.Error(err)
 							return
@@ -181,7 +181,7 @@ func TestConcurrentAdaptiveQueries(t *testing.T) {
 			baseline := newEngine(t, col, BaselineConfig())
 			for c := range results {
 				for _, r := range results[c] {
-					want, err := baseline.Query(r.q.Lo, r.q.Hi)
+					want, err := baseline.QueryOpt(r.q.Lo, r.q.Hi, QueryOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -198,8 +198,8 @@ func TestConcurrentAdaptiveQueries(t *testing.T) {
 // TestConcurrentQueryVsUpdate races readers against a writer on one
 // column: goroutines fire queries while another applies update bursts and
 // flushes. Every individual answer must be internally consistent (the
-// collecting and filtering passes agree — QueryAggregate checks this
-// inline), and after the storm the engine must converge to the serial
+// collecting and filtering passes agree — an aggregate query checks
+// this inline), and after the storm the engine must converge to the serial
 // truth.
 func TestConcurrentQueryVsUpdate(t *testing.T) {
 	const (
@@ -219,7 +219,7 @@ func TestConcurrentQueryVsUpdate(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				lo := rng.Uint64n(ccDomain)
 				hi := lo + rng.Uint64n(ccDomain/10)
-				if _, _, err := eng.QueryAggregate(lo, hi); err != nil {
+				if _, err := eng.QueryOpt(lo, hi, QueryOptions{ComputeAggregate: true}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -258,7 +258,7 @@ func TestConcurrentQueryVsUpdate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Query(q[0], q[1])
+		res, err := eng.QueryOpt(q[0], q[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestConcurrentColumnsSharedKernel(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, q := range workload.ConcurrentClients(33, columns, 40, ccDomain, 0.05)[i] {
-				if _, err := engines[i].Query(q.Lo, q.Hi); err != nil {
+				if _, err := engines[i].QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -319,7 +319,7 @@ func TestConcurrentColumnsSharedKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Query(0, ccDomain/2)
+		res, err := eng.QueryOpt(0, ccDomain/2, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestConcurrentStatsAndViewsReads(t *testing.T) {
 	rng := xrand.New(1)
 	for i := 0; i < 200; i++ {
 		lo := rng.Uint64n(ccDomain)
-		if _, err := eng.Query(lo, lo+ccDomain/50); err != nil {
+		if _, err := eng.QueryOpt(lo, lo+ccDomain/50, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if i%10 == 0 {
@@ -464,7 +464,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 	eng := newEngine(t, col, syncConfig())
 
 	// Sanity: the engine adapts while open.
-	res, err := eng.Query(0, ccDomain/20)
+	res, err := eng.QueryOpt(0, ccDomain/20, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 
 	// The full view outlives Close (the column owns it), so queries still
 	// answer — but a closed engine skips candidate construction entirely.
-	res, err = eng.Query(ccDomain/2, ccDomain/2+ccDomain/20)
+	res, err = eng.QueryOpt(ccDomain/2, ccDomain/2+ccDomain/20, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,6 @@ type Config struct {
 	// full. On by default — set Create explicitly and leave LazyViews
 	// false to reproduce the eager creation path.
 	LazyViews bool
-	// MapperQueueCap sizes the concurrent queue feeding the mapping
-	// thread (<= 0 selects 1024).
-	MapperQueueCap int
 	// Parallelism is the number of page-sharded workers a single query's
 	// scan uses: 0 scans serially (the paper's single-threaded model), a
 	// positive value selects that many workers, and a negative value
@@ -127,7 +124,7 @@ type Config struct {
 	// effects are identical to serial. Update alignment fans out across
 	// the same worker count, one view per worker, with per-view stat
 	// partials reduced in view order — again identical to serial.
-	// Inter-query concurrency (many clients calling Query at once) is
+	// Inter-query concurrency (many clients calling QueryOpt at once) is
 	// independent of this knob and always available.
 	Parallelism int
 	// UpdateShards is the number of pending-buffer shards the write path
@@ -160,11 +157,6 @@ type Config struct {
 	// disables the journal entirely; every recording site is then one nil
 	// pointer test. Drain with Engine.Journal().Events().
 	JournalEvents int
-	// JournalClock, when non-nil, replaces the journal's wall clock
-	// (time.Now().UnixNano()) with an injectable nanosecond source —
-	// deterministic timestamps for tests and the harness. Ignored when
-	// JournalEvents leaves the journal disabled.
-	JournalClock func() int64
 	// Tiering, when non-nil and enabled, attaches a second, slower frame
 	// tier to the column (internal/vmsim tier map): pages demoted below
 	// the hot-tier budget are charged a simulated capacity-tier latency
@@ -179,12 +171,11 @@ type Config struct {
 // 100 views, zero tolerances, both creation optimizations enabled.
 func DefaultConfig() Config {
 	return Config{
-		Mode:           SingleView,
-		MaxViews:       100,
-		Create:         view.AllOptimizations,
-		LazyViews:      true,
-		MapperQueueCap: 1024,
-		Adaptive:       true,
+		Mode:      SingleView,
+		MaxViews:  100,
+		Create:    view.AllOptimizations,
+		LazyViews: true,
+		Adaptive:  true,
 	}
 }
 

@@ -48,7 +48,7 @@ func TestDeltaPublicationEquivalence(t *testing.T) {
 			// between them so successive publications are deltas over a
 			// mutating set.
 			for i, q := range probes {
-				if _, err := e.Query(q.Lo, q.Hi); err != nil {
+				if _, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				for _, u := range ups[i*8 : (i+1)*8] {
@@ -63,15 +63,15 @@ func TestDeltaPublicationEquivalence(t *testing.T) {
 
 			before := make([]QueryResult, len(probes))
 			for i, q := range probes {
-				r, err := e.Query(q.Lo, q.Hi)
+				r, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				before[i] = r
+				before[i] = r.QueryResult
 			}
 			republishFresh(t, e)
 			for i, q := range probes {
-				r, err := e.Query(q.Lo, q.Hi)
+				r, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,11 +107,11 @@ func TestLazyEagerScanEquivalence(t *testing.T) {
 			ups := workload.UniformUpdates(33, 200, lazyE.Column().Rows(), 0, ccDomain)
 
 			for i, q := range probes {
-				rl, err := lazyE.Query(q.Lo, q.Hi)
+				rl, err := lazyE.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				re, err := eagerE.Query(q.Lo, q.Hi)
+				re, err := eagerE.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func TestEpochManyViewsStorm(t *testing.T) {
 		probes := workload.SelectivitySweep(uint64(40+r), 200, ccDomain, ccDomain/3, ccDomain/200)
 		spawn(func() error {
 			for _, q := range probes {
-				if _, err := e.Query(q.Lo, q.Hi); err != nil {
+				if _, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
 					return err
 				}
 			}
@@ -219,7 +219,7 @@ func TestEpochManyViewsStorm(t *testing.T) {
 	spawn(func() error {
 		for i := 0; i < 60; i++ {
 			lo := uint64(i%10) * (ccDomain / 12)
-			if _, err := e.CreateView(lo, lo+ccDomain/15); err != nil &&
+			if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: lo, Hi: lo + ccDomain/15, Pinned: true}}); err != nil &&
 				!strings.Contains(err.Error(), "view limit") {
 				return err
 			}
@@ -234,10 +234,10 @@ func TestEpochManyViewsStorm(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			first, err := snap.Query(0, ccDomain)
+			first, err := snap.QueryOpt(0, ccDomain, QueryOptions{})
 			if err == nil {
-				var again QueryResult
-				if again, err = snap.Query(0, ccDomain); err == nil &&
+				var again Answer
+				if again, err = snap.QueryOpt(0, ccDomain, QueryOptions{}); err == nil &&
 					(again.Count != first.Count || again.Sum != first.Sum) {
 					err = fmt.Errorf("pinned reads diverged: %d/%d then %d/%d",
 						first.Count, first.Sum, again.Count, again.Sum)
@@ -265,7 +265,7 @@ func TestEpochManyViewsStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Query(0, ccDomain)
+	got, err := e.QueryOpt(0, ccDomain, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestClosePendingRetiredFreed(t *testing.T) {
 	// One view over the whole domain: every update dirties it, so any
 	// publication after a write needs a fresh capture — which the hook
 	// then fails.
-	if _, err := e.CreateView(0, ccDomain); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 	base := col.Kernel().MemStats()
@@ -344,7 +344,7 @@ func TestRetireErrorsSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateView(0, ccDomain); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,7 +32,7 @@ import (
 // per-shard lock serializes writes to the same physical page, and the
 // column's copy-on-write shadows first-writes per epoch so pinned
 // readers keep frozen pages), and every operation that mutates view
-// state (FlushUpdates/AlignViews, CreateView, RebuildViews, Close, the
+// state (FlushUpdates/AlignViews, CreateViewsOpt, RebuildViews, Close, the
 // autopilot's lifecycle duties) takes the exclusive room, builds a
 // successor state, and swaps it in. A query that grows the view set
 // builds its candidate entirely from private state during the pinned
@@ -244,7 +244,7 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	// hot paths; the journal is nil (a single pointer test per event
 	// site) unless Config.JournalEvents enables it.
 	e.ins = newEngineInstruments()
-	e.journal = obs.NewJournal(cfg.JournalEvents, cfg.JournalClock)
+	e.journal = obs.NewJournal(cfg.JournalEvents, nil)
 	e.mu.obs = &roomObs{wait: e.ins.roomWait, hold: e.ins.roomHold, journal: e.journal}
 	// Epoch routing needs the column's copy-on-write write path: a
 	// published capture must stay frozen while writers shadow pages.
@@ -260,7 +260,7 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Adaptive && cfg.Create.Concurrent {
-		e.mapper = view.NewMapper(cfg.MapperQueueCap)
+		e.mapper = view.NewMapper()
 	}
 	if cfg.Autopilot != nil {
 		p, err := autopilot.Start(pilotTarget{e}, *cfg.Autopilot, col.Rows())
@@ -324,39 +324,6 @@ func (e *Engine) Stats() Stats { return e.stats.snapshot() }
 // ResetStats zeroes the cumulative counters.
 func (e *Engine) ResetStats() { e.stats.reset() }
 
-// CreateView builds a partial view over [lo, hi] directly from the full
-// view and inserts it, bypassing the adaptive retention rules. The §3.1
-// micro-benchmark and the §3.4 update experiments set up their views this
-// way. The view keeps the declared [lo, hi] rather than Create's
-// extended range, like rebuilt views: the range must be pinned before
-// the state capture publishes it, or epoch readers would route the
-// extension while alignment maintains the narrower declared contract.
-func (e *Engine) CreateView(lo, hi uint64) (*view.View, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v, err := view.Create(e.col, lo, hi, e.cfg.Create, e.mapper)
-	if err != nil {
-		return nil, err
-	}
-	v.SetRange(lo, hi)
-	// Legacy-surface views are pinned: enabling tiering must never slow
-	// a pre-existing caller's explicitly requested hot range.
-	v.SetPinned(true)
-	if err := e.set.Insert(v); err != nil {
-		_ = v.Release() //asv:ignore-err unwinding a failed insert; the insert error is returned
-		return nil, err
-	}
-	if err := e.publishStateLocked(); err != nil {
-		e.set.Remove(v)
-		_ = v.Release() //asv:ignore-err unwinding a failed publication; the publish error is returned
-		return nil, err
-	}
-	return v, nil
-}
-
-// ViewRange is one requested [Lo, Hi] of a CreateViewsBatch call.
-type ViewRange struct{ Lo, Hi uint64 }
-
 // ViewSpec is one view request of the options-based creation surface:
 // the covered range plus the per-view overrides the facade's ViewOption
 // constructors set. Specs are built as literals and never mutated after
@@ -369,27 +336,15 @@ type ViewSpec struct {
 	// for this view when HasLazy is set.
 	Lazy    bool
 	HasLazy bool
-	// Pinned exempts the view's pages from tier demotion; the legacy
-	// creation wrappers set it on every view.
+	// Pinned exempts the view's pages from tier demotion.
 	Pinned bool
 }
 
-// CreateViewsBatch builds one pinned partial view per requested range —
-// the legacy batch surface, now a thin wrapper over CreateViewsOpt.
-func (e *Engine) CreateViewsBatch(ranges []ViewRange) ([]*view.View, error) {
-	specs := make([]ViewSpec, len(ranges))
-	for i, r := range ranges {
-		specs[i] = ViewSpec{Lo: r.Lo, Hi: r.Hi, Pinned: true}
-	}
-	return e.CreateViewsOpt(specs)
-}
-
 // CreateViewsOpt builds one partial view per spec in a single column
-// pass and publishes them in one state swap — the options-based creation
-// entry point every explicit-creation surface routes through.
-// Semantically it matches calling CreateView for each range in order
-// (ranges are pinned to the declared [Lo, Hi], so page sets are
-// identical), but the cost is one qualification scan — with a per-page
+// pass and publishes them in one state swap — the one explicit-creation
+// entry point. Each view keeps its declared [Lo, Hi] rather than an
+// extended range, like rebuilt views, so one call per spec builds the
+// same page sets; the cost is one qualification scan — with a per-page
 // zone-map prefilter — plus one publication instead of len(specs) of
 // each; the many-views experiments stand up thousands of views this way.
 // On any error nothing is inserted and nothing is published.

@@ -70,7 +70,7 @@ func TestQueryMatchesFullScanSingleView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Query(lo, hi)
+		got, err := e.QueryOpt(lo, hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestQueryMatchesFullScanMultiView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Query(lo, hi)
+		got, err := e.QueryOpt(lo, hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,17 +117,14 @@ func TestMultiViewStitchesViews(t *testing.T) {
 	e := newEngine(t, col, cfg)
 
 	// Seed two adjacent views directly.
-	if _, err := e.CreateView(100_000, 300_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 100_000, Hi: 300_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateView(300_001, 500_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 300_001, Hi: 500_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	// Pin exact ranges (CreateView extends them).
-	e.Views()[0].SetRange(100_000, 300_000)
-	e.Views()[1].SetRange(300_001, 500_000)
 
-	got, err := e.Query(150_000, 450_000)
+	got, err := e.QueryOpt(150_000, 450_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +143,14 @@ func TestMultiViewDedupsSharedPages(t *testing.T) {
 	cfg.Mode = MultiView
 	e := newEngine(t, col, cfg)
 	// Heavily overlapping views share most physical pages.
-	if _, err := e.CreateView(100_000, 400_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 100_000, Hi: 400_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateView(300_000, 600_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 300_000, Hi: 600_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	e.Views()[0].SetRange(100_000, 400_000)
-	e.Views()[1].SetRange(300_000, 600_000)
 
-	got, err := e.Query(150_000, 550_000)
+	got, err := e.QueryOpt(150_000, 550_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +176,14 @@ func TestAdaptivityReducesScannedPages(t *testing.T) {
 	col := testColumn(t, 256, dist.NewSine(11, 0, 100_000_000, 20))
 	e := newEngine(t, col, syncConfig())
 
-	first, err := e.Query(10_000_000, 12_000_000)
+	first, err := e.QueryOpt(10_000_000, 12_000_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.PagesScanned != col.NumPages() {
 		t.Fatalf("first query scanned %d pages, want full scan %d", first.PagesScanned, col.NumPages())
 	}
-	second, err := e.Query(10_500_000, 11_500_000)
+	second, err := e.QueryOpt(10_500_000, 11_500_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +203,7 @@ func TestViewLimitFreezesGeneration(t *testing.T) {
 	rng := xrand.New(1)
 	for i := 0; i < 20; i++ {
 		lo := rng.Uint64n(900_000)
-		if _, err := e.Query(lo, lo+20_000); err != nil {
+		if _, err := e.QueryOpt(lo, lo+20_000, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +214,7 @@ func TestViewLimitFreezesGeneration(t *testing.T) {
 		t.Fatal("set not frozen after exceeding limit")
 	}
 	// Frozen: queries no longer build candidates.
-	res, err := e.Query(1, 2)
+	res, err := e.QueryOpt(1, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +227,7 @@ func TestBaselineAlwaysFullScans(t *testing.T) {
 	col := testColumn(t, 64, dist.NewUniform(3, 0, 1_000_000))
 	e := newEngine(t, col, BaselineConfig())
 	for i := 0; i < 5; i++ {
-		res, err := e.Query(0, 500_000)
+		res, err := e.QueryOpt(0, 500_000, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +239,7 @@ func TestBaselineAlwaysFullScans(t *testing.T) {
 		t.Fatal("baseline created views")
 	}
 	wantCount, wantSum, _ := col.FullScan(0, 500_000)
-	res, _ := e.Query(0, 500_000)
+	res, _ := e.QueryOpt(0, 500_000, QueryOptions{})
 	if res.Count != wantCount || res.Sum != wantSum {
 		t.Fatal("baseline answer wrong")
 	}
@@ -253,7 +248,7 @@ func TestBaselineAlwaysFullScans(t *testing.T) {
 func TestQuerySwapsInvertedRange(t *testing.T) {
 	col := testColumn(t, 32, dist.NewUniform(3, 0, 1000))
 	e := newEngine(t, col, syncConfig())
-	a, err := e.Query(500, 100)
+	a, err := e.QueryOpt(500, 100, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +261,10 @@ func TestQuerySwapsInvertedRange(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	col := testColumn(t, 64, dist.NewLinear(3, 0, 1_000_000, 64))
 	e := newEngine(t, col, syncConfig())
-	if _, err := e.Query(0, 100_000); err != nil {
+	if _, err := e.QueryOpt(0, 100_000, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(10_000, 20_000); err != nil {
+	if _, err := e.QueryOpt(10_000, 20_000, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -288,7 +283,7 @@ func TestStatsAccumulate(t *testing.T) {
 func TestDecisionTelemetry(t *testing.T) {
 	col := testColumn(t, 128, dist.NewLinear(5, 0, 1_000_000, 128))
 	e := newEngine(t, col, syncConfig())
-	res, err := e.Query(100_000, 200_000)
+	res, err := e.QueryOpt(100_000, 200_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +292,7 @@ func TestDecisionTelemetry(t *testing.T) {
 	}
 	// Same query again: candidate covers the identical range and pages ->
 	// discarded as subset (d=0 keeps it out since pages are equal).
-	res, err = e.Query(100_000, 200_000)
+	res, err = e.QueryOpt(100_000, 200_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +304,11 @@ func TestDecisionTelemetry(t *testing.T) {
 func TestCreateViewAndClose(t *testing.T) {
 	col := testColumn(t, 64, dist.NewUniform(9, 0, 1_000_000))
 	e := newEngine(t, col, syncConfig())
-	v, err := e.CreateView(0, 100_000)
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 100_000, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := created[0]
 	if v.NumPages() == 0 {
 		t.Fatal("created view is empty")
 	}
@@ -331,10 +327,10 @@ func TestCreateViewAndClose(t *testing.T) {
 func TestRebuildViews(t *testing.T) {
 	col := testColumn(t, 128, dist.NewUniform(13, 0, 1_000_000))
 	e := newEngine(t, col, syncConfig())
-	if _, err := e.CreateView(0, 50_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 50_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateView(600_000, 700_000); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 600_000, Hi: 700_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 	ranges := [][2]uint64{}
@@ -372,7 +368,7 @@ func TestConcurrentMapperEngine(t *testing.T) {
 		lo := rng.Uint64n(90_000_000)
 		hi := lo + 5_000_000
 		wantCount, wantSum, _ := col.FullScan(lo, hi)
-		got, err := e.Query(lo, hi)
+		got, err := e.QueryOpt(lo, hi, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

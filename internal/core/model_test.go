@@ -136,7 +136,7 @@ func TestModelInterleavedQueriesAndUpdates(t *testing.T) {
 						w := rng.Uint64n(domain/4) + 1
 						lo := rng.Uint64n(domain - w)
 						hi := lo + w
-						got, err := e.Query(lo, hi)
+						got, err := e.QueryOpt(lo, hi, QueryOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -178,7 +178,7 @@ func TestModelConcurrentMapperEquivalence(t *testing.T) {
 		}
 		w := rng.Uint64n(domain/5) + 1
 		lo := rng.Uint64n(domain - w)
-		got, err := e.Query(lo, lo+w)
+		got, err := e.QueryOpt(lo, lo+w, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

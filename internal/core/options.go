@@ -11,9 +11,7 @@ import (
 	"github.com/asv-db/asv/internal/viewset"
 )
 
-// QueryOptions configures QueryOpt — the single options-based read entry
-// point the former Query/QueryParallel/QueryRows/QueryAggregate quartet
-// now wraps.
+// QueryOptions configures QueryOpt — the engine's one read entry point.
 type QueryOptions struct {
 	// CollectRows materializes the qualifying row IDs into Answer.Rows.
 	CollectRows bool
@@ -49,7 +47,7 @@ type Answer struct {
 
 // QueryOpt answers the inclusive range query [lo, hi] according to the
 // options, creating and maintaining partial views as a side product
-// (Listing 1) exactly like Query.
+// (Listing 1).
 //
 // Reads are epoch-routed and lock-free: the query pins the current
 // immutable engine state (published via atomic pointer), routes and

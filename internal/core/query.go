@@ -23,38 +23,6 @@ type QueryResult struct {
 	Decision       viewset.Decision
 }
 
-// Query answers the inclusive range query [lo, hi], creating and
-// maintaining partial views as a side product (Listing 1). It is a thin
-// wrapper over QueryOpt with no options: scan work uses
-// Config.Parallelism page-sharded workers (default: serial), and answer,
-// telemetry and adaptive side effects are identical to that call.
-//
-// If updates are pending (buffered via Update but not yet flushed), the
-// query flushes them first: partial views must reflect all updates before
-// they may answer queries (§2.4), and returning stale answers is never
-// acceptable. Callers that want update batching simply issue updates in
-// runs between queries — exactly the paper's model.
-//
-// Query is safe for any number of concurrent callers. Routed reads are
-// epoch-based and lock-free: each query pins the current published
-// engine state and scans its immutable capture, so exclusive alignment
-// and maintenance work never stall readers (see QueryOpt).
-func (e *Engine) Query(lo, hi uint64) (QueryResult, error) {
-	ans, err := e.QueryOpt(lo, hi, QueryOptions{})
-	return ans.QueryResult, err
-}
-
-// QueryParallel answers [lo, hi] like Query but scans with the given
-// number of page-sharded workers (<= 0 selects GOMAXPROCS), overriding
-// Config.Parallelism for this query. It is a thin wrapper over QueryOpt
-// with the Workers option. The answer — and every adaptive side effect,
-// including the candidate view's page set — is identical to the serial
-// Query: shards reduce in page order with commutative aggregates.
-func (e *Engine) QueryParallel(lo, hi uint64, workers int) (QueryResult, error) {
-	ans, err := e.QueryOpt(lo, hi, QueryOptions{Workers: workers, HasWorkers: true})
-	return ans.QueryResult, err
-}
-
 // applyDecision performs the side effects of a retention decision:
 // releasing discarded candidates, displaced views, and evicted views, and
 // updating counters. A displaced view left the live set with the state

@@ -53,15 +53,6 @@ func (r *RowSet) ForEach(fn func(row int) bool) {
 	}
 }
 
-// QueryRows answers [lo, hi] like Query but additionally materializes the
-// qualifying row IDs. It is a thin wrapper over QueryOpt with the
-// CollectRows option — answer, telemetry and every adaptive side effect
-// are identical to that call.
-func (e *Engine) QueryRows(lo, hi uint64) (*RowSet, QueryResult, error) {
-	ans, err := e.QueryOpt(lo, hi, QueryOptions{CollectRows: true})
-	return ans.Rows, ans.QueryResult, err
-}
-
 // Aggregate summarizes the qualifying values of a range query.
 type Aggregate struct {
 	Count int
@@ -78,15 +69,4 @@ func (a Aggregate) Mean() float64 {
 		return 0
 	}
 	return float64(a.Sum) / float64(a.Count)
-}
-
-// QueryAggregate answers [lo, hi] with count/sum/min/max over the
-// qualifying values, with the same adaptive side effects as Query. It is
-// a thin wrapper over QueryOpt with the ComputeAggregate option.
-func (e *Engine) QueryAggregate(lo, hi uint64) (Aggregate, QueryResult, error) {
-	ans, err := e.QueryOpt(lo, hi, QueryOptions{ComputeAggregate: true})
-	if ans.Agg == nil {
-		return Aggregate{}, ans.QueryResult, err
-	}
-	return *ans.Agg, ans.QueryResult, err
 }

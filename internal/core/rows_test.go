@@ -52,10 +52,11 @@ func TestQueryRowsMatchesGroundTruth(t *testing.T) {
 		lo := rng.Uint64n(1_000_000 - w)
 		hi := lo + w
 
-		rs, res, err := e.QueryRows(lo, hi)
+		res, err := e.QueryOpt(lo, hi, QueryOptions{CollectRows: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rs := res.Rows
 		// Ground truth via direct column reads.
 		want := map[int]bool{}
 		for r := 0; r < col.Rows(); r++ {
@@ -76,7 +77,7 @@ func TestQueryRowsMatchesGroundTruth(t *testing.T) {
 	}
 	// Row queries adapt views too.
 	if e.ViewSet().Len() == 0 {
-		t.Fatal("QueryRows created no views")
+		t.Fatal("row queries created no views")
 	}
 }
 
@@ -85,10 +86,11 @@ func TestQueryAggregate(t *testing.T) {
 	e := newEngine(t, col, syncConfig())
 	lo, hi := uint64(100_000), uint64(500_000)
 
-	agg, res, err := e.QueryAggregate(lo, hi)
+	res, err := e.QueryOpt(lo, hi, QueryOptions{ComputeAggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := *res.Agg
 	var wantMin, wantMax uint64
 	wantCount, wantSum := 0, uint64(0)
 	for r := 0; r < col.Rows(); r++ {
@@ -124,12 +126,12 @@ func TestQueryAggregate(t *testing.T) {
 func TestQueryRowsBaselineMode(t *testing.T) {
 	col := testColumn(t, 32, dist.NewUniform(3, 0, 1000))
 	e := newEngine(t, col, BaselineConfig())
-	rs, res, err := e.QueryRows(100, 200)
+	res, err := e.QueryOpt(100, 200, QueryOptions{CollectRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.UsedFullView || rs.Len() != res.Count {
-		t.Fatalf("baseline rows: %+v len=%d", res, rs.Len())
+	if !res.UsedFullView || res.Rows.Len() != res.Count {
+		t.Fatalf("baseline rows: %+v len=%d", res.QueryResult, res.Rows.Len())
 	}
 }
 
@@ -141,24 +143,18 @@ func TestCostBasedRoutingPrefersCheaperPlan(t *testing.T) {
 	e := newEngine(t, col, cfg)
 
 	// A cheap single view covering the whole query...
-	single, err := e.CreateView(100_000, 400_000)
-	if err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 100_000, Hi: 400_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	single.SetRange(100_000, 400_000)
 	// ...versus two wide, expensive views that also cover it.
-	wide1, err := e.CreateView(0, 300_000)
-	if err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 300_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	wide1.SetRange(0, 300_000)
-	wide2, err := e.CreateView(250_000, 900_000)
-	if err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 250_000, Hi: 900_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	wide2.SetRange(250_000, 900_000)
 
-	res, err := e.Query(150_000, 350_000)
+	res, err := e.QueryOpt(150_000, 350_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +168,11 @@ func TestCostBasedRoutingPrefersCheaperPlan(t *testing.T) {
 	cfg2.MultiViewPolicy = PreferMulti
 	e2 := newEngine(t, col, cfg2)
 	for _, r := range [][2]uint64{{0, 300_000}, {250_000, 900_000}} {
-		v, err := e2.CreateView(r[0], r[1])
-		if err != nil {
+		if _, err := e2.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
-		v.SetRange(r[0], r[1])
 	}
-	res2, err := e2.Query(150_000, 350_000)
+	res2, err := e2.QueryOpt(150_000, 350_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +197,7 @@ func TestEvictLRUKeepsAdapting(t *testing.T) {
 	evictions := false
 	for i := 0; i < 30; i++ {
 		lo := rng.Uint64n(950_000)
-		res, err := e.Query(lo, lo+20_000)
+		res, err := e.QueryOpt(lo, lo+20_000, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

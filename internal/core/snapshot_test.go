@@ -15,12 +15,12 @@ import (
 
 // TestSnapshotEquivalence is the read-path equivalence table: for every
 // registered generator, a full adaptive query sequence must be
-// byte-identical across the Query wrapper and QueryOpt with no options —
-// answers, telemetry, and the adapted view sets. A third engine answers
-// every query from a freshly pinned snapshot, which must agree on the
-// answer (snapshots do not adapt, so scan telemetry legitimately
-// differs). The QueryOpt side and the snapshot cycle through plain,
-// Aggregate and Rows queries, all held against a brute-force walk.
+// byte-identical across QueryOpt with no options and QueryOpt with
+// materializations — answers, telemetry, and the adapted view sets. A
+// third engine answers every query from a freshly pinned snapshot, which
+// must agree on the answer (snapshots do not adapt, so scan telemetry
+// legitimately differs). The options side and the snapshot cycle through
+// plain, Aggregate and Rows queries, all held against a brute-force walk.
 func TestSnapshotEquivalence(t *testing.T) {
 	const pages = 96
 	queries := workload.SelectivitySweep(13, 30, ccDomain, ccDomain/2, ccDomain/100)
@@ -38,7 +38,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 			pinned := mk()
 			model := newRefModel(epoch.col)
 			for i, q := range queries {
-				re, err := epoch.Query(q.Lo, q.Hi)
+				re, err := epoch.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,8 +49,8 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if re != ao.QueryResult {
-					t.Fatalf("query %d [%d,%d]: Query %+v != QueryOpt %+v", i, q.Lo, q.Hi, re, ao.QueryResult)
+				if re.QueryResult != ao.QueryResult {
+					t.Fatalf("query %d [%d,%d]: plain %+v != with options %+v", i, q.Lo, q.Hi, re.QueryResult, ao.QueryResult)
 				}
 				model.check(t, fmt.Sprintf("live query %d", i), q.Lo, q.Hi, opt, ao)
 				snap, err := pinned.Snapshot()
@@ -82,80 +82,50 @@ func TestSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuartetWrapperEquivalence pins the satellite contract that the
-// historical quartet stays a zero-behavior-change wrapper over QueryOpt:
-// identical answers AND identical cumulative telemetry after the run.
+// TestQuartetWrapperEquivalence pins that what a query asks QueryOpt for
+// — a worker count, rows or an aggregate — changes nothing else: every
+// answer's QueryResult AND the cumulative telemetry after the run are
+// identical to a plain QueryOpt's.
 func TestQuartetWrapperEquivalence(t *testing.T) {
 	const pages = 64
 	queries := workload.SelectivitySweep(17, 20, ccDomain, ccDomain/3, ccDomain/100)
 	g := dist.NewSine(9, 0, ccDomain, 8)
 
-	wrap := newEngine(t, testColumn(t, pages, g), syncConfig())
+	plain := newEngine(t, testColumn(t, pages, g), syncConfig())
 	opt := newEngine(t, testColumn(t, pages, g), syncConfig())
 
+	quartet := []QueryOptions{
+		{},
+		{Workers: 3, HasWorkers: true},
+		{CollectRows: true},
+		{ComputeAggregate: true},
+	}
 	for i, q := range queries {
-		switch i % 4 {
-		case 0:
-			rw, err := wrap.Query(q.Lo, q.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ao, err := opt.QueryOpt(q.Lo, q.Hi, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rw != ao.QueryResult {
-				t.Fatalf("Query %d: %+v != %+v", i, rw, ao.QueryResult)
-			}
-		case 1:
-			rw, err := wrap.QueryParallel(q.Lo, q.Hi, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ao, err := opt.QueryOpt(q.Lo, q.Hi, QueryOptions{Workers: 3, HasWorkers: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rw != ao.QueryResult {
-				t.Fatalf("QueryParallel %d: %+v != %+v", i, rw, ao.QueryResult)
-			}
-		case 2:
-			rows, rw, err := wrap.QueryRows(q.Lo, q.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ao, err := opt.QueryOpt(q.Lo, q.Hi, QueryOptions{CollectRows: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rw != ao.QueryResult || rows.Len() != ao.Rows.Len() {
-				t.Fatalf("QueryRows %d diverged", i)
-			}
-			for _, r := range rows.Rows() {
-				if !ao.Rows.Contains(r) {
-					t.Fatalf("QueryRows %d: row %d missing from options result", i, r)
-				}
-			}
-		case 3:
-			agg, rw, err := wrap.QueryAggregate(q.Lo, q.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ao, err := opt.QueryOpt(q.Lo, q.Hi, QueryOptions{ComputeAggregate: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rw != ao.QueryResult || agg != *ao.Agg {
-				t.Fatalf("QueryAggregate %d: %+v/%+v != %+v/%+v", i, rw, agg, ao.QueryResult, *ao.Agg)
-			}
+		o := quartet[i%len(quartet)]
+		ap, err := plain.QueryOpt(q.Lo, q.Hi, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ao, err := opt.QueryOpt(q.Lo, q.Hi, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap.QueryResult != ao.QueryResult {
+			t.Fatalf("query %d with %+v: %+v != plain %+v", i, o, ao.QueryResult, ap.QueryResult)
+		}
+		if o.CollectRows && ao.Rows.Len() != ap.Count {
+			t.Fatalf("query %d: %d rows, plain counted %d", i, ao.Rows.Len(), ap.Count)
+		}
+		if o.ComputeAggregate && (ao.Agg.Count != ap.Count || ao.Agg.Sum != ap.Sum) {
+			t.Fatalf("query %d: aggregate %+v, plain %d/%d", i, *ao.Agg, ap.Count, ap.Sum)
 		}
 	}
-	sw, so := wrap.Stats(), opt.Stats()
+	sp, so := plain.Stats(), opt.Stats()
 	// Publication wall time is the one nondeterministic counter.
-	sw.PublishNanos, so.PublishNanos = 0, 0
-	sw.PublishAttemptNanos, so.PublishAttemptNanos = 0, 0
-	if sw != so {
-		t.Fatalf("telemetry diverged:\nwrappers %+v\noptions  %+v", sw, so)
+	sp.PublishNanos, so.PublishNanos = 0, 0
+	sp.PublishAttemptNanos, so.PublishAttemptNanos = 0, 0
+	if sp != so {
+		t.Fatalf("telemetry diverged:\nplain   %+v\noptions %+v", sp, so)
 	}
 }
 
@@ -173,10 +143,10 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 	frozenCfg := syncConfig()
 	frozenCfg.MaxViews = 1
 	eng := newEngine(t, testColumn(t, pages, g), frozenCfg)
-	if _, err := eng.Query(0, ccDomain/10); err != nil {
+	if _, err := eng.QueryOpt(0, ccDomain/10, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(ccDomain/2, ccDomain/2+ccDomain/10); err != nil {
+	if _, err := eng.QueryOpt(ccDomain/2, ccDomain/2+ccDomain/10, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.ViewSet().Frozen() {
@@ -208,15 +178,15 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 		}
 	}
 	probe("epoch query", func() error {
-		_, err := eng.Query(100, ccDomain/20)
+		_, err := eng.QueryOpt(100, ccDomain/20, QueryOptions{})
 		return err
 	})
 	probe("snapshot query", func() error {
-		_, err := snap.Query(100, ccDomain/20)
+		_, err := snap.QueryOpt(100, ccDomain/20, QueryOptions{})
 		return err
 	})
 	probe("baseline query", func() error {
-		_, err := baseline.Query(100, ccDomain/20)
+		_, err := baseline.QueryOpt(100, ccDomain/20, QueryOptions{})
 		return err
 	})
 
@@ -232,7 +202,7 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	eng := newEngine(t, testColumn(t, pages, dist.NewUniform(31, 0, ccDomain)), syncConfig())
 	lo, hi := uint64(0), uint64(ccDomain/4)
 
-	before, err := eng.Query(lo, hi)
+	before, err := eng.QueryOpt(lo, hi, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +210,7 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := snap.Query(lo, hi)
+	first, err := snap.QueryOpt(lo, hi, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +241,14 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live, err := eng.Query(lo, hi)
+	live, err := eng.QueryOpt(lo, hi, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live.Count != 0 {
 		t.Fatalf("live query still sees %d rows in the drained range", live.Count)
 	}
-	again, err := snap.Query(lo, hi)
+	again, err := snap.QueryOpt(lo, hi, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +276,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	col := testColumn(t, pages, dist.NewSine(41, 0, ccDomain, 8))
 	eng := newEngine(t, col, cfg)
 
-	r1, err := eng.Query(0, ccDomain/8)
+	r1, err := eng.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +285,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	}
 	v1 := eng.Views()[0]
 	v1Pages := v1.NumPages()
-	want1, err := eng.Query(0, ccDomain/8)
+	want1, err := eng.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +296,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	}
 
 	// A disjoint query evicts v1 (LRU, limit 1).
-	r2, err := eng.Query(ccDomain/2, ccDomain/2+ccDomain/8)
+	r2, err := eng.QueryOpt(ccDomain/2, ccDomain/2+ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +309,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 
 	mappedPinned := col.File().MappedPages()
 	// The pinned epoch still routes to — and scans — the evicted view.
-	got, err := snap.Query(0, ccDomain/8)
+	got, err := snap.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +391,7 @@ func TestBarePublicationParksDisplacedFrames(t *testing.T) {
 	cfg.LazyViews = false
 	e := newEngine(t, col, cfg)
 	lo, hi := uint64(ccDomain/4), uint64(ccDomain/2)
-	if _, err := e.CreateView(lo, hi); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: lo, Hi: hi, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 	wantCount, wantSum, err := col.FullScan(lo, hi)
@@ -523,7 +493,7 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					lo := rng.Uint64n(ccDomain)
 					hi := lo + ccDomain/50
-					if _, err := snap.Query(lo, hi); err != nil {
+					if _, err := snap.QueryOpt(lo, hi, QueryOptions{}); err != nil {
 						errs <- fmt.Errorf("snapshot query: %w", err)
 						_ = snap.Close()
 						return
@@ -549,7 +519,7 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 				default:
 				}
 				lo := rng.Uint64n(ccDomain)
-				if _, err := eng.Query(lo, lo+ccDomain/40); err != nil {
+				if _, err := eng.QueryOpt(lo, lo+ccDomain/40, QueryOptions{}); err != nil {
 					errs <- fmt.Errorf("live query: %w", err)
 					return
 				}

@@ -45,7 +45,7 @@ func (r *refcount) drained() bool { return r.n.Load() == 0 }
 // read state lives in an immutable engineState published behind an
 // atomic pointer. Queries load the pointer, pin the state with one
 // atomic increment, route and scan entirely against the capture, and
-// never enter the room lock's scan room; FlushUpdates, CreateView,
+// never enter the room lock's scan room; FlushUpdates, CreateViewsOpt,
 // RebuildViews, candidate publication and the autopilot's lifecycle
 // duties build a successor state under the exclusive room and swap it
 // in. A superseded state is retired — its captured views released, the
@@ -315,13 +315,6 @@ type Snapshot struct {
 
 // pinned returns the pinned state, or nil after Close.
 func (s *Snapshot) pinned() *engineState { return s.st.Load() }
-
-// Query answers [lo, hi] from the pinned epoch with the engine's
-// configured scan parallelism.
-func (s *Snapshot) Query(lo, hi uint64) (QueryResult, error) {
-	a, err := s.QueryOpt(lo, hi, QueryOptions{})
-	return a.QueryResult, err
-}
 
 // QueryOpt answers [lo, hi] from the pinned epoch with explicit options.
 // Adaptive side effects never happen on a snapshot read; the answer's

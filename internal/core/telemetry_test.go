@@ -22,7 +22,7 @@ func TestPublishNanosCountsOnlySuccesses(t *testing.T) {
 	const pages = 64
 	col := testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages))
 	e := newEngine(t, col, syncConfig())
-	if _, err := e.CreateView(0, ccDomain); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats()
@@ -172,7 +172,7 @@ func TestTraceSpanAttributionTieredLazy(t *testing.T) {
 func TestTracedReadShape(t *testing.T) {
 	const lo, hi = ccDomain / 8, ccDomain / 2
 	e := newEngine(t, testColumn(t, 64, dist.NewSine(3, 0, ccDomain, 8)), syncConfig())
-	if _, err := e.Query(0, ccDomain/4); err != nil {
+	if _, err := e.QueryOpt(0, ccDomain/4, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := e.Snapshot()
@@ -245,7 +245,7 @@ func TestSerialMultiViewScansFeedCostModel(t *testing.T) {
 	}
 	samples := func() uint64 { return e.Telemetry().Histograms["scan_ns_per_page"].Count }
 	before := samples()
-	res, err := e.Query(ccDomain/100, 8*ccDomain/10)
+	res, err := e.QueryOpt(ccDomain/100, 8*ccDomain/10, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestSnapshotReadJournalsTierPromotions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	if _, err := snap.Query(0, ccDomain); err != nil {
+	if _, err := snap.QueryOpt(0, ccDomain, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ts, _ := e.TierStats()
@@ -255,7 +255,7 @@ func TestTieredPressureAcceleratesEviction(t *testing.T) {
 	// 6, the idle view's age is 6 — under the configured ColdTicks of 8,
 	// over the pressure-scaled effective 4.
 	for i := 0; i < 6; i++ {
-		if _, err := e.Query(1000, ccDomain/8); err != nil {
+		if _, err := e.QueryOpt(1000, ccDomain/8, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

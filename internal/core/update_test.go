@@ -84,11 +84,11 @@ func TestAlignAddsPage(t *testing.T) {
 	// writing 100 must pull the page into the view (case 1).
 	col := testColumn(t, 32, dist.NewUniform(1, 1000, 2000))
 	e := newEngine(t, col, syncConfig())
-	v, err := e.CreateView(0, 500)
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetRange(0, 500)
+	v := created[0]
 	if v.NumPages() != 0 {
 		t.Fatalf("premise: view should start empty, has %d pages", v.NumPages())
 	}
@@ -107,7 +107,7 @@ func TestAlignAddsPage(t *testing.T) {
 	}
 	checkViewInvariant(t, e, 0)
 	// Query through the engine still matches the ground truth.
-	got, err := e.Query(0, 500)
+	got, err := e.QueryOpt(0, 500, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestAlignRemovesPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, col, syncConfig())
-	v, err := e.CreateView(0, 500)
+	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetRange(0, 500)
+	v := created[0]
 	if v.NumPages() != 1 {
 		t.Fatalf("premise: view should hold 1 page, has %d", v.NumPages())
 	}
@@ -162,8 +162,8 @@ func TestAlignKeepsPageWithOtherQualifyingValues(t *testing.T) {
 	_, _ = col.SetValue(rowA, 50)
 	_, _ = col.SetValue(rowB, 60)
 	e := newEngine(t, col, syncConfig())
-	v, _ := e.CreateView(0, 500)
-	v.SetRange(0, 500)
+	created, _ := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}})
+	v := created[0]
 	if err := e.Update(rowA, 1500); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,9 @@ func TestAlignSkipsUnaffectedPages(t *testing.T) {
 	// not touch the view, and must not trigger rescans.
 	col := testColumn(t, 32, dist.NewUniform(1, 1000, 2000))
 	e := newEngine(t, col, syncConfig())
-	v, _ := e.CreateView(0, 500)
-	v.SetRange(0, 500)
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Update(3*storage.ValuesPerPage, 1800); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +206,9 @@ func TestSquashingLastWritePerRow(t *testing.T) {
 	// is NOT added.
 	col := testColumn(t, 32, dist.NewUniform(1, 1000, 2000))
 	e := newEngine(t, col, syncConfig())
-	v, _ := e.CreateView(0, 500)
-	v.SetRange(0, 500)
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}}); err != nil {
+		t.Fatal(err)
+	}
 	row := 9 * storage.ValuesPerPage
 	if err := e.Update(row, 100); err != nil { // into range
 		t.Fatal(err)
@@ -231,11 +233,9 @@ func TestAlignMultipleViews(t *testing.T) {
 	col := testColumn(t, 64, dist.NewUniform(17, 0, 1_000_000))
 	e := newEngine(t, col, syncConfig())
 	for _, r := range [][2]uint64{{0, 100_000}, {50_000, 200_000}, {800_000, 900_000}} {
-		v, err := e.CreateView(r[0], r[1])
-		if err != nil {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
-		v.SetRange(r[0], r[1])
 	}
 	rng := xrand.New(7)
 	for i := 0; i < 500; i++ {
@@ -252,7 +252,7 @@ func TestAlignMultipleViews(t *testing.T) {
 	// Ground truth after updates.
 	for _, q := range [][2]uint64{{0, 100_000}, {60_000, 190_000}, {820_000, 880_000}} {
 		wantCount, wantSum, _ := col.FullScan(q[0], q[1])
-		got, err := e.Query(q[0], q[1])
+		got, err := e.QueryOpt(q[0], q[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +265,9 @@ func TestAlignMultipleViews(t *testing.T) {
 func TestRepeatedBatchesPreserveInvariant(t *testing.T) {
 	col := testColumn(t, 64, dist.NewSine(23, 0, 1_000_000, 8))
 	e := newEngine(t, col, syncConfig())
-	v, err := e.CreateView(100_000, 300_000)
-	if err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 100_000, Hi: 300_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	v.SetRange(100_000, 300_000)
 	rng := xrand.New(31)
 	for batch := 0; batch < 10; batch++ {
 		for i := 0; i < 200; i++ {
@@ -294,8 +292,9 @@ func TestRepeatedBatchesPreserveInvariant(t *testing.T) {
 func TestUpdateStatsDurationsPopulated(t *testing.T) {
 	col := testColumn(t, 64, dist.NewUniform(3, 0, 1_000_000))
 	e := newEngine(t, col, syncConfig())
-	v, _ := e.CreateView(0, 200_000)
-	v.SetRange(0, 200_000)
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 200_000, Pinned: true}}); err != nil {
+		t.Fatal(err)
+	}
 	rng := xrand.New(1)
 	for i := 0; i < 100; i++ {
 		_ = e.Update(rng.Intn(col.Rows()), rng.Uint64n(1_000_000))
@@ -319,8 +318,9 @@ func TestAlignViewsDirectBatch(t *testing.T) {
 	// AlignViews can be driven with an externally-applied batch.
 	col := testColumn(t, 32, dist.NewUniform(1, 1000, 2000))
 	e := newEngine(t, col, syncConfig())
-	v, _ := e.CreateView(0, 500)
-	v.SetRange(0, 500)
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}}); err != nil {
+		t.Fatal(err)
+	}
 	row := 4 * storage.ValuesPerPage
 	old, err := col.SetValue(row, 42)
 	if err != nil {

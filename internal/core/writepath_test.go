@@ -31,11 +31,9 @@ func alignEngine(t *testing.T, g dist.Generator, pages, parallelism int) *Engine
 	cfg.Parallelism = parallelism
 	e := newEngine(t, testColumn(t, pages, g), cfg)
 	for _, r := range alignTestRanges {
-		v, err := e.CreateView(r[0], r[1])
-		if err != nil {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
-		v.SetRange(r[0], r[1])
 	}
 	return e
 }
@@ -92,11 +90,11 @@ func TestAlignParallelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := serial.Query(r[0], r[1])
+				rs, err := serial.QueryOpt(r[0], r[1], QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rp, err := parallel.Query(r[0], r[1])
+				rp, err := parallel.QueryOpt(r[0], r[1], QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,11 +123,9 @@ func TestShardedUpdateDeterminism(t *testing.T) {
 		cfg.UpdateShards = shards
 		e := newEngine(t, testColumn(t, pages, g), cfg)
 		for _, r := range alignTestRanges {
-			v, err := e.CreateView(r[0], r[1])
-			if err != nil {
+			if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 				t.Fatal(err)
 			}
-			v.SetRange(r[0], r[1])
 		}
 		return e
 	}
@@ -267,7 +263,7 @@ func TestConcurrentShardedUpdateStress(t *testing.T) {
 			rng := xrand.New(uint64(2000 + r))
 			for i := 0; i < 40; i++ {
 				lo := rng.Uint64n(ccDomain)
-				if _, _, err := eng.QueryAggregate(lo, lo+rng.Uint64n(ccDomain/10)); err != nil {
+				if _, err := eng.QueryOpt(lo, lo+rng.Uint64n(ccDomain/10), QueryOptions{ComputeAggregate: true}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -301,7 +297,7 @@ func TestConcurrentShardedUpdateStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Query(q[0], q[1])
+		res, err := eng.QueryOpt(q[0], q[1], QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,11 +414,9 @@ func rebuildTestEngine(t *testing.T) *Engine {
 	col := testColumn(t, 64, dist.NewSine(17, 0, ccDomain, 8))
 	e := newEngine(t, col, syncConfig())
 	for _, r := range [][2]uint64{{0, ccDomain / 8}, {ccDomain / 4, ccDomain / 3}, {ccDomain / 2, 3 * ccDomain / 4}} {
-		v, err := e.CreateView(r[0], r[1])
-		if err != nil {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
-		v.SetRange(r[0], r[1])
 	}
 	return e
 }
@@ -500,7 +494,7 @@ func TestRebuildViewsCreateError(t *testing.T) {
 	}
 	// The engine stays usable after the partial rebuild.
 	wantCount, wantSum, _ := e.Column().FullScan(0, ccDomain/8)
-	res, err := e.Query(0, ccDomain/8)
+	res, err := e.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +512,7 @@ func TestQueryDecisionNone(t *testing.T) {
 	}
 	col := testColumn(t, 64, dist.NewLinear(5, 0, ccDomain, 64))
 	base := newEngine(t, col, BaselineConfig())
-	res, err := base.Query(0, ccDomain/4)
+	res, err := base.QueryOpt(0, ccDomain/4, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,14 +526,14 @@ func TestQueryDecisionNone(t *testing.T) {
 	rng := xrand.New(2)
 	for i := 0; i < 10 && !froz.ViewSet().Frozen(); i++ {
 		lo := rng.Uint64n(ccDomain / 2)
-		if _, err := froz.Query(lo, lo+ccDomain/10); err != nil {
+		if _, err := froz.QueryOpt(lo, lo+ccDomain/10, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !froz.ViewSet().Frozen() {
 		t.Fatal("premise: set never froze")
 	}
-	res, err = froz.Query(1, 2)
+	res, err = froz.QueryOpt(1, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

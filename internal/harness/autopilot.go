@@ -170,7 +170,7 @@ func runAutopilotCell(s Scale, c autopilotCell, path writePath) (autopilotResult
 							return
 						default:
 						}
-						if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+						if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 							fail(err)
 							return
 						}
@@ -214,12 +214,9 @@ func runAutopilotCell(s Scale, c autopilotCell, path writePath) (autopilotResult
 		if p := eng.Autopilot(); p != nil {
 			m := p.Metrics()
 			res.coalesce = m.AvgCoalesce()
-			// p50/p99 via the deprecated sample wrappers on purpose: the
-			// panel doubles as a regression check that the quantile-derived
-			// samples track the underlying histogram.
-			lats := p.FlushLatencies()
-			res.p50 = autopilot.Percentile(lats, 0.50)
-			res.p99 = autopilot.Percentile(lats, 0.99)
+			h := p.LatencyHistogram()
+			res.p50 = time.Duration(h.Quantile(0.50))
+			res.p99 = time.Duration(h.Quantile(0.99))
 			res.tel = eng.Telemetry()
 		}
 		cleanup()

@@ -121,9 +121,9 @@ func runConcurrentCell(s Scale, m concurrentMode, clients int) (float64, error) 
 				for _, q := range stream {
 					var err error
 					if m.workers != 0 {
-						_, err = eng.QueryParallel(q.Lo, q.Hi, m.workers)
+						_, err = eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{Workers: m.workers, HasWorkers: true})
 					} else {
-						_, err = eng.Query(q.Lo, q.Hi)
+						_, err = eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 					}
 					if err != nil {
 						errMu.Lock()

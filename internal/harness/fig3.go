@@ -47,7 +47,7 @@ func RunFig3(sc Scale) (*Table, error) {
 			return nil, err
 		}
 
-		mapper := view.NewMapper(0)
+		mapper := view.NewMapper()
 		variants, err := buildFig3Variants(col, k, mapper)
 		if err != nil {
 			mapper.Stop()

@@ -104,14 +104,14 @@ func runSequence(sc Scale, col *storage.Column, cfg core.Config,
 	out := &SequenceResult{Table: t}
 	for i, q := range queries {
 		t0 := time.Now()
-		ra, err := adaptive.Query(q.Lo, q.Hi)
+		ra, err := adaptive.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			return nil, err
 		}
 		da := time.Since(t0)
 
 		t1 := time.Now()
-		rb, err := baseline.Query(q.Lo, q.Hi)
+		rb, err := baseline.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			return nil, err
 		}

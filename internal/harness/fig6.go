@@ -69,7 +69,7 @@ func RunFig6(sc Scale, distName string) (*Table, error) {
 	for _, variant := range fig6Variants {
 		var mapper *view.Mapper
 		if variant.opts.Concurrent {
-			mapper = view.NewMapper(0)
+			mapper = view.NewMapper()
 		}
 		var times []time.Duration
 		var pages int

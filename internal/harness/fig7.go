@@ -61,11 +61,9 @@ func RunFig7(sc Scale, distName string) (*Table, error) {
 			return nil, err
 		}
 		for _, r := range viewRanges {
-			v, err := eng.CreateView(r.Lo, r.Hi)
-			if err != nil {
+			if _, err := eng.CreateViewsOpt([]core.ViewSpec{{Lo: r.Lo, Hi: r.Hi, Pinned: true}}); err != nil {
 				return nil, err
 			}
-			v.SetRange(r.Lo, r.Hi)
 		}
 
 		// Apply the batch through the engine (writes + buffering).

@@ -86,17 +86,17 @@ func runManyViewsCell(s Scale, n int) (create, pub time.Duration, qps float64, e
 	defer func() { _ = eng.Close() }() //asv:ignore-err benchmark teardown; measurement errors are returned separately
 
 	width := uint64(fig4Domain) / uint64(n)
-	ranges := make([]core.ViewRange, n)
+	ranges := make([]core.ViewSpec, n)
 	for i := range ranges {
 		lo := uint64(i) * width
 		hi := lo + width - 1
 		if i == n-1 {
 			hi = fig4Domain
 		}
-		ranges[i] = core.ViewRange{Lo: lo, Hi: hi}
+		ranges[i] = core.ViewSpec{Lo: lo, Hi: hi, Pinned: true}
 	}
 	t0 := time.Now()
-	if _, err := eng.CreateViewsBatch(ranges); err != nil {
+	if _, err := eng.CreateViewsOpt(ranges); err != nil {
 		return 0, 0, 0, err
 	}
 	create = time.Since(t0)
@@ -109,7 +109,7 @@ func runManyViewsCell(s Scale, n int) (create, pub time.Duration, qps float64, e
 	}
 	t1 := time.Now()
 	for _, r := range ranges {
-		if _, err := snap.Query(r.Lo+width/4, r.Hi-width/4); err != nil {
+		if _, err := snap.QueryOpt(r.Lo+width/4, r.Hi-width/4, core.QueryOptions{}); err != nil {
 			_ = snap.Close() //asv:ignore-err Snapshot.Close never returns an error
 			return 0, 0, 0, err
 		}

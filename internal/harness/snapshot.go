@@ -146,7 +146,7 @@ func snapshotStorm(s Scale, eng *core.Engine, readers int, pinned bool) (float64
 							return
 						default:
 						}
-						if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+						if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 							fail(err)
 							return
 						}
@@ -171,7 +171,7 @@ func snapshotStorm(s Scale, eng *core.Engine, readers int, pinned bool) (float64
 					}
 					q := stream[i%len(stream)]
 					i++
-					if _, err := snap.Query(q.Lo, q.Hi); err != nil {
+					if _, err := snap.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 						fail(err)
 						_ = snap.Close() //asv:ignore-err Snapshot.Close never returns an error; the query error was already recorded
 						return

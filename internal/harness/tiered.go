@@ -93,11 +93,11 @@ func tieredReference(sc Scale, queries []workload.Query) ([]core.QueryResult, er
 	defer func() { _ = eng.Close() }() //asv:ignore-err benchmark teardown; measurement errors are returned separately
 	out := make([]core.QueryResult, len(queries))
 	for i, q := range queries {
-		r, err := eng.Query(q.Lo, q.Hi)
+		r, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			return nil, err
 		}
-		out[i] = r
+		out[i] = r.QueryResult
 	}
 	return out, nil
 }
@@ -140,7 +140,7 @@ func runTieredCell(sc Scale, frac float64, queries []workload.Query, expected []
 
 	start := time.Now()
 	for i, q := range queries {
-		r, err := eng.Query(q.Lo, q.Hi)
+		r, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 		if err != nil {
 			return fail(err)
 		}

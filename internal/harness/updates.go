@@ -140,12 +140,10 @@ func mixedEngine(s Scale, mutate func(*core.Config)) (*core.Engine, func(), erro
 		_ = col.Close() //asv:ignore-err best-effort teardown shared by every exit path
 	}
 	for _, r := range workload.RandomSubranges(s.Seed+5, updatesViewCount, fig4Domain, updatesViewFrac) {
-		v, err := eng.CreateView(r.Lo, r.Hi)
-		if err != nil {
+		if _, err := eng.CreateViewsOpt([]core.ViewSpec{{Lo: r.Lo, Hi: r.Hi, Pinned: true}}); err != nil {
 			cleanup()
 			return nil, nil, err
 		}
-		v.SetRange(r.Lo, r.Hi)
 	}
 	return eng, cleanup, nil
 }
@@ -203,7 +201,7 @@ func runUpdatesCell(s Scale, c updatesCell, shards int) (upds, pps, qps float64,
 							return
 						default:
 						}
-						if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+						if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 							fail(err)
 							queriesMu.Lock()
 							queriesDone += int64(done)
@@ -332,7 +330,7 @@ func runReaderBaseline(s Scale, readers int) (float64, error) {
 				}()
 				for {
 					for _, q := range stream {
-						if _, err := eng.Query(q.Lo, q.Hi); err != nil {
+						if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
 							errMu.Lock()
 							if firstErr == nil {
 								firstErr = err

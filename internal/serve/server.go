@@ -13,11 +13,6 @@ import (
 	"github.com/asv-db/asv/internal/obs"
 )
 
-// TenantHeader carries the tenant name when it is not in the path:
-// every /t/{tenant}/... route is also registered without the /t/{tenant}
-// prefix, resolving the tenant from this header instead.
-const TenantHeader = "X-Asv-Tenant"
-
 // ServerConfig configures a Server; the zero value serves with the
 // documented defaults.
 type ServerConfig struct {
@@ -99,9 +94,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // tenant.
 type tenantHandler func(w http.ResponseWriter, r *http.Request, t *Tenant)
 
-// routes registers every endpoint, each under both its path-tenant form
-// (/t/{tenant}/...) and its header-tenant form (tenant from
-// X-Asv-Tenant).
+// routes registers every endpoint; tenant-scoped ones live under
+// /t/{tenant}/....
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "tenants": len(s.cat.Names())})
@@ -131,10 +125,9 @@ func (s *Server) routes() {
 	s.route("GET", "/columns/{name}/telemetry", "telemetry", s.handleTelemetry)
 }
 
-// route registers one endpoint under both tenant-resolution forms.
+// route registers one tenant-scoped endpoint under /t/{tenant}.
 func (s *Server) route(method, path, endpoint string, h tenantHandler) {
-	s.mux.HandleFunc(method+" /t/{tenant}"+path, s.withTenant(endpoint, h, false))
-	s.mux.HandleFunc(method+" "+path, s.withTenant(endpoint, h, true))
+	s.mux.HandleFunc(method+" /t/{tenant}"+path, s.withTenant(endpoint, h))
 }
 
 // statusWriter remembers the status code for the request metrics.
@@ -171,19 +164,11 @@ func (s *Server) instrumented(key string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// withTenant resolves the tenant (path segment or header), instruments
-// the request per tenant+endpoint, and enforces the body limit.
-func (s *Server) withTenant(endpoint string, h tenantHandler, fromHeader bool) http.HandlerFunc {
+// withTenant resolves the tenant from the path, instruments the request
+// per tenant+endpoint, and enforces the body limit.
+func (s *Server) withTenant(endpoint string, h tenantHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("tenant")
-		if fromHeader {
-			name = r.Header.Get(TenantHeader)
-			if name == "" {
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Errorf("serve: no tenant: use /t/{tenant}%s or set %s", r.URL.Path, TenantHeader))
-				return
-			}
-		}
 		t, err := s.cat.Tenant(name)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)

@@ -23,7 +23,6 @@ type httpClient struct {
 	t      *testing.T
 	base   string
 	client *http.Client
-	header map[string]string
 }
 
 func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *httpClient) {
@@ -54,9 +53,6 @@ func (c *httpClient) do(method, path string, body, out any) int {
 	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
 		c.t.Fatal(err)
-	}
-	for k, v := range c.header {
-		req.Header.Set(k, v)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -169,8 +165,8 @@ func TestServeRoundTrip(t *testing.T) {
 }
 
 // TestServeTenantIsolation pins that tenants are separate namespaces
-// (same column name, different data) and that the header form resolves
-// the same tenants as the path form.
+// (same column name, different data) and that a column route without a
+// tenant in the path does not exist.
 func TestServeTenantIsolation(t *testing.T) {
 	_, c := newTestServer(t, ServerConfig{})
 	for i, tenant := range []string{"red", "blue"} {
@@ -188,16 +184,9 @@ func TestServeTenantIsolation(t *testing.T) {
 		t.Fatalf("tenants share data: red=%+v blue=%+v", red.Agg, blue.Agg)
 	}
 
-	// Header-resolved requests land on the same tenant as the path form.
-	hc := &httpClient{t: t, base: c.base, client: c.client, header: map[string]string{TenantHeader: "red"}}
-	var viaHeader queryResponse
-	hc.must(http.StatusOK, "POST", "/columns/col/query",
-		map[string]any{"lo": 0, "hi": 1000, "aggregate": true}, &viaHeader)
-	if !reflect.DeepEqual(viaHeader, red) {
-		t.Fatalf("header-form answer diverged from path form:\n got %+v\nwant %+v", viaHeader, red)
-	}
-	// No tenant at all is a 400, not a panic or a default namespace.
-	c.must(http.StatusBadRequest, "POST", "/columns/col/query", map[string]any{"lo": 0, "hi": 1}, nil)
+	// No tenant in the path is a 404, not a panic or a default namespace.
+	c.must(http.StatusNotFound, "POST", "/columns/col/query", map[string]any{"lo": 0, "hi": 1}, nil)
+	c.must(http.StatusNotFound, "GET", "/columns", nil, nil)
 	c.must(http.StatusBadRequest, "POST", "/t/bad%20name/columns", map[string]any{"name": "x", "pages": 1}, nil)
 }
 

@@ -358,13 +358,6 @@ func (c *ShardedColumn) QueryOpt(lo, hi uint64, opts ...asv.QueryOption) (asv.Qu
 	})
 }
 
-// Query answers [lo, hi] without materializations — the scatter-gathered
-// counterpart of asv.Column.Query.
-func (c *ShardedColumn) Query(lo, hi uint64) (asv.Result, error) {
-	ans, err := c.QueryOpt(lo, hi)
-	return ans.QueryResult, err
-}
-
 // rawOptions adapts a resolved core.QueryOptions into the facade's
 // option shape, so the per-shard calls go through the same public
 // QueryOpt surface the server exposes.
@@ -507,12 +500,6 @@ func (s *ShardSnapshot) QueryOpt(lo, hi uint64, opts ...asv.QueryOption) (asv.Qu
 	return s.col.scatter(lo, hi, o, func(i int, so core.QueryOptions) (asv.QueryAnswer, error) {
 		return s.snaps[i].QueryOpt(lo, hi, rawOptions(so))
 	})
-}
-
-// Query answers [lo, hi] from the pinned instant.
-func (s *ShardSnapshot) Query(lo, hi uint64) (asv.Result, error) {
-	ans, err := s.QueryOpt(lo, hi)
-	return ans.QueryResult, err
 }
 
 // Close releases every per-shard pin; idempotent. The first error is

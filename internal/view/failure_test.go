@@ -53,7 +53,7 @@ func TestConcurrentCreateFailsCleanly(t *testing.T) {
 	}
 	as.SetMaxMapCount(as.VMACount() + 4)
 
-	m := NewMapper(8)
+	m := NewMapper()
 	defer m.Stop()
 	before := as.VMACount()
 	if _, err := Create(col, 0, 1<<33, CreateOptions{Concurrent: true}, m); err == nil {
@@ -81,7 +81,7 @@ func TestBuilderEnqueueAfterMapperStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMapper(4)
+	m := NewMapper()
 	b, err := NewBuilder(col, CreateOptions{Concurrent: true}, m)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestBuilderEnqueueAfterMapperStop(t *testing.T) {
 }
 
 func TestMapperStopIdempotent(t *testing.T) {
-	m := NewMapper(2)
+	m := NewMapper()
 	m.Stop()
 	m.Stop() // must not panic or deadlock
 }

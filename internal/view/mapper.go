@@ -1,9 +1,9 @@
 package view
 
 import (
+	"errors"
 	"sync"
 
-	"github.com/asv-db/asv/internal/cqueue"
 	"github.com/asv-db/asv/internal/vmsim"
 )
 
@@ -23,22 +23,36 @@ type Request struct {
 // scanning thread map each qualifying page, it only inserts a request to
 // map the physical page into a concurrent queue ... A separate mapping
 // thread constantly polls this queue and performs the actual mmap() calls."
+// The queue is a buffered channel.
 //
 // One Mapper serves arbitrarily many view builders; requests carry their
 // own completion callbacks, and each builder waits only for its own.
 type Mapper struct {
-	q    *cqueue.Queue[Request]
-	done chan struct{}
+	// mu guards closed and the close of reqs: Enqueue sends holding it
+	// shared, Stop closes holding it exclusively, so no send can hit a
+	// closed channel. A sender blocked on a full channel still finishes,
+	// because the mapping goroutine keeps draining until the close and
+	// never takes mu — which is why Done callbacks, run on that
+	// goroutine, must not call Enqueue.
+	mu     sync.RWMutex
+	closed bool
+	reqs   chan Request
+	done   chan struct{}
 }
 
-// NewMapper starts a mapping thread with the given queue capacity
-// (capacity <= 0 selects 1024).
-func NewMapper(capacity int) *Mapper {
-	if capacity <= 0 {
-		capacity = 1024
-	}
+// mapperQueueCap is the capacity of the channel feeding the mapping
+// thread: enough for a scan to run far ahead of the mmap calls, while
+// bounding the requests queued behind a slow mapping thread (Enqueue
+// blocks once it is full).
+const mapperQueueCap = 1024
+
+// errMapperStopped is returned by Enqueue after Stop.
+var errMapperStopped = errors.New("view: mapping thread stopped")
+
+// NewMapper starts a mapping thread.
+func NewMapper() *Mapper {
 	m := &Mapper{
-		q:    cqueue.New[Request](capacity),
+		reqs: make(chan Request, mapperQueueCap),
 		done: make(chan struct{}),
 	}
 	go m.loop()
@@ -47,11 +61,7 @@ func NewMapper(capacity int) *Mapper {
 
 func (m *Mapper) loop() {
 	defer close(m.done)
-	for {
-		r, ok := m.q.Pop()
-		if !ok {
-			return
-		}
+	for r := range m.reqs {
 		err := r.AS.MmapFileFixed(r.Addr, r.File, r.FilePage, r.Pages)
 		if r.Done != nil {
 			r.Done(err)
@@ -60,15 +70,26 @@ func (m *Mapper) loop() {
 }
 
 // Enqueue submits a request, blocking while the queue is full. It returns
-// cqueue.ErrClosed after Stop.
+// an error after Stop; an accepted request's Done runs before Stop returns.
 func (m *Mapper) Enqueue(r Request) error {
-	return m.q.Push(r)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return errMapperStopped
+	}
+	m.reqs <- r
+	return nil
 }
 
 // Stop drains outstanding requests and terminates the mapping thread.
 // Safe to call more than once.
 func (m *Mapper) Stop() {
-	m.q.Close()
+	m.mu.Lock()
+	if !m.closed {
+		m.closed = true
+		close(m.reqs)
+	}
+	m.mu.Unlock()
 	<-m.done
 }
 

@@ -82,8 +82,8 @@ type View struct {
 
 	// pinned exempts the view's pages from tier demotion (not from
 	// whole-view eviction — the pre-tiering lifecycle is unchanged for
-	// pinned views). Views created through the legacy creation surface
-	// are pinned, so enabling tiering never slows a pre-existing caller.
+	// pinned views). Explicit creation with the Pinned option sets it, so
+	// enabling tiering never slows an explicitly requested hot range.
 	// Atomic: the engine sets it under the exclusive room, the autopilot
 	// reads it under the scan room.
 	pinned atomic.Bool

@@ -233,7 +233,7 @@ func TestConsecutiveOptimizationReducesMmapCalls(t *testing.T) {
 
 func TestConcurrentCreationMatchesSynchronous(t *testing.T) {
 	c := testColumn(t, 128, dist.NewSine(9, 0, 1_000_000, 16))
-	m := NewMapper(64)
+	m := NewMapper()
 	defer m.Stop()
 
 	sync1, err := Create(c, 100_000, 300_000, CreateOptions{Consecutive: true}, nil)
@@ -489,7 +489,7 @@ func BenchmarkCreateUnoptimized(b *testing.B) {
 
 func BenchmarkCreateBothOptimizations(b *testing.B) {
 	c := testColumn(b, 1024, dist.NewUniform(1, 0, 100_000_000))
-	m := NewMapper(1024)
+	m := NewMapper()
 	defer m.Stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -77,10 +77,9 @@ func Eager() ViewOption {
 // Pinned exempts the views' pages from tier demotion: the autopilot's
 // hot-tier pressure duty never moves a pinned view's pages to the
 // capacity tier (the temperature-driven whole-view eviction of cold
-// views still applies). The legacy creation surface pins every view, so
-// enabling tiering never slows an explicitly requested hot range; views
-// created adaptively by queries — and CreateViewOpt views without this
-// option — are demotable.
+// views still applies), so enabling tiering never slows an explicitly
+// requested hot range. Views created adaptively by queries — and
+// CreateViewOpt views without this option — are demotable.
 func Pinned() ViewOption {
 	return func(o *viewCreateOptions) { o.pinned = true }
 }

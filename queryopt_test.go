@@ -5,8 +5,8 @@ import (
 )
 
 // TestQueryOptFacade exercises the options-based entry point: option
-// combinations, the unified answer shape, and agreement with the wrapper
-// quartet on the same column.
+// combinations, the unified answer shape, and a plain answer on the same
+// column.
 func TestQueryOptFacade(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -37,8 +37,7 @@ func TestQueryOptFacade(t *testing.T) {
 		t.Fatalf("aggregate out of range: min %d max %d", ans.Agg.Min, ans.Agg.Max)
 	}
 
-	// No options: a plain answer with nil materializations, identical to
-	// the Query wrapper.
+	// No options: the same answer with nil materializations.
 	plain, err := col.QueryOpt(lo, hi)
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +45,8 @@ func TestQueryOptFacade(t *testing.T) {
 	if plain.Rows != nil || plain.Agg != nil {
 		t.Fatal("unrequested materializations present")
 	}
-	viaWrapper, err := col.Query(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Count != viaWrapper.Count || plain.Sum != viaWrapper.Sum {
-		t.Fatalf("QueryOpt %d/%d != Query %d/%d", plain.Count, plain.Sum, viaWrapper.Count, viaWrapper.Sum)
+	if plain.Count != ans.Count || plain.Sum != ans.Sum {
+		t.Fatalf("plain %d/%d != with options %d/%d", plain.Count, plain.Sum, ans.Count, ans.Sum)
 	}
 }
 
@@ -77,7 +72,7 @@ func TestSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := snap.Query(lo, hi)
+	first, err := snap.QueryOpt(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +108,7 @@ func TestSnapshotFacade(t *testing.T) {
 	if again.Count != first.Count || again.Sum != first.Sum {
 		t.Fatalf("pinned read moved: %d/%d then %d/%d", first.Count, first.Sum, again.Count, again.Sum)
 	}
-	live, err := col.Query(lo, hi)
+	live, err := col.QueryOpt(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +122,7 @@ func TestSnapshotFacade(t *testing.T) {
 	if err := snap.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.Query(lo, hi); err == nil {
+	if _, err := snap.QueryOpt(lo, hi); err == nil {
 		t.Fatal("query on closed snapshot succeeded")
 	}
 }
@@ -165,7 +160,7 @@ func TestColumnCloseDeregisters(t *testing.T) {
 	if err := col2.Fill(Uniform(1, 0, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col2.Query(0, 500); err != nil {
+	if _, err := col2.QueryOpt(0, 500); err != nil {
 		t.Fatal(err)
 	}
 	// DB.Close after a direct close of col2 must not double-close.

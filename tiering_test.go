@@ -51,11 +51,11 @@ func TestTieredScanEquivalence(t *testing.T) {
 					for i := 0; i < 20; i++ {
 						lo := uint64(i*83651) % 900_000
 						hi := lo + 100_000
-						rt, err := tiered.Query(lo, hi)
+						rt, err := tiered.QueryOpt(lo, hi)
 						if err != nil {
 							t.Fatal(err)
 						}
-						rp, err := plain.Query(lo, hi)
+						rp, err := plain.QueryOpt(lo, hi)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -88,11 +88,10 @@ func TestTieredScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestCreateViewWrapperEquivalence: the legacy creation trio
-// (CreateView/CreateViews/CreateViewsBatch) must be byte-equivalent to
-// the CreateViewOpt calls it documents wrapping — same view set, same
-// telemetry, same pin flags — and CreateViewOpt without Pinned builds
-// demotable views.
+// TestCreateViewWrapperEquivalence: one pinned CreateViewOpt per range
+// must be byte-equivalent to a single call that Batches the same ranges —
+// same view set, same telemetry, same pin flags — except that the batch
+// publishes once; and CreateViewOpt without Pinned builds demotable views.
 func TestCreateViewWrapperEquivalence(t *testing.T) {
 	const pages = 64
 	db, err := Open(Options{})
@@ -116,43 +115,37 @@ func TestCreateViewWrapperEquivalence(t *testing.T) {
 		return col
 	}
 
-	legacy := newCol("legacy")
-	if err := legacy.CreateView(ranges[0].Lo, ranges[0].Hi); err != nil {
-		t.Fatal(err)
+	perRange := newCol("per-range")
+	for _, r := range ranges {
+		if err := perRange.CreateViewOpt(r.Lo, r.Hi, Pinned()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := legacy.CreateViews(ranges[1:]); err != nil {
-		t.Fatal(err)
-	}
-	direct := newCol("direct")
-	if err := direct.CreateViewOpt(ranges[0].Lo, ranges[0].Hi, Pinned()); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.CreateViewOpt(ranges[1].Lo, ranges[1].Hi, Batch(ranges[2]), Pinned()); err != nil {
-		t.Fatal(err)
-	}
-	alias := newCol("alias")
-	if err := alias.CreateView(ranges[0].Lo, ranges[0].Hi); err != nil {
-		t.Fatal(err)
-	}
-	if err := alias.CreateViewsBatch(ranges[1:]); err != nil {
+	batched := newCol("batched")
+	if err := batched.CreateViewOpt(ranges[0].Lo, ranges[0].Hi, Batch(ranges[1:]...), Pinned()); err != nil {
 		t.Fatal(err)
 	}
 
-	want := legacy.Views()
+	want := perRange.Views()
 	if len(want) != len(ranges) {
-		t.Fatalf("legacy views: %d, want %d", len(want), len(ranges))
+		t.Fatalf("per-range views: %d, want %d", len(want), len(ranges))
 	}
-	for name, col := range map[string]*Column{"direct": direct, "alias": alias} {
-		if got := col.Views(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s views %+v != legacy %+v", name, got, want)
-		}
-		got, wantStats := col.Stats(), legacy.Stats()
-		// Publication wall time is allowed to differ.
-		got.PublishNanos, wantStats.PublishNanos = 0, 0
-		got.PublishAttemptNanos, wantStats.PublishAttemptNanos = 0, 0
-		if got != wantStats {
-			t.Fatalf("%s telemetry %+v != legacy %+v", name, got, wantStats)
-		}
+	if got := batched.Views(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched views %+v != per-range %+v", got, want)
+	}
+	got, wantStats := batched.Stats(), perRange.Stats()
+	if got.StatePublishes != 1 || wantStats.StatePublishes != uint64(len(ranges)) {
+		t.Fatalf("publishes: batched %d, per-range %d; want 1 and %d",
+			got.StatePublishes, wantStats.StatePublishes, len(ranges))
+	}
+	// Publication count and wall time are the batch's saving.
+	got.StatePublishes, wantStats.StatePublishes = 0, 0
+	got.PublishNanos, wantStats.PublishNanos = 0, 0
+	got.PublishAttemptNanos, wantStats.PublishAttemptNanos = 0, 0
+	if got != wantStats {
+		t.Fatalf("batched telemetry %+v != per-range %+v", got, wantStats)
+	}
+	for name, col := range map[string]*Column{"per-range": perRange, "batched": batched} {
 		for i, v := range col.eng.Views() {
 			if !v.Pinned() {
 				t.Fatalf("%s view %d not pinned", name, i)
@@ -160,8 +153,7 @@ func TestCreateViewWrapperEquivalence(t *testing.T) {
 		}
 	}
 
-	// Without Pinned, CreateViewOpt builds demotable views — the one
-	// behaviour the wrappers deliberately exclude.
+	// Without Pinned, CreateViewOpt builds demotable views.
 	loose := newCol("loose")
 	if err := loose.CreateViewOpt(ranges[0].Lo, ranges[0].Hi); err != nil {
 		t.Fatal(err)
@@ -246,10 +238,10 @@ func TestTieredSnapshotRace(t *testing.T) {
 				}
 				lo := (seed + uint64(i)*131) % 800_000
 				hi := lo + 150_000
-				first, err := snap.Query(lo, hi)
+				first, err := snap.QueryOpt(lo, hi)
 				if err == nil {
-					var again Result
-					again, err = snap.Query(lo, hi)
+					var again QueryAnswer
+					again, err = snap.QueryOpt(lo, hi)
 					if err == nil && (again.Count != first.Count || again.Sum != first.Sum) {
 						err = fmt.Errorf("snapshot read moved: (%d,%d) then (%d,%d)",
 							first.Count, first.Sum, again.Count, again.Sum)
@@ -270,7 +262,7 @@ func TestTieredSnapshotRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			lo := uint64(i*211) % 800_000
-			if _, err := col.Query(lo, lo+100_000); err != nil {
+			if _, err := col.QueryOpt(lo, lo+100_000); err != nil {
 				errs <- err
 				return
 			}
