@@ -624,7 +624,7 @@ func (c *Column) AutopilotMetrics() (AutopilotMetrics, bool) {
 
 // Telemetry is a point-in-time snapshot of a column's instruments:
 // counters, gauges and log₂-bucket histograms, keyed by stable names
-// (engine_*, autopilot_*, tier_*, map_*, room_*, ...). Snapshots merge
+// (engine_*, autopilot_*, tier_*, map_*, ...). Snapshots merge
 // (Merge) and encode to stable JSON (JSON), so they diff cleanly across
 // runs and embed in benchmark artifacts.
 type Telemetry = obs.Snapshot
@@ -651,9 +651,8 @@ func (c *Column) Telemetry() Telemetry { return c.eng.Telemetry() }
 
 // Events drains the column's event journal: the newest JournalEvents
 // engine events (epoch publications/retirements, autopilot duties, tier
-// migration batches, view lifecycle transitions, room handovers) in
-// sequence order. Returns nil when Config.JournalEvents left the
-// journal disabled.
+// migration batches, view lifecycle transitions) in sequence order.
+// Returns nil when Config.JournalEvents left the journal disabled.
 func (c *Column) Events() []EngineEvent { return c.eng.Journal().Events() }
 
 // MemoryStats is a column's tiered-memory readout: per-tier frame

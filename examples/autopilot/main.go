@@ -19,8 +19,8 @@ import (
 	asv "github.com/asv-db/asv"
 )
 
-// The volume is deliberately small: the synchronous baseline pays one
-// room turn — and hands the next query a one-update batch to flush and
+// The volume is deliberately small: the synchronous baseline waits out
+// one flush — and hands the next query a one-update batch to flush and
 // align — per lone write, which is exactly the degradation the autopilot
 // exists to remove.
 const (

@@ -1,6 +1,6 @@
 // Snapshot: pin an engine epoch and keep reading a stable, repeatable
 // view of a column while writers update, flush, and realign the views
-// underneath. Epoch-routed reads never enter the engine's room lock, so
+// underneath. Epoch-routed reads never take the engine lock, so
 // the pinned reader is immune to — and never stalls behind — alignment.
 package main
 

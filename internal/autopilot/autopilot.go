@@ -21,9 +21,8 @@
 //     pilot reads per-view access recency/frequency (exported by viewset
 //     from its LRU clock), evicts cold partial views, rebuilds
 //     fragmented ones, and pre-warms soft-TLBs — each action in its own
-//     exclusive-room slice acquired through the room lock's existing
-//     round-robin handover, so readers and writers keep flowing between
-//     slices.
+//     slice of the engine lock's exclusive mode, released in between, so
+//     writers keep flowing between slices.
 //
 // All time flows through an injectable Clock, so every behaviour is
 // deterministic in tests (ManualClock) without a single sleep.
@@ -86,7 +85,7 @@ type Write struct {
 
 // ViewTemp is one partial view's temperature, exported by the engine from
 // the view set's LRU clock. Handle is opaque to the pilot; the engine
-// re-validates it under the exclusive room before acting on it.
+// re-validates it under the engine lock before acting on it.
 type ViewTemp struct {
 	Handle   any
 	LastUsed uint64  // routing tick of the most recent hit
@@ -101,19 +100,19 @@ type ViewTemp struct {
 // one of its own locks other than the drain mutex.
 type Target interface {
 	// ApplyWrites applies a coalesced group of writes to the column and
-	// pending buffers in one update-room entry (group commit).
+	// pending buffers under one shared engine-lock hold (group commit).
 	ApplyWrites(ws []Write) error
 	// AlignPending flushes the applied-but-unaligned updates through §2.4
-	// alignment in one exclusive-room slice.
+	// alignment in one exclusive-lock slice.
 	AlignPending() error
 	// ViewTemperatures snapshots the LRU clock and per-view temperatures.
 	ViewTemperatures() (clock uint64, temps []ViewTemp)
-	// EvictViews releases the given cold views in one exclusive-room
+	// EvictViews releases the given cold views in one exclusive-lock
 	// slice, skipping handles that left the set since the snapshot. It
 	// returns how many views were actually evicted.
 	EvictViews(handles []any) (int, error)
 	// RebuildView rebuilds one fragmented view from the column in its own
-	// exclusive-room slice; false means the handle was no longer a set
+	// exclusive-lock slice; false means the handle was no longer a set
 	// member.
 	RebuildView(handle any) (bool, error)
 	// WarmView re-resolves one hot view's soft-TLB, returning the number

@@ -449,8 +449,8 @@ func TestAutopilotQueryDoesNotWaitOnIntake(t *testing.T) {
 	}
 }
 
-// TestAutopilotConcurrentFairness is the room-lock fairness stress of
-// the satellite task: reader scans, fire-and-forget writers and the
+// TestAutopilotConcurrentFairness is the engine-lock fairness stress:
+// reader scans, fire-and-forget writers and the
 // autopilot's background flush/maintenance slices race on one engine
 // under -race. All three groups must make progress — no starvation — and
 // the final column must be byte-identical to synchronous flushing of the
@@ -512,8 +512,8 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 			// Every reader always runs at least one query: on a single
 			// hardware thread the writers can finish their whole streams
 			// before a reader is first scheduled — that is scheduling,
-			// not starvation, and the query still has to win the scan
-			// room against the autopilot's background slices.
+			// not starvation, and the query still has to finish against
+			// the autopilot's background slices.
 			for done := false; !done; {
 				for _, q := range qs {
 					if _, err := auto.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {

@@ -146,14 +146,14 @@ type Config struct {
 	// alignment fan-out chosen per operation by an EWMA cost model,
 	// bounded by Parallelism), and a temperature-driven view lifecycle
 	// (cold partials evicted, fragmented ones rebuilt, hot soft-TLBs
-	// pre-warmed in exclusive-room slices). Engine.Close stops it. Nil
+	// pre-warmed in exclusive-lock slices). Engine.Close stops it. Nil
 	// keeps every maintenance action inline, the pre-autopilot behaviour.
 	Autopilot *autopilot.Config
 	// JournalEvents, when positive, enables the engine's event journal: a
 	// fixed-size lock-free ring (rounded up to a power of two, minimum 64)
 	// of typed engine events — epoch publications and retirements,
 	// autopilot duty brackets, tier demotion/promotion batches, view
-	// lifecycle transitions, room-mode handovers. Zero (the default)
+	// lifecycle transitions. Zero (the default)
 	// disables the journal entirely; every recording site is then one nil
 	// pointer test. Drain with Engine.Journal().Events().
 	JournalEvents int

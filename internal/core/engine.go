@@ -26,33 +26,32 @@ import (
 // resolved soft-TLBs — lives in an immutable engineState published via
 // an atomic pointer (see state.go). Queries load the pointer, pin the
 // state with one atomic increment, and route and scan entirely against
-// the capture; they never enter the room lock. Writers use the
-// remaining two room modes (see roomLock): concurrent Update callers
-// share the update room, appending to per-shard pending buffers (the
-// per-shard lock serializes writes to the same physical page, and the
-// column's copy-on-write shadows first-writes per epoch so pinned
-// readers keep frozen pages), and every operation that mutates view
-// state (FlushUpdates/AlignViews, CreateViewsOpt, RebuildViews, Close, the
-// autopilot's lifecycle duties) takes the exclusive room, builds a
-// successor state, and swaps it in. A query that grows the view set
-// builds its candidate entirely from private state during the pinned
-// scan and only takes the exclusive room for the retention decision
-// that publishes it. The VM simulator below has its own locks, so
-// background mapping keeps overlapping with scanning exactly as in
-// §2.3.
+// the capture; they never take the engine lock (see engineLock). Update
+// callers and the live-set readers (Views, String, the autopilot's
+// temperature and demotion sweeps) hold it shared; writers then
+// serialize only per pending-buffer shard, and the column's copy-on-write
+// shadows first-writes per epoch so pinned readers keep frozen pages.
+// Every operation that mutates view state (FlushUpdates/AlignViews,
+// CreateViewsOpt, RebuildViews, Close, the autopilot's lifecycle duties)
+// holds it exclusively, builds a successor state, and swaps it in. A
+// query that grows the view set builds its candidate entirely from
+// private state during the pinned scan and only takes the lock
+// exclusively for the retention decision that publishes it. The VM
+// simulator below has its own locks, so background mapping keeps
+// overlapping with scanning exactly as in §2.3.
 type Engine struct {
 	col    *storage.Column
 	cfg    Config
 	set    *viewset.Set
 	mapper *view.Mapper
 
-	// mu serializes view-set mutation and page rewiring (exclusive room)
-	// against the update room and the live-set readers of the scan room
-	// (Views, String). Queries never take it: they read published
-	// immutable states, and the copy-on-write write path keeps writers
-	// off every page a pinned capture can reach (§2.4 consistency comes
-	// from flush-then-publish instead of reader/writer exclusion).
-	mu roomLock
+	// mu is the engine lock: exclusive for view-set mutation and page
+	// rewiring, shared for writers and live-set readers (Views, String).
+	// Queries never take it: they read published immutable states, and
+	// the copy-on-write write path keeps writers off every page a pinned
+	// capture can reach (§2.4 consistency comes from flush-then-publish
+	// instead of reader/writer exclusion).
+	mu engineLock
 
 	// state is the current published routed-read state; stateMu/stateCond
 	// guard the retirement walk from oldest to newest (see state.go).
@@ -71,8 +70,8 @@ type Engine struct {
 	closing atomic.Bool
 	// shards are the pending update buffers, hashed by physical page
 	// (Row / ValuesPerPage % len(shards)). Writers append under the
-	// update room plus the per-shard lock; the exclusive room drains
-	// them (takePendingLocked) into one deterministic batch.
+	// shared engine lock plus the per-shard lock; an exclusive holder
+	// drains them (takePendingLocked) into one deterministic batch.
 	shards       []updateShard
 	pendingCount atomic.Int64 // total buffered updates across all shards
 
@@ -84,9 +83,9 @@ type Engine struct {
 
 	// gen counts the mutations that invalidate an in-flight candidate
 	// view: update alignment, view rebuild, and engine close (guarded by
-	// mu). A query captures gen during its read-locked scan; if the value
-	// changed by the time it reacquires the write lock to publish its
-	// candidate, the candidate's page set was built from pre-mutation
+	// mu). A query reads gen from the state it pinned for its scan; if the
+	// value changed by the time it takes the lock exclusively to publish
+	// its candidate, the candidate's page set was built from pre-mutation
 	// state (alignment only walks set members, so a late-published view
 	// would never be realigned) and is discarded instead of published.
 	gen uint64
@@ -127,6 +126,25 @@ type Engine struct {
 	stats engineStats
 }
 
+// engineLock is the engine lock. Shared holders leave set membership and
+// every view's page set fixed; exclusive holders change them. A waiting
+// Lock blocks new RLock calls and Unlock admits every waiting reader at
+// once, so neither mode starves. The type exists for its asvlint
+// annotations: a bare sync.RWMutex only establishes the generic "mu" mode.
+type engineLock struct{ rw sync.RWMutex }
+
+//asv:acquires=shared
+func (l *engineLock) RLock() { l.rw.RLock() }
+
+//asv:releases=shared
+func (l *engineLock) RUnlock() { l.rw.RUnlock() }
+
+//asv:acquires=exclusive
+func (l *engineLock) Lock() { l.rw.Lock() }
+
+//asv:releases=exclusive
+func (l *engineLock) Unlock() { l.rw.Unlock() }
+
 // Stats accumulates engine activity since creation (or ResetStats).
 type Stats struct {
 	Queries         uint64 // total queries answered
@@ -145,7 +163,7 @@ type Stats struct {
 	StatePublishes  uint64 // routed-read states published (epoch swaps)
 	PublishNanos    uint64 // cumulative wall time of successful state publications, ns
 	// PublishAttemptNanos accumulates the wall time of every publication
-	// attempt, successful or not — failed captures burn real exclusive-room
+	// attempt, successful or not — failed captures burn real exclusive-lock
 	// time that PublishNanos (successes only) would hide.
 	PublishAttemptNanos uint64
 	PublishErrors       uint64 // failed publication attempts (capture snapshot errors)
@@ -245,7 +263,6 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	// site) unless Config.JournalEvents enables it.
 	e.ins = newEngineInstruments()
 	e.journal = obs.NewJournal(cfg.JournalEvents, nil)
-	e.mu.obs = &roomObs{wait: e.ins.roomWait, hold: e.ins.roomHold, journal: e.journal}
 	// Epoch routing needs the column's copy-on-write write path: a
 	// published capture must stay frozen while writers shadow pages.
 	col.EnableSnapshots()
@@ -507,8 +524,8 @@ func (e *Engine) RebuildViews() error {
 // stays usable (and must be closed by its owner).
 func (e *Engine) Close() error {
 	if e.pilot != nil {
-		// Stop before taking the exclusive room: the pilot's final drain
-		// applies any queued writes (through the update room), so no
+		// Stop before taking the lock exclusively: the pilot's final drain
+		// applies any queued writes (under the shared mode), so no
 		// accepted Update is lost; alignment is skipped, the views are
 		// about to be released anyway.
 		e.pilot.Stop()

@@ -51,9 +51,9 @@ type Answer struct {
 //
 // Reads are epoch-routed and lock-free: the query pins the current
 // immutable engine state (published via atomic pointer), routes and
-// scans against its capture, and never enters the room lock's scan room
-// — alignment, rebuilds and autopilot lifecycle work holding the
-// exclusive room no longer stall readers. Updates pending at entry are
+// scans against its capture, and never takes the engine lock —
+// alignment, rebuilds and autopilot lifecycle work holding it
+// exclusively do not stall readers. Updates pending at entry are
 // flushed first (§2.4: views must reflect every applied write before
 // answering); a write that lands after the flush is serialized after
 // this query and becomes visible with the next published state.
@@ -114,7 +114,7 @@ func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bo
 	}
 	if cand != nil {
 		// Publish the candidate the pinned scan built under the exclusive
-		// room and apply the retention decision's side effects.
+		// engine lock and apply the retention decision's side effects.
 		merge := root.Child("merge")
 		dec, displaced := e.publishCandidate(cand, st.gen)
 		ans.CandidateBuilt = true

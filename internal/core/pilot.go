@@ -34,20 +34,20 @@ func (e *Engine) Sync() (UpdateStats, error) {
 }
 
 // pilotTarget adapts the Engine to the autopilot.Target interface. Every
-// method takes the engine's room lock itself; the pilot never holds an
-// engine lock when calling in, so the drain mutex strictly precedes the
-// room lock in the lock order.
+// method takes the engine lock itself; the pilot never holds an engine
+// lock when calling in, so the drain mutex strictly precedes the engine
+// lock in the lock order.
 type pilotTarget struct{ e *Engine }
 
-// ApplyWrites applies a coalesced group of writes in one update-room
-// entry — the engine-side group commit that turns lone fire-and-forget
-// Updates into a single room turn.
+// ApplyWrites applies a coalesced group of writes under one shared hold
+// of the engine lock — the engine-side group commit that turns lone
+// fire-and-forget Updates into a single acquisition.
 func (t pilotTarget) ApplyWrites(ws []autopilot.Write) (err error) {
 	e := t.e
 	e.journalDutyBegin(obs.DutyApply)
 	defer func() { e.journalDutyEnd(obs.DutyApply, int64(len(ws)), err) }()
-	e.mu.UpdateLock()
-	defer e.mu.UpdateUnlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	for _, w := range ws {
 		if err := e.applyWrite(w.Row, w.Value); err != nil {
 			return err
@@ -57,7 +57,7 @@ func (t pilotTarget) ApplyWrites(ws []autopilot.Write) (err error) {
 }
 
 // AlignPending runs §2.4 alignment over the applied-but-unaligned
-// updates in one exclusive-room slice.
+// updates in one exclusive-lock slice.
 func (t pilotTarget) AlignPending() error {
 	t.e.journalDutyBegin(obs.DutyAlign)
 	st, err := t.e.flushApplied()
@@ -66,9 +66,10 @@ func (t pilotTarget) AlignPending() error {
 }
 
 // ViewTemperatures snapshots the LRU clock and every partial view's
-// recency, frequency, size and page-order fragmentation under the scan
-// room (temperature reads are concurrent-reader safe; fragmentation
-// walks the view's soft-TLB, a pure read).
+// recency, frequency, size and page-order fragmentation under the shared
+// engine lock, which keeps set membership and page sets fixed
+// (temperature reads are concurrent-reader safe; fragmentation walks the
+// view's soft-TLB, a pure read).
 func (t pilotTarget) ViewTemperatures() (uint64, []autopilot.ViewTemp) {
 	e := t.e
 	e.mu.RLock()
@@ -118,7 +119,7 @@ func viewFragmentation(v *view.View) (float64, error) {
 	return float64(backward) / float64(n-1), nil
 }
 
-// EvictViews releases the given cold views in one exclusive-room slice.
+// EvictViews releases the given cold views in one exclusive-lock slice.
 // Handles whose view left the set since the temperature snapshot (evicted
 // by LRU, replaced, rebuilt) are skipped — the pilot's view of the set is
 // advisory, membership is re-validated here.
@@ -157,10 +158,10 @@ func (t pilotTarget) EvictViews(handles []any) (int, error) {
 }
 
 // RebuildView rebuilds one fragmented view from the column's current
-// contents in its own exclusive-room slice (create first, swap, then
-// release — a failed creation leaves the old view serving). The room
-// handover between slices lets readers and writers interleave with a
-// multi-view maintenance sweep.
+// contents in its own exclusive-lock slice (create first, swap, then
+// release — a failed creation leaves the old view serving). Releasing
+// the lock between slices lets writers interleave with a multi-view
+// maintenance sweep.
 func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
 	e := t.e
 	e.journalDutyBegin(obs.DutyRebuild)
@@ -219,12 +220,13 @@ func (t pilotTarget) TierInfo() (autopilot.TierInfo, bool) {
 }
 
 // DemotePages demotes pages of the given views (the pilot passes them
-// coldest-first) until maxPages pages moved tier-down. Demotion is pure
-// atomics on the tier words, so the scan room suffices: RLock keeps set
-// membership and view lifetimes stable while epoch readers keep scanning
-// — a reader racing a demotion revalidates through the versioned word
-// and retries, it never blocks. Pinned views, the full view and handles
-// that left the set are skipped.
+// coldest-first) until maxPages pages moved tier-down. Demotion only
+// CASes tier words, so the shared engine lock suffices: it keeps set
+// membership and view lifetimes stable, and writers holding it too
+// promote written pages by CAS on the same words. An epoch reader racing
+// a demotion revalidates through the versioned word and retries; it
+// never blocks. Pinned views, the full view and handles that left the
+// set are skipped.
 func (t pilotTarget) DemotePages(handles []any, maxPages int) (int, error) {
 	e := t.e
 	if e.tier == nil || maxPages <= 0 {
@@ -270,7 +272,7 @@ func (t pilotTarget) DemotePages(handles []any, maxPages int) (int, error) {
 	return demoted, firstErr
 }
 
-// WarmView re-resolves one hot view's soft-TLB in an exclusive-room
+// WarmView re-resolves one hot view's soft-TLB in an exclusive-lock
 // slice (Warm writes view state), returning how many translations were
 // cold.
 func (t pilotTarget) WarmView(h any) (n int, err error) {

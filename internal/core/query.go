@@ -52,7 +52,7 @@ func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View)
 	return nil
 }
 
-// publishCandidate takes the exclusive room and runs the retention
+// publishCandidate takes the engine lock exclusively and runs the retention
 // decision for a candidate built during a pinned-state scan that observed
 // generation gen. Between the scan and this call an update alignment,
 // rebuild or close may have run, in which case the candidate's page set

@@ -130,15 +130,15 @@ func TestQuartetWrapperEquivalence(t *testing.T) {
 }
 
 // TestEpochReadsBypassScanRoom is the pinned acceptance test for the
-// epoch redesign: routed reads do not acquire the scan room, so a reader
-// completes while a goroutine holds the exclusive room (as alignment,
+// epoch redesign: routed reads take no engine lock, so a reader
+// completes while a goroutine holds the lock exclusively (as alignment,
 // rebuilds and lifecycle work do).
 func TestEpochReadsBypassScanRoom(t *testing.T) {
 	const pages = 64
 	g := dist.NewSine(21, 0, ccDomain, 8)
 
 	// Freeze the view set first so the probe query publishes nothing
-	// (publication legitimately serializes behind the exclusive room;
+	// (publication legitimately serializes behind the exclusive lock;
 	// the answer path must not).
 	frozenCfg := syncConfig()
 	frozenCfg.MaxViews = 1
@@ -160,7 +160,7 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 
 	baseline := newEngine(t, testColumn(t, pages, g), BaselineConfig())
 
-	// Occupy each engine's exclusive room, as a mid-alignment flush does.
+	// Hold each engine's lock exclusively, as a mid-alignment flush does.
 	eng.mu.Lock()
 	baseline.mu.Lock()
 
@@ -174,7 +174,7 @@ func TestEpochReadsBypassScanRoom(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: reader stalled behind the exclusive room", name)
+			t.Fatalf("%s: reader stalled behind the exclusive engine lock", name)
 		}
 	}
 	probe("epoch query", func() error {
@@ -219,7 +219,7 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	}
 
 	// Move every row in [lo, hi] out of the range, flushing mid-stream so
-	// alignment storms the exclusive room while the snapshot stays pinned.
+	// alignment storms the engine lock while the snapshot stays pinned.
 	rng := xrand.New(7)
 	for i := 0; i < eng.Column().Rows(); i++ {
 		v, err := eng.Column().Value(i)

@@ -45,10 +45,10 @@ func (r *refcount) drained() bool { return r.n.Load() == 0 }
 // read state lives in an immutable engineState published behind an
 // atomic pointer. Queries load the pointer, pin the state with one
 // atomic increment, route and scan entirely against the capture, and
-// never enter the room lock's scan room; FlushUpdates, CreateViewsOpt,
+// never take the engine lock; FlushUpdates, CreateViewsOpt,
 // RebuildViews, candidate publication and the autopilot's lifecycle
-// duties build a successor state under the exclusive room and swap it
-// in. A superseded state is retired — its captured views released, the
+// duties build a successor state under the exclusive engine lock and
+// swap it in. A superseded state is retired — its captured views released, the
 // frames its capture froze returned to the allocator — only after its
 // epoch drains, in publication order (per-state reference counting plus
 // a prefix walk), so a pinned reader can never observe a recycled frame
@@ -57,7 +57,7 @@ func (r *refcount) drained() bool { return r.n.Load() == 0 }
 // engineState is one published routed-read state. All fields except refs
 // are immutable once the state is visible through Engine.state;
 // retiredFrames and next are written exactly once, under the exclusive
-// room, before the publication reference is dropped — every path that
+// engine lock, before the publication reference is dropped — every path that
 // can observe them (the reclaim walk) happens-after that drop.
 //
 //asv:immutable
@@ -138,8 +138,9 @@ func (e *Engine) releaseState(st *engineState) {
 
 // publishStateLocked captures the current routed state (view set plus
 // resolved soft-TLBs) and swaps it in as the new current state, retiring
-// the predecessor. The caller holds the exclusive room — captures read
-// live view and column state. Every exclusive-room mutation that changes
+// the predecessor. The caller holds the engine lock exclusively —
+// captures read live view and column state. Every exclusive mutation that
+// changes
 // what readers may observe (alignment, view-set mutation, close) ends
 // with a publication; between publications the current state is
 // immutable by construction.
@@ -157,7 +158,7 @@ func (e *Engine) publishStateLocked() error {
 		// publication (freeing late is safe, dropping them would leak).
 		e.pendingRetired = retired
 		e.stats.publishErrors.Add(1)
-		// Failed attempts burn exclusive-room wall time too; without
+		// Failed attempts burn exclusive-lock wall time too; without
 		// this line the error path would vanish from latency accounting
 		// (PublishNanos counts successes only).
 		e.stats.publishAttemptNanos.Add(uint64(time.Since(t0)))
@@ -329,8 +330,9 @@ func (s *Snapshot) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
 // generation check discards it if alignment, a rebuild or Close ran
 // since the pin. Table.Select uses this — per-column reads pinned to one
 // catalog instant that still grow the view sets as a side product. The
-// publication step briefly takes the exclusive room, so unlike QueryOpt
-// this call may wait on maintenance work (after the answer is computed).
+// publication step briefly takes the engine lock exclusively, so unlike
+// QueryOpt this call may wait on maintenance work (after the answer is
+// computed).
 func (s *Snapshot) QueryOptAdapt(lo, hi uint64, opt QueryOptions) (Answer, error) {
 	return s.query(lo, hi, opt, true)
 }

@@ -20,14 +20,6 @@ import (
 type engineInstruments struct {
 	reg *obs.Registry
 
-	// roomWait/roomHold are indexed by room kind (roomScan/roomUpdate/
-	// roomExcl); slot roomNone is unused. Wait is queued-entry time
-	// only (fast admissions never touch the clock); hold is the
-	// open-to-close duration of one room occupancy, shared holders and
-	// all.
-	roomWait [roomKinds]*obs.Histogram
-	roomHold [roomKinds]*obs.Histogram
-
 	// retireLag observes publish→drain ns per retired epoch;
 	// publishRecaptured observes the views re-captured per publication;
 	// scanNsPerPage observes per-scan average ns per page.
@@ -38,19 +30,12 @@ type engineInstruments struct {
 
 func newEngineInstruments() *engineInstruments {
 	reg := obs.NewRegistry()
-	ins := &engineInstruments{
+	return &engineInstruments{
 		reg:               reg,
 		retireLag:         reg.Histogram("epoch_retire_lag_ns"),
 		publishRecaptured: reg.Histogram("publish_views_recaptured"),
 		scanNsPerPage:     reg.Histogram("scan_ns_per_page"),
 	}
-	for kind, name := range map[int]string{
-		roomScan: "scan", roomUpdate: "update", roomExcl: "exclusive",
-	} {
-		ins.roomWait[kind] = reg.Histogram("room_wait_ns_" + name)
-		ins.roomHold[kind] = reg.Histogram("room_hold_ns_" + name)
-	}
-	return ins
 }
 
 // Telemetry snapshots every engine instrument into one obs.Snapshot:

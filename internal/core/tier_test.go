@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/vmsim"
+	"github.com/asv-db/asv/internal/workload"
 )
 
 // tieredConfig returns syncConfig with a second frame tier attached
@@ -266,5 +269,168 @@ func TestTieredPressureAcceleratesEviction(t *testing.T) {
 	}
 	if rep.Evicted != 1 {
 		t.Fatalf("pressure did not accelerate eviction: %+v", rep)
+	}
+}
+
+// TestTieredConcurrentDemoteWhileWriting races the one overlap the shared
+// engine lock admits between maintenance and writes: the autopilot's
+// temperature and demotion sweeps run beside UpdateBatch writers (both
+// hold the lock shared, and both move tier words by CAS) while readers
+// keep querying. Afterwards the column must equal a serial replay of the
+// same writes, answers must equal a full scan, and the tier's cold
+// counter must match the cold words it counts.
+func TestTieredConcurrentDemoteWhileWriting(t *testing.T) {
+	const (
+		pages   = 64
+		writers = 3
+		readers = 2
+		perW    = 384
+		group   = 16
+	)
+	g := func() dist.Generator { return dist.NewClustered(13, 0, ccDomain, 0.05) }
+	e := newEngine(t, testColumn(t, pages, g()), tieredConfig(pages/4))
+	for _, r := range alignTestRanges {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1]}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := alignEngine(t, g(), pages, 0)
+
+	// Disjoint rows per writer (row ≡ writer mod writers): the final
+	// column state is then independent of scheduling.
+	streams := workload.ConcurrentUpdaters(17, writers, perW, e.Column().Rows(), 0, ccDomain)
+	for w := range streams {
+		for i := range streams[w] {
+			r := streams[w][i].Row
+			streams[w][i].Row = r - r%writers + w
+		}
+	}
+
+	var (
+		writerWg, bgWg sync.WaitGroup
+		writersDone    atomic.Bool
+		demoted        atomic.Int64
+	)
+	// Writers start with the sweeper, so even a slow scheduler cannot
+	// finish every write before the first sweep.
+	start := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(stream []workload.PointUpdate) {
+			defer writerWg.Done()
+			<-start
+			for len(stream) > 0 {
+				n := min(group, len(stream))
+				ws := make([]RowWrite, n)
+				for i, u := range stream[:n] {
+					ws[i] = RowWrite{Row: u.Row, Value: u.Value}
+				}
+				if err := e.UpdateBatch(ws); err != nil {
+					t.Error(err)
+					return
+				}
+				stream = stream[n:]
+			}
+		}(streams[w])
+	}
+	bgWg.Add(1)
+	go func() {
+		defer bgWg.Done()
+		target := pilotTarget{e}
+		close(start)
+		for done := false; !done; {
+			done = writersDone.Load()
+			_, temps := target.ViewTemperatures()
+			handles := make([]any, len(temps))
+			for i, tp := range temps {
+				handles[i] = tp.Handle
+			}
+			n, err := target.DemotePages(handles, 4)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			demoted.Add(int64(n))
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		bgWg.Add(1)
+		go func(qs []workload.Query) {
+			defer bgWg.Done()
+			for done := false; !done; {
+				for _, q := range qs {
+					if _, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+					if writersDone.Load() {
+						done = true
+						break
+					}
+				}
+			}
+		}(workload.ConcurrentClients(19, readers, 32, ccDomain, 0.05)[r])
+	}
+	writerWg.Wait()
+	writersDone.Store(true)
+	bgWg.Wait()
+	if t.Failed() {
+		return
+	}
+	if _, err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if demoted.Load() == 0 {
+		t.Fatal("the demotion sweep never demoted a page")
+	}
+
+	for _, stream := range streams {
+		for _, u := range stream {
+			if err := serial.Update(u.Row, u.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := serial.FlushUpdates(); err != nil {
+		t.Fatal(err)
+	}
+	for row := 0; row < e.Column().Rows(); row++ {
+		want, err := serial.Column().Value(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Column().Value(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("row %d = %d, serial replay has %d", row, got, want)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		lo := uint64(i) * ccDomain / 10
+		hi := lo + ccDomain/7
+		ans, err := e.QueryOpt(lo, hi, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, sum, err := e.Column().FullScan(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Count != count || ans.Sum != sum {
+			t.Fatalf("[%d,%d]: answer (%d,%d), full scan (%d,%d)", lo, hi, ans.Count, ans.Sum, count, sum)
+		}
+	}
+
+	ts, _ := e.TierStats()
+	cold := 0
+	for p := 0; p < ts.Pages; p++ {
+		if e.Tier().IsCold(p) {
+			cold++
+		}
+	}
+	if ts.HotFrames+ts.ColdFrames != ts.Pages || cold != ts.ColdFrames {
+		t.Fatalf("tier occupancy not conserved: %+v, %d cold words", ts, cold)
 	}
 }

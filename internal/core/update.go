@@ -59,14 +59,14 @@ type RowWrite struct {
 // Update writes newVal to row through the full view and buffers the
 // (row, old, new) triple for the next FlushUpdates. This is the paper's
 // model: updates happen through the full view immediately; partial views
-// are realigned in batches (§2.4). Update enters the engine's shared
-// update room — concurrent writers proceed in parallel, serializing only
-// per pending-buffer shard (i.e. per group of physical pages) — while
-// the room lock keeps writes off pages a concurrent scan is reading.
+// are realigned in batches (§2.4). Update holds the engine lock shared,
+// so concurrent writers serialize only per pending-buffer shard (i.e. per
+// group of physical pages). Queries take no lock: copy-on-write keeps
+// every page a pinned capture can reach frozen under concurrent writes.
 //
 // With an autopilot (Config.Autopilot), Update is fire-and-forget: the
 // write is validated and queued in the intake buffers without touching
-// the room lock, and the pilot applies and aligns it within
+// the engine lock, and the pilot applies and aligns it within
 // MaxFlushLatency (sooner when the coalesce thresholds fill) as part of
 // a group commit. Sync (or FlushUpdates) is the read-your-writes
 // barrier; Close drains the intake, so no accepted write is ever lost.
@@ -74,18 +74,17 @@ func (e *Engine) Update(row int, newVal uint64) error {
 	if e.pilot != nil {
 		return e.pilot.Enqueue(row, newVal)
 	}
-	e.mu.UpdateLock()
-	defer e.mu.UpdateUnlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.applyWrite(row, newVal)
 }
 
-// UpdateBatch applies a group of writes in one update-room entry — group
-// commit for the write path. It is semantically identical to calling
-// Update for each element in order (on error the prefix before the
-// failing write stays applied and buffered), but the single room
-// admission amortizes the reader/writer room handover across the group:
-// under concurrent readers, every room turn a lone Update wins admits a
-// one-update batch that the next query must flush and align in full.
+// UpdateBatch applies a group of writes under one shared hold of the
+// engine lock — group commit for the write path. It is semantically
+// identical to calling Update for each element in order (on error the
+// prefix before the failing write stays applied and buffered), but a
+// lone Update under concurrent readers can wait out one flush per write
+// and hand the next query a one-update batch to flush and align in full.
 func (e *Engine) UpdateBatch(ws []RowWrite) error {
 	if len(ws) == 0 {
 		return nil
@@ -100,8 +99,8 @@ func (e *Engine) UpdateBatch(ws []RowWrite) error {
 			return err
 		}
 	}
-	e.mu.UpdateLock()
-	defer e.mu.UpdateUnlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	for _, w := range ws {
 		if err := e.applyWrite(w.Row, w.Value); err != nil {
 			return err
@@ -111,7 +110,9 @@ func (e *Engine) UpdateBatch(ws []RowWrite) error {
 }
 
 // applyWrite performs one column write and buffers its triple in the
-// row's page shard. The caller holds the update room.
+// row's page shard.
+//
+//asv:locked=shared
 func (e *Engine) applyWrite(row int, newVal uint64) error {
 	page, _, err := e.col.RowLocation(row)
 	if err != nil {
@@ -141,9 +142,9 @@ func (e *Engine) PendingUpdates() int {
 // within a page. A page hashes to exactly one shard, so each page's
 // updates are already in arrival order there and a stable sort restores
 // the single-buffer batch exactly — squashing produces byte-identical
-// results to the pre-sharding write path. The caller holds the exclusive
-// room, which happens-after every writer's update-room exit, so shard
-// slices are read without their locks.
+// results to the pre-sharding write path. The caller holds the engine
+// lock exclusively, which happens-after every writer's release of its
+// shared hold, so shard slices are read without their locks.
 //
 //asv:locked=exclusive
 func (e *Engine) takePendingLocked() []Update {
@@ -166,7 +167,7 @@ func (e *Engine) takePendingLocked() []Update {
 
 // resetPendingLocked drops all buffered updates (RebuildViews rescans
 // the column, which already holds every applied write). The caller holds
-// the exclusive room.
+// the engine lock exclusively.
 //
 //asv:locked=exclusive
 func (e *Engine) resetPendingLocked() {
@@ -177,15 +178,17 @@ func (e *Engine) resetPendingLocked() {
 }
 
 // FlushUpdates aligns all partial views with the buffered update batch and
-// clears the buffers, holding the exclusive room for the whole alignment.
+// clears the buffers, holding the engine lock exclusively for the whole
+// alignment.
 // With an autopilot, the intake is drained (applied) first, so the flush
 // covers every write accepted before the call — the synchronous barrier
 // the paper's inline model gives implicitly.
 func (e *Engine) FlushUpdates() (UpdateStats, error) {
 	if e.pilot != nil {
 		// Apply without aligning: the alignment happens just below, and
-		// the pilot must not take the exclusive room itself while this
-		// caller is about to (drain mutex strictly precedes room lock).
+		// the pilot must not take the engine lock exclusively itself while
+		// this caller is about to (drain mutex strictly precedes the
+		// engine lock).
 		if err := e.pilot.ApplyQueued(); err != nil {
 			return UpdateStats{}, err
 		}
@@ -202,8 +205,8 @@ func (e *Engine) flushApplied() (UpdateStats, error) {
 	return e.flushLocked()
 }
 
-// flushLocked is FlushUpdates for callers already holding the exclusive
-// room.
+// flushLocked is FlushUpdates for callers already holding the engine lock
+// exclusively.
 //
 //asv:locked=exclusive
 func (e *Engine) flushLocked() (UpdateStats, error) {
@@ -215,15 +218,15 @@ func (e *Engine) flushLocked() (UpdateStats, error) {
 // last-write-per-row squashing, grouping by physical page, one maps-file
 // parse into a bimap (§2.5), and the per-page add/keep/remove decision for
 // each view. Alignment rewires view pages in place, so it holds the
-// exclusive room for the whole batch.
+// engine lock exclusively for the whole batch.
 func (e *Engine) AlignViews(batch []Update) (UpdateStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.alignLocked(batch)
 }
 
-// alignLocked is the AlignViews body; the caller holds the exclusive
-// room. Empty batches return immediately and are not counted as update
+// alignLocked is the AlignViews body; the caller holds the engine lock
+// exclusively. Empty batches return immediately and are not counted as update
 // batches — a no-op FlushUpdates must not skew per-batch averages.
 //
 //asv:locked=exclusive

@@ -213,7 +213,7 @@ func TestShardedUpdateDeterminism(t *testing.T) {
 // TestConcurrentShardedUpdateStress races Update and UpdateBatch writers
 // against queries, explicit flushes and observer polls on the sharded
 // write path with parallel alignment — the -race exercise of the whole
-// room-lock discipline. Afterwards the engine must converge to the
+// engine-lock discipline. Afterwards the engine must converge to the
 // column's ground truth.
 func TestConcurrentShardedUpdateStress(t *testing.T) {
 	const (

@@ -16,7 +16,7 @@ import (
 const snapshotMinWindow = 150 * time.Millisecond
 
 // snapshotWriteGroup is the storm writer's group-commit size; every
-// group is flushed immediately, so each group costs one exclusive-room
+// group is flushed immediately, so each group costs one exclusive-lock
 // alignment — the "forced alignment storm".
 const snapshotWriteGroup = 64
 
@@ -26,12 +26,12 @@ const snapshotPinBatch = 32
 
 // RunSnapshot measures reader throughput under a forced alignment storm
 // (beyond the paper): a writer loops group-committed updates and flushes
-// every group, so the exclusive room is held by §2.4 alignment almost
+// every group, so the engine lock is held exclusively by §2.4 alignment almost
 // continuously, while N reader goroutines fire query streams at the same
 // engine. Rows sweep the reader count; columns compare epoch readers
 // (every query pins the current published state, flushing first) with
 // pinned-snapshot readers (Snapshot handles re-pinned every few queries
-// — the never-blocking extreme). Neither enters the scan room.
+// — the never-blocking extreme). Neither takes the engine lock.
 func RunSnapshot(s Scale) (*Table, error) {
 	readerCounts := []int{1, 2, 4, 8}
 	t := &Table{
@@ -100,7 +100,7 @@ func snapshotStorm(s Scale, eng *core.Engine, readers int, pinned bool) (float64
 	start := time.Now()
 
 	// The storm: group-commit then flush, every iteration — one
-	// exclusive-room alignment slice per snapshotWriteGroup writes.
+	// exclusive-lock alignment slice per snapshotWriteGroup writes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -214,8 +214,8 @@ func runUpdatesCell(s Scale, c updatesCell, shards int) (upds, pps, qps float64,
 			}(readStreams[r])
 		}
 		// Writers push group commits of updatesWriteGroup rows: one
-		// update-room entry per group. Lone Update calls would win one
-		// room turn each under concurrent readers, handing every query a
+		// shared engine-lock hold per group. Lone Update calls would each
+		// wait out the concurrent readers' flushes, handing every query a
 		// one-update batch to flush, parse and align in full — measuring
 		// flush cost, not buffer contention. Each writer cycles its
 		// stream until the minimum window elapses, flushing every

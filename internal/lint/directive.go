@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// Lock modes, ordered by what they exclude. Room modes come from the
-// engine's roomLock; "mu" is any sync.Mutex/RWMutex; "any" means "some
-// recognized lock" without naming which.
+// Lock modes, ordered by what they exclude. The engine-lock modes
+// (shared, exclusive) come from core's engineLock; "mu" is any
+// sync.Mutex/RWMutex; "any" means "some recognized lock" without naming
+// which.
 const (
-	modeScan      = "scan"
-	modeUpdate    = "update"
+	modeShared    = "shared"
 	modeExclusive = "exclusive"
 	modeMu        = "mu"
 	modeAny       = "any"
@@ -20,7 +20,7 @@ const (
 
 func validRequireMode(m string) bool {
 	switch m {
-	case modeScan, modeUpdate, modeExclusive, modeMu, modeAny:
+	case modeShared, modeExclusive, modeMu, modeAny:
 		return true
 	}
 	return false
@@ -28,7 +28,7 @@ func validRequireMode(m string) bool {
 
 func validAcquireMode(m string) bool {
 	switch m {
-	case modeScan, modeUpdate, modeExclusive, modeMu:
+	case modeShared, modeExclusive, modeMu:
 		return true
 	}
 	return false
@@ -58,11 +58,11 @@ func parseDirective(c *ast.Comment, pos token.Position) (d directive, ok bool, e
 	switch name {
 	case "locked":
 		if !hasArg || !validRequireMode(arg) {
-			return d, true, fmt.Errorf("asv:locked needs =scan|update|exclusive|mu|any, got %q", body)
+			return d, true, fmt.Errorf("asv:locked needs =shared|exclusive|mu|any, got %q", body)
 		}
 	case "acquires", "releases":
 		if !hasArg || !validAcquireMode(arg) {
-			return d, true, fmt.Errorf("asv:%s needs =scan|update|exclusive|mu, got %q", name, body)
+			return d, true, fmt.Errorf("asv:%s needs =shared|exclusive|mu, got %q", name, body)
 		}
 	case "immutable":
 		if hasArg {

@@ -54,10 +54,10 @@ func TestParseDirective(t *testing.T) {
 		{"// plain comment", false, false, "", "", ""},
 		{"//go:noinline", false, false, "", "", ""},
 		{"//asv:locked=exclusive", true, false, "locked", "exclusive", ""},
-		{"//asv:locked=scan", true, false, "locked", "scan", ""},
+		{"//asv:locked=shared", true, false, "locked", "shared", ""},
 		{"//asv:locked", true, true, "locked", "", ""},
 		{"//asv:locked=bogus", true, true, "locked", "", ""},
-		{"//asv:acquires=update", true, false, "acquires", "update", ""},
+		{"//asv:acquires=shared", true, false, "acquires", "shared", ""},
 		{"//asv:acquires=any", true, true, "acquires", "", ""}, // "any" is not acquirable
 		{"//asv:releases=mu", true, false, "releases", "mu", ""},
 		{"//asv:immutable", true, false, "immutable", "", ""},
@@ -66,7 +66,7 @@ func TestParseDirective(t *testing.T) {
 		{"//asv:handoff", true, true, "handoff", "", ""},
 		{"//asv:ignore-err best-effort teardown", true, false, "ignore-err", "", "best-effort teardown"},
 		{"//asv:ignore-err", true, true, "ignore-err", "", ""},
-		{"//asv:allow=locked workers finish before the room reopens", true, false, "allow", "locked", "workers finish before the room reopens"},
+		{"//asv:allow=locked workers finish before the lock is released", true, false, "allow", "locked", "workers finish before the lock is released"},
 		{"//asv:allow=locked", true, true, "allow", "", ""},
 		{"//asv:allow no analyzer named", true, true, "allow", "", ""},
 		{"//asv:frobnicate", true, true, "frobnicate", "", ""},
@@ -125,12 +125,11 @@ func TestSatisfies(t *testing.T) {
 	}{
 		{held(), modeAny, false},
 		{held(modeMu), modeAny, true},
-		{held(modeScan), modeScan, true},
-		{held(modeUpdate), modeScan, false},
-		{held(modeExclusive), modeScan, true},
-		{held(modeExclusive), modeUpdate, true},
+		{held(modeShared), modeShared, true},
+		{held(modeMu), modeShared, false},
+		{held(modeExclusive), modeShared, true},
 		{held(modeExclusive), modeExclusive, true},
-		{held(modeScan), modeExclusive, false},
+		{held(modeShared), modeExclusive, false},
 		{held(modeMu), modeMu, true},
 		{held(modeExclusive), modeMu, false},
 		{held(modeAny), modeExclusive, false},

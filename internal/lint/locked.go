@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// The locked analyzer enforces the room-lock calling discipline: a
+// The locked analyzer enforces the engine-lock calling discipline: a
 // function that requires a lock mode (annotated //asv:locked=<mode> or
 // following the *Locked naming convention) may only be called where
 // that mode is held. Modes are established lexically — an acquire call
@@ -21,16 +21,17 @@ import (
 // every legal caller already held it.
 //
 // Two more checks ride on the same mode intervals: blocking operations
-// while the exclusive room is held (channel sends/receives/selects,
+// while the exclusive mode is held (channel sends/receives/selects,
 // ranging over a channel, time.Sleep, sync.Cond.Wait,
 // sync.WaitGroup.Wait, and calls to methods named Sync — everything
-// that can stall every reader and writer behind the closed room), and
-// nested room acquisition (entering any room while a room is held,
-// which self-deadlocks a non-reentrant room lock).
+// that can stall every other holder of the lock behind it), and nested
+// acquisition (taking either engine-lock mode while one is held, which
+// can self-deadlock a sync.RWMutex: a recursive RLock waits behind a
+// queued Lock that waits for the outer RLock).
 //
 // Function literals inherit the modes held at their lexical position:
 // the engine's fan-out idiom launches workers and waits while the
-// coordinator keeps the exclusive room, so the workers do run under the
+// coordinator holds the exclusive mode, so the workers do run under the
 // mode in effect where they appear. A literal that truly escapes the
 // critical section needs an //asv:allow=locked line with the reason.
 func runLocked(m *Module) []Diagnostic {
@@ -60,14 +61,14 @@ type lockEvent struct {
 	end token.Pos
 }
 
-func isRoomMode(mode string) bool {
-	return mode == modeScan || mode == modeUpdate || mode == modeExclusive
+func isEngineMode(mode string) bool {
+	return mode == modeShared || mode == modeExclusive
 }
 
 // satisfies reports whether the held mode set meets a requirement.
-// Exclusive satisfies the shared room modes (sole occupancy subsumes
-// them); the generic modes are strict: "mu" needs a mutex, "any" needs
-// something, and neither is implied by the other.
+// Exclusive satisfies shared (sole occupancy subsumes it); the generic
+// modes are strict: "mu" needs a mutex, "any" needs something, and
+// neither is implied by the other.
 func satisfies(held map[string]bool, req string) bool {
 	switch req {
 	case modeAny:
@@ -173,7 +174,7 @@ func (m *Module) checkLockedFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 	}
 	blockDiag := func(pos token.Pos, what string) {
 		if exclusiveAt(pos) {
-			report(pos, "%s while the exclusive room is held blocks every reader and writer", what)
+			report(pos, "%s while the exclusive mode is held stalls every other holder of the lock", what)
 		}
 	}
 
@@ -191,10 +192,10 @@ func (m *Module) checkLockedFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 				}
 			}
 			facts := m.factsOf(f)
-			if isRoomMode(facts.acquires) {
+			if isEngineMode(facts.acquires) {
 				held := heldAt(nn.Pos())
-				if held[modeScan] || held[modeUpdate] || held[modeExclusive] {
-					report(nn.Pos(), "acquiring the %s room while a room is already held self-deadlocks the room lock", facts.acquires)
+				if held[modeShared] || held[modeExclusive] {
+					report(nn.Pos(), "acquiring the %s mode while the lock is already held can self-deadlock", facts.acquires)
 				}
 			}
 			if isBlockingCall(f) {
@@ -242,7 +243,7 @@ func terminates(b *ast.BlockStmt) bool {
 }
 
 // isBlockingCall reports calls that can stall indefinitely and must not
-// run while the exclusive room is held.
+// run while the exclusive mode is held.
 func isBlockingCall(f *types.Func) bool {
 	switch f.FullName() {
 	case "time.Sleep", "(*sync.Cond).Wait", "(*sync.WaitGroup).Wait":

@@ -1,57 +1,71 @@
 // Package lockedclean exercises the locked analyzer's legal idioms:
 // acquire-then-call, deferred release, mode propagation through an
-// annotated caller, and blocking work done outside the room.
+// annotated caller, a shared-mode call under the shared mode, and
+// blocking work done outside the lock.
 package lockedclean
 
 import "time"
 
-type room struct{ held bool }
+type lock struct{ readers, held bool }
 
-// Lock enters the exclusive room.
-//
+//asv:acquires=shared
+func (l *lock) RLock() { l.readers = true }
+
+//asv:releases=shared
+func (l *lock) RUnlock() { l.readers = false }
+
 //asv:acquires=exclusive
-func (r *room) Lock() { r.held = true }
+func (l *lock) Lock() { l.held = true }
 
-// Unlock leaves the exclusive room.
-//
 //asv:releases=exclusive
-func (r *room) Unlock() { r.held = false }
+func (l *lock) Unlock() { l.held = false }
 
-// publishLocked must run under the exclusive room.
+// publishLocked must run under the exclusive mode.
 //
 //asv:locked=exclusive
-func (r *room) publishLocked() {}
+func (l *lock) publishLocked() {}
+
+// appendLocked must run under the shared mode.
+//
+//asv:locked=shared
+func (l *lock) appendLocked() {}
 
 // maintainLocked holds exclusive by contract, so it may call the other
 // helper without acquiring anything itself.
 //
 //asv:locked=exclusive
-func (r *room) maintainLocked() { r.publishLocked() }
+func (l *lock) maintainLocked() { l.publishLocked() }
 
-func direct(r *room) {
-	r.Lock()
-	defer r.Unlock()
-	r.publishLocked()
-	r.maintainLocked()
+func direct(l *lock) {
+	l.Lock()
+	defer l.Unlock()
+	l.publishLocked()
+	l.maintainLocked()
 }
 
-func outside(r *room, ch chan int) {
-	r.Lock()
-	r.publishLocked()
-	r.Unlock()
+func shared(l *lock) {
+	l.RLock()
+	defer l.RUnlock()
+	l.appendLocked()
+}
+
+func outside(l *lock, ch chan int) {
+	l.Lock()
+	l.publishLocked()
+	l.Unlock()
 	<-ch
 	time.Sleep(time.Millisecond)
 }
 
 // earlyReturn is the early-exit idiom: the unlock inside the
 // terminating branch must not leak onto the fall-through path, where
-// the room is still held.
-func earlyReturn(r *room, done bool) {
-	r.Lock()
+// the lock is still held.
+func earlyReturn(l *lock, done bool) {
+	l.Lock()
 	if done {
-		r.Unlock()
+		l.Unlock()
 		return
 	}
-	r.publishLocked()
-	r.Unlock()
+	l.publishLocked()
+	l.Unlock()
 }

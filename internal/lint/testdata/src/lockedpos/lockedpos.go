@@ -1,55 +1,70 @@
 // Package lockedpos seeds violations for the locked analyzer: calls to
 // mode-requiring functions without the mode, blocking operations under
-// the exclusive room, and nested room acquisition.
+// the exclusive mode, and nested acquisition.
 package lockedpos
 
 import "time"
 
-type room struct{ held bool }
+type lock struct{ readers, held bool }
 
-// Lock enters the exclusive room.
-//
+//asv:acquires=shared
+func (l *lock) RLock() { l.readers = true }
+
+//asv:releases=shared
+func (l *lock) RUnlock() { l.readers = false }
+
 //asv:acquires=exclusive
-func (r *room) Lock() { r.held = true }
+func (l *lock) Lock() { l.held = true }
 
-// Unlock leaves the exclusive room.
-//
 //asv:releases=exclusive
-func (r *room) Unlock() { r.held = false }
+func (l *lock) Unlock() { l.held = false }
 
-// publishLocked must run under the exclusive room.
+// publishLocked must run under the exclusive mode.
 //
 //asv:locked=exclusive
-func (r *room) publishLocked() {}
+func (l *lock) publishLocked() {}
 
 // flushLocked relies on the naming convention alone: callers must hold
 // some recognized lock.
 func flushLocked() {}
 
-func bad(r *room) {
-	r.publishLocked() // want `\[locked\] call to publishLocked requires lock mode "exclusive", but bad holds no lock`
+func bad(l *lock) {
+	l.publishLocked() // want `\[locked\] call to publishLocked requires lock mode "exclusive", but bad holds no lock`
 }
 
-func good(r *room) {
-	r.Lock()
-	r.publishLocked()
-	r.Unlock()
+func sharedOnly(l *lock) {
+	l.RLock()
+	l.publishLocked() // want `\[locked\] call to publishLocked requires lock mode "exclusive", but sharedOnly holds shared`
+	l.RUnlock()
+}
+
+func good(l *lock) {
+	l.Lock()
+	l.publishLocked()
+	l.Unlock()
 }
 
 func callsNaked() {
 	flushLocked() // want `\[locked\] call to flushLocked requires lock mode "any", but callsNaked holds no lock`
 }
 
-func blocky(r *room, ch chan int) {
-	r.Lock()
-	defer r.Unlock()
-	<-ch                         // want `\[locked\] channel receive while the exclusive room is held`
-	time.Sleep(time.Millisecond) // want `\[locked\] calling Sleep while the exclusive room is held`
+func blocky(l *lock, ch chan int) {
+	l.Lock()
+	defer l.Unlock()
+	<-ch                         // want `\[locked\] channel receive while the exclusive mode is held`
+	time.Sleep(time.Millisecond) // want `\[locked\] calling Sleep while the exclusive mode is held`
 }
 
-func nested(r *room) {
-	r.Lock()
-	r.Lock() // want `\[locked\] acquiring the exclusive room while a room is already held`
-	r.Unlock()
-	r.Unlock()
+func nested(l *lock) {
+	l.Lock()
+	l.Lock() // want `\[locked\] acquiring the exclusive mode while the lock is already held`
+	l.Unlock()
+	l.Unlock()
+}
+
+func sharedUnderExclusive(l *lock) {
+	l.Lock()
+	l.RLock() // want `\[locked\] acquiring the shared mode while the lock is already held`
+	l.RUnlock()
+	l.Unlock()
 }

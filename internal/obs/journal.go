@@ -46,10 +46,6 @@ const (
 	EvViewExpired
 	// EvViewRebuilt: maintenance rebuilt a fragmented view. A=lo, B=hi.
 	EvViewRebuilt
-	// EvRoomHandover: the room lock handed over between modes.
-	// A=from room, B=to room (0 none, 1 scan, 2 update, 3 exclusive),
-	// C=grants issued.
-	EvRoomHandover
 )
 
 // String returns the event type's stable name.
@@ -79,8 +75,6 @@ func (t EventType) String() string {
 		return "view_expired"
 	case EvViewRebuilt:
 		return "view_rebuilt"
-	case EvRoomHandover:
-		return "room_handover"
 	default:
 		return "unknown"
 	}

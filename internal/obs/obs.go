@@ -8,7 +8,7 @@
 //
 //   - Recording is wait-free and allocation-free. Counter.Add,
 //     Gauge.Set, Histogram.Observe and Journal.Record are a handful of
-//     atomic operations — safe on scan kernels and lock handover paths.
+//     atomic operations — safe on scan kernels and inside critical sections.
 //   - Handles are stored once, bumped everywhere: a *Counter /
 //     *Gauge / *Histogram is created through a Registry (or directly)
 //     during construction and then only ever dereferenced. Instrument

@@ -176,7 +176,7 @@ func TestJournalNilInert(t *testing.T) {
 
 func TestJournalRecordNoAlloc(t *testing.T) {
 	j := NewJournal(256, func() int64 { return 0 })
-	if n := testing.AllocsPerRun(1000, func() { j.Record(EvRoomHandover, 1, 2, 3) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { j.Record(EvViewInserted, 1, 2, 3) }); n != 0 {
 		t.Fatalf("Record allocates %v per run, want 0", n)
 	}
 }

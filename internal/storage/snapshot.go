@@ -44,7 +44,7 @@ func (c *Column) SnapshotsEnabled() bool {
 // CaptureSnapshot hands out the column's current resolved soft-TLB as an
 // immutable capture and opens the next snapshot epoch, returning the
 // frames displaced by copy-on-write shadows since the previous capture.
-// The caller (the engine, holding its exclusive room) attaches the
+// The caller (the engine, holding its lock exclusively) attaches the
 // retired frames to the state being superseded and frees them via
 // vmsim.Kernel.FreeFrame only after that state and every older one have
 // drained — a translation resolved under an old capture may still point
@@ -74,7 +74,7 @@ func (c *Column) pageForWrite(p int) ([]byte, error) {
 	if !c.snapOn {
 		return c.PageBytes(p)
 	}
-	// The epoch only advances under the engine's exclusive room, which
+	// The epoch only advances under the engine lock's exclusive mode, which
 	// excludes writers, so the load is stable for the whole write. The
 	// pageEpoch slot is owned by p's shard lock: the comparison is exact.
 	epoch := c.snapEpoch.Load()

@@ -131,7 +131,7 @@ func (v *View) materializeSlot(i, n int) ([]byte, error) {
 // maps file: the bimap's page-wise index is built from VMAs, so a cold
 // (not yet mapped) slot would read as "not indexed" and alignment would
 // append a physical page the view already covers. Like every other
-// mutation session the caller must hold the engine's exclusive room;
+// mutation session the caller must hold the engine lock exclusively;
 // concurrent lock-free readers of individual slots remain safe (the
 // conversion claims slots through the same CAS protocol they use).
 func (v *View) EnsureMapped() error {

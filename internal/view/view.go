@@ -84,8 +84,8 @@ type View struct {
 	// whole-view eviction — the pre-tiering lifecycle is unchanged for
 	// pinned views). Explicit creation with the Pinned option sets it, so
 	// enabling tiering never slows an explicitly requested hot range.
-	// Atomic: the engine sets it under the exclusive room, the autopilot
-	// reads it under the scan room.
+	// Atomic: the engine sets it under the exclusive engine lock, the
+	// autopilot reads it under the shared one.
 	pinned atomic.Bool
 }
 
@@ -378,8 +378,8 @@ func (v *View) RemovePageAt(slot int) (RemovedPage, error) {
 // front, so in steady state Warm finds nothing — it exists for the
 // autopilot's pre-warm duty, which repairs views whose lazy PageBytes
 // fallback left nil slots (e.g. after an out-of-band TLB drop) before a
-// hot view is scanned again. The caller must hold the engine's exclusive
-// room: Warm writes view state.
+// hot view is scanned again. The caller must hold the engine lock
+// exclusively: Warm writes view state.
 func (v *View) Warm() (int, error) {
 	if v.lazy != nil {
 		// Materializing every slot is exactly the pre-warm duty; the
@@ -447,7 +447,7 @@ func (v *View) BeginTLBMutation() {
 // given page bytes. Update alignment uses it for dirty pages a view
 // keeps: under the snapshot write path the page's backing frame may have
 // been shadowed since the slot's translation was cached, and the caller
-// (holding the engine's exclusive room) passes the live bytes resolved
+// (holding the engine lock exclusively) passes the live bytes resolved
 // through the column. BeginTLBMutation must have started the session.
 func (v *View) RefreshSlot(slot int, pg []byte) {
 	if slot >= 0 && slot < len(v.tlb) {

@@ -12,7 +12,7 @@ import (
 // pointer. Routing over a Snapshot reads only captured ranges, page
 // counts and resolved page slices — never live view fields — so any
 // number of epoch readers may route and scan while the live set is
-// mutated, rebuilt or cleared under the engine's exclusive room.
+// mutated, rebuilt or cleared under the engine lock's exclusive mode.
 //
 // Successive snapshots are structural deltas over their parent: the
 // capture is a chunked copy-on-write table of SnapView entries, and a
@@ -162,7 +162,7 @@ type Snapshot struct {
 // caches translations that go stale under the copy-on-write write path,
 // so the column capture is authoritative; it also serves as the
 // resolution target for lazily captured views. Snapshot is a write-side
-// operation (the engine holds its exclusive room). Only views that are
+// operation (the engine holds its lock exclusively). Only views that are
 // new or marked dirty since the previous capture are re-captured;
 // untouched chunks are shared with the parent. On error every reference
 // the half-built capture took is released and the delta cache is left

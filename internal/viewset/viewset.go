@@ -134,14 +134,14 @@ type Set struct {
 	// chunk table, the partial-view order it captured, and the per-view
 	// entries it may share with the next capture. The set owns one chunk
 	// reference per cached chunk. All four are written only under the
-	// engine's exclusive room, except capDirty, which alignment workers
+	// engine lock's exclusive mode, except capDirty, which alignment workers
 	// mark concurrently and therefore has its own lock.
 	capViews  []*view.View
 	capChunks []*snapChunk
 	capBy     map[*view.View]*SnapView
 
 	// releaseErr parks the first error hit while dropping a superseded
-	// cache's references (written under the exclusive room, drained by
+	// cache's references (written under the exclusive engine lock, drained by
 	// TakeReleaseErr after each capture).
 	releaseErr error
 
@@ -308,7 +308,7 @@ func (s *Set) Remove(v *view.View) bool {
 }
 
 // Contains reports whether v is currently a partial-view member. Contains
-// is a write-side operation (callers hold the exclusive room).
+// is a write-side operation (callers hold the engine lock exclusively).
 func (s *Set) Contains(v *view.View) bool {
 	for _, pv := range s.partials {
 		if pv == v {
