@@ -3,11 +3,12 @@
 // corresponding plot reports — per-query latency (Fig. 3/4/5), view
 // creation time (Fig. 6), batch alignment time (Fig. 7), accumulated
 // sequence time (Table 1) — at a bench-friendly scale. The full-scale
-// series with the paper's exact workloads come from cmd/asvbench; see
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// series with the paper's exact workloads come from cmd/asvbench. There is
+// no paper-vs-measured table yet; README.md, "Departures from the paper",
+// says why.
 //
-// Ablation benchmarks at the bottom quantify the design decisions called
-// out in DESIGN.md §4.
+// Ablation benchmarks at the bottom quantify the design decisions listed
+// in the same README section.
 package asv_test
 
 import (
@@ -681,7 +682,8 @@ func BenchmarkHotQuerySnapshot(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4): quantify the design decisions.
+// Ablations (README.md, "Departures from the paper"): quantify the design
+// decisions.
 
 // BenchmarkAblation_MmapGranularity: the cost of mapping N pages one call
 // at a time vs one ranged call — the first-order effect behind Fig. 6's

@@ -1,0 +1,87 @@
+package asv_test
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// mdRef matches a Markdown file name as comments cite it: README.md,
+// bench/README.md.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestCommentsCiteExistingDocs fails when a comment in the module's Go
+// files names a .md file that does not exist. A name resolves against
+// the commenting file's directory or any directory above it up to the
+// module root, so "README.md" in internal/x/ finds the root README.
+// Nested modules (a directory with its own go.mod, like bench/) and
+// testdata are not this module's files and are skipped.
+func TestCommentsCiteExistingDocs(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, ref := range mdRef.FindAllString(c.Text, -1) {
+					checked++
+					if !docExists(root, filepath.Dir(path), ref) {
+						rel, _ := filepath.Rel(root, path)
+						t.Errorf("%s:%d: comment cites %s, which does not exist", rel, fset.Position(c.Pos()).Line, ref)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no comment cites a .md file: the walk or the pattern is broken")
+	}
+}
+
+// docExists reports whether ref names a file relative to dir or to one
+// of its ancestors up to root.
+func docExists(root, dir, ref string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(ref))); err == nil {
+			return true
+		}
+		if dir == root {
+			return false
+		}
+		dir = filepath.Dir(dir)
+	}
+}

@@ -41,11 +41,12 @@ func tierScanFilter(t *vmsim.FileTier, pg []byte, scan func(pg []byte) storage.P
 // (serial dedup loop, sharded kernel; live, snapshot and baseline reads)
 // applies to each page. A query pays for the cheapest kernel that answers
 // it: count and sum; the qualifying minimum and maximum as well when an
-// Aggregate was asked for; and when a candidate is being built, the
-// boundary observations of the pages where nothing qualified, which
-// extend the candidate's range (§2.2). Row IDs are not the filter's
-// business: a Rows query collects them from the qualifying pages it is
-// handed (buildCollect).
+// Aggregate was asked for. A query that builds a candidate first needs
+// the boundary observations of the pages where nothing qualified, which
+// extend the candidate's range (§2.2), so it runs ScanBounds on every
+// page and the kernel above only on a page where ScanBounds met a match.
+// Row IDs are not the filter's business: a Rows query collects them from
+// the qualifying pages it is handed (buildCollect).
 //
 // On a tiered engine the chosen kernel runs inside the tier bracket
 // above, so tier accounting covers eager and lazy captures uniformly —
@@ -53,13 +54,22 @@ func tierScanFilter(t *vmsim.FileTier, pg []byte, scan func(pg []byte) storage.P
 // (nil e.tier) is the zero-overhead default.
 func (e *Engine) pageFilter(lo, hi uint64, building, aggregate bool) func(pg []byte) storage.PageScan {
 	scan := storage.ScanCountSum
-	switch {
-	case building:
-		scan = storage.ScanCandidate
-	case aggregate:
+	if aggregate {
 		scan = storage.ScanAggregate
 	}
-	filter := func(pg []byte) storage.PageScan { return scan(pg, lo, hi) }
+	// One closure either way, not one wrapping another: the allocations
+	// of a query are pinned by TestQueryOptTelemetryOffNoExtraAllocs.
+	var filter func(pg []byte) storage.PageScan
+	if building {
+		filter = func(pg []byte) storage.PageScan {
+			if s, miss := storage.ScanBounds(pg, lo, hi); miss {
+				return s
+			}
+			return scan(pg, lo, hi)
+		}
+	} else {
+		filter = func(pg []byte) storage.PageScan { return scan(pg, lo, hi) }
+	}
 	if t := e.tier; t != nil {
 		return func(pg []byte) storage.PageScan { return tierScanFilter(t, pg, filter) }
 	}

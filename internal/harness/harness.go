@@ -6,7 +6,8 @@
 // Absolute numbers are not expected to match the paper — the substrate is
 // a simulated kernel on different hardware at a scaled-down column size —
 // but the shapes are: who wins, by what factor, and where the crossovers
-// fall. EXPERIMENTS.md records paper-vs-measured for every experiment.
+// fall. No committed table states paper-vs-measured per experiment yet
+// (README.md, "Departures from the paper").
 package harness
 
 import (

@@ -9,7 +9,8 @@ import (
 )
 
 // tinyScale keeps harness tests fast; shape checks at realistic scale live
-// in EXPERIMENTS.md / the benchmarks.
+// in the benchmarks (README.md, "Departures from the paper", on the
+// missing paper-vs-measured table).
 func tinyScale() Scale {
 	return Scale{
 		Seed:         42,

@@ -12,7 +12,8 @@ import (
 //
 //	ScanCountSum   Count, Sum
 //	ScanAggregate  … and Min, Max of the qualifying values
-//	ScanCandidate  … and MaxBelow, MinAbove where nothing qualified (§2.2)
+//	ScanBounds     MaxBelow, MinAbove of a page where nothing qualified
+//	               (§2.2), or false at the first chunk with a match
 //	ScanFilter     Count, Sum, MaxBelow, MinAbove of every page
 //	MatchMask      one bit per qualifying slot
 //
@@ -32,8 +33,8 @@ import (
 type PageScan struct {
 	Count    int    // qualifying values
 	Sum      uint64 // sum of qualifying values (wrapping; a checkable aggregate)
-	Min      uint64 // smallest qualifying value, valid if Count > 0 (ScanAggregate, ScanCandidate)
-	Max      uint64 // largest qualifying value, valid if Count > 0 (ScanAggregate, ScanCandidate)
+	Min      uint64 // smallest qualifying value, valid if Count > 0 (ScanAggregate)
+	Max      uint64 // largest qualifying value, valid if Count > 0 (ScanAggregate)
 	MaxBelow uint64 // largest value < lo, valid if HasBelow
 	MinAbove uint64 // smallest value > hi, valid if HasAbove
 	HasBelow bool
@@ -156,62 +157,61 @@ func ScanAggregate(page []byte, lo, hi uint64) PageScan {
 	return r
 }
 
-// ScanCandidate is the kernel of a query that builds a candidate view:
-// ScanAggregate, plus the boundary fields on a page where nothing
-// qualified — the only pages whose boundaries extend a candidate's range
-// (§2.2); on a page with a match they stay unset. That costs one more
-// running maximum and no second pass: when no distance v-lo is within w,
-// the distances of the values above hi fill (w, ^lo] and those of the
-// values below lo wrap to [-lo, max], so the smallest distance belongs to
-// the smallest value above hi and the largest to the largest value below
-// lo.
-func ScanCandidate(page []byte, lo, hi uint64) PageScan {
+// boundsChunk is the number of slots ScanBounds reads between two tests
+// for a match: long enough that the test costs nothing beside the
+// min/max pass, short enough that a dense page stops early.
+const boundsChunk = 64
+
+// ScanBounds is the first kernel of a query that builds a candidate view.
+// On a page where nothing qualified — the only pages whose boundaries
+// extend a candidate's range (§2.2) — it returns the boundary fields and
+// true; that takes one running minimum and one running maximum of the
+// distance v-lo per value, and no count, sum or mask. When no distance is
+// within w, the distances of the values above hi fill (w, ^lo] and those
+// of the values below lo wrap to [-lo, max], so the smallest distance
+// belongs to the smallest value above hi and the largest to the largest
+// value below lo. The page has a match exactly when the smallest distance
+// is within w, which ScanBounds tests at the end of every boundsChunk
+// slots: it returns false at the first chunk holding a qualifying value,
+// and the caller runs the kernel it would run without a candidate.
+func ScanBounds(page []byte, lo, hi uint64) (PageScan, bool) {
 	w := hi - lo
-	var c, s, mx, top uint64
-	md := ^uint64(0)
+	var top0, top1 uint64
+	md0, md1 := ^uint64(0), ^uint64(0)
 	p := page[HeaderSize:PageSize]
-	for len(p) >= 32 {
-		v0 := binary.LittleEndian.Uint64(p)
-		v1 := binary.LittleEndian.Uint64(p[8:])
-		v2 := binary.LittleEndian.Uint64(p[16:])
-		v3 := binary.LittleEndian.Uint64(p[24:])
-		d0, d1, d2, d3 := v0-lo, v1-lo, v2-lo, v3-lo
-		m0, m1, m2, m3 := inRange(d0, w), inRange(d1, w), inRange(d2, w), inRange(d3, w)
-		v0 &= m0
-		v1 &= m1
-		v2 &= m2
-		v3 &= m3
-		c -= m0 + m1 + m2 + m3
-		s += v0 + v1 + v2 + v3
-		mx = max(mx, v0, v1, v2, v3)
-		md = min(md, d0, d1, d2, d3)
-		top = max(top, d0, d1, d2, d3)
-		p = p[32:]
+	for len(p) > 0 {
+		c := p[:min(len(p), boundsChunk*8)]
+		p = p[len(c):]
+		for len(c) >= 32 {
+			d0 := binary.LittleEndian.Uint64(c) - lo
+			d1 := binary.LittleEndian.Uint64(c[8:]) - lo
+			d2 := binary.LittleEndian.Uint64(c[16:]) - lo
+			d3 := binary.LittleEndian.Uint64(c[24:]) - lo
+			md0 = min(md0, d0, d2)
+			md1 = min(md1, d1, d3)
+			top0 = max(top0, d0, d2)
+			top1 = max(top1, d1, d3)
+			c = c[32:]
+		}
+		for len(c) >= 8 {
+			d := binary.LittleEndian.Uint64(c) - lo
+			md0 = min(md0, d)
+			top0 = max(top0, d)
+			c = c[8:]
+		}
+		if min(md0, md1) <= w {
+			return PageScan{}, false
+		}
 	}
-	for len(p) >= 8 {
-		v := binary.LittleEndian.Uint64(p)
-		d := v - lo
-		m := inRange(d, w)
-		v &= m
-		c -= m
-		s += v
-		mx = max(mx, v)
-		md = min(md, d)
-		top = max(top, d)
-		p = p[8:]
-	}
-	r := PageScan{Count: int(c), Sum: s}
-	if c > 0 {
-		r.Min, r.Max = lo+md, mx
-		return r
-	}
+	md, top := min(md0, md1), max(top0, top1)
+	var r PageScan
 	if lo > 0 && top >= -lo {
 		r.HasBelow, r.MaxBelow = true, lo+top
 	}
 	if md <= ^lo {
 		r.HasAbove, r.MinAbove = true, lo+md
 	}
-	return r
+	return r, true
 }
 
 // ScanFilter scans all value slots of a page against [lo, hi] (inclusive)

@@ -79,12 +79,10 @@ func checkKernels(t *testing.T, page []byte, lo, hi uint64) {
 	if got := ScanAggregate(page, lo, hi); got != (PageScan{Count: want.Count, Sum: want.Sum, Min: want.Min, Max: want.Max}) {
 		t.Errorf("ScanAggregate[%d,%d] = %+v, want %+v", lo, hi, got, want)
 	}
-	candidate := PageScan{Count: want.Count, Sum: want.Sum, Min: want.Min, Max: want.Max}
-	if want.Count == 0 {
-		candidate = bounds
-	}
-	if got := ScanCandidate(page, lo, hi); got != candidate {
-		t.Errorf("ScanCandidate[%d,%d] = %+v, want %+v", lo, hi, got, candidate)
+	if got, miss := ScanBounds(page, lo, hi); miss == (want.Count > 0) {
+		t.Errorf("ScanBounds[%d,%d] reports a miss: %v, but the page has %d matches", lo, hi, miss, want.Count)
+	} else if miss && got != bounds {
+		t.Errorf("ScanBounds[%d,%d] = %+v, want %+v", lo, hi, got, bounds)
 	}
 	if got := ScanFilter(page, lo, hi); got != filter {
 		t.Errorf("ScanFilter[%d,%d] = %+v, want %+v", lo, hi, got, filter)
@@ -118,9 +116,21 @@ func pageOf(vals ...uint64) []byte {
 	return page
 }
 
+// lonePage builds a page of values on both sides of [100, 200] whose one
+// value inside the range, 150, sits at slot.
+func lonePage(slot int) []byte {
+	page := pageOf(3, 7, 99, 201, 1<<62)
+	SetValueAt(page, slot, 150)
+	return page
+}
+
 // TestPageKernelsMatchReference walks the cases a branch-free compare
 // gets wrong first: ranges touching either end of the domain, a range of
-// one value, and pages holding the values next to each bound.
+// one value, and pages holding the values next to each bound. The lone
+// pages put their only match at the edges of ScanBounds' 64-slot chunks:
+// first and last slot of the first chunk, first slot of the second, last
+// slot of the last full chunk, and first and last slot of the partial
+// chunk the page ends with.
 func TestPageKernelsMatchReference(t *testing.T) {
 	const top = math.MaxUint64
 	ranges := [][2]uint64{
@@ -141,6 +151,9 @@ func TestPageKernelsMatchReference(t *testing.T) {
 		"only below": pageOf(3, 7, 50),
 		"only above": pageOf(top-3, top-7, 1<<62),
 		"random":     pageOf(random...),
+	}
+	for _, slot := range []int{0, 63, 64, 447, 448, ValuesPerPage - 1} {
+		pages[fmt.Sprintf("lone %d", slot)] = lonePage(slot)
 	}
 	for name, page := range pages {
 		for _, q := range ranges {
@@ -203,10 +216,13 @@ func FuzzPageKernels(f *testing.F) {
 var kernelSink PageScan
 
 // BenchmarkPageScanKernels times every kernel against the reference it
-// replaced, at three in-page selectivities, on pages that stay in cache
+// replaced, at four in-page selectivities, on pages that stay in cache
 // and on a 64 MiB buffer visited in random page order. "ref" is what a
 // plain query paid per page, "ref+collect" what an Aggregate query paid
-// per qualifying page.
+// per qualifying page, "bounds" what a query building a candidate pays:
+// ScanBounds, then ScanCountSum on a page with a match. sel=0% is a range
+// of one value, so every page is a miss, as nearly every page of a cold
+// query's full-view scan is.
 func BenchmarkPageScanKernels(b *testing.B) {
 	const domain = 1 << 40
 	kernels := []struct {
@@ -217,7 +233,12 @@ func BenchmarkPageScanKernels(b *testing.B) {
 		{"ref+collect", refAggregate},
 		{"countsum", ScanCountSum},
 		{"aggregate", ScanAggregate},
-		{"candidate", ScanCandidate},
+		{"bounds", func(pg []byte, lo, hi uint64) PageScan {
+			if s, miss := ScanBounds(pg, lo, hi); miss {
+				return s
+			}
+			return ScanCountSum(pg, lo, hi)
+		}},
 		{"filter", ScanFilter},
 		{"filter+collect", func(pg []byte, lo, hi uint64) PageScan {
 			s := ScanFilter(pg, lo, hi)
@@ -246,7 +267,7 @@ func BenchmarkPageScanKernels(b *testing.B) {
 			j := r.Intn(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		for _, pct := range []uint64{2, 18, 50} {
+		for _, pct := range []uint64{0, 2, 18, 50} {
 			lo := uint64(domain / 4)
 			hi := lo + domain/100*pct
 			for _, k := range kernels {

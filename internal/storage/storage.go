@@ -13,7 +13,7 @@
 // values", and carrying the fields in the common layout lets every §3.1
 // variant operate on the same column. The adaptive layer itself never
 // reads the zones (a documented divergence: 509 instead of 511 values per
-// page, see DESIGN.md §4).
+// page, see README.md, "Departures from the paper").
 package storage
 
 import (

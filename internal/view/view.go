@@ -323,7 +323,8 @@ type RemovedPage struct {
 // action. To keep the mapped prefix dense (scans iterate [0, numPages)),
 // the last mapped page is rewired into the hole first: one mmap plus one
 // munmap, both at page granularity. This compaction is a documented
-// divergence from the paper, which leaves the policy open (DESIGN.md §4).
+// divergence from the paper, which leaves the policy open (README.md,
+// "Departures from the paper").
 func (v *View) RemovePageAt(slot int) (RemovedPage, error) {
 	if v.full {
 		return RemovedPage{}, ErrFullView
