@@ -479,7 +479,8 @@ type RangeQuery = workload.Query
 // from a single seed (n queries each, fixed selectivity sel over
 // [0, domainHi]). Client i's stream never depends on scheduling, so a
 // concurrent run fires exactly the same queries as its serial re-check —
-// the workload behind the `concurrent` asvbench panel.
+// the readers' workload in the `autopilot` and `snapshot` asvbench
+// panels.
 func ConcurrentStreams(seed uint64, clients, n int, domainHi uint64, sel float64) [][]RangeQuery {
 	return workload.ConcurrentClients(seed, clients, n, domainHi, sel)
 }
@@ -490,7 +491,8 @@ type PointUpdate = workload.PointUpdate
 // ConcurrentUpdateStreams derives one deterministic update stream per
 // writer from a single seed (n uniform row overwrites each, values in
 // [valLo, valHi]). Writer i's stream never depends on scheduling or on
-// the writer count — the workload behind the `updates` asvbench panel.
+// the writer count — the writers' workload in the `autopilot` and
+// `snapshot` asvbench panels.
 func ConcurrentUpdateStreams(seed uint64, writers, n, rows int, valLo, valHi uint64) [][]PointUpdate {
 	return workload.ConcurrentUpdaters(seed, writers, n, rows, valLo, valHi)
 }
@@ -771,7 +773,7 @@ func (s *Snapshot) Close() error { return s.snap.Close() }
 //	err := col.CreateViewOpt(lo, hi, asv.Lazy(), asv.Pinned())
 //	err = col.CreateViewOpt(lo, hi, asv.Batch(more...))
 //
-// Without options the views follow the column's Config (LazyViews) and
+// Without options the views follow the column's Config.Create.Lazy and
 // are demotable by the tier lifecycle, exactly like adaptively created
 // views. All views of one call are built in a single column pass and
 // published atomically; on any error nothing is inserted.

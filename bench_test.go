@@ -446,10 +446,11 @@ func BenchmarkQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentClients measures adaptive-engine throughput under N
-// concurrent clients firing deterministic per-client streams at one
-// shared column — the harness `concurrent` panel at bench scale. One
-// iteration = every client completes one query.
+// BenchmarkConcurrentClients measures read throughput of one shared
+// default engine under 1, 2, 4 and 8 concurrent clients, each firing its
+// own deterministic 1%-selectivity stream. One iteration = every client
+// completes one query, so ns/op over queries/op is the cost of a query;
+// it stays flat as clients grow while reads do not contend.
 func BenchmarkConcurrentClients(b *testing.B) {
 	for _, clients := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("clients%d", clients), func(b *testing.B) {
@@ -480,10 +481,12 @@ func BenchmarkConcurrentClients(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentUpdaters measures multi-writer update throughput on
-// the sharded write path against the single-buffer baseline — the
-// harness `updates` panel's write side at bench scale. One iteration =
-// every writer lands one group commit of 64 rows.
+// BenchmarkConcurrentUpdaters measures how fast 1, 2 and 4 concurrent
+// writers append group commits to the pending buffers: one buffer
+// (UpdateShards=1) against GOMAXPROCS page-hashed shards. Nothing is
+// flushed inside the clock, so the rows differ only in buffer
+// contention. One iteration = every writer lands one group commit of 64
+// rows.
 func BenchmarkConcurrentUpdaters(b *testing.B) {
 	const group = 64
 	for _, v := range []struct {

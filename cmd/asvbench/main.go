@@ -7,22 +7,17 @@
 //	asvbench -experiment fig3                 # one experiment, text output
 //	asvbench -experiment all -format tsv      # everything, plot-ready TSV
 //	asvbench -experiment table1 -pages 262144 # larger scale
-//	asvbench -experiment concurrent -json     # machine-readable panel
+//	asvbench -experiment autopilot -json      # machine-readable panel
 //
 // Experiments: fig2, fig3, fig4a-f (d-f run the hotspot, clustered and
 // shifted scenario distributions beyond the paper), fig5a, fig5b, fig6a,
-// fig6b, fig7a, fig7b, table1, concurrent (multi-client throughput,
-// beyond the paper), updates (mixed read/write throughput over the
-// sharded update write path, beyond the paper), autopilot (bounded-
-// latency engine-side write coalescing, beyond the paper), snapshot
-// (reader qps under a forced alignment storm: epoch-routed reads vs
-// pinned snapshots, beyond the paper), manyviews
-// (many-views scaling, beyond the paper), tiered (qps vs hot-tier
-// fraction over the simulated capacity tier, beyond the paper), serve
-// (HTTP scatter-gather throughput and tail latency over tenants x
-// shards, beyond the paper), all. An
-// unknown -experiment name fails with the list of valid names. The
-// default scale is 1/16 of the paper's
+// fig6b, fig7a, fig7b, table1, autopilot (bounded-latency engine-side
+// write coalescing, beyond the paper), snapshot (reader qps under a
+// forced alignment storm: epoch-routed reads vs pinned snapshots, beyond
+// the paper), manyviews (many-views scaling, beyond the paper), tiered
+// (qps vs hot-tier fraction over the simulated capacity tier, beyond the
+// paper), all. An unknown -experiment name fails with the list of valid
+// names. The default scale is 1/16 of the paper's
 // (65,536 pages ≈ 256 MiB per column); -pages 1048576 reproduces the
 // paper's full size if you have the memory and patience. -json emits one
 // JSON object per panel — the diffable shape CI archives as an artifact.
@@ -110,12 +105,6 @@ var experiments = []experiment{
 	{"table1", "accumulated response times (runs fig4a-c, fig5a-b)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunTable1(s))
 	}},
-	{"concurrent", "multi-client throughput vs routing mode (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunConcurrent(s))
-	}},
-	{"updates", "mixed read/write throughput: sharded buffers vs single pending buffer (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunUpdates(s))
-	}},
 	{"autopilot", "autopilot write coalescing: lone vs auto vs batched writes, p50/p99 flush latency (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunAutopilot(s))
 	}},
@@ -127,9 +116,6 @@ var experiments = []experiment{
 	}},
 	{"tiered", "tiered view memory: adaptive qps vs hot-tier fraction at 10x suite page count (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunTiered(s))
-	}},
-	{"serve", "HTTP front end: scatter-gather qps and p50/p99 latency over tenants x shards, with verified graceful drain (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunServe(s))
 	}},
 }
 

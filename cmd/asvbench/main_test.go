@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -79,6 +80,35 @@ func TestExperimentIDsUnique(t *testing.T) {
 		seen[e.id] = true
 		if e.desc == "" || e.run == nil {
 			t.Fatalf("experiment %q incomplete", e.id)
+		}
+	}
+}
+
+// TestDocumentedExperimentsExist keeps the nightly job and the README
+// honest: every `asvbench -experiment <name>` they spell must name a
+// registered experiment (or "all"), so a deleted panel fails here rather
+// than only in the scheduled CI run.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.id] = true
+	}
+	invocation := regexp.MustCompile(`asvbench\s+-experiment[\s=]+([\w,]+)`)
+	for _, path := range []string{"../../.github/workflows/ci.yml", "../../README.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := invocation.FindAllSubmatch(data, -1)
+		if len(matches) == 0 {
+			t.Fatalf("%s: no asvbench -experiment invocation found", path)
+		}
+		for _, m := range matches {
+			for _, name := range strings.Split(string(m[1]), ",") {
+				if !known[name] {
+					t.Errorf("%s: asvbench -experiment %s: no such experiment", path, name)
+				}
+			}
 		}
 	}
 }

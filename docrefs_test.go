@@ -85,3 +85,27 @@ func docExists(root, dir, ref string) bool {
 		dir = filepath.Dir(dir)
 	}
 }
+
+// readmeRef matches a backticked README token, with no spaces, that names
+// a repository file: anything ending in .go, or a path under one of the
+// top-level source directories. Package paths (go/parser, net/http) and
+// URL routes (/t/{tenant}) match neither shape.
+var readmeRef = regexp.MustCompile("`([^`\\s]*\\.go|(?:internal|cmd|examples|bench|\\.github)/[^`\\s]*)`")
+
+// TestReadmeNamesExistingFiles fails when the root README names a file or
+// directory that does not exist. Paths resolve against the module root.
+func TestReadmeNamesExistingFiles(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := readmeRef.FindAllStringSubmatch(string(data), -1)
+	if len(matches) == 0 {
+		t.Fatal("README names no file: the pattern is broken")
+	}
+	for _, m := range matches {
+		if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+			t.Errorf("README names %s, which does not exist", m[1])
+		}
+	}
+}

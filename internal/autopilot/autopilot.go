@@ -198,9 +198,6 @@ type Config struct {
 	// WorkerOverhead is the assumed per-worker startup cost the adaptive
 	// parallelism model amortizes (default 25µs).
 	WorkerOverhead time.Duration
-	// Shards is the intake shard count (0 = GOMAXPROCS); writes hash by
-	// physical page like the engine's pending buffers.
-	Shards int
 	// Clock injects time; nil selects the real clock.
 	Clock Clock
 	// OnFlush, when non-nil, observes every coalesced flush (called from
@@ -281,9 +278,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerOverhead == 0 {
 		c.WorkerOverhead = defaultWorkerOverhead
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -376,9 +370,10 @@ func (m Metrics) AvgCoalesce() float64 {
 	return float64(m.Applied) / float64(m.Flushes)
 }
 
-// intakeShard is one lock-striped intake buffer; writes hash here by
-// physical page, mirroring the engine's pending-buffer sharding so
-// same-row (same-page) writes keep their arrival order.
+// intakeShard is one lock-striped intake buffer. The intake takes
+// GOMAXPROCS shards; writes hash by physical page like the engine's
+// pending buffers, so same-row (same-page) writes keep their arrival
+// order.
 type intakeShard struct {
 	mu sync.Mutex
 	ws []Write
@@ -449,7 +444,7 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 		target:    target,
 		rows:      rows,
 		model:     NewCostModel(cfg.WorkerOverhead),
-		shards:    make([]intakeShard, cfg.Shards),
+		shards:    make([]intakeShard, runtime.GOMAXPROCS(0)),
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		done:      make(chan struct{}),

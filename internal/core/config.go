@@ -102,20 +102,15 @@ type Config struct {
 	// of an existing view replaces it if it indexes at most r more pages.
 	// The paper evaluates with r = 0.
 	ReplaceTolerance int
-	// Create selects the §2.3 view-creation optimizations.
+	// Create selects the §2.3 view-creation optimizations. DefaultConfig
+	// also sets Create.Lazy, which defers view materialization to first
+	// access: creation records which physical page backs each slot and
+	// returns without mapping anything; a slot's demand mmap and soft-TLB
+	// resolution happen on the first query that touches it (see
+	// internal/view/lazy.go). Update alignment and explicit warming still
+	// materialize in full. Clear Create.Lazy to reproduce the eager
+	// creation path.
 	Create view.CreateOptions
-	// LazyViews defers view materialization to first access: creation
-	// records which physical page backs each slot and returns without
-	// mapping anything; a slot's demand mmap and soft-TLB resolution
-	// happen on the first query that touches it (fault-driven
-	// materialization, see internal/view/lazy.go). Creation then costs
-	// the qualification scan plus one virtual reservation regardless of
-	// how many pages qualify, and views that are created but never
-	// queried never map a page. Sets Create.Lazy on every engine-built
-	// view; update alignment and explicit warming still materialize in
-	// full. On by default — set Create explicitly and leave LazyViews
-	// false to reproduce the eager creation path.
-	LazyViews bool
 	// Parallelism is the number of page-sharded workers a single query's
 	// scan uses: 0 scans serially (the paper's single-threaded model), a
 	// positive value selects that many workers, and a negative value
@@ -168,14 +163,16 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration: single-view mode, up to
-// 100 views, zero tolerances, both creation optimizations enabled.
+// 100 views, zero tolerances, both creation optimizations enabled, plus
+// lazy view materialization.
 func DefaultConfig() Config {
+	create := view.AllOptimizations
+	create.Lazy = true
 	return Config{
-		Mode:      SingleView,
-		MaxViews:  100,
-		Create:    view.AllOptimizations,
-		LazyViews: true,
-		Adaptive:  true,
+		Mode:     SingleView,
+		MaxViews: 100,
+		Create:   create,
+		Adaptive: true,
 	}
 }
 

@@ -100,7 +100,7 @@ func TestLazyEagerScanEquivalence(t *testing.T) {
 			}
 			mk := func(lazy bool) *Engine {
 				cfg := syncConfig()
-				cfg.LazyViews = lazy
+				cfg.Create.Lazy = lazy
 				return newEngine(t, testColumn(t, pages, g), cfg)
 			}
 			lazyE, eagerE := mk(true), mk(false)

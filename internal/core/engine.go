@@ -242,9 +242,6 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.LazyViews {
-		cfg.Create.Lazy = true
-	}
 	full, err := view.NewFull(col)
 	if err != nil {
 		return nil, err
@@ -349,8 +346,8 @@ func (e *Engine) ResetStats() { e.stats.reset() }
 //asv:immutable
 type ViewSpec struct {
 	Lo, Hi uint64
-	// Lazy overrides the engine default (Config.LazyViews / Create.Lazy)
-	// for this view when HasLazy is set.
+	// Lazy overrides the engine default (Config.Create.Lazy) for this
+	// view when HasLazy is set.
 	Lazy    bool
 	HasLazy bool
 	// Pinned exempts the view's pages from tier demotion.

@@ -39,7 +39,7 @@ func newEngine(t testing.TB, col *storage.Column, cfg Config) *Engine {
 // syncConfig disables the background mapper for deterministic tests.
 func syncConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Create = view.CreateOptions{Consecutive: true}
+	cfg.Create = view.CreateOptions{Consecutive: true, Lazy: true}
 	return cfg
 }
 

@@ -272,7 +272,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	// Eager creation: the test observes the evicted view's file mappings
 	// disappearing on drain, so its pages must be mapped up front (a lazy
 	// view that is never touched maps nothing and unmapping is a no-op).
-	cfg.LazyViews = false
+	cfg.Create.Lazy = false
 	col := testColumn(t, pages, dist.NewSine(41, 0, ccDomain, 8))
 	eng := newEngine(t, col, cfg)
 
@@ -388,7 +388,7 @@ func TestBarePublicationParksDisplacedFrames(t *testing.T) {
 	const pages = 64
 	col := testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages))
 	cfg := syncConfig()
-	cfg.LazyViews = false
+	cfg.Create.Lazy = false
 	e := newEngine(t, col, cfg)
 	lo, hi := uint64(ccDomain/4), uint64(ccDomain/2)
 	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: lo, Hi: hi, Pinned: true}}); err != nil {

@@ -45,8 +45,8 @@ func autopilotCells() []autopilotCell {
 // calls at one shared engine while reader goroutines fire query streams,
 // sweeping the MaxFlushLatency bound × writer count × reader count. Per
 // row it reports three write paths over identical streams — `lone_upds`
-// (lone synchronous Updates, one flush per write — the degradation the
-// mixed panel exposed), `auto_upds` (lone fire-and-forget Updates
+// (lone synchronous Updates, one flush per write — the degradation a
+// mixed read/write load exposes), `auto_upds` (lone fire-and-forget Updates
 // coalesced by the autopilot under the row's latency bound) and
 // `batch_upds` (caller-side UpdateBatch group commits, the cooperative
 // reference) — plus the autopilot's mean coalesced batch size, its

@@ -39,9 +39,10 @@ type Scale struct {
 	// Fig7Batches are the §3.4 batch sizes (paper: 100 … 1,000,000 in
 	// logarithmic steps).
 	Fig7Batches []int
-	// MixedUpdates is the total update volume of each cell of the mixed
-	// read/write throughput panel (beyond the paper), split across the
-	// cell's writers.
+	// MixedUpdates is the total update volume of each cell of the
+	// autopilot panel (beyond the paper), split across the cell's
+	// writers; the snapshot panel's storm writer cycles a stream of
+	// this length.
 	MixedUpdates int
 	// Progress receives human-readable progress lines (nil = silent).
 	Progress io.Writer

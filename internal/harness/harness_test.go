@@ -248,141 +248,11 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-func TestRunUpdates(t *testing.T) {
-	s := tinyScale()
-	if raceEnabled {
-		// The panel sweeps real-time measurement windows per cell; with
-		// race-slowed flushes a full stream pass dominates. Shorter
-		// streams keep the sweep minutes cheaper without changing what
-		// is exercised.
-		s.MixedUpdates = 200
-	}
-	tbl, err := RunUpdates(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "updates" {
-		t.Fatalf("id = %q", tbl.ID)
-	}
-	wantHeader := []string{"writers", "readers", "batch",
-		"single_upds", "sharded_upds", "aligned_pps", "reader_qps", "reader_drop_pct"}
-	if len(tbl.Header) != len(wantHeader) {
-		t.Fatalf("header %v", tbl.Header)
-	}
-	for i, h := range wantHeader {
-		if tbl.Header[i] != h {
-			t.Fatalf("header[%d] = %q, want %q", i, tbl.Header[i], h)
-		}
-	}
-	if len(tbl.Rows) != len(updatesCells()) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(updatesCells()))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(wantHeader) {
-			t.Fatalf("row %v: %d cells", row, len(row))
-		}
-		readers, err := strconv.Atoi(row[1])
-		if err != nil {
-			t.Fatalf("row %v: bad readers cell", row)
-		}
-		// Both write-path columns and the aligned-pages rate must be
-		// positive in every cell: writers always run, and the narrow
-		// pre-created views guarantee page movement.
-		for _, idx := range []int{3, 4, 5} {
-			v, err := strconv.ParseFloat(row[idx], 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("row %v: bad rate cell %q (col %d)", row, row[idx], idx)
-			}
-		}
-		qps, err := strconv.ParseFloat(row[6], 64)
-		if err != nil {
-			t.Fatalf("row %v: bad qps cell", row)
-		}
-		if readers > 0 && qps <= 0 {
-			t.Fatalf("row %v: readers present but no queries measured", row)
-		}
-		if readers == 0 && qps != 0 {
-			t.Fatalf("row %v: phantom reader throughput", row)
-		}
-		if _, err := strconv.ParseFloat(row[7], 64); err != nil {
-			t.Fatalf("row %v: bad drop cell", row)
-		}
-	}
-}
-
-func TestRunConcurrent(t *testing.T) {
-	s := tinyScale()
-	s.Queries = 24 // split across up to 8 clients
-	tbl, err := RunConcurrent(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "concurrent" {
-		t.Fatalf("id = %q", tbl.ID)
-	}
-	wantCols := len(concurrentModes()) + 1
-	if len(tbl.Header) != wantCols {
-		t.Fatalf("header %v, want %d columns", tbl.Header, wantCols)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want one per client count", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != wantCols {
-			t.Fatalf("row %v: %d cells", row, len(row))
-		}
-		for _, cell := range row[1:] {
-			qps, err := strconv.ParseFloat(cell, 64)
-			if err != nil || qps <= 0 {
-				t.Fatalf("row %v: bad throughput cell %q", row, cell)
-			}
-		}
-	}
-}
-
-func TestRunServe(t *testing.T) {
-	s := tinyScale()
-	s.Pages = 256
-	s.Queries = 24 // split across the 8 closed-loop clients
-	tbl, err := RunServe(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "serve" {
-		t.Fatalf("id = %q", tbl.ID)
-	}
-	want := []string{"tenants", "shards", "serve_qps", "p50_ms", "lat_ms_p99"}
-	if strings.Join(tbl.Header, ",") != strings.Join(want, ",") {
-		t.Fatalf("header %v, want %v", tbl.Header, want)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want one per tenants x shards cell", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(want) {
-			t.Fatalf("row %v: %d cells", row, len(row))
-		}
-		qps, err := strconv.ParseFloat(row[2], 64)
-		if err != nil || qps <= 0 {
-			t.Fatalf("row %v: bad throughput cell %q", row, row[2])
-		}
-		p50, err1 := strconv.ParseFloat(row[3], 64)
-		p99, err2 := strconv.ParseFloat(row[4], 64)
-		if err1 != nil || err2 != nil || p50 < 0 || p99 < p50 {
-			t.Fatalf("row %v: inconsistent latency cells", row)
-		}
-	}
-	if tbl.Telemetry == nil {
-		t.Fatal("serve panel carries no telemetry snapshot")
-	}
-}
-
 func TestRunAutopilot(t *testing.T) {
 	s := tinyScale()
 	if raceEnabled {
-		// Same reasoning as TestRunUpdates: the panel sweeps real-time
-		// windows per cell; race-slowed alignment makes full streams
-		// dominate.
+		// The panel sweeps real-time windows per cell; race-slowed
+		// alignment makes full streams dominate.
 		s.MixedUpdates = 200
 	}
 	tbl, err := RunAutopilot(s)

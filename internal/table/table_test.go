@@ -13,7 +13,7 @@ import (
 
 func syncConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Create = view.CreateOptions{Consecutive: true}
+	cfg.Create = view.CreateOptions{Consecutive: true, Lazy: true}
 	return cfg
 }
 

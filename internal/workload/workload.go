@@ -5,7 +5,6 @@ package workload
 import (
 	"math"
 
-	"github.com/asv-db/asv/internal/dist"
 	"github.com/asv-db/asv/internal/xrand"
 )
 
@@ -91,42 +90,6 @@ func ConcurrentClients(seed uint64, clients, n int, domainHi uint64, sel float64
 		out[i] = FixedSelectivity(xrand.Splitmix64(&s), n, domainHi, sel)
 	}
 	return out
-}
-
-// TenantAssignments maps clients onto tenants with the named skew: the
-// assignment of client i depends only on (seed, tenants, clients, skew),
-// never on execution order, so a concurrent multi-tenant benchmark
-// always drives the same tenant mix. The skew is any dist generator name
-// — "uniform" spreads clients evenly, "zipf" or "hotspot" concentrates
-// them on a few hot tenants, matching how real multi-tenant fleets load
-// a shared front end.
-func TenantAssignments(seed uint64, tenants, clients int, skew string) ([]int, error) {
-	if tenants <= 0 || clients <= 0 {
-		panic("workload: bad tenant assignment parameters")
-	}
-	g, err := dist.ByName(skew, seed, 0, uint64(tenants-1), 1)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]uint64, clients)
-	g.FillPage(0, vals)
-	out := make([]int, clients)
-	for i, v := range vals {
-		out[i] = int(v % uint64(tenants))
-	}
-	return out, nil
-}
-
-// MultiTenantClients extends ConcurrentClients into the closed-loop
-// multi-tenant driver of the serve panel: per-client query streams (the
-// same decorrelated fixed-selectivity shape) plus a skewed client→tenant
-// assignment. Client i fires stream i at tenant assignments[i].
-func MultiTenantClients(seed uint64, tenants, clients, n int, domainHi uint64, sel float64, skew string) (streams [][]Query, assignments []int, err error) {
-	assignments, err = TenantAssignments(seed^0xa5a5a5a5a5a5a5a5, tenants, clients, skew)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ConcurrentClients(seed, clients, n, domainHi, sel), assignments, nil
 }
 
 // PointUpdate describes one row overwrite to be applied.

@@ -184,79 +184,6 @@ func TestConcurrentClientsPanicsOnBadParameters(t *testing.T) {
 	}
 }
 
-func TestTenantAssignments(t *testing.T) {
-	const (
-		tenants = 4
-		clients = 64
-	)
-	a, err := TenantAssignments(11, tenants, clients, "zipf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TenantAssignments(11, tenants, clients, "zipf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != clients {
-		t.Fatalf("assignments = %d", len(a))
-	}
-	counts := make([]int, tenants)
-	for i, v := range a {
-		if v < 0 || v >= tenants {
-			t.Fatalf("client %d assigned to tenant %d (of %d)", i, v, tenants)
-		}
-		if v != b[i] {
-			t.Fatalf("client %d: assignment not deterministic (%d vs %d)", i, v, b[i])
-		}
-		counts[v]++
-	}
-	// A zipf skew concentrates load: some tenant must be clearly hotter
-	// than a uniform split would make it.
-	hottest := 0
-	for _, n := range counts {
-		if n > hottest {
-			hottest = n
-		}
-	}
-	if hottest <= clients/tenants {
-		t.Fatalf("zipf skew produced no hot tenant: counts %v", counts)
-	}
-	if _, err := TenantAssignments(11, tenants, clients, "no-such-skew"); err == nil {
-		t.Fatal("unknown skew name accepted")
-	}
-}
-
-func TestMultiTenantClients(t *testing.T) {
-	const (
-		tenants = 4
-		clients = 8
-		n       = 20
-		domain  = uint64(1_000_000)
-	)
-	streams, assignments, err := MultiTenantClients(42, tenants, clients, n, domain, 0.05, "hotspot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streams) != clients || len(assignments) != clients {
-		t.Fatalf("%d streams, %d assignments, want %d of each", len(streams), len(assignments), clients)
-	}
-	// The query streams are exactly the ConcurrentClients streams: the
-	// tenant dimension adds routing, never different queries.
-	plain := ConcurrentClients(42, clients, n, domain, 0.05)
-	for c := range streams {
-		for i := range streams[c] {
-			if streams[c][i] != plain[c][i] {
-				t.Fatalf("client %d query %d diverged from ConcurrentClients", c, i)
-			}
-		}
-	}
-	for i, v := range assignments {
-		if v < 0 || v >= tenants {
-			t.Fatalf("client %d assigned to tenant %d (of %d)", i, v, tenants)
-		}
-	}
-}
-
 func TestConcurrentUpdatersDeterministic(t *testing.T) {
 	const (
 		writers = 4

@@ -61,7 +61,7 @@ type viewCreateOptions struct {
 }
 
 // Lazy defers the views' materialization to first access regardless of
-// the column's Config.LazyViews: creation records which physical page
+// the column's Config.Create.Lazy: creation records which physical page
 // backs each slot and returns without mapping anything; demand mmap and
 // soft-TLB resolution happen on the first query touching a slot.
 func Lazy() ViewOption {
@@ -69,7 +69,7 @@ func Lazy() ViewOption {
 }
 
 // Eager materializes the views in full at creation regardless of the
-// column's Config.LazyViews — the inverse of Lazy.
+// column's Config.Create.Lazy — the inverse of Lazy.
 func Eager() ViewOption {
 	return func(o *viewCreateOptions) { o.lazy, o.hasLazy = false, true }
 }

@@ -27,7 +27,7 @@ func TestTieredScanEquivalence(t *testing.T) {
 				}
 				defer db.Close()
 				cfg := DefaultConfig()
-				cfg.LazyViews = mode.lazy
+				cfg.Create.Lazy = mode.lazy
 				tiered, err := db.CreateColumn("tiered", pages,
 					WithTiering(cfg, TierConfig{HotFrames: pages / 4, NoStall: true}))
 				if err != nil {
@@ -168,7 +168,7 @@ func TestCreateViewWrapperEquivalence(t *testing.T) {
 	}
 	vs := loose.eng.Views()
 	if !vs[0].Lazy() {
-		t.Fatal("default view not lazy under Config.LazyViews")
+		t.Fatal("default view not lazy under Config.Create.Lazy")
 	}
 	if vs[1].Lazy() {
 		t.Fatal("Eager() view is lazy")
