@@ -28,6 +28,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +39,6 @@ import (
 	"github.com/asv-db/asv/internal/dist"
 	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/storage"
-	"github.com/asv-db/asv/internal/table"
 	"github.com/asv-db/asv/internal/view"
 	"github.com/asv-db/asv/internal/vmsim"
 	"github.com/asv-db/asv/internal/workload"
@@ -141,13 +143,24 @@ func (db *DB) CreateColumn(name string, numPages int, cfg Config) (*Column, erro
 
 // addColumn registers a column whose storage newCol materializes: the
 // duplicate check, the materialization, the engine and the insert all run
-// under the catalog mutex, and a failed engine unwinds the storage.
+// under the catalog mutex.
 func (db *DB) addColumn(name string, cfg Config, newCol func() (*storage.Column, error)) (*Column, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.columns[name]; dup {
 		return nil, fmt.Errorf("asv: column %q already exists", name)
 	}
+	c, err := db.newColumn(name, cfg, newCol)
+	if err != nil {
+		return nil, err
+	}
+	db.columns[name] = c
+	return c, nil
+}
+
+// newColumn builds an unregistered column: the storage newCol
+// materializes plus its engine. A failed engine unwinds the storage.
+func (db *DB) newColumn(name string, cfg Config, newCol func() (*storage.Column, error)) (*Column, error) {
 	sc, err := newCol()
 	if err != nil {
 		return nil, err
@@ -157,9 +170,7 @@ func (db *DB) addColumn(name string, cfg Config, newCol func() (*storage.Column,
 		_ = sc.Close() //asv:ignore-err unwinding failed engine construction; the construction error is returned
 		return nil, err
 	}
-	c := &Column{db: db, col: sc, eng: eng, name: name}
-	db.columns[name] = c
-	return c, nil
+	return &Column{db: db, col: sc, eng: eng, name: name}, nil
 }
 
 // Column returns a previously created column.
@@ -184,8 +195,9 @@ func (db *DB) removeColumn(name string) {
 	db.mu.Unlock()
 }
 
-// Close releases every column and table. Columns already closed directly
-// have deregistered themselves and are not double-closed.
+// Close releases every column, table columns included, and drops every
+// table. Columns already closed directly have deregistered themselves
+// and are not double-closed.
 func (db *DB) Close() error {
 	// Snapshot and clear the catalog under the lock, close outside it:
 	// Column.Close deregisters itself through the same mutex.
@@ -195,21 +207,12 @@ func (db *DB) Close() error {
 		columns = append(columns, c)
 		delete(db.columns, name)
 	}
-	tables := make([]*Table, 0, len(db.tables))
-	for name, t := range db.tables {
-		tables = append(tables, t)
-		delete(db.tables, name)
-	}
+	clear(db.tables)
 	db.mu.Unlock()
 
 	var firstErr error
 	for _, c := range columns {
 		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, t := range tables {
-		if err := t.tbl.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -292,9 +295,10 @@ type ViewInfo struct {
 // A Column is safe for concurrent use: any number of goroutines may call
 // QueryOpt simultaneously, and any number may call Update/UpdateBatch
 // simultaneously (writers append to page-sharded buffers and only
-// serialize per page group). The two groups exclude each other — queries
-// must observe fully aligned views — and FlushUpdates, CreateViewOpt and
-// RebuildViews are exclusive. Columns of one DB are independent —
+// serialize per page group). A query pins the currently published epoch
+// and takes no lock, so writers never stall it; only a query that finds
+// pending writes first flushes them, exclusively, like FlushUpdates,
+// CreateViewOpt and RebuildViews. Columns of one DB are independent —
 // concurrent work on different columns only meets at the simulated
 // kernel, which has its own locks.
 type Column struct {
@@ -375,23 +379,30 @@ func viewInfos(eng *core.Engine) []ViewInfo {
 func (c *Column) Stats() EngineStats { return c.eng.Stats() }
 
 // Close releases the views and the column storage and deregisters the
-// column from the DB catalog, so the name becomes reusable — exactly
-// like Table.Close. Close blocks until every Snapshot taken from the
-// column has been closed. Double-close is a no-op, and a column closed
-// directly is skipped (not double-closed) by a later DB.Close.
+// column from the DB catalog, so the name becomes reusable. Close blocks
+// until every Snapshot taken from the column has been closed.
+// Double-close is a no-op, and a column closed directly is skipped (not
+// double-closed) by a later DB.Close.
 func (c *Column) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
 	c.db.removeColumn(c.name)
-	firstErr := c.eng.Close()
-	if err := c.col.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	firstErr := c.release()
 	if c.closeHook != nil {
 		if err := c.closeHook(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	return firstErr
+}
+
+// release closes the engine, then the storage, and returns the first
+// error.
+func (c *Column) release() error {
+	firstErr := c.eng.Close()
+	if err := c.col.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -498,33 +509,75 @@ func ConcurrentUpdateStreams(seed uint64, writers, n, rows int, valLo, valHi uin
 }
 
 // Predicate is an inclusive range condition on one table column.
-type Predicate = table.Predicate
+type Predicate struct {
+	Column string
+	Lo, Hi uint64
+}
 
-// SelectResult is the outcome of a conjunctive table selection.
-type SelectResult = table.SelectResult
+// String renders the predicate.
+func (p Predicate) String() string {
+	return fmt.Sprintf("%s in [%d, %d]", p.Column, p.Lo, p.Hi)
+}
 
-// Table is a multi-column table; every column carries its own adaptive
-// view layer (the paper's Figure 1).
+// SelectResult reports a conjunctive table selection along with
+// telemetry summed over its predicate scans.
+type SelectResult struct {
+	Rows         *RowSet
+	PagesScanned int // across all predicate scans
+	ViewsUsed    int // across all predicate scans
+}
+
+// Table is a multi-column table, the paper's Figure 1: a name plus its
+// columns in declaration order, each an ordinary catalog Column with its
+// own physical column, full view and partial views. Column n of table t
+// is registered as "t.n", so db.Column("t.n") and t.Column("n") return
+// the same *Column.
 type Table struct {
-	db  *DB
-	tbl *table.Table
+	db   *DB
+	name string
+	cols []*Column
 }
 
 // CreateTable creates a table whose columns each span numPages pages.
-// Safe for concurrent callers, like the rest of the catalog.
+// Safe for concurrent callers, like the rest of the catalog: the
+// duplicate checks, every column's storage and engine, and the
+// registration run under the catalog mutex, and a failure part-way
+// releases the columns already built, so no column, table or frame is
+// left behind.
 func (db *DB) CreateTable(name string, numPages int, columns []string, cfg Config) (*Table, error) {
+	if len(columns) == 0 {
+		return nil, fmt.Errorf("asv: table %q needs at least one column", name)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("asv: table %q already exists", name)
 	}
-	t, err := table.New(db.kernel, db.space, name, numPages, columns, cfg)
-	if err != nil {
-		return nil, err
+	for i, cn := range columns {
+		full := name + "." + cn
+		if _, dup := db.columns[full]; dup || slices.Contains(columns[:i], cn) {
+			return nil, fmt.Errorf("asv: column %q already exists", full)
+		}
 	}
-	wrapped := &Table{db: db, tbl: t}
-	db.tables[name] = wrapped
-	return wrapped, nil
+	t := &Table{db: db, name: name, cols: make([]*Column, 0, len(columns))}
+	for _, cn := range columns {
+		full := name + "." + cn
+		c, err := db.newColumn(full, cfg, func() (*storage.Column, error) {
+			return storage.NewColumn(db.kernel, db.space, full, numPages)
+		})
+		if err != nil {
+			for _, built := range t.cols {
+				_ = built.release() //asv:ignore-err unwinding partial table construction; the construction error is returned
+			}
+			return nil, err
+		}
+		t.cols = append(t.cols, c)
+	}
+	for _, c := range t.cols {
+		db.columns[c.name] = c
+	}
+	db.tables[name] = t
+	return t, nil
 }
 
 // Table returns a previously created table.
@@ -536,60 +589,126 @@ func (db *DB) Table(name string) (*Table, bool) {
 }
 
 // Name returns the table name.
-func (t *Table) Name() string { return t.tbl.Name() }
+func (t *Table) Name() string { return t.name }
 
-// Columns returns the column names.
-func (t *Table) Columns() []string { return t.tbl.Columns() }
-
-// Rows returns the row count.
-func (t *Table) Rows() int { return t.tbl.Rows() }
-
-// FillColumn populates one column from a generator.
-func (t *Table) FillColumn(column string, g Generator) error {
-	eng, err := t.tbl.Engine(column)
-	if err != nil {
-		return err
+// Columns returns the column names in declaration order.
+func (t *Table) Columns() []string {
+	names := make([]string, len(t.cols))
+	for i, c := range t.cols {
+		names[i] = strings.TrimPrefix(c.name, t.name+".")
 	}
-	return eng.Column().Fill(g)
+	return names
 }
 
-// Select answers the conjunction (AND) of the predicates, adapting each
-// involved column's views as a side product.
+// Column returns the named column of the table.
+func (t *Table) Column(name string) (*Column, bool) {
+	full := t.name + "." + name
+	for _, c := range t.cols {
+		if c.name == full {
+			return c, true
+		}
+	}
+	return nil, false
+}
+
+// Rows returns the row count (identical across columns).
+func (t *Table) Rows() int { return t.cols[0].Rows() }
+
+// Select answers the conjunction (logical AND) of the predicates and
+// returns the qualifying row set. Duplicate predicates on the same column
+// are intersected like any others.
+//
+// Every involved column is pinned to a snapshot at one catalog instant
+// before the first scan: all predicate evaluations — including several
+// predicates on the same column — observe a single consistent epoch per
+// column, unmoved by concurrent writers or maintenance. Pinning flushes
+// each column's pending updates first, so the snapshot reflects every
+// write applied before the Select. Predicates are evaluated one column at
+// a time with early exit once the intersection is empty; each evaluation
+// still adapts that column's view set as a side product (candidates built
+// from the pinned epoch are discarded if alignment ran since).
 func (t *Table) Select(preds ...Predicate) (*SelectResult, error) {
-	return t.tbl.Select(preds)
-}
-
-// Count returns the number of rows matching the conjunction.
-func (t *Table) Count(preds ...Predicate) (int, error) { return t.tbl.Count(preds) }
-
-// Get materializes the named column values of one row.
-func (t *Table) Get(row int, columns ...string) ([]uint64, error) {
-	return t.tbl.Get(row, columns)
-}
-
-// Update overwrites one value (buffered; queries auto-flush).
-func (t *Table) Update(column string, row int, value uint64) error {
-	return t.tbl.Update(column, row, value)
-}
-
-// FlushUpdates realigns the views of every column.
-func (t *Table) FlushUpdates() error { return t.tbl.FlushUpdates() }
-
-// ColumnViews lists the partial views of one column.
-func (t *Table) ColumnViews(column string) ([]ViewInfo, error) {
-	eng, err := t.tbl.Engine(column)
-	if err != nil {
-		return nil, err
+	if len(preds) == 0 {
+		return nil, fmt.Errorf("asv: table %q: empty predicate list", t.name)
 	}
-	return viewInfos(eng), nil
+	// Validate all columns up front so errors do not depend on evaluation
+	// order.
+	for _, p := range preds {
+		if _, ok := t.Column(p.Column); !ok {
+			return nil, fmt.Errorf("asv: table %q has no column %q", t.name, p.Column)
+		}
+	}
+	// Pin the involved columns at one instant, in declaration order for
+	// determinism.
+	snaps := make(map[string]*core.Snapshot)
+	defer func() {
+		for _, s := range snaps {
+			_ = s.Close() //asv:ignore-err Snapshot.Close never returns an error
+		}
+	}()
+	for i, cn := range t.Columns() {
+		if !slices.ContainsFunc(preds, func(p Predicate) bool { return p.Column == cn }) {
+			continue
+		}
+		s, err := t.cols[i].eng.Snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("asv: pinning %s: %w", cn, err)
+		}
+		snaps[cn] = s
+	}
+	// Evaluate narrower predicates first: their row sets are (heuristically)
+	// smaller, making the early exit more likely. Stable order keeps
+	// results deterministic.
+	ordered := slices.Clone(preds)
+	sort.SliceStable(ordered, func(i, j int) bool {
+		return ordered[i].Hi-ordered[i].Lo < ordered[j].Hi-ordered[j].Lo
+	})
+
+	out := &SelectResult{}
+	for _, p := range ordered {
+		ans, err := snaps[p.Column].QueryOptAdapt(p.Lo, p.Hi, core.QueryOptions{CollectRows: true})
+		if err != nil {
+			return nil, fmt.Errorf("asv: predicate %s: %w", p, err)
+		}
+		out.PagesScanned += ans.PagesScanned
+		out.ViewsUsed += ans.ViewsUsed
+		if out.Rows == nil {
+			out.Rows = ans.Rows
+		} else {
+			out.Rows.Intersect(ans.Rows)
+		}
+		if out.Rows.Len() == 0 {
+			break
+		}
+	}
+	return out, nil
 }
 
-// Close releases the table's columns and views.
+// FlushUpdates realigns the views of every column with its pending batch.
+func (t *Table) FlushUpdates() error {
+	for _, c := range t.cols {
+		if _, err := c.FlushUpdates(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close deregisters the table and closes its columns, each exactly like
+// Column.Close. Double-close is a no-op.
 func (t *Table) Close() error {
 	t.db.mu.Lock()
-	delete(t.db.tables, t.tbl.Name())
+	if t.db.tables[t.name] == t {
+		delete(t.db.tables, t.name)
+	}
 	t.db.mu.Unlock()
-	return t.tbl.Close()
+	var firstErr error
+	for _, c := range t.cols {
+		if err := c.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // AutopilotMetrics is a snapshot of an autopilot's cumulative counters.

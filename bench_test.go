@@ -329,9 +329,9 @@ func BenchmarkFig6b_CreateSine(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 7: update performance vs batch size. One iteration = aligning
-// five 1/1024-wide views with a batch (setup untimed), plus a sub-bench
-// for the rebuild alternative.
+// Figure 7: update performance vs batch size. One iteration = flushing a
+// buffered batch into five 1/1024-wide views (setup and the writes
+// untimed), plus a sub-bench for the rebuild alternative.
 
 func benchFig7(b *testing.B, distName string, batch int, rebuild bool) {
 	var mkGen func() dist.Generator
@@ -358,13 +358,12 @@ func benchFig7(b *testing.B, distName string, batch int, rebuild bool) {
 			}
 		}
 		ups := workload.UniformUpdates(uint64(batch), batch, col.Rows(), 0, math.MaxUint64)
-		batchUpdates := make([]core.Update, 0, len(ups))
-		for _, u := range ups {
-			old, err := col.SetValue(u.Row, u.Value)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batchUpdates = append(batchUpdates, core.Update{Row: u.Row, Old: old, New: u.Value})
+		writes := make([]core.RowWrite, len(ups))
+		for j, u := range ups {
+			writes[j] = core.RowWrite{Row: u.Row, Value: u.Value}
+		}
+		if err := eng.UpdateBatch(writes); err != nil {
+			b.Fatal(err)
 		}
 		b.StartTimer()
 
@@ -373,7 +372,7 @@ func benchFig7(b *testing.B, distName string, batch int, rebuild bool) {
 				b.Fatal(err)
 			}
 		} else {
-			if _, err := eng.AlignViews(batchUpdates); err != nil {
+			if _, err := eng.FlushUpdates(); err != nil {
 				b.Fatal(err)
 			}
 		}

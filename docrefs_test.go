@@ -1,6 +1,7 @@
 package asv_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -108,4 +109,31 @@ func TestReadmeNamesExistingFiles(t *testing.T) {
 			t.Errorf("README names %s, which does not exist", m[1])
 		}
 	}
+}
+
+// facadeExportBudget caps the exported funcs and methods of the public
+// facade. Lower it whenever the facade shrinks; raising it means the
+// change adds surface and must say which it replaces.
+const facadeExportBudget = 68
+
+// TestFacadeExports fails when asv.go and options.go together declare
+// more exported funcs and methods than facadeExportBudget.
+func TestFacadeExports(t *testing.T) {
+	fset := token.NewFileSet()
+	n := 0
+	for _, file := range []string{"asv.go", "options.go"} {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				n++
+			}
+		}
+	}
+	if n > facadeExportBudget {
+		t.Fatalf("the facade exports %d funcs and methods, over its budget of %d", n, facadeExportBudget)
+	}
+	t.Logf("the facade exports %d of %d budgeted funcs and methods", n, facadeExportBudget)
 }

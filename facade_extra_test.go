@@ -100,14 +100,25 @@ func TestTableFacade(t *testing.T) {
 	if got, ok := db.Table("trips"); !ok || got != tbl {
 		t.Fatal("table lookup failed")
 	}
-	if err := tbl.FillColumn("distance_m", asv.Uniform(1, 0, 50_000)); err != nil {
+	dist, ok := tbl.Column("distance_m")
+	if !ok {
+		t.Fatal("table column distance_m missing")
+	}
+	fare, ok := tbl.Column("fare_cents")
+	if !ok {
+		t.Fatal("table column fare_cents missing")
+	}
+	if got, ok := db.Column("trips.fare_cents"); !ok || got != fare {
+		t.Fatal("table column not registered as trips.fare_cents")
+	}
+	if err := dist.Fill(asv.Uniform(1, 0, 50_000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.FillColumn("fare_cents", asv.Uniform(2, 100, 10_000)); err != nil {
+	if err := fare.Fill(asv.Uniform(2, 100, 10_000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.FillColumn("nope", asv.Uniform(1, 0, 1)); err == nil {
-		t.Fatal("fill of phantom column accepted")
+	if _, ok := tbl.Column("nope"); ok {
+		t.Fatal("phantom column found")
 	}
 
 	res, err := tbl.Select(
@@ -119,39 +130,36 @@ func TestTableFacade(t *testing.T) {
 	}
 	// Verify the conjunction row by row.
 	res.Rows.ForEach(func(r int) bool {
-		vals, err := tbl.Get(r, "distance_m", "fare_cents")
+		d, err := dist.Value(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vals[0] < 10_000 || vals[0] > 20_000 || vals[1] < 1_000 || vals[1] > 5_000 {
-			t.Fatalf("row %d violates predicates: %v", r, vals)
+		f, err := fare.Value(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d < 10_000 || d > 20_000 || f < 1_000 || f > 5_000 {
+			t.Fatalf("row %d violates predicates: %d, %d", r, d, f)
 		}
 		return true
 	})
-	n, err := tbl.Count(asv.Predicate{Column: "distance_m", Lo: 0, Hi: 50_000})
+	all, err := tbl.Select(asv.Predicate{Column: "distance_m", Lo: 0, Hi: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != tbl.Rows() {
-		t.Fatalf("Count over full domain = %d, want %d", n, tbl.Rows())
+	if n := all.Rows.Len(); n != tbl.Rows() {
+		t.Fatalf("Select over full domain = %d rows, want %d", n, tbl.Rows())
 	}
 
-	// Update flows through and views report per column.
-	if err := tbl.Update("fare_cents", 7, 4_242); err != nil {
+	// A column update flows through the table's flush.
+	if err := fare.Update(7, 4_242); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.FlushUpdates(); err != nil {
 		t.Fatal(err)
 	}
-	vals, _ := tbl.Get(7, "fare_cents")
-	if vals[0] != 4_242 {
-		t.Fatalf("updated fare = %d", vals[0])
-	}
-	if _, err := tbl.ColumnViews("fare_cents"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.ColumnViews("nope"); err == nil {
-		t.Fatal("views of phantom column accepted")
+	if v, _ := fare.Value(7); v != 4_242 {
+		t.Fatalf("updated fare = %d", v)
 	}
 
 	if err := tbl.Close(); err != nil {
@@ -159,6 +167,9 @@ func TestTableFacade(t *testing.T) {
 	}
 	if _, ok := db.Table("trips"); ok {
 		t.Fatal("table still registered after Close")
+	}
+	if _, ok := db.Column("trips.fare_cents"); ok {
+		t.Fatal("table column still registered after Close")
 	}
 }
 

@@ -195,9 +195,6 @@ type Config struct {
 	// also the pressure scale that accelerates cold-view eviction:
 	// occupancy at TierHighWater halves the effective ColdTicks.
 	TierLowWater float64
-	// WorkerOverhead is the assumed per-worker startup cost the adaptive
-	// parallelism model amortizes (default 25µs).
-	WorkerOverhead time.Duration
 	// Clock injects time; nil selects the real clock.
 	Clock Clock
 	// OnFlush, when non-nil, observes every coalesced flush (called from
@@ -275,9 +272,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TierLowWater == 0 {
 		c.TierLowWater = defaultTierLowWater
-	}
-	if c.WorkerOverhead == 0 {
-		c.WorkerOverhead = defaultWorkerOverhead
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -443,7 +437,7 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 		clock:     cfg.Clock,
 		target:    target,
 		rows:      rows,
-		model:     NewCostModel(cfg.WorkerOverhead),
+		model:     NewCostModel(defaultWorkerOverhead),
 		shards:    make([]intakeShard, runtime.GOMAXPROCS(0)),
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),

@@ -41,7 +41,7 @@ type CostModel struct {
 	// view against one dirty page (ns).
 	alignNsPerUnit float64
 	// overheadNs is the assumed per-worker startup cost (goroutine spawn
-	// plus join barrier), from Config.WorkerOverhead.
+	// plus join barrier).
 	overheadNs float64
 }
 

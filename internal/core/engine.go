@@ -31,7 +31,7 @@ import (
 // temperature and demotion sweeps) hold it shared; writers then
 // serialize only per pending-buffer shard, and the column's copy-on-write
 // shadows first-writes per epoch so pinned readers keep frozen pages.
-// Every operation that mutates view state (FlushUpdates/AlignViews,
+// Every operation that mutates view state (FlushUpdates,
 // CreateViewsOpt, RebuildViews, Close, the autopilot's lifecycle duties)
 // holds it exclusively, builds a successor state, and swaps it in. A
 // query that grows the view set builds its candidate entirely from
@@ -145,7 +145,7 @@ func (l *engineLock) Lock() { l.rw.Lock() }
 //asv:releases=exclusive
 func (l *engineLock) Unlock() { l.rw.Unlock() }
 
-// Stats accumulates engine activity since creation (or ResetStats).
+// Stats accumulates engine activity since creation.
 type Stats struct {
 	Queries         uint64 // total queries answered
 	FullViewQueries uint64 // queries whose routing included the full view
@@ -155,7 +155,7 @@ type Stats struct {
 	ViewsDiscarded  uint64 // candidates discarded (retention rules or stale publication)
 	ViewsEvicted    uint64 // LRU evictions under the EvictLRU limit policy
 	UpdatesBuffered uint64 // updates accepted via Update
-	UpdateBatches   uint64 // FlushUpdates / AlignViews invocations
+	UpdateBatches   uint64 // non-empty FlushUpdates invocations
 	PagesAdded      uint64 // view pages added by update alignment
 	PagesRemoved    uint64 // view pages removed by update alignment
 	ViewsExpired    uint64 // cold views evicted by the autopilot lifecycle
@@ -214,27 +214,6 @@ func (s *engineStats) snapshot() Stats {
 		PublishErrors:       s.publishErrors.Load(),
 		RetireErrors:        s.retireErrors.Load(),
 	}
-}
-
-func (s *engineStats) reset() {
-	s.queries.Store(0)
-	s.fullViewQueries.Store(0)
-	s.pagesScanned.Store(0)
-	s.viewsCreated.Store(0)
-	s.viewsReplaced.Store(0)
-	s.viewsDiscarded.Store(0)
-	s.viewsEvicted.Store(0)
-	s.updatesBuffered.Store(0)
-	s.updateBatches.Store(0)
-	s.pagesAdded.Store(0)
-	s.pagesRemoved.Store(0)
-	s.viewsExpired.Store(0)
-	s.viewsRebuilt.Store(0)
-	s.publishes.Store(0)
-	s.publishNanos.Store(0)
-	s.publishAttemptNanos.Store(0)
-	s.publishErrors.Store(0)
-	s.retireErrors.Store(0)
 }
 
 // NewEngine wraps a filled column in an adaptive storage layer.
@@ -334,9 +313,6 @@ func (e *Engine) Views() []*view.View {
 
 // Stats returns a snapshot of the cumulative counters.
 func (e *Engine) Stats() Stats { return e.stats.snapshot() }
-
-// ResetStats zeroes the cumulative counters.
-func (e *Engine) ResetStats() { e.stats.reset() }
 
 // ViewSpec is one view request of the options-based creation surface:
 // the covered range plus the per-view overrides the facade's ViewOption

@@ -213,21 +213,14 @@ func (e *Engine) flushLocked() (UpdateStats, error) {
 	return e.alignLocked(e.takePendingLocked())
 }
 
-// AlignViews realigns every partial view with an update batch whose writes
+// alignLocked realigns every partial view with an update batch whose writes
 // have already been applied to the column. It implements §2.4 end to end:
 // last-write-per-row squashing, grouping by physical page, one maps-file
 // parse into a bimap (§2.5), and the per-page add/keep/remove decision for
-// each view. Alignment rewires view pages in place, so it holds the
-// engine lock exclusively for the whole batch.
-func (e *Engine) AlignViews(batch []Update) (UpdateStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.alignLocked(batch)
-}
-
-// alignLocked is the AlignViews body; the caller holds the engine lock
-// exclusively. Empty batches return immediately and are not counted as update
-// batches — a no-op FlushUpdates must not skew per-batch averages.
+// each view. Alignment rewires view pages in place, so the caller holds the
+// engine lock exclusively for the whole batch. Empty batches return
+// immediately and are not counted as update batches — a no-op FlushUpdates
+// must not skew per-batch averages.
 //
 //asv:locked=exclusive
 func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {

@@ -315,18 +315,17 @@ func TestUpdateStatsDurationsPopulated(t *testing.T) {
 }
 
 func TestAlignViewsDirectBatch(t *testing.T) {
-	// AlignViews can be driven with an externally-applied batch.
+	// One buffered write, flushed, adds its page to the covering view.
 	col := testColumn(t, 32, dist.NewUniform(1, 1000, 2000))
 	e := newEngine(t, col, syncConfig())
 	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 500, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
 	row := 4 * storage.ValuesPerPage
-	old, err := col.SetValue(row, 42)
-	if err != nil {
+	if err := e.Update(row, 42); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.AlignViews([]Update{{Row: row, Old: old, New: 42}})
+	st, err := e.FlushUpdates()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,8 +373,7 @@ func TestUpdateBatchMatchesUpdates(t *testing.T) {
 }
 
 // TestEmptyFlushNotCounted pins the UpdateBatches counter fix: no-op
-// flushes (and empty AlignViews calls) must not count as update batches,
-// or per-batch averages skew.
+// flushes must not count as update batches, or per-batch averages skew.
 func TestEmptyFlushNotCounted(t *testing.T) {
 	col := testColumn(t, 16, dist.NewUniform(1, 0, 1000))
 	e := newEngine(t, col, syncConfig())
@@ -383,12 +382,6 @@ func TestEmptyFlushNotCounted(t *testing.T) {
 	}
 	if got := e.Stats().UpdateBatches; got != 0 {
 		t.Fatalf("empty flush counted: UpdateBatches = %d", got)
-	}
-	if _, err := e.AlignViews(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().UpdateBatches; got != 0 {
-		t.Fatalf("empty AlignViews counted: UpdateBatches = %d", got)
 	}
 	if err := e.Update(3, 7); err != nil {
 		t.Fatal(err)

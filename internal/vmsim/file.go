@@ -59,6 +59,9 @@ func (k *Kernel) CreateFile(name string, pages int) (*File, error) {
 	k.mu.Unlock()
 
 	if err := f.Truncate(pages); err != nil {
+		// Give back the frames allocated before the failure; the file is
+		// unmapped, so shrinking it to zero cannot fail.
+		_ = f.Truncate(0) //asv:ignore-err an unmapped file always shrinks; the allocation error is returned
 		k.mu.Lock()
 		delete(k.files, name)
 		k.mu.Unlock()
