@@ -824,7 +824,7 @@ type QueryAnswer = core.Answer
 // QueryOpt answers the inclusive range query [lo, hi] according to the
 // options, adapting the view set as a side product:
 //
-//	ans, err := col.QueryOpt(lo, hi, asv.Rows(), asv.Aggregate(), asv.Workers(4))
+//	ans, err := col.QueryOpt(lo, hi, asv.Rows(), asv.Aggregate())
 //	// ans.Count, ans.PagesScanned, ans.Rows, ans.Agg
 //
 // Reads are epoch-routed and lock-free: the query pins the currently

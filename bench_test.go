@@ -399,51 +399,8 @@ func BenchmarkFig7b_UpdateSine(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency (beyond the paper): intra-query parallel scan kernels and
-// multi-client throughput. On a single-core runner the parallel variants
-// fall back to (and must not regress against) the serial path; on
-// multi-core CI the serial-vs-parallel delta is the speedup the
-// Parallelism knob buys.
-
-// BenchmarkQueryParallel measures one full-column range scan through the
-// engine, serial vs page-sharded workers. The query range is chosen so no
-// partial view can cover it (every iteration pays a full scan), isolating
-// the kernel cost.
-func BenchmarkQueryParallel(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"workers2", 2},
-		{"gomaxprocs", -1},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			col := benchColumn(b, benchPages, dist.NewUniform(42, 0, benchDomain))
-			// Thread the worker count through Config.Parallelism: its zero
-			// value is the true serial loop (the Workers option would remap
-			// workers<=0 to GOMAXPROCS and erase the baseline).
-			cfg := core.BaselineConfig()
-			cfg.Parallelism = v.workers
-			eng, err := core.NewEngine(col, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.SetBytes(int64(benchPages) * storage.PageSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.QueryOpt(0, benchDomain/2, core.QueryOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.PagesScanned != benchPages {
-					b.Fatalf("scanned %d pages", res.PagesScanned)
-				}
-			}
-		})
-	}
-}
+// Concurrency (beyond the paper): concurrent clients, writers and the
+// autopilot's intake on one shared engine.
 
 // BenchmarkConcurrentClients measures read throughput of one shared
 // default engine under 1, 2, 4 and 8 concurrent clients, each firing its

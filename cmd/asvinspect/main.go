@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	asvinspect [-pages 2048] [-queries 40] [-dist sine] [-mode single|multi] [-scanworkers -1]
+//	asvinspect [-pages 2048] [-queries 40] [-dist sine] [-mode single|multi]
 //	asvinspect -autopilot            # fire-and-forget updates + lifecycle telemetry
 //	asvinspect -snapshot             # pin an epoch, mutate the column, show repeatable reads
 //	asvinspect -trace                # run one traced probe query and print its span tree
@@ -41,7 +41,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		showMaps = flag.Bool("maps", true, "print the rendered maps file")
 		parallel = flag.Bool("parallel", true, "fill the column with page-sharded workers")
-		scanWork = flag.Int("scanworkers", 0, "page-sharded scan workers per query (0 = serial, <0 = GOMAXPROCS)")
 		autoPlt  = flag.Bool("autopilot", false, "enable the background maintenance subsystem: interleave fire-and-forget updates with the queries and dump coalescing/lifecycle telemetry")
 		snapDemo = flag.Bool("snapshot", false, "after the query sequence, pin an epoch snapshot, overwrite rows and flush, and show the pinned reads staying repeatable while live reads move")
 		tierDemo = flag.Bool("tiers", false, "attach a simulated capacity tier (hot budget = half the pages), demote the whole column after the queries, re-run a probe and dump per-tier occupancy")
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	o := obsFlags{trace: *traceQ, events: *events, metrics: *metrics, metricsOut: *metOut}
-	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *parallel, *scanWork, *autoPlt, *snapDemo, *tierDemo, o); err != nil {
+	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *parallel, *autoPlt, *snapDemo, *tierDemo, o); err != nil {
 		fmt.Fprintln(os.Stderr, "asvinspect:", err)
 		os.Exit(1)
 	}
@@ -77,7 +76,7 @@ type obsFlags struct {
 	metricsOut string
 }
 
-func run(pages, queries int, distName, mode string, seed uint64, showMaps, parallel bool, scanWorkers int, autoPilot, snapDemo, tierDemo bool, o obsFlags) error {
+func run(pages, queries int, distName, mode string, seed uint64, showMaps, parallel bool, autoPilot, snapDemo, tierDemo bool, o obsFlags) error {
 	const domain = 100_000_000
 
 	kern := vmsim.NewKernel(0)
@@ -103,7 +102,6 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 	fillDur := time.Since(t0)
 
 	cfg := core.DefaultConfig()
-	cfg.Parallelism = scanWorkers
 	if mode == "multi" {
 		cfg.Mode = core.MultiView
 	} else if mode != "single" {
@@ -128,14 +126,8 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 	if parallel {
 		fill = "parallel"
 	}
-	scan := "serial scans"
-	if scanWorkers < 0 {
-		scan = "GOMAXPROCS-sharded scans"
-	} else if scanWorkers > 1 {
-		scan = fmt.Sprintf("%d-way sharded scans", scanWorkers)
-	}
-	fmt.Printf("column: %d pages (%d rows), %s distribution over [0, %d], %s fill in %s, %s\n",
-		col.NumPages(), col.Rows(), distName, domain, fill, fillDur.Round(time.Microsecond), scan)
+	fmt.Printf("column: %d pages (%d rows), %s distribution over [0, %d], %s fill in %s\n",
+		col.NumPages(), col.Rows(), distName, domain, fill, fillDur.Round(time.Microsecond))
 
 	qs := workload.SelectivitySweep(seed, queries, domain, domain/2, domain/1000)
 	rng := xrand.New(seed + 99)
@@ -203,8 +195,8 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 			time.Duration(h.Quantile(0.99)).Round(time.Microsecond), h.Count)
 		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
 			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
-		fmt.Printf("  cost model: %.0f ns/page scans, %.1f ns/unit alignment\n",
-			p.Model().ScanNsPerPage(), p.Model().AlignNsPerUnit())
+		fmt.Printf("  cost model: %.0f ns/page scans, %.2fx slowdown\n",
+			p.Model().ScanNsPerPage(), p.Model().ScanSlowdown())
 		fmt.Printf("  view temperatures (LRU clock %d):\n", clock)
 		for i, tp := range eng.ViewSet().Temperatures() {
 			fmt.Printf("    view %2d: last used tick %d, %d hits\n", i, tp.LastUsed, tp.Uses)

@@ -2,8 +2,7 @@
 // serving concurrent readers while writers fire lone, fire-and-forget
 // Updates at it — no caller-side batching, no explicit flushes. The
 // autopilot coalesces the writes into group commits under a 5ms latency
-// bound, picks scan/alignment fan-out from its learned cost model, and
-// runs a temperature-driven view lifecycle (cold views evicted,
+// bound and runs a temperature-driven view lifecycle (cold views evicted,
 // fragmented ones rebuilt, hot soft-TLBs pre-warmed). The example
 // contrasts the same write volume pushed through a plain column with
 // synchronous lone Updates.

@@ -5,8 +5,7 @@
 // set as they go; a writer thread interleaves update bursts that take the
 // write lock and realign the views. At the end, every client's answers
 // are re-checked against a serial scan — concurrency must never change a
-// result. Also demos the Workers option: intra-query page-sharded
-// scanning.
+// result.
 package main
 
 import (
@@ -111,24 +110,4 @@ func main() {
 		}
 	}
 	fmt.Printf("serial re-check: %d answers, %d reflect interleaved updates\n", checked, drifted)
-
-	// Intra-query parallelism: one big scan, sharded across cores.
-	t0 := time.Now()
-	serial, err := col.QueryOpt(0, domain/2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dSerial := time.Since(t0)
-	t1 := time.Now()
-	parallel, err := col.QueryOpt(0, domain/2, asv.Workers(-1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	dParallel := time.Since(t1)
-	if serial.Count != parallel.Count || serial.Sum != parallel.Sum {
-		log.Fatalf("parallel scan drifted: (%d,%d) != (%d,%d)",
-			parallel.Count, parallel.Sum, serial.Count, serial.Sum)
-	}
-	fmt.Printf("half-domain scan: serial %s, parallel %s — identical answer (%d rows)\n",
-		dSerial.Round(time.Microsecond), dParallel.Round(time.Microsecond), serial.Count)
 }

@@ -5,7 +5,7 @@
 // VM machinery, daemon-driven page migration in tiered-memory buffer
 // managers) keep their foreground paths hot.
 //
-// The pilot has three coordinated duties:
+// The pilot has two coordinated duties:
 //
 //  1. Bounded-latency write coalescing: Update calls enqueue into sharded
 //     intake buffers and return immediately; the pilot applies and aligns
@@ -13,11 +13,7 @@
 //     CoalesceBytes is reached or a MaxFlushLatency deadline expires —
 //     lone writes under concurrent readers become group commits without
 //     caller-side UpdateBatch.
-//  2. Adaptive parallelism: an EWMA cost model (CostModel) learns scan
-//     and alignment throughput and picks a per-operation worker count
-//     from routed-page and dirty-page counts, replacing the static
-//     Parallelism fan-out.
-//  3. Temperature-driven view lifecycle: on every maintenance tick the
+//  2. Temperature-driven view lifecycle: on every maintenance tick the
 //     pilot reads per-view access recency/frequency (exported by viewset
 //     from its LRU clock), evicts cold partial views, rebuilds
 //     fragmented ones, and pre-warms soft-TLBs — each action in its own
@@ -51,7 +47,6 @@ const (
 	defaultRebuildFrag     = 0.5
 	defaultMinRebuildPages = 16
 	defaultWarmHottest     = 2
-	defaultWorkerOverhead  = 25 * time.Microsecond
 	defaultTierHighWater   = 0.9
 	defaultTierLowWater    = 0.7
 	// tierSlowdownGate is the measured scan slowdown (CostModel, relative
@@ -437,7 +432,7 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 		clock:     cfg.Clock,
 		target:    target,
 		rows:      rows,
-		model:     NewCostModel(defaultWorkerOverhead),
+		model:     new(CostModel),
 		shards:    make([]intakeShard, runtime.GOMAXPROCS(0)),
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
@@ -455,8 +450,8 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 	return p, nil
 }
 
-// Model returns the pilot's adaptive-parallelism cost model; the engine
-// consults it on the scan and alignment paths.
+// Model returns the pilot's scan-cost model; the engine feeds it every
+// query scan, and maintain reads its slowdown.
 func (p *Pilot) Model() *CostModel { return p.model }
 
 // Queued returns the number of accepted-but-unapplied writes.

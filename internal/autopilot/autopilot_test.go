@@ -391,53 +391,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestCostModelScanWorkers(t *testing.T) {
-	m := NewCostModel(25 * time.Microsecond)
-	// Cold model defers to the static knob.
-	if got := m.ScanWorkers(10000, 8, 64); got != 8 {
-		t.Fatalf("cold model: %d workers, want 8", got)
+// TestCostModelScanSlowdown pins the signal the tier feedback reads: the
+// slowdown is 1 before any sample and while scans run at the best cost
+// seen, and rises above 1 once scans get slower than that floor.
+func TestCostModelScanSlowdown(t *testing.T) {
+	m := new(CostModel)
+	if got := m.ScanSlowdown(); got != 1 {
+		t.Fatalf("cold model: slowdown %g, want 1", got)
 	}
-	// Below the sharding threshold scans stay serial regardless.
-	if got := m.ScanWorkers(32, 8, 64); got != 1 {
-		t.Fatalf("small scan: %d workers, want 1", got)
-	}
-	// Teach it ~1µs/page: a 64-page scan is not worth 8 workers, a
-	// 100k-page scan is.
+	// ~1µs/page, steady: the smoothed cost sits at its own floor.
 	for i := 0; i < 10; i++ {
-		m.ObserveScan(4096, 1, 4096*time.Microsecond)
+		m.ObserveScan(4096, 4096*time.Microsecond)
 	}
 	if pp := m.ScanNsPerPage(); pp < 900 || pp > 1100 {
 		t.Fatalf("scanNsPerPage %g, want ~1000", pp)
 	}
-	small := m.ScanWorkers(64, 8, 64)
-	big := m.ScanWorkers(100_000, 8, 64)
-	if small >= big {
-		t.Fatalf("workers(64)=%d not below workers(100k)=%d", small, big)
+	if got := m.ScanSlowdown(); got != 1 {
+		t.Fatalf("at the floor: slowdown %g, want 1", got)
 	}
-	if big != 8 {
-		t.Fatalf("big scan workers %d, want cap 8", big)
-	}
-	if small > 2 {
-		t.Fatalf("64-page scan got %d workers, want <= 2", small)
-	}
-}
-
-func TestCostModelAlignWorkers(t *testing.T) {
-	m := NewCostModel(25 * time.Microsecond)
-	if got := m.AlignWorkers(4, 100, 8); got != 4 {
-		t.Fatalf("cold model: %d workers, want min(views, max)=4", got)
-	}
-	// ~2µs per view×dirty-page unit.
+	// Scans now take twice as long: the slowdown climbs toward 2.
 	for i := 0; i < 10; i++ {
-		m.ObserveAlign(4, 100, 1, 800*time.Microsecond)
+		m.ObserveScan(4096, 8192*time.Microsecond)
 	}
-	few := m.AlignWorkers(4, 1, 8)     // 4 units of work: stay serial
-	many := m.AlignWorkers(8, 2000, 8) // heavy batch: fan all the way out
-	if few != 1 {
-		t.Fatalf("tiny alignment got %d workers, want 1", few)
+	if got := m.ScanSlowdown(); got <= 1 || got > 2 {
+		t.Fatalf("after slower scans: slowdown %g, want in (1, 2]", got)
 	}
-	if many != 8 {
-		t.Fatalf("heavy alignment got %d workers, want 8", many)
+	// Degenerate samples are ignored.
+	before := m.ScanNsPerPage()
+	m.ObserveScan(0, time.Millisecond)
+	m.ObserveScan(4096, 0)
+	if got := m.ScanNsPerPage(); got != before {
+		t.Fatalf("degenerate samples moved the model: %g -> %g", before, got)
 	}
 }
 

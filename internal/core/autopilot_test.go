@@ -58,7 +58,7 @@ func TestAutopilotEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := alignEngine(t, g, pages, 0)
+			serial := alignEngine(t, g, pages)
 			auto := autoEngine(t, g, pages, quietAutopilot())
 
 			ups := workload.UniformUpdates(77, 800, serial.Column().Rows(), 0, ccDomain)
@@ -472,7 +472,7 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 		WarmHottest:      1,
 	}
 	auto := autoEngine(t, g, pages, ap)
-	serial := alignEngine(t, g, pages, 0)
+	serial := alignEngine(t, g, pages)
 
 	// Disjoint rows per writer (row ≡ writer mod writers): the final
 	// column state is then independent of scheduling.
@@ -587,68 +587,6 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 		if ar.Count != ac || ar.Sum != au {
 			t.Fatalf("autopilot engine answers diverge from its column over [%d,%d]", q[0], q[1])
 		}
-	}
-}
-
-// TestAutopilotAdaptiveParallelism: with an autopilot, the scan fan-out
-// is chosen per operation — after the model learns that tiny scans do
-// not amortize worker startup, a GOMAXPROCS-worker query on a small
-// routed view runs serial while the answers stay byte-identical.
-func TestAutopilotAdaptiveParallelism(t *testing.T) {
-	ap := quietAutopilot()
-	cfg := syncConfig()
-	cfg.Parallelism = -1
-	cfg.Autopilot = ap
-	col := testColumn(t, 256, dist.NewLinear(5, 0, ccDomain, 256))
-	e := newEngine(t, col, cfg)
-	plain := newEngine(t, testColumn(t, 256, dist.NewLinear(5, 0, ccDomain, 256)), syncConfig())
-
-	model := e.Autopilot().Model()
-	if model == nil {
-		t.Fatal("no cost model")
-	}
-	queries := workload.SelectivitySweep(3, 40, ccDomain, ccDomain/2, ccDomain/100)
-	for _, q := range queries {
-		ra, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{Workers: -1, HasWorkers: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := plain.QueryOpt(q.Lo, q.Hi, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Count != rp.Count || ra.Sum != rp.Sum {
-			t.Fatalf("adaptive answer (%d,%d) != serial (%d,%d) for [%d,%d]",
-				ra.Count, ra.Sum, rp.Count, rp.Sum, q.Lo, q.Hi)
-		}
-	}
-	if model.ScanNsPerPage() == 0 {
-		t.Fatal("cost model observed no scans")
-	}
-	// The learned model must keep scans below the sharding threshold
-	// serial and cap large ones at the knob.
-	if w := model.ScanWorkers(16, 8, minParallelScanPages); w != 1 {
-		t.Fatalf("tiny scan workers %d, want 1", w)
-	}
-	if w := model.ScanWorkers(1<<20, 8, minParallelScanPages); w != 8 {
-		t.Fatalf("huge scan workers %d, want 8", w)
-	}
-
-	// Alignment also feeds and consults the model.
-	ups := workload.UniformUpdates(9, 500, col.Rows(), 0, ccDomain)
-	for _, u := range ups {
-		if err := e.Update(u.Row, u.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Views() == nil {
-		t.Fatal("premise: no views")
-	}
-	if model.AlignNsPerUnit() == 0 {
-		t.Fatal("cost model observed no alignments")
 	}
 }
 

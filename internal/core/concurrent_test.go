@@ -17,15 +17,15 @@ import (
 const ccDomain = 1_000_000
 
 // TestQueryParallelEquivalence is the engine-level equivalence table: for
-// every registered generator and both routing modes, a full adaptive query
-// sequence answered with parallel scan kernels must be result-identical —
-// counts, sums, scanned pages, and the adapted view set — to the serial
-// run on an identical column. The sequence cycles through plain,
-// Aggregate and Rows queries, each held against a brute-force walk of the
-// column, once under the default view limit (every query builds a
-// candidate: the kernels run with boundary observations) and once under a
-// limit of one view (where candidates are kept at all, the second freezes
-// the set: no builder, no bounds).
+// every registered generator and both routing modes, a full adaptive
+// query sequence cycling through plain, Aggregate and Rows queries must
+// answer each query exactly as a brute-force walk of the column does,
+// and every view it adapts must index exactly the pages that qualify for
+// its range. The sequence runs once under the default
+// view limit (every query builds a candidate: the kernels run with
+// boundary observations) and once under a limit of one view (where
+// candidates are kept at all, the second freezes the set: no builder, no
+// bounds).
 func TestQueryParallelEquivalence(t *testing.T) {
 	const pages = 96
 	queries := workload.SelectivitySweep(11, 30, ccDomain, ccDomain/2, ccDomain/100)
@@ -38,47 +38,26 @@ func TestQueryParallelEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					mkEngine := func(parallelism int) *Engine {
-						cfg := syncConfig()
-						cfg.Mode = mode
-						cfg.Parallelism = parallelism
-						cfg.MaxViews = maxViews
-						return newEngine(t, testColumn(t, pages, g), cfg)
-					}
-					serial := mkEngine(0)
-					parallel := mkEngine(3)
-					model := newRefModel(serial.col)
+					cfg := syncConfig()
+					cfg.Mode = mode
+					cfg.MaxViews = maxViews
+					e := newEngine(t, testColumn(t, pages, g), cfg)
+					model := newRefModel(e.col)
 					for i, q := range queries {
 						opt := materializations(i)
-						as, err := serial.QueryOpt(q.Lo, q.Hi, opt)
+						ans, err := e.QueryOpt(q.Lo, q.Hi, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						ap, err := parallel.QueryOpt(q.Lo, q.Hi, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if as.QueryResult != ap.QueryResult {
-							t.Fatalf("max %d views, query %d [%d,%d]: serial %+v != parallel %+v", maxViews, i, q.Lo, q.Hi, as.QueryResult, ap.QueryResult)
-						}
-						model.check(t, fmt.Sprintf("max %d views, serial query %d", maxViews, i), q.Lo, q.Hi, opt, as)
-						model.check(t, fmt.Sprintf("max %d views, parallel query %d", maxViews, i), q.Lo, q.Hi, opt, ap)
-						if as.CandidateBuilt {
+						model.check(t, fmt.Sprintf("max %d views, query %d", maxViews, i), q.Lo, q.Hi, opt, ans)
+						if ans.CandidateBuilt {
 							building++
 						} else {
 							frozen++
 						}
 					}
-					// The adaptive side effects must match too: same views over
-					// the same ranges with the same page counts.
-					vs, vp := serial.Views(), parallel.Views()
-					if len(vs) != len(vp) {
-						t.Fatalf("view sets diverged: %d vs %d", len(vs), len(vp))
-					}
-					for i := range vs {
-						if vs[i].Lo() != vp[i].Lo() || vs[i].Hi() != vp[i].Hi() || vs[i].NumPages() != vp[i].NumPages() {
-							t.Fatalf("view %d diverged: %v vs %v", i, vs[i], vp[i])
-						}
+					for i := range e.Views() {
+						checkViewInvariant(t, e, i)
 					}
 				}
 			})
@@ -89,11 +68,10 @@ func TestQueryParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBaselineParallelEquivalence checks the sharded kernel at its edges
-// on the one-source route a baseline engine runs: for every registered
-// generator, worker counts from "default" past the page count, and ranges
-// from everything to nothing, the answer equals the column's serial
-// FullScan exactly.
+// TestBaselineParallelEquivalence checks the scan at its edges on the
+// one-source route a baseline engine runs: for every registered
+// generator, every materialization, and ranges from everything to
+// nothing, the answer equals the column's FullScan exactly.
 func TestBaselineParallelEquivalence(t *testing.T) {
 	const pages = 96
 	ranges := [][2]uint64{
@@ -117,18 +95,17 @@ func TestBaselineParallelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, workers := range []int{0, 1, 2, 3, 7, 16, 200} {
+				for i := 0; i < 4; i++ {
 					opt := materializations(i)
-					opt.Workers, opt.HasWorkers = workers, true
 					got, err := eng.QueryOpt(r[0], r[1], opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got.Count != wantCount || got.Sum != wantSum || got.PagesScanned != pages {
-						t.Errorf("[%d,%d] workers=%d: got %+v, want (%d,%d) over %d pages",
-							r[0], r[1], workers, got.QueryResult, wantCount, wantSum, pages)
+						t.Errorf("[%d,%d] %+v: got %+v, want (%d,%d) over %d pages",
+							r[0], r[1], opt, got.QueryResult, wantCount, wantSum, pages)
 					}
-					model.check(t, fmt.Sprintf("workers=%d", workers), r[0], r[1], opt, got)
+					model.check(t, fmt.Sprintf("%+v", opt), r[0], r[1], opt, got)
 				}
 			}
 		})
@@ -396,7 +373,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 		t.Helper()
 		st := eng.acquireState()
 		defer eng.releaseState(st)
-		_, cand, err := eng.scanState(st, lo, hi, nil, nil, 1, true, nil)
+		_, cand, err := eng.scanState(st, lo, hi, nil, nil, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +447,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 	// A scan in flight when Close lands: its candidate must be discarded,
 	// never inserted into the cleared set.
 	st := eng.acquireState()
-	_, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, nil, 1, true, nil)
+	_, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, nil, true, nil)
 	gen := st.gen
 	eng.releaseState(st)
 	if err != nil {

@@ -111,17 +111,6 @@ type Config struct {
 	// materialize in full. Clear Create.Lazy to reproduce the eager
 	// creation path.
 	Create view.CreateOptions
-	// Parallelism is the number of page-sharded workers a single query's
-	// scan uses: 0 scans serially (the paper's single-threaded model), a
-	// positive value selects that many workers, and a negative value
-	// selects GOMAXPROCS. Parallel scans reduce shard results in page
-	// order with commutative aggregates, so answers and adaptive side
-	// effects are identical to serial. Update alignment fans out across
-	// the same worker count, one view per worker, with per-view stat
-	// partials reduced in view order — again identical to serial.
-	// Inter-query concurrency (many clients calling QueryOpt at once) is
-	// independent of this knob and always available.
-	Parallelism int
 	// UpdateShards is the number of pending-buffer shards the write path
 	// hashes physical pages across: concurrent Update callers append
 	// under per-shard locks instead of one engine-wide buffer lock.
@@ -137,12 +126,12 @@ type Config struct {
 	// Autopilot, when non-nil, starts the engine's background maintenance
 	// subsystem (internal/autopilot): bounded-latency write coalescing
 	// (Update becomes fire-and-forget and is applied + aligned within
-	// Autopilot.MaxFlushLatency), adaptive parallelism (scan and
-	// alignment fan-out chosen per operation by an EWMA cost model,
-	// bounded by Parallelism), and a temperature-driven view lifecycle
-	// (cold partials evicted, fragmented ones rebuilt, hot soft-TLBs
-	// pre-warmed in exclusive-lock slices). Engine.Close stops it. Nil
-	// keeps every maintenance action inline, the pre-autopilot behaviour.
+	// Autopilot.MaxFlushLatency), a scan-cost model whose measured
+	// slowdown moderates tier demotion, and a temperature-driven view
+	// lifecycle (cold partials evicted, fragmented ones rebuilt, hot
+	// soft-TLBs pre-warmed in exclusive-lock slices). Engine.Close stops
+	// it. Nil keeps every maintenance action inline, the pre-autopilot
+	// behaviour.
 	Autopilot *autopilot.Config
 	// JournalEvents, when positive, enables the engine's event journal: a
 	// fixed-size lock-free ring (rounded up to a power of two, minimum 64)

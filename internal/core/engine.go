@@ -99,9 +99,8 @@ type Engine struct {
 	procPool sync.Pool
 
 	// pilot is the background maintenance subsystem (Config.Autopilot);
-	// nil when disabled. model is its adaptive-parallelism cost model,
-	// consulted on the scan and alignment paths (nil means static
-	// fan-out). Both are set once in NewEngine and never mutated, so
+	// nil when disabled. model is its scan-cost model, fed by every
+	// query scan. Both are set once in NewEngine and never mutated, so
 	// nil-checks need no lock.
 	pilot *autopilot.Pilot
 	model *autopilot.CostModel
@@ -269,25 +268,11 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// resolveWorkers maps a Parallelism knob value to a scan worker count:
-// 0 selects 1 (serial, the paper's behaviour), a positive value is taken
-// literally, and a negative value selects GOMAXPROCS.
-func resolveWorkers(n int) int {
-	switch {
-	case n == 0:
-		return 1
-	case n < 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return n
-	}
-}
-
 // resolveShards maps the UpdateShards knob to a pending-buffer shard
 // count. Sharding never changes semantics (FlushUpdates merges shards
-// into one deterministic batch), so unlike Parallelism the default (0)
-// scales with the machine: GOMAXPROCS shards. A positive value is taken
-// literally — 1 reproduces the single-buffer write path.
+// into one deterministic batch), so the default (0) scales with the
+// machine: GOMAXPROCS shards. A positive value is taken literally — 1
+// reproduces the single-buffer write path.
 func resolveShards(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -17,19 +17,12 @@ type QueryOptions struct {
 	CollectRows bool
 	// ComputeAggregate computes count/sum/min/max into Answer.Agg.
 	ComputeAggregate bool
-	// Workers overrides the scan worker count when HasWorkers is set:
-	// a positive value is taken literally, zero or negative selects
-	// GOMAXPROCS. Unset defers to Config.Parallelism.
-	Workers    int
-	HasWorkers bool
 	// Trace, when non-nil, records a span tree for this one query —
 	// state pin, routing, per-view scanning with tier/fault attribution,
 	// candidate materialization and the publication tail — into the
 	// trace's root span and returns it on Answer.Trace. Nil (the
 	// default) keeps the query path allocation-free: every trace site is
-	// a nil span test, like Engine.tier. Spans are recorded only by the
-	// coordinating goroutine; sharded scan workers never touch the
-	// trace.
+	// a nil span test, like Engine.tier.
 	Trace *obs.Trace
 }
 
@@ -98,7 +91,7 @@ func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bo
 		ans.Agg = &Aggregate{}
 	}
 	collect, collected := e.buildCollect(lo, hi, opt, &ans)
-	res, cand, err := e.scanState(st, lo, hi, ans.Agg, collect, e.resolveOptWorkers(opt), adapt, root)
+	res, cand, err := e.scanState(st, lo, hi, ans.Agg, collect, adapt, root)
 	ans.QueryResult = res
 	if err == nil && collected != nil && *collected != ans.Count {
 		// The filter pass and the mask pass must agree — captured pages
@@ -141,18 +134,6 @@ func (e *Engine) flushPendingForRead() error {
 	}
 	_, err := e.flushLocked()
 	return err
-}
-
-// resolveOptWorkers maps the options' worker override (or its absence)
-// to the effective parallelism knob value.
-func (e *Engine) resolveOptWorkers(opt QueryOptions) int {
-	if !opt.HasWorkers {
-		return resolveWorkers(e.cfg.Parallelism)
-	}
-	if opt.Workers <= 0 {
-		return resolveWorkers(-1)
-	}
-	return resolveWorkers(opt.Workers)
 }
 
 // buildCollect returns the page-collect callback of a Rows query, which
@@ -217,7 +198,7 @@ func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.Sn
 // is handed every qualifying page. Nothing here reads live view or set
 // fields, which is what lets any number of scans overlap alignment,
 // rebuilds and retirement.
-func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
+func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, collect func(uint64, []byte), adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
 	snap := st.snap
 	route := tsp.Child("route")
 	sources := e.routeState(snap, lo, hi)
@@ -272,7 +253,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, colle
 		if sv.Lazy() {
 			vsp.SetAttr("lazy", 1)
 		}
-		n, qual, excl := e.scanSource(sv, workers, filter, processed, emit)
+		n, qual, excl := e.scanSource(sv, filter, processed, emit)
 		res.PagesScanned += n
 		total.Merge(qual)
 		ext.ObserveExcluded(excl)
@@ -317,47 +298,35 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, colle
 // the calling goroutine — the candidate builder and the row collectors
 // depend on that order.
 //
-// A scan runs serially — dedup and filter fused in one allocation-free
-// pass, the paper's hot path — unless more than one worker is allowed
-// and the source has at least minParallelScanPages pages; with an
-// autopilot the cost model picks the fan-out under that cap. Worker
-// count never changes results (shards reduce in page order). Either way
-// the scan times itself once and feeds the scan_ns_per_page histogram
-// and the cost model.
-func (e *Engine) scanSource(sv *viewset.SnapView, workers int, filter func([]byte) storage.PageScan,
+// The scan is one serial pass with dedup and filter fused, the paper's
+// single-threaded hot path. It times itself once and feeds the
+// scan_ns_per_page histogram and, with an autopilot, the cost model.
+func (e *Engine) scanSource(sv *viewset.SnapView, filter func([]byte) storage.PageScan,
 	processed *bitvec.Vector, emit func(pid uint64, pg []byte)) (scanned int, qual, excl storage.PageScan) {
 
 	n := sv.NumPages()
-	if e.model != nil {
-		workers = e.model.ScanWorkers(n, workers, minParallelScanPages)
-	}
 	t0 := time.Now()
-	if workers > 1 && n >= minParallelScanPages {
-		scanned, qual, excl = scanSharded(sv, workers, filter, processed, emit)
-	} else {
-		workers = 1
-		for i := 0; i < n; i++ {
-			pg := sv.PageBytes(i)
-			pid := storage.PageID(pg)
-			if processed != nil && processed.TestAndSet(int(pid)) {
-				continue
-			}
-			s := filter(pg)
-			scanned++
-			if s.Count == 0 {
-				excl.Merge(s)
-				continue
-			}
-			qual.Merge(s)
-			if emit != nil {
-				emit(pid, pg)
-			}
+	for i := 0; i < n; i++ {
+		pg := sv.PageBytes(i)
+		pid := storage.PageID(pg)
+		if processed != nil && processed.TestAndSet(int(pid)) {
+			continue
+		}
+		s := filter(pg)
+		scanned++
+		if s.Count == 0 {
+			excl.Merge(s)
+			continue
+		}
+		qual.Merge(s)
+		if emit != nil {
+			emit(pid, pg)
 		}
 	}
 	if scanned > 0 {
 		elapsed := time.Since(t0)
 		if e.model != nil {
-			e.model.ObserveScan(scanned, workers, elapsed)
+			e.model.ObserveScan(scanned, elapsed)
 		}
 		e.ins.scanNsPerPage.Observe(uint64(elapsed) / uint64(scanned))
 	}

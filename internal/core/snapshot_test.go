@@ -83,9 +83,9 @@ func TestSnapshotEquivalence(t *testing.T) {
 }
 
 // TestQuartetWrapperEquivalence pins that what a query asks QueryOpt for
-// — a worker count, rows or an aggregate — changes nothing else: every
-// answer's QueryResult AND the cumulative telemetry after the run are
-// identical to a plain QueryOpt's.
+// — rows, an aggregate or both — changes nothing else: every answer's
+// QueryResult AND the cumulative telemetry after the run are identical
+// to a plain QueryOpt's.
 func TestQuartetWrapperEquivalence(t *testing.T) {
 	const pages = 64
 	queries := workload.SelectivitySweep(17, 20, ccDomain, ccDomain/3, ccDomain/100)
@@ -96,8 +96,8 @@ func TestQuartetWrapperEquivalence(t *testing.T) {
 
 	quartet := []QueryOptions{
 		{},
-		{Workers: 3, HasWorkers: true},
 		{CollectRows: true},
+		{CollectRows: true, ComputeAggregate: true},
 		{ComputeAggregate: true},
 	}
 	for i, q := range queries {
@@ -454,7 +454,6 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Limit = viewset.EvictLRU
 	cfg.MaxViews = 6
-	cfg.Parallelism = 2
 	cfg.Autopilot = &autopilot.Config{
 		CoalesceCount:    32,
 		MaxFlushLatency:  500 * time.Microsecond,

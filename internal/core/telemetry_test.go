@@ -406,8 +406,10 @@ func TestTracedQueryJournalStress(t *testing.T) {
 // query allocates 2/run (the one-source route and the page filter), as it
 // did with a path of its own. An adaptive exact-fit hit — routed to the
 // view an identical earlier query created, candidate built and discarded
-// as a subset — allocates 18/run; it was 19 while a single-source scan
-// reached its pages through the sharded kernel's fetch closure. An
+// as a subset — allocates 17/run; it was 18 while the candidate's emit
+// closure escaped into the sharded scan kernel, and 19 while a
+// single-source scan reached its pages through that kernel's fetch
+// closure. An
 // Aggregate query is answered from the filter pass, with no collect
 // closure: it allocates what the plain query does and the Aggregate value
 // it returns.
@@ -438,7 +440,7 @@ func TestQueryOptTelemetryOffNoExtraAllocs(t *testing.T) {
 		want float64
 	}{
 		{"baseline", BaselineConfig(), 2},
-		{"exact-fit hit", syncConfig(), 18},
+		{"exact-fit hit", syncConfig(), 17},
 	} {
 		off := measure(c.cfg, QueryOptions{})
 		if off != c.want {

@@ -37,11 +37,10 @@ func tierScanFilter(t *vmsim.FileTier, pg []byte, scan func(pg []byte) storage.P
 }
 
 // pageFilter chooses the page kernel of one query over [lo, hi] — the
-// only place that does — and returns it as the filter every scan path
-// (serial dedup loop, sharded kernel; live, snapshot and baseline reads)
-// applies to each page. A query pays for the cheapest kernel that answers
-// it: count and sum; the qualifying minimum and maximum as well when an
-// Aggregate was asked for. A query that builds a candidate first needs
+// only place that does — and returns it as the filter every read (live,
+// snapshot and baseline) applies to each page. A query pays for the
+// cheapest kernel that answers it: count and sum; the qualifying minimum
+// and maximum as well when an Aggregate was asked for. A query that builds a candidate first needs
 // the boundary observations of the pages where nothing qualified, which
 // extend the candidate's range (§2.2), so it runs ScanBounds on every
 // page and the kernel above only on a page where ScanBounds met a match.

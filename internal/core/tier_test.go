@@ -294,7 +294,7 @@ func TestTieredConcurrentDemoteWhileWriting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	serial := alignEngine(t, g(), pages, 0)
+	serial := alignEngine(t, g(), pages)
 
 	// Disjoint rows per writer (row ≡ writer mod writers): the final
 	// column state is then independent of scheduling.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/asv-db/asv/internal/procmaps"
@@ -292,11 +291,7 @@ func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {
 	st.ParseDuration = time.Since(t0)
 
 	// Step 4 (§2.4): align each partial view, maintaining the bimap from
-	// user space as pages are rewired. Per-view alignment is independent
-	// given the shared bimap (each worker rewires only its own view's
-	// virtual pages; cross-view bimap state is kept consistent by the
-	// bimap's sharded locks), so it fans out across Config.Parallelism
-	// workers exactly like the scan kernels.
+	// user space as pages are rewired.
 	t1 := time.Now()
 	if err := e.alignPartials(pages, byPage, bm, &st); err != nil {
 		return st, err
@@ -309,79 +304,23 @@ func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {
 	return st, e.publishStateLocked()
 }
 
-// alignPartials walks every partial view with the §2.4 decision
-// procedure, serially with one worker and view-sharded beyond that. Each
-// worker accumulates a private UpdateStats partial; partials are reduced
-// in view order, so the merged PagesAdded/PagesRemoved/PagesScanned are
-// identical to the serial walk. Error semantics differ from serial by
-// necessity: workers that already started cannot be unwound, so every
-// partial is merged — the stats reflect all rewiring that actually
-// happened — and the first error in view order is returned.
-//
-// With an autopilot, the fan-out is adaptive: the cost model picks the
-// worker count from the view and dirty-page counts (capped by the static
-// Parallelism knob) and is fed the observed wall time afterwards. Worker
-// count never changes the merged stats, so adaptivity cannot change
-// results.
+// alignPartials walks every partial view in view order with the §2.4
+// decision procedure, accumulating into st, and stops at the first error.
 func (e *Engine) alignPartials(pages []int, byPage map[int][]Update,
 	bm *procmaps.Bimap, st *UpdateStats) error {
 
-	parts := e.set.Partials()
-	workers := resolveWorkers(e.cfg.Parallelism)
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if e.model != nil {
-		workers = e.model.AlignWorkers(len(parts), len(pages), workers)
-		defer func(t0 time.Time, w int) {
-			e.model.ObserveAlign(len(parts), len(pages), w, time.Since(t0))
-		}(time.Now(), workers)
-	}
-	if workers <= 1 {
-		for _, v := range parts {
-			if err := e.alignView(v, pages, byPage, bm, st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	partStats := make([]UpdateStats, len(parts))
-	errs := make([]error, len(parts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
-					return
-				}
-				errs[i] = e.alignView(parts[i], pages, byPage, bm, &partStats[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	var firstErr error
-	for i := range parts {
-		st.PagesAdded += partStats[i].PagesAdded
-		st.PagesRemoved += partStats[i].PagesRemoved
-		st.PagesScanned += partStats[i].PagesScanned
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
+	for _, v := range e.set.Partials() {
+		if err := e.alignView(v, pages, byPage, bm, st); err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // alignView applies the §2.4 decision procedure for one partial view
-// covering [a, b]. It is safe to run concurrently for distinct views:
-// it mutates only its own view's pages (and the bimap entries for that
-// view's virtual area), reads the column through the resolved soft-TLB,
-// and the VM simulator takes its own locks for the mmap/munmap calls.
+// covering [a, b]: it mutates only its own view's pages (and the bimap
+// entries for that view's virtual area) and reads the column through the
+// resolved soft-TLB.
 func (e *Engine) alignView(v *view.View, pages []int, byPage map[int][]Update,
 	bm *procmaps.Bimap, st *UpdateStats) error {
 	a, b := v.Lo(), v.Hi()
@@ -394,8 +333,7 @@ func (e *Engine) alignView(v *view.View, pages []int, byPage map[int][]Update,
 			v.BeginTLBMutation()
 			// The session will change this view's pages or translations:
 			// the next publication must re-capture it instead of sharing
-			// the previous capture's entry. (Safe concurrently — workers
-			// align distinct views but mark through the same set.)
+			// the previous capture's entry.
 			e.set.MarkDirty(v)
 			cloned = true
 		}

@@ -37,15 +37,14 @@ const updatesWriteGroup = 64
 const updatesMinWindow = 150 * time.Millisecond
 
 // mixedEngine builds the mixed read/write panels' standard engine — sine
-// column, narrow pre-created views, GOMAXPROCS parallelism — with a
-// config mutator for the cell's knob of interest.
+// column, narrow pre-created views — with a config mutator for the
+// cell's knob of interest.
 func mixedEngine(s Scale, mutate func(*core.Config)) (*core.Engine, func(), error) {
 	col, err := newFig4Column(s, "sine")
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Parallelism = -1
 	if mutate != nil {
 		mutate(&cfg)
 	}

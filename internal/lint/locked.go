@@ -30,10 +30,9 @@ import (
 // queued Lock that waits for the outer RLock).
 //
 // Function literals inherit the modes held at their lexical position:
-// the engine's fan-out idiom launches workers and waits while the
-// coordinator holds the exclusive mode, so the workers do run under the
-// mode in effect where they appear. A literal that truly escapes the
-// critical section needs an //asv:allow=locked line with the reason.
+// callbacks and deferred calls run where they appear, under the mode in
+// effect there. A literal that truly escapes the critical section needs
+// an //asv:allow=locked line with the reason.
 func runLocked(m *Module) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range m.pkgs {

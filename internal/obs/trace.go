@@ -13,10 +13,9 @@ var traceBase = time.Now()
 func nowNanos() int64 { return int64(time.Since(traceBase)) }
 
 // Trace is one query's span tree. A trace (and every span in it) is
-// owned by the goroutine coordinating the query: the engine records
-// spans only from the coordinating goroutine — sharded scan workers
-// never touch the trace; their work is attributed through counter deltas
-// on the enclosing span. This keeps tracing allocation-light and makes a
+// owned by the goroutine running the query: the engine records spans
+// only from that goroutine, and work done elsewhere is attributed
+// through counter deltas on the enclosing span. This keeps tracing allocation-light and makes a
 // finished trace safe to read without synchronization.
 type Trace struct {
 	Root *Span

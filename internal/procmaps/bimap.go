@@ -4,7 +4,7 @@ import "sync"
 
 // bimapShards is the lock-shard count of both bimap directions. Sixteen
 // power-of-two shards keep the masked index cheap and make contention
-// between parallel per-view alignment workers unlikely.
+// between concurrent users of one bimap unlikely.
 const bimapShards = 16
 
 // Bimap is a page-wise bidirectional map between virtual pages and file
@@ -18,14 +18,13 @@ const bimapShards = 16
 // Remove keep both directions consistent while pages are rewired.
 //
 // Concurrency: both directions are lock-sharded (virtual pages by VPN,
-// file pages by page number), so alignment workers handling different
-// views mutate and read the bimap concurrently. Like per-region
-// translation state in general, per-view entries are naturally
-// independent: a virtual page belongs to exactly one view, so callers
-// must serialize operations on the same VPN externally (one worker per
-// view does exactly that), while reverse-direction reads (MappedIn,
-// VirtualPages) and cross-view list updates are kept consistent by the
-// file-page shard locks.
+// file pages by page number), so callers working on different views may
+// mutate and read the bimap concurrently. Like per-region translation
+// state in general, per-view entries are naturally independent: a
+// virtual page belongs to exactly one view, so callers must serialize
+// operations on the same VPN externally, while reverse-direction reads
+// (MappedIn, VirtualPages) and cross-view list updates are kept
+// consistent by the file-page shard locks.
 type Bimap struct {
 	v2p [bimapShards]vpnShard
 	p2v [bimapShards]fpShard
@@ -144,7 +143,7 @@ func (b *Bimap) FilePage(vpn uint64) (int64, bool) {
 
 // VirtualPages returns the virtual pages that map file page fp. The
 // returned slice is the caller's to keep (a private copy — the live list
-// may be mutated concurrently by other views' alignment workers).
+// may be mutated concurrently by callers working on other views).
 func (b *Bimap) VirtualPages(fp int64) []uint64 {
 	ps := b.pshard(fp)
 	ps.mu.Lock()

@@ -129,7 +129,6 @@ type queryRequest struct {
 	Hi        uint64 `json:"hi"`
 	Rows      bool   `json:"rows"`
 	Aggregate bool   `json:"aggregate"`
-	Workers   int    `json:"workers"`
 }
 
 type aggregateResponse struct {
@@ -158,9 +157,6 @@ func queryOptions(r *http.Request, req queryRequest) core.QueryOptions {
 	var o core.QueryOptions
 	o.CollectRows = req.Rows
 	o.ComputeAggregate = req.Aggregate
-	if req.Workers != 0 {
-		o.Workers, o.HasWorkers = req.Workers, true
-	}
 	if r.URL.Query().Get("trace") == "1" {
 		o.Trace = obs.NewTrace("http query")
 	}

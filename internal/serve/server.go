@@ -23,6 +23,12 @@ type ServerConfig struct {
 	Registry *obs.Registry
 }
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's line and headers, so a client that opens a connection and
+// stalls mid-request cannot hold it open forever. Idle keep-alive
+// connections between requests are not affected.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is the asvd HTTP front end: a stdlib-only JSON API over a
 // tenant catalog of sharded adaptive columns. Create one with
 // NewServer, run it with Serve or ListenAndServe, stop it with
@@ -50,7 +56,7 @@ func NewServer(cfg ServerConfig) *Server {
 		mux: http.NewServeMux(),
 	}
 	s.routes()
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 

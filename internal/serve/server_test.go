@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -426,5 +428,72 @@ func TestServeConcurrentQueryUpdateChurn(t *testing.T) {
 	c.must(http.StatusOK, "GET", "/metrics", nil, &metrics)
 	if len(metrics) == 0 {
 		t.Fatal("server registry recorded nothing under load")
+	}
+}
+
+// TestServeQueryRejectsWorkersField pins that a query body still
+// carrying the retired "workers" field is a 400 like any other unknown
+// field, while the same body without it is answered.
+func TestServeQueryRejectsWorkersField(t *testing.T) {
+	_, c := newTestServer(t, ServerConfig{})
+	c.must(http.StatusCreated, "POST", "/t/acme/columns", map[string]any{
+		"name": "w", "pages": 4,
+		"fill": map[string]any{"dist": "uniform", "seed": 1, "lo": 0, "hi": 1 << 20},
+	}, nil)
+	var e map[string]string
+	c.must(http.StatusBadRequest, "POST", "/t/acme/columns/w/query",
+		map[string]any{"lo": 0, "hi": 1 << 20, "workers": 2}, &e)
+	if !strings.Contains(e["error"], `unknown field "workers"`) {
+		t.Fatalf("error = %q, want it to name the unknown field", e["error"])
+	}
+	c.must(http.StatusOK, "POST", "/t/acme/columns/w/query",
+		map[string]any{"lo": 0, "hi": 1 << 20}, nil)
+}
+
+// TestServeReadHeaderTimeout pins that the server bounds request-header
+// reads: a client that sends only part of a request line is
+// disconnected once the timeout passes.
+func TestServeReadHeaderTimeout(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	if s.srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	s.srv.ReadHeaderTimeout = 50 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(l) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /heal")); err != nil {
+		t.Fatal(err)
+	}
+	// Far beyond the shortened timeout: a server without one would keep
+	// the connection open and the read would hit this client deadline.
+	// The server may answer 400 before it hangs up; what matters is that
+	// it hangs up.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("stalled client still connected after the header timeout")
+		}
+		t.Fatalf("read after stall: %v", err)
 	}
 }

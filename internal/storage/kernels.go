@@ -41,11 +41,10 @@ type PageScan struct {
 	HasAbove bool
 }
 
-// Merge folds another PageScan into s — the shard reducer of the parallel
-// scan kernels. Count and Sum add (wrapping addition is commutative and
-// associative, so any shard order reduces to the serial result); Min and
-// Max keep the extreme over the scans that had a match; the boundary
-// observations keep the tightest value on each side.
+// Merge folds another PageScan into s — the reducer of the scan loop.
+// Count and Sum add (wrapping addition); Min and Max keep the extreme
+// over the scans that had a match; the boundary observations keep the
+// tightest value on each side.
 func (s *PageScan) Merge(o PageScan) {
 	if o.Count > 0 {
 		if s.Count == 0 || o.Min < s.Min {

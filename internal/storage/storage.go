@@ -36,12 +36,6 @@ const (
 	// ValuesPerPage is the number of 8-byte values per page after the
 	// header: (4096-24)/8 = 509.
 	ValuesPerPage = (PageSize - HeaderSize) / 8
-
-	// MinParallelScanPages is the smallest scan for which page sharding
-	// pays: below it, goroutine startup dominates the sub-µs per-page
-	// filter and the serial loop wins even on many cores. The engine's
-	// sharded scan kernel (internal/core) respects it.
-	MinParallelScanPages = 64
 )
 
 // PageID reads the embedded pageID header.
@@ -125,8 +119,8 @@ type Column struct {
 	// comparison (and serialize concurrent mapping against scanning on
 	// the simulated page-table lock). NewColumn resolves every entry
 	// while stamping pageIDs, so after construction PageBytes never
-	// writes the cache — which is what lets concurrent scan workers share
-	// a column without any locking.
+	// writes the cache — which is what lets concurrent queries share a
+	// column without any locking.
 	//
 	// The array is held behind an atomic pointer because the snapshot
 	// write path (see snapshot.go) hands the current array to published

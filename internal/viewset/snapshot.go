@@ -278,7 +278,7 @@ func (s *Set) isDirty(v *view.View) bool {
 // Snapshot re-captures it instead of sharing the parent's entry. Update
 // alignment marks every view it rewires; the autopilot marks views it
 // warms. Views not yet captured are implicitly dirty. Safe for
-// concurrent callers (alignment fans out across workers).
+// concurrent callers.
 func (s *Set) MarkDirty(v *view.View) {
 	if v == nil || v.Full() {
 		return

@@ -134,8 +134,8 @@ type Set struct {
 	// chunk table, the partial-view order it captured, and the per-view
 	// entries it may share with the next capture. The set owns one chunk
 	// reference per cached chunk. All four are written only under the
-	// engine lock's exclusive mode, except capDirty, which alignment workers
-	// mark concurrently and therefore has its own lock.
+	// engine lock's exclusive mode, except capDirty, which has its own
+	// lock so MarkDirty stays safe for callers outside that mode.
 	capViews  []*view.View
 	capChunks []*snapChunk
 	capBy     map[*view.View]*SnapView

@@ -7,7 +7,7 @@ import (
 	"github.com/asv-db/asv/internal/vmsim"
 )
 
-// QueryOption configures a QueryOpt call; see Rows, Aggregate, Workers.
+// QueryOption configures a QueryOpt call; see Rows, Aggregate, Trace.
 type QueryOption func(*core.QueryOptions)
 
 // Rows requests materialization of the qualifying row IDs into
@@ -20,15 +20,6 @@ func Rows() QueryOption {
 // QueryAnswer.Agg.
 func Aggregate() QueryOption {
 	return func(o *core.QueryOptions) { o.ComputeAggregate = true }
-}
-
-// Workers overrides the scan worker count for this query: a positive n
-// selects exactly n page-sharded workers, n <= 0 selects GOMAXPROCS.
-// Without this option the column's Config.Parallelism applies. Worker
-// count never changes answers or adaptive side effects — shards reduce
-// in page order with commutative aggregates.
-func Workers(n int) QueryOption {
-	return func(o *core.QueryOptions) { o.Workers, o.HasWorkers = n, true }
 }
 
 // Trace attaches a span tree to one QueryOpt call; the finished tree
@@ -102,9 +93,8 @@ type AutopilotConfig = autopilot.Config
 
 // WithAutopilot enables the background maintenance subsystem on a column
 // configuration: Update becomes fire-and-forget (applied and aligned
-// within ap.MaxFlushLatency as part of a coalesced group commit), scan
-// and alignment fan-out is chosen per operation by an EWMA cost model,
-// and a maintenance ticker evicts cold views, rebuilds fragmented ones
+// within ap.MaxFlushLatency as part of a coalesced group commit), and a
+// maintenance ticker evicts cold views, rebuilds fragmented ones
 // and pre-warms hot soft-TLBs. Call with no AutopilotConfig for the
 // defaults (5ms latency bound, 256-write coalescing, 50ms maintenance):
 //

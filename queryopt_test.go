@@ -22,7 +22,7 @@ func TestQueryOptFacade(t *testing.T) {
 	}
 
 	lo, hi := uint64(100_000), uint64(250_000)
-	ans, err := col.QueryOpt(lo, hi, Rows(), Aggregate(), Workers(2))
+	ans, err := col.QueryOpt(lo, hi, Rows(), Aggregate())
 	if err != nil {
 		t.Fatal(err)
 	}
