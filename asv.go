@@ -337,9 +337,9 @@ func (c *Column) Value(row int) (uint64, error) { return c.col.Value(row) }
 
 // Update overwrites one row through the full view and buffers the change
 // for the next FlushUpdates. Concurrent Update callers proceed in
-// parallel: the write path is sharded by physical page (see
-// Config.UpdateShards), so writers only serialize against queries — and
-// against each other when they touch the same page group.
+// parallel: the write path is sharded by physical page (GOMAXPROCS
+// shards), so writers only serialize against queries — and against each
+// other when they touch the same page group.
 //
 // On a column opened with WithAutopilot, Update is fire-and-forget: it
 // queues the write and returns immediately; the autopilot applies and
@@ -410,31 +410,6 @@ func (c *Column) release() error {
 // CreateOptions re-exports the view-creation optimization switches for
 // Config.Create.
 type CreateOptions = view.CreateOptions
-
-// MultiViewPolicy selects how multi-view covers compete with single views
-// in MultiView mode.
-type MultiViewPolicy = core.MultiViewPolicy
-
-// Multi-view policies.
-const (
-	// PreferMulti uses a multi-view cover whenever one exists — the
-	// paper's published behaviour.
-	PreferMulti = core.PreferMulti
-	// CostBased picks the plan with the fewer indexed pages — the paper's
-	// stated future work, implemented here.
-	CostBased = core.CostBased
-)
-
-// LimitPolicy selects the behaviour once MaxViews is reached.
-type LimitPolicy = core.LimitPolicy
-
-// Limit policies.
-const (
-	// Freeze stops creating views for good (the paper's behaviour).
-	Freeze = core.Freeze
-	// EvictLRU keeps adapting by evicting the least-recently-routed view.
-	EvictLRU = core.EvictLRU
-)
 
 // AggregateResult summarizes the qualifying values of a range query.
 // (The former name Aggregate now constructs the QueryOpt option.)

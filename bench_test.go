@@ -438,57 +438,46 @@ func BenchmarkConcurrentClients(b *testing.B) {
 }
 
 // BenchmarkConcurrentUpdaters measures how fast 1, 2 and 4 concurrent
-// writers append group commits to the pending buffers: one buffer
-// (UpdateShards=1) against GOMAXPROCS page-hashed shards. Nothing is
-// flushed inside the clock, so the rows differ only in buffer
-// contention. One iteration = every writer lands one group commit of 64
-// rows.
+// writers append group commits to the GOMAXPROCS page-hashed pending
+// shards. Nothing is flushed inside the clock, so the rows differ only in
+// buffer contention. One iteration = every writer lands one group commit
+// of 64 rows.
 func BenchmarkConcurrentUpdaters(b *testing.B) {
 	const group = 64
-	for _, v := range []struct {
-		name   string
-		shards int
-	}{
-		{"singlebuffer", 1},
-		{"sharded", 0}, // GOMAXPROCS shards
-	} {
-		for _, writers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/writers%d", v.name, writers), func(b *testing.B) {
-				col := benchColumn(b, benchPages, dist.NewSine(42, 0, benchDomain, 100))
-				cfg := core.DefaultConfig()
-				cfg.UpdateShards = v.shards
-				eng, err := core.NewEngine(col, cfg)
-				if err != nil {
-					b.Fatal(err)
+	for _, writers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("sharded/writers%d", writers), func(b *testing.B) {
+			col := benchColumn(b, benchPages, dist.NewSine(42, 0, benchDomain, 100))
+			eng, err := core.NewEngine(col, core.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			streams := workload.ConcurrentUpdaters(42, writers, 4096, col.Rows(), 0, benchDomain)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(stream []workload.PointUpdate, i int) {
+						defer wg.Done()
+						ws := make([]core.RowWrite, group)
+						for j := 0; j < group; j++ {
+							u := stream[(i*group+j)%len(stream)]
+							ws[j] = core.RowWrite{Row: u.Row, Value: u.Value}
+						}
+						if err := eng.UpdateBatch(ws); err != nil {
+							b.Error(err)
+						}
+					}(streams[w], i)
 				}
-				defer eng.Close()
-				streams := workload.ConcurrentUpdaters(42, writers, 4096, col.Rows(), 0, benchDomain)
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(stream []workload.PointUpdate, i int) {
-							defer wg.Done()
-							ws := make([]core.RowWrite, group)
-							for j := 0; j < group; j++ {
-								u := stream[(i*group+j)%len(stream)]
-								ws[j] = core.RowWrite{Row: u.Row, Value: u.Value}
-							}
-							if err := eng.UpdateBatch(ws); err != nil {
-								b.Error(err)
-							}
-						}(streams[w], i)
-					}
-					wg.Wait()
-				}
-				b.StopTimer()
-				if _, err := eng.FlushUpdates(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(writers*group), "updates/op")
-			})
-		}
+				wg.Wait()
+			}
+			b.StopTimer()
+			if _, err := eng.FlushUpdates(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(writers*group), "updates/op")
+		})
 	}
 }
 

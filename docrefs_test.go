@@ -137,3 +137,64 @@ func TestFacadeExports(t *testing.T) {
 	}
 	t.Logf("the facade exports %d of %d budgeted funcs and methods", n, facadeExportBudget)
 }
+
+// configFieldBudget pins the exported fields of the settable config
+// structs. Every field is a knob the tests must cover in combination, so
+// a change that adds one bumps its count here and says why; a change
+// that deletes one lowers it.
+var configFieldBudget = []struct {
+	dir, typ string
+	fields   int
+}{
+	{"internal/core", "Config", 9},
+	{"internal/autopilot", "Config", 14},
+	{"internal/vmsim", "TierConfig", 3},
+	{"internal/view", "CreateOptions", 3},
+}
+
+// TestConfigFieldBudget fails when a config struct's exported field count
+// differs from its configFieldBudget entry.
+func TestConfigFieldBudget(t *testing.T) {
+	for _, b := range configFieldBudget {
+		n, found := -1, false
+		files, err := filepath.Glob(filepath.Join(b.dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(node ast.Node) bool {
+				ts, ok := node.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != b.typ {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				found, n = true, 0
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						if name.IsExported() {
+							n++
+						}
+					}
+				}
+				return false
+			})
+		}
+		if !found {
+			t.Errorf("%s: struct %s not found", b.dir, b.typ)
+			continue
+		}
+		if n != b.fields {
+			t.Errorf("%s.%s has %d exported fields, its budget is %d", filepath.Base(b.dir), b.typ, n, b.fields)
+		}
+	}
+}

@@ -178,8 +178,6 @@ func TestPolicyFacadeRoundTrip(t *testing.T) {
 	defer db.Close()
 	cfg := asv.DefaultConfig()
 	cfg.Mode = asv.MultiView
-	cfg.MultiViewPolicy = asv.CostBased
-	cfg.Limit = asv.EvictLRU
 	cfg.MaxViews = 4
 	col, err := db.CreateColumn("p", 64, cfg)
 	if err != nil {
@@ -192,10 +190,12 @@ func TestPolicyFacadeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(col.Views()) > 4 {
-		t.Fatalf("views %d exceed limit", len(col.Views()))
+	// The set freezes at MaxViews (§2.2): the candidate that hit the cap
+	// was discarded, and no view was displaced to admit it.
+	if n := len(col.Views()); n != 4 {
+		t.Fatalf("views %d, want the limit of 4", n)
 	}
-	if col.Stats().ViewsEvicted == 0 {
-		t.Fatal("no evictions under EvictLRU")
+	if st := col.Stats(); st.ViewsDiscarded == 0 || st.ViewsCreated != 4 {
+		t.Fatalf("set did not freeze at the limit: %+v", st)
 	}
 }

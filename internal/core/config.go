@@ -11,7 +11,6 @@ import (
 
 	"github.com/asv-db/asv/internal/autopilot"
 	"github.com/asv-db/asv/internal/view"
-	"github.com/asv-db/asv/internal/viewset"
 	"github.com/asv-db/asv/internal/vmsim"
 )
 
@@ -40,56 +39,11 @@ func (m Mode) String() string {
 	}
 }
 
-// MultiViewPolicy decides how multi-view covers compete with single views.
-type MultiViewPolicy int
-
-const (
-	// PreferMulti is the paper's current policy: whenever multiple partial
-	// views cover the query range in conjunction, use them "instead of
-	// directing the query to a single (potentially larger) view" (§2.1).
-	PreferMulti MultiViewPolicy = iota
-	// CostBased implements the paper's stated future work: choose between
-	// the multi-view cover and the cheapest single covering view "based on
-	// the covered value ranges and the number of indexed pages" (§2.1).
-	CostBased
-)
-
-// String renders the policy name.
-func (p MultiViewPolicy) String() string {
-	switch p {
-	case PreferMulti:
-		return "prefer-multi"
-	case CostBased:
-		return "cost-based"
-	default:
-		return fmt.Sprintf("MultiViewPolicy(%d)", int(p))
-	}
-}
-
-// LimitPolicy re-exports the view-limit behaviour (freeze vs evict).
-type LimitPolicy = viewset.LimitPolicy
-
-// Limit policies.
-const (
-	// Freeze stops all candidate generation once MaxViews is reached —
-	// the paper's behaviour (§2.2).
-	Freeze = viewset.Freeze
-	// EvictLRU keeps adapting at the limit by evicting the
-	// least-recently-routed partial view to make room.
-	EvictLRU = viewset.EvictLRU
-)
-
 // Config parameterizes an Engine. The zero value is not valid; start from
 // DefaultConfig.
 type Config struct {
 	// Mode is the query-routing mode (§2.1).
 	Mode Mode
-	// MultiViewPolicy selects how multi-view covers compete with single
-	// views (MultiView mode only).
-	MultiViewPolicy MultiViewPolicy
-	// Limit selects what happens when MaxViews is reached: Freeze (paper)
-	// or EvictLRU (extension).
-	Limit LimitPolicy
 	// MaxViews caps the number of partial views; once reached, candidate
 	// generation stops entirely (§2.2). The paper uses 100 for the
 	// single-view experiments, 200/20 for the multi-view ones.
@@ -111,15 +65,6 @@ type Config struct {
 	// materialize in full. Clear Create.Lazy to reproduce the eager
 	// creation path.
 	Create view.CreateOptions
-	// UpdateShards is the number of pending-buffer shards the write path
-	// hashes physical pages across: concurrent Update callers append
-	// under per-shard locks instead of one engine-wide buffer lock.
-	// FlushUpdates merges the shards into a single deterministic batch
-	// (page-sorted, arrival order within a page), so the shard count
-	// never changes query answers or alignment results. 0 (and any
-	// negative value) selects GOMAXPROCS; 1 reproduces the single-buffer
-	// write path.
-	UpdateShards int
 	// Adaptive enables partial-view creation and routing. When false the
 	// engine answers every query with a full scan — the paper's baseline.
 	Adaptive bool
@@ -182,12 +127,6 @@ func (c Config) validate() error {
 	}
 	if c.Mode != SingleView && c.Mode != MultiView {
 		return fmt.Errorf("core: unknown mode %d", int(c.Mode))
-	}
-	if c.MultiViewPolicy != PreferMulti && c.MultiViewPolicy != CostBased {
-		return fmt.Errorf("core: unknown multi-view policy %d", int(c.MultiViewPolicy))
-	}
-	if c.Limit != Freeze && c.Limit != EvictLRU {
-		return fmt.Errorf("core: unknown limit policy %d", int(c.Limit))
 	}
 	if c.Autopilot != nil {
 		if err := c.Autopilot.Validate(); err != nil {

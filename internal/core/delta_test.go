@@ -162,8 +162,8 @@ func TestLazyEagerScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestEpochManyViewsStorm races view creation, adaptive eviction,
-// snapshot pins and delta publications against each other: the
+// TestEpochManyViewsStorm races view creation, view rebuilds, snapshot
+// pins and delta publications against each other: the
 // copy-on-write capture table's reference discipline must keep every
 // pinned reader consistent while chunks are shared, rebuilt and retired
 // underneath it. Run under -race in CI with fresh schedules.
@@ -171,7 +171,6 @@ func TestEpochManyViewsStorm(t *testing.T) {
 	const pages = 64
 	cfg := syncConfig()
 	cfg.MaxViews = 8
-	cfg.Limit = EvictLRU
 	e := newEngine(t, testColumn(t, pages, dist.NewUniform(7, 0, ccDomain)), cfg)
 
 	errs := make(chan error, 16)
@@ -201,8 +200,8 @@ func TestEpochManyViewsStorm(t *testing.T) {
 		}
 		return nil
 	})
-	// Adaptive readers: candidate creation and LRU eviction churn the
-	// set's membership, so chunk reuse and rebuild keep alternating.
+	// Adaptive readers: candidate creation churns the set's membership
+	// until it freezes at MaxViews.
 	for r := 0; r < 2; r++ {
 		probes := workload.SelectivitySweep(uint64(40+r), 200, ccDomain, ccDomain/3, ccDomain/200)
 		spawn(func() error {
@@ -221,6 +220,16 @@ func TestEpochManyViewsStorm(t *testing.T) {
 			lo := uint64(i%10) * (ccDomain / 12)
 			if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: lo, Hi: lo + ccDomain/15, Pinned: true}}); err != nil &&
 				!strings.Contains(err.Error(), "view limit") {
+				return err
+			}
+		}
+		return nil
+	})
+	// Rebuilder: every rebuild recreates each view, so chunk reuse and
+	// rebuild keep alternating after the set has frozen.
+	spawn(func() error {
+		for i := 0; i < 40; i++ {
+			if err := e.RebuildViews(); err != nil {
 				return err
 			}
 		}

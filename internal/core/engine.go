@@ -152,7 +152,6 @@ type Stats struct {
 	ViewsCreated    uint64 // candidates inserted as new views
 	ViewsReplaced   uint64 // candidates that replaced an existing view
 	ViewsDiscarded  uint64 // candidates discarded (retention rules or stale publication)
-	ViewsEvicted    uint64 // LRU evictions under the EvictLRU limit policy
 	UpdatesBuffered uint64 // updates accepted via Update
 	UpdateBatches   uint64 // non-empty FlushUpdates invocations
 	PagesAdded      uint64 // view pages added by update alignment
@@ -178,7 +177,6 @@ type engineStats struct {
 	viewsCreated        atomic.Uint64
 	viewsReplaced       atomic.Uint64
 	viewsDiscarded      atomic.Uint64
-	viewsEvicted        atomic.Uint64
 	updatesBuffered     atomic.Uint64
 	updateBatches       atomic.Uint64
 	pagesAdded          atomic.Uint64
@@ -200,7 +198,6 @@ func (s *engineStats) snapshot() Stats {
 		ViewsCreated:        s.viewsCreated.Load(),
 		ViewsReplaced:       s.viewsReplaced.Load(),
 		ViewsDiscarded:      s.viewsDiscarded.Load(),
-		ViewsEvicted:        s.viewsEvicted.Load(),
 		UpdatesBuffered:     s.updatesBuffered.Load(),
 		UpdateBatches:       s.updateBatches.Load(),
 		PagesAdded:          s.pagesAdded.Load(),
@@ -224,13 +221,14 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := viewset.New(full, cfg.MaxViews, cfg.DiscardTolerance, cfg.ReplaceTolerance)
-	set.SetLimitPolicy(cfg.Limit)
 	e := &Engine{
-		col:    col,
-		cfg:    cfg,
-		set:    set,
-		shards: make([]updateShard, resolveShards(cfg.UpdateShards)),
+		col: col,
+		cfg: cfg,
+		set: viewset.New(full, cfg.MaxViews, cfg.DiscardTolerance, cfg.ReplaceTolerance),
+		// Sharding never changes semantics (FlushUpdates merges the shards
+		// into one deterministic batch), so the count scales with the
+		// machine.
+		shards: make([]updateShard, runtime.GOMAXPROCS(0)),
 	}
 	e.stateCond = sync.NewCond(&e.stateMu)
 	// Telemetry handles are resolved once here and only dereferenced on
@@ -266,18 +264,6 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 		e.model = p.Model()
 	}
 	return e, nil
-}
-
-// resolveShards maps the UpdateShards knob to a pending-buffer shard
-// count. Sharding never changes semantics (FlushUpdates merges shards
-// into one deterministic batch), so the default (0) scales with the
-// machine: GOMAXPROCS shards. A positive value is taken literally — 1
-// reproduces the single-buffer write path.
-func resolveShards(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // Column returns the underlying physical column.

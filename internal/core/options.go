@@ -156,9 +156,9 @@ func (e *Engine) buildCollect(lo, hi uint64, opt QueryOptions, ans *Answer) (col
 }
 
 // routeState returns the capture-side source views for [lo, hi]
-// according to the configured mode and multi-view policy — the epoch
-// counterpart of the live-set routing of §2.1. A baseline engine is the
-// degenerate route: the captured full view is its only source.
+// according to the configured mode — the epoch counterpart of the
+// live-set routing of §2.1. A baseline engine is the degenerate route:
+// the captured full view is its only source.
 func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.SnapView {
 	if !e.cfg.Adaptive {
 		return []*viewset.SnapView{snap.Full()}
@@ -166,28 +166,13 @@ func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.Sn
 	if e.cfg.Mode != MultiView {
 		return []*viewset.SnapView{snap.RouteSingle(lo, hi)}
 	}
-	multi := snap.RouteMulti(lo, hi)
-	if multi == nil {
-		return []*viewset.SnapView{snap.RouteSingle(lo, hi)}
-	}
-	if e.cfg.MultiViewPolicy == PreferMulti {
-		// The paper's current policy: use multiple views whenever they
-		// cover the range, "instead of directing the query to a single
-		// (potentially larger) view".
+	// The paper's policy: use multiple views whenever they cover the range,
+	// "instead of directing the query to a single (potentially larger)
+	// view".
+	if multi := snap.RouteMulti(lo, hi); multi != nil {
 		return multi
 	}
-	// CostBased — compare the cover's total page count (an upper bound:
-	// shared pages are deduplicated at scan time) against the cheapest
-	// single covering view and take the cheaper plan.
-	single := snap.RouteSingle(lo, hi)
-	coverPages := 0
-	for _, v := range multi {
-		coverPages += v.NumPages()
-	}
-	if single.NumPages() <= coverPages {
-		return []*viewset.SnapView{single}
-	}
-	return multi
+	return []*viewset.SnapView{snap.RouteSingle(lo, hi)}
 }
 
 // scanState is the pinned-state body of a routed query: route over the

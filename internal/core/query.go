@@ -24,10 +24,10 @@ type QueryResult struct {
 }
 
 // applyDecision performs the side effects of a retention decision:
-// releasing discarded candidates, displaced views, and evicted views, and
-// updating counters. A displaced view left the live set with the state
-// that published the decision: readers admitted later route the new
-// capture, and every older state that can still route to it holds its own
+// releasing discarded candidates and displaced views, and updating
+// counters. A displaced view left the live set with the state that
+// published the decision: readers admitted later route the new capture,
+// and every older state that can still route to it holds its own
 // reference, so the release here only drops the set's owner reference —
 // the unmap happens when the last pinned epoch drains.
 func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View) error {
@@ -38,11 +38,6 @@ func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View)
 	case viewset.Replaced:
 		e.stats.viewsReplaced.Add(1)
 		e.journalViewEvent(obs.EvViewReplaced, cand.Lo(), cand.Hi())
-		return displaced.Release()
-	case viewset.Evicted:
-		e.stats.viewsCreated.Add(1)
-		e.stats.viewsEvicted.Add(1)
-		e.journalViewEvent(obs.EvViewEvicted, displaced.Lo(), displaced.Hi())
 		return displaced.Release()
 	default:
 		e.stats.viewsDiscarded.Add(1)
@@ -77,7 +72,7 @@ func (e *Engine) publishCandidate(cand *view.View, gen uint64) (viewset.Decision
 		// the freeze itself stands, publication catches up with the
 		// next successful mutation.
 		_ = e.publishStateLocked() //asv:ignore-err a failed publication is counted in Stats.PublishErrors and the next successful mutation republishes
-	case viewset.Inserted, viewset.Replaced, viewset.Evicted:
+	case viewset.Inserted, viewset.Replaced:
 		if err := e.publishStateLocked(); err != nil {
 			// The set mutated but the capture failed — undo by removing
 			// the candidate again so readers never observe a state the

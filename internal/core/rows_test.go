@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
-	"github.com/asv-db/asv/internal/viewset"
 	"github.com/asv-db/asv/internal/xrand"
 )
 
@@ -135,107 +134,29 @@ func TestQueryRowsBaselineMode(t *testing.T) {
 	}
 }
 
-func TestCostBasedRoutingPrefersCheaperPlan(t *testing.T) {
+// TestMultiViewRoutingUsesCover: in MultiView mode a query covered by
+// several partial views in conjunction is answered from that cover,
+// "instead of directing the query to a single (potentially larger) view"
+// (§2.1), and the stitched answer matches a full scan.
+func TestMultiViewRoutingUsesCover(t *testing.T) {
 	col := testColumn(t, 256, dist.NewLinear(9, 0, 1_000_000, 256))
 	cfg := syncConfig()
 	cfg.Mode = MultiView
-	cfg.MultiViewPolicy = CostBased
 	e := newEngine(t, col, cfg)
-
-	// A cheap single view covering the whole query...
-	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 100_000, Hi: 400_000, Pinned: true}}); err != nil {
-		t.Fatal(err)
+	for _, r := range [][2]uint64{{100_000, 400_000}, {0, 300_000}, {250_000, 900_000}} {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// ...versus two wide, expensive views that also cover it.
-	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 300_000, Pinned: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 250_000, Hi: 900_000, Pinned: true}}); err != nil {
-		t.Fatal(err)
-	}
-
 	res, err := e.QueryOpt(150_000, 350_000, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ViewsUsed != 1 {
-		t.Fatalf("cost-based used %d views, want the single cheap view", res.ViewsUsed)
+	if res.ViewsUsed != 2 {
+		t.Fatalf("multi-view routing used %d views, want the 2-view cover", res.ViewsUsed)
 	}
-
-	// PreferMulti takes the stitched plan for the same query.
-	cfg2 := syncConfig()
-	cfg2.Mode = MultiView
-	cfg2.MultiViewPolicy = PreferMulti
-	e2 := newEngine(t, col, cfg2)
-	for _, r := range [][2]uint64{{0, 300_000}, {250_000, 900_000}} {
-		if _, err := e2.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res2, err := e2.QueryOpt(150_000, 350_000, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.ViewsUsed != 2 {
-		t.Fatalf("prefer-multi used %d views, want 2", res2.ViewsUsed)
-	}
-	// Both must be correct, of course.
 	wantCount, wantSum, _ := col.FullScan(150_000, 350_000)
-	if res.Count != wantCount || res.Sum != wantSum || res2.Count != wantCount || res2.Sum != wantSum {
-		t.Fatal("policies disagree with ground truth")
-	}
-}
-
-func TestEvictLRUKeepsAdapting(t *testing.T) {
-	col := testColumn(t, 128, dist.NewLinear(13, 0, 1_000_000, 128))
-	cfg := syncConfig()
-	cfg.MaxViews = 3
-	cfg.Limit = EvictLRU
-	e := newEngine(t, col, cfg)
-
-	rng := xrand.New(2)
-	evictions := false
-	for i := 0; i < 30; i++ {
-		lo := rng.Uint64n(950_000)
-		res, err := e.QueryOpt(lo, lo+20_000, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Decision == viewset.Evicted {
-			evictions = true
-		}
-		wantCount, wantSum, _ := col.FullScan(lo, lo+20_000)
-		if res.Count != wantCount || res.Sum != wantSum {
-			t.Fatalf("query %d wrong under eviction", i)
-		}
-	}
-	if !evictions {
-		t.Fatal("no LRU evictions happened at MaxViews=3 over 30 queries")
-	}
-	if e.ViewSet().Frozen() {
-		t.Fatal("EvictLRU must never freeze the set")
-	}
-	if e.ViewSet().Len() > 3 {
-		t.Fatalf("view count %d exceeds limit", e.ViewSet().Len())
-	}
-	if e.Stats().ViewsEvicted == 0 {
-		t.Fatal("eviction counter not incremented")
-	}
-}
-
-func TestPolicyValidation(t *testing.T) {
-	col := testColumn(t, 8, dist.NewUniform(1, 0, 10))
-	cfg := DefaultConfig()
-	cfg.MultiViewPolicy = MultiViewPolicy(42)
-	if _, err := NewEngine(col, cfg); err == nil {
-		t.Fatal("bad multi-view policy accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Limit = LimitPolicy(42)
-	if _, err := NewEngine(col, cfg); err == nil {
-		t.Fatal("bad limit policy accepted")
-	}
-	if PreferMulti.String() == "" || CostBased.String() == "" || MultiViewPolicy(9).String() == "" {
-		t.Fatal("policy String broken")
+	if res.Count != wantCount || res.Sum != wantSum {
+		t.Fatalf("cover answer %d/%d, want %d/%d", res.Count, res.Sum, wantCount, wantSum)
 	}
 }

@@ -261,15 +261,16 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 }
 
 // TestEpochRetirementReleasesEvictedViews checks the retire path: a view
-// evicted from the live set stays mapped — and routable — for a pinned
+// displaced from the live set stays mapped — and routable — for a pinned
 // snapshot, and its mmap is released only when the pinning epoch drains,
 // with the vmsim mapping count returning to the expected level.
 func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	const pages = 64
 	cfg := syncConfig()
 	cfg.MaxViews = 1
-	cfg.Limit = viewset.EvictLRU
-	// Eager creation: the test observes the evicted view's file mappings
+	// r = pages: any candidate over a superset of v1's range replaces it.
+	cfg.ReplaceTolerance = pages
+	// Eager creation: the test observes the displaced view's file mappings
 	// disappearing on drain, so its pages must be mapped up front (a lazy
 	// view that is never touched maps nothing and unmapping is a no-op).
 	cfg.Create.Lazy = false
@@ -295,26 +296,26 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A disjoint query evicts v1 (LRU, limit 1).
-	r2, err := eng.QueryOpt(ccDomain/2, ccDomain/2+ccDomain/8, QueryOptions{})
+	// A query over a superset of v1's range replaces v1.
+	r2, err := eng.QueryOpt(0, ccDomain/4, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Decision != viewset.Evicted {
-		t.Fatalf("second query %v, want evicted", r2.Decision)
+	if r2.Decision != viewset.Replaced {
+		t.Fatalf("second query %v, want replaced", r2.Decision)
 	}
 	if eng.set.Contains(v1) {
 		t.Fatal("v1 still a set member")
 	}
 
 	mappedPinned := col.File().MappedPages()
-	// The pinned epoch still routes to — and scans — the evicted view.
+	// The pinned epoch still routes to — and scans — the displaced view.
 	got, err := snap.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Count != want1.Count || got.Sum != want1.Sum || got.PagesScanned != want1.PagesScanned {
-		t.Fatalf("pinned scan of evicted view diverged: %+v vs %+v", got, want1)
+		t.Fatalf("pinned scan of displaced view diverged: %+v vs %+v", got, want1)
 	}
 	if got.UsedFullView {
 		t.Fatal("pinned query fell back to the full view")
@@ -325,7 +326,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 	}
 	mappedAfter := col.File().MappedPages()
 	if mappedAfter != mappedPinned-v1Pages {
-		t.Fatalf("evicted view not unmapped on drain: %d -> %d (view had %d pages)",
+		t.Fatalf("displaced view not unmapped on drain: %d -> %d (view had %d pages)",
 			mappedPinned, mappedAfter, v1Pages)
 	}
 }
@@ -452,7 +453,6 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 	baseFrames := kernel.FramesInUse()
 
 	cfg := syncConfig()
-	cfg.Limit = viewset.EvictLRU
 	cfg.MaxViews = 6
 	cfg.Autopilot = &autopilot.Config{
 		CoalesceCount:    32,

@@ -52,7 +52,6 @@ func (e *Engine) Telemetry() obs.Snapshot {
 	s.AddCounter("engine_views_created", st.ViewsCreated)
 	s.AddCounter("engine_views_replaced", st.ViewsReplaced)
 	s.AddCounter("engine_views_discarded", st.ViewsDiscarded)
-	s.AddCounter("engine_views_evicted", st.ViewsEvicted)
 	s.AddCounter("engine_updates_buffered", st.UpdatesBuffered)
 	s.AddCounter("engine_update_batches", st.UpdateBatches)
 	s.AddCounter("engine_pages_added", st.PagesAdded)

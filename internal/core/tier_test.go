@@ -175,7 +175,6 @@ func TestTieredAutopilotDemotion(t *testing.T) {
 	ap.TierLowWater = 0.25
 
 	cfg := tieredConfig(16)
-	cfg.Tiering.NoPromoteOnAccess = true
 	cfg.Autopilot = ap
 	cfg.MaxViews = 2
 	e := newEngine(t, testColumn(t, 64, dist.NewLinear(5, 0, ccDomain, 64)), cfg)

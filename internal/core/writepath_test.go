@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -88,17 +89,21 @@ func TestAlignParallelEquivalence(t *testing.T) {
 // against the single-buffer write path: disjoint-row writer streams
 // applied concurrently must flush to exactly the batch a serial
 // application produces — same squashed shape, same page movement, same
-// final column state — regardless of shard count or scheduling.
+// final column state — regardless of shard count or scheduling. The
+// shard count follows GOMAXPROCS at engine creation, so each engine is
+// built under its own setting.
 func TestShardedUpdateDeterminism(t *testing.T) {
 	const (
 		pages   = 64
 		writers = 4
 	)
 	g := dist.NewSine(3, 0, ccDomain, 8)
-	mk := func(shards int) *Engine {
-		cfg := syncConfig()
-		cfg.UpdateShards = shards
-		e := newEngine(t, testColumn(t, pages, g), cfg)
+	mk := func(procs int) *Engine {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		e := newEngine(t, testColumn(t, pages, g), syncConfig())
+		if len(e.shards) != procs {
+			t.Fatalf("engine built under GOMAXPROCS(%d) has %d shards", procs, len(e.shards))
+		}
 		for _, r := range alignTestRanges {
 			if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 				t.Fatal(err)
@@ -199,9 +204,7 @@ func TestConcurrentShardedUpdateStress(t *testing.T) {
 		readers = 3
 	)
 	col := testColumn(t, pages, dist.NewClustered(9, 0, ccDomain, 0.05))
-	cfg := syncConfig()
-	cfg.UpdateShards = 8
-	eng := newEngine(t, col, cfg)
+	eng := newEngine(t, col, syncConfig())
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

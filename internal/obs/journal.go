@@ -38,8 +38,6 @@ const (
 	EvViewInserted
 	// EvViewReplaced: a candidate replaced an existing view. A=lo, B=hi.
 	EvViewReplaced
-	// EvViewEvicted: the set evicted a view to admit a candidate. A=lo, B=hi.
-	EvViewEvicted
 	// EvViewDiscarded: a candidate was discarded unadmitted. A=lo, B=hi.
 	EvViewDiscarded
 	// EvViewExpired: maintenance expired a cold view. A=lo, B=hi.
@@ -67,8 +65,6 @@ func (t EventType) String() string {
 		return "view_inserted"
 	case EvViewReplaced:
 		return "view_replaced"
-	case EvViewEvicted:
-		return "view_evicted"
 	case EvViewDiscarded:
 		return "view_discarded"
 	case EvViewExpired:

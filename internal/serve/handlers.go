@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -343,7 +344,12 @@ func (s *Server) handleSnapshotCreate(w http.ResponseWriter, r *http.Request, t 
 	id, err := t.AddSnapshot(col.Name(), snap)
 	if err != nil {
 		_ = snap.Close() //asv:ignore-err unwinding a refused registration; the registration error is returned
-		s.writeError(w, http.StatusConflict, err)
+		status := http.StatusConflict
+		if errors.Is(err, errTooManySnapshots) {
+			w.Header().Set("Retry-After", "1")
+			status = http.StatusTooManyRequests
+		}
+		s.writeError(w, status, err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{"id": strconv.FormatUint(id, 10)})

@@ -26,8 +26,15 @@ type ServerConfig struct {
 // readHeaderTimeout bounds how long a connection may take to send a
 // request's line and headers, so a client that opens a connection and
 // stalls mid-request cannot hold it open forever. Idle keep-alive
-// connections between requests are not affected.
+// connections between requests are bounded by idleTimeout instead.
 const readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit idle
+// between requests before the server closes it, so abandoned client
+// connections do not accumulate. It is far above any idle gap of a
+// client that is still sending: a POST is not retried when the server
+// closes its idle connection under it.
+const idleTimeout = 120 * time.Second
 
 // Server is the asvd HTTP front end: a stdlib-only JSON API over a
 // tenant catalog of sharded adaptive columns. Create one with
@@ -56,7 +63,7 @@ func NewServer(cfg ServerConfig) *Server {
 		mux: http.NewServeMux(),
 	}
 	s.routes()
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -495,5 +496,141 @@ func TestServeReadHeaderTimeout(t *testing.T) {
 			t.Fatal("stalled client still connected after the header timeout")
 		}
 		t.Fatalf("read after stall: %v", err)
+	}
+}
+
+// TestServeIdleTimeout pins that the server bounds idle keep-alive
+// connections: a client that finishes a request and then sends nothing
+// is disconnected once the idle timeout passes.
+func TestServeIdleTimeout(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	if s.srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", s.srv.IdleTimeout, idleTimeout)
+	}
+	s.srv.IdleTimeout = 50 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(l) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: asvd\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("healthz = %d (close=%v), want a kept-alive 200", resp.StatusCode, resp.Close)
+	}
+	// Far beyond the shortened timeout: a server without one would keep
+	// the idle connection open and the read would hit this deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(br); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("idle keep-alive connection still open after the idle timeout")
+		}
+		t.Fatalf("read while idle: %v", err)
+	}
+}
+
+// TestServeSnapshotCap pins the per-tenant bound on open snapshot
+// handles: past maxTenantSnapshots a create is refused with 429 and
+// Retry-After, closing one handle admits the next, and the refused
+// snapshots leave no pin behind — closing the column afterwards returns
+// promptly.
+func TestServeSnapshotCap(t *testing.T) {
+	// No newTestServer: its cleanups close the catalog, which a leaked pin
+	// blocks, so a failure here would hang instead of being reported. The
+	// server is closed by hand once the column has closed.
+	s := NewServer(ServerConfig{})
+	ts := httptest.NewServer(s.Handler())
+	c := &httpClient{t: t, base: ts.URL, client: ts.Client()}
+	c.must(http.StatusCreated, "POST", "/t/acme/columns", map[string]any{
+		"name": "m", "pages": 4,
+		"fill": map[string]any{"dist": "uniform", "seed": 1, "lo": 0, "hi": 1 << 20},
+	}, nil)
+	ids := make([]string, 0, maxTenantSnapshots)
+	for len(ids) < maxTenantSnapshots {
+		var snap map[string]string
+		c.must(http.StatusCreated, "POST", "/t/acme/columns/m/snapshots", nil, &snap)
+		ids = append(ids, snap["id"])
+	}
+	refuse := func() {
+		t.Helper()
+		resp, err := c.client.Post(c.base+"/t/acme/columns/m/snapshots", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("snapshot over the cap = %d (Retry-After %q), want 429 with Retry-After",
+				resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	refuse()
+	c.must(http.StatusOK, "DELETE", "/t/acme/columns/m/snapshots/"+ids[0], nil, nil)
+	var snap map[string]string
+	c.must(http.StatusCreated, "POST", "/t/acme/columns/m/snapshots", nil, &snap)
+	ids[0] = snap["id"]
+	refuse()
+	for _, id := range ids {
+		c.must(http.StatusOK, "DELETE", "/t/acme/columns/m/snapshots/"+id, nil, nil)
+	}
+
+	// A refused snapshot that kept its pin would block the column's
+	// Close forever.
+	done := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest("DELETE", c.base+"/t/acme/columns/m", nil)
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp, err := c.client.Do(req)
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case status := <-done:
+		if status != http.StatusOK {
+			t.Fatalf("column close = %d, want 200", status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("column close blocked: a refused snapshot leaked its pin")
+	}
+	ts.Close()
+	if err := s.Catalog().Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -190,6 +191,15 @@ func (c *Catalog) Close() error {
 	return firstErr
 }
 
+// maxTenantSnapshots caps a tenant's open snapshot handles. Each handle
+// pins an epoch of its column until DELETE, so a client that never closes
+// its handles would otherwise pin without bound.
+const maxTenantSnapshots = 256
+
+// errTooManySnapshots refuses a handle once the tenant holds
+// maxTenantSnapshots; the caller still owns the refused snapshot.
+var errTooManySnapshots = errors.New("serve: too many open snapshots")
+
 // snapEntry is one HTTP-created snapshot handle, remembered until the
 // client deletes it or the owning column/tenant closes.
 type snapEntry struct {
@@ -264,12 +274,17 @@ func (t *Tenant) QueuedUpdates() int {
 	return total
 }
 
-// AddSnapshot registers an open snapshot handle and returns its ID.
+// AddSnapshot registers an open snapshot handle and returns its ID. It
+// refuses with errTooManySnapshots once the tenant holds
+// maxTenantSnapshots handles.
 func (t *Tenant) AddSnapshot(col string, s *ShardSnapshot) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return 0, fmt.Errorf("serve: tenant %q is closed", t.name)
+	}
+	if len(t.snaps) >= maxTenantSnapshots {
+		return 0, fmt.Errorf("%w: tenant %q holds %d (limit %d)", errTooManySnapshots, t.name, len(t.snaps), maxTenantSnapshots)
 	}
 	t.nextID++
 	t.snaps[t.nextID] = &snapEntry{col: col, snap: s}

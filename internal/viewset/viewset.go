@@ -12,11 +12,10 @@
 // set (snapshot.go), never over the live set. The live read side — Full,
 // Partials, Len, Frozen, Clock, Temperatures — is safe for any number of
 // concurrent callers (the LRU clock is atomic, the usage map has its own
-// lock, and the partial-view slice is copy-on-write). The
-// write side — Consider, Insert, Remove, ReplaceExisting, Contains,
-// Clear, SetLimitPolicy — must be externally serialized against both
-// readers and other writers; the adaptive engine holds its write lock
-// around every call.
+// lock, and the partial-view slice is copy-on-write). The write side —
+// Consider, Insert, Remove, ReplaceExisting, Contains, Clear — must be
+// externally serialized against both readers and other writers; the
+// adaptive engine holds its write lock around every call.
 package viewset
 
 import (
@@ -51,9 +50,6 @@ const (
 	// DiscardedLimit: the maximum number of views is reached; the set
 	// freezes and no further candidates will be generated (§2.2).
 	DiscardedLimit
-	// Evicted: the view limit was reached under the EvictLRU policy; the
-	// least-recently-routed partial view made room for the candidate.
-	Evicted
 	// DiscardedStale: the engine invalidated the candidate before it
 	// could be published — an update alignment, view rebuild or engine
 	// close ran between the read-locked scan that built it and the
@@ -79,35 +75,8 @@ func (d Decision) String() string {
 		return "discarded(view-limit)"
 	case DiscardedStale:
 		return "discarded(stale-candidate)"
-	case Evicted:
-		return "inserted(evicted-lru)"
 	default:
 		return fmt.Sprintf("Decision(%d)", int(d))
-	}
-}
-
-// LimitPolicy selects the behaviour when the view limit is reached.
-type LimitPolicy int
-
-const (
-	// Freeze stops candidate generation for good — the paper's behaviour:
-	// "If the limit has been reached already, we stop the generation of
-	// new partial views altogether" (§2.2).
-	Freeze LimitPolicy = iota
-	// EvictLRU evicts the least-recently-routed partial view to admit the
-	// candidate, keeping the layer adaptive under drifting workloads.
-	EvictLRU
-)
-
-// String renders the policy name.
-func (p LimitPolicy) String() string {
-	switch p {
-	case Freeze:
-		return "freeze"
-	case EvictLRU:
-		return "evict-lru"
-	default:
-		return fmt.Sprintf("LimitPolicy(%d)", int(p))
 	}
 }
 
@@ -118,12 +87,11 @@ type Set struct {
 	// slice, never writing an element a concurrent reader could hold. A
 	// routing pass captures the header once and works on an immutable
 	// snapshot.
-	partials    []*view.View
-	maxViews    int
-	discardTol  int // d: pages of slack when discarding subsets
-	replaceTol  int // r: pages of slack when replacing supersets
-	frozen      bool
-	limitPolicy LimitPolicy
+	partials   []*view.View
+	maxViews   int
+	discardTol int // d: pages of slack when discarding subsets
+	replaceTol int // r: pages of slack when replacing supersets
+	frozen     bool
 
 	clock atomic.Uint64 // logical routing clock for LRU
 
@@ -162,8 +130,8 @@ type usage struct {
 
 // New creates a set holding the column's full view. maxViews bounds the
 // number of partial views; discardTol and replaceTol are the paper's d and
-// r (both 0 in all paper experiments, §3). The limit policy defaults to
-// Freeze (the paper's behaviour); see SetLimitPolicy.
+// r (both 0 in all paper experiments, §3). Reaching maxViews freezes the
+// set (§2.2).
 func New(full *view.View, maxViews, discardTol, replaceTol int) *Set {
 	if maxViews < 0 {
 		maxViews = 0
@@ -178,9 +146,6 @@ func New(full *view.View, maxViews, discardTol, replaceTol int) *Set {
 		capDirty:   make(map[*view.View]struct{}),
 	}
 }
-
-// SetLimitPolicy selects the behaviour when the view limit is hit.
-func (s *Set) SetLimitPolicy(p LimitPolicy) { s.limitPolicy = p }
 
 // Full returns the full view.
 func (s *Set) Full() *view.View { return s.full }
@@ -239,21 +204,6 @@ func (s *Set) Consider(cand *view.View) (Decision, *view.View) {
 		}
 	}
 	if len(s.partials) >= s.maxViews {
-		if s.limitPolicy == EvictLRU && len(s.partials) > 0 {
-			s.lruMu.Lock()
-			victimIdx := 0
-			for i, pv := range s.partials {
-				if s.usage[pv].last < s.usage[s.partials[victimIdx]].last {
-					victimIdx = i
-				}
-			}
-			victim := s.partials[victimIdx]
-			delete(s.usage, victim)
-			s.usage[cand] = usage{last: s.clock.Load()}
-			s.lruMu.Unlock()
-			s.replaceAt(victimIdx, cand)
-			return Evicted, victim
-		}
 		s.frozen = true
 		return DiscardedLimit, nil
 	}

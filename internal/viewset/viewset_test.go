@@ -337,7 +337,7 @@ func TestCoveredInterval(t *testing.T) {
 
 func TestDecisionString(t *testing.T) {
 	for _, d := range []Decision{DecisionNone, Inserted, Replaced, DiscardedNotSmaller,
-		DiscardedSubset, DiscardedLimit, DiscardedStale, Evicted} {
+		DiscardedSubset, DiscardedLimit, DiscardedStale} {
 		if d.String() == "" {
 			t.Fatalf("empty string for %d", int(d))
 		}

@@ -46,9 +46,6 @@ type TierConfig struct {
 	// relative to the hot tier's per-page scan cost (0 selects 8; the
 	// charged stall is ColdMultiplier × 250ns per cold page touch).
 	ColdMultiplier float64
-	// NoPromoteOnAccess leaves touched cold pages in the cold tier even
-	// when the hot budget has room; by default a touch promotes.
-	NoPromoteOnAccess bool
 	// NoStall charges cold touches to the stall counters without the
 	// busy-wait — deterministic tests keep the accounting, not the time.
 	NoStall bool
@@ -147,8 +144,8 @@ func (t *FileTier) IsCold(i int) bool { return t.Word(i)&tierColdBit != 0 }
 
 // Touch records one read access to page i and returns the word the read
 // should validate against. A hot page costs nothing. A cold page is
-// charged the simulated capacity-tier latency and — unless disabled or
-// over budget — promoted back to the hot tier (the promote bumps the
+// charged the simulated capacity-tier latency and — unless the hot tier
+// is at budget — promoted back to the hot tier (the promote bumps the
 // version, and the returned word is the promoted one, so the toucher's
 // own migration never forces a retry).
 func (t *FileTier) Touch(i int) uint32 {
@@ -164,7 +161,7 @@ func (t *FileTier) Touch(i int) uint32 {
 	if !t.cfg.NoStall {
 		spinWait(time.Duration(t.stallNs))
 	}
-	if !t.cfg.NoPromoteOnAccess && t.hotFrames() < t.cfg.HotFrames {
+	if t.hotFrames() < t.cfg.HotFrames {
 		if nw, ok := t.promote(i, w); ok {
 			return nw
 		}

@@ -99,8 +99,7 @@ func TestTierTouch(t *testing.T) {
 }
 
 // TestTierTouchOverBudget: with the hot tier at budget, a cold touch
-// charges the stall but leaves the page cold — and NoPromoteOnAccess
-// pins pages cold even under budget.
+// charges the stall but leaves the page cold.
 func TestTierTouchOverBudget(t *testing.T) {
 	// Budget 2 of 4 pages: demote two, hot tier is exactly at budget.
 	ft := newTestTier(t, 4, TierConfig{HotFrames: 2, NoStall: true})
@@ -116,15 +115,8 @@ func TestTierTouchOverBudget(t *testing.T) {
 	if ft.IsCold(0) {
 		t.Fatal("touch under freed budget did not promote")
 	}
-
-	np := newTestTier(t, 4, TierConfig{HotFrames: 4, NoStall: true, NoPromoteOnAccess: true})
-	np.Demote(0)
-	np.Touch(0)
-	if !np.IsCold(0) {
-		t.Fatal("NoPromoteOnAccess promoted on touch")
-	}
-	if s := np.Stats(); s.ColdTouches != 1 {
-		t.Fatalf("cold touch not counted: %+v", s)
+	if s := ft.Stats(); s.ColdTouches != 2 {
+		t.Fatalf("cold touches not counted: %+v", s)
 	}
 }
 
