@@ -40,7 +40,6 @@ func main() {
 		mode     = flag.String("mode", "single", "routing mode: single or multi")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		showMaps = flag.Bool("maps", true, "print the rendered maps file")
-		parallel = flag.Bool("parallel", true, "fill the column with page-sharded workers")
 		autoPlt  = flag.Bool("autopilot", false, "enable the background maintenance subsystem: interleave fire-and-forget updates with the queries and dump coalescing/lifecycle telemetry")
 		snapDemo = flag.Bool("snapshot", false, "after the query sequence, pin an epoch snapshot, overwrite rows and flush, and show the pinned reads staying repeatable while live reads move")
 		tierDemo = flag.Bool("tiers", false, "attach a simulated capacity tier (hot budget = half the pages), demote the whole column after the queries, re-run a probe and dump per-tier occupancy")
@@ -61,7 +60,7 @@ func main() {
 	}
 
 	o := obsFlags{trace: *traceQ, events: *events, metrics: *metrics, metricsOut: *metOut}
-	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *parallel, *autoPlt, *snapDemo, *tierDemo, o); err != nil {
+	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *autoPlt, *snapDemo, *tierDemo, o); err != nil {
 		fmt.Fprintln(os.Stderr, "asvinspect:", err)
 		os.Exit(1)
 	}
@@ -76,7 +75,7 @@ type obsFlags struct {
 	metricsOut string
 }
 
-func run(pages, queries int, distName, mode string, seed uint64, showMaps, parallel bool, autoPilot, snapDemo, tierDemo bool, o obsFlags) error {
+func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoPilot, snapDemo, tierDemo bool, o obsFlags) error {
 	const domain = 100_000_000
 
 	kern := vmsim.NewKernel(0)
@@ -91,12 +90,7 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 		return err
 	}
 	t0 := time.Now()
-	if parallel {
-		err = col.FillParallel(g, 0)
-	} else {
-		err = col.Fill(g)
-	}
-	if err != nil {
+	if err := col.FillParallel(g, 0); err != nil {
 		return err
 	}
 	fillDur := time.Since(t0)
@@ -122,12 +116,8 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 	}
 	defer eng.Close()
 
-	fill := "serial"
-	if parallel {
-		fill = "parallel"
-	}
-	fmt.Printf("column: %d pages (%d rows), %s distribution over [0, %d], %s fill in %s\n",
-		col.NumPages(), col.Rows(), distName, domain, fill, fillDur.Round(time.Microsecond))
+	fmt.Printf("column: %d pages (%d rows), %s distribution over [0, %d], fill in %s\n",
+		col.NumPages(), col.Rows(), distName, domain, fillDur.Round(time.Microsecond))
 
 	qs := workload.SelectivitySweep(seed, queries, domain, domain/2, domain/1000)
 	rng := xrand.New(seed + 99)
@@ -193,8 +183,8 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 		fmt.Printf("  flush latency: p50 %s, p99 %s (%d samples)\n",
 			time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(h.Quantile(0.99)).Round(time.Microsecond), h.Count)
-		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
-			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
+		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt\n",
+			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt)
 		fmt.Printf("  cost model: %.0f ns/page scans, %.2fx slowdown\n",
 			p.Model().ScanNsPerPage(), p.Model().ScanSlowdown())
 		fmt.Printf("  view temperatures (LRU clock %d):\n", clock)

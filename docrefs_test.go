@@ -147,7 +147,7 @@ var configFieldBudget = []struct {
 	fields   int
 }{
 	{"internal/core", "Config", 9},
-	{"internal/autopilot", "Config", 14},
+	{"internal/autopilot", "Config", 13},
 	{"internal/vmsim", "TierConfig", 3},
 	{"internal/view", "CreateOptions", 3},
 }

@@ -188,3 +188,80 @@ func ExampleTable() {
 	//     [         7,          9]   352 pages
 	//     [        18,         21]   720 pages
 }
+
+// ExampleColumn_multiView runs fixed-selectivity analytics in multi-view
+// mode (§2.1). A fleet-monitoring dashboard slices a metric into
+// fixed-width windows at arbitrary positions; no single view covers
+// every window, but once the adaptive layer has accumulated overlapping
+// partial views, queries are answered by stitching several of them — the
+// behaviour Figure 5 plots.
+func ExampleColumn_multiView() {
+	db, err := asv.Open(asv.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	cfg := asv.DefaultConfig()
+	cfg.Mode = asv.MultiView
+	cfg.MaxViews = 200
+
+	const pages = 8192
+	const domain = 100_000_000
+	col, err := db.CreateColumn("latency_us", pages, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Periodically clustered latencies (load cycles).
+	if err := col.Fill(asv.Sine(3, 0, domain, 100)); err != nil {
+		log.Fatal(err)
+	}
+
+	// 1%-wide windows at pseudo-random positions.
+	const windows = 300
+	width := uint64(domain / 100)
+	stitched, fullScans := 0, 0
+	maxViews := 0
+	pos := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < windows; i++ {
+		pos = pos*6364136223846793005 + 1442695040888963407 // LCG positions
+		lo := pos % (domain - width)
+		res, err := col.QueryOpt(lo, lo+width)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.UsedFullView {
+			fullScans++
+		}
+		if res.ViewsUsed > 1 {
+			stitched++
+		}
+		if res.ViewsUsed > maxViews {
+			maxViews = res.ViewsUsed
+		}
+		if i < 3 || i >= windows-3 {
+			fmt.Printf("window %3d [%8d, %8d]: %6d rows via %d view(s), %4d pages\n",
+				i, lo, lo+width, res.Count, res.ViewsUsed, res.PagesScanned)
+		}
+		if i == 3 {
+			fmt.Println("...")
+		}
+	}
+
+	fmt.Printf("\n%d/%d windows answered by stitching multiple views (max %d views per query)\n",
+		stitched, windows, maxViews)
+	fmt.Printf("%d/%d windows still needed a full scan\n", fullScans, windows)
+	fmt.Printf("partial views held: %d\n", len(col.Views()))
+	// Output:
+	// window   0 [ 4538048,  5538048]:  65799 rows via 1 view(s), 8192 pages
+	// window   1 [76592399, 77592399]:  26602 rows via 1 view(s), 8192 pages
+	// window   2 [22676338, 23676338]:  26585 rows via 1 view(s), 8192 pages
+	// ...
+	// window 297 [23243767, 24243767]:  26639 rows via 1 view(s),  164 pages
+	// window 298 [78453626, 79453626]:  26763 rows via 1 view(s),  164 pages
+	// window 299 [ 4255873,  5255873]:  65945 rows via 1 view(s),  492 pages
+	//
+	// 75/300 windows answered by stitching multiple views (max 3 views per query)
+	// 49/300 windows still needed a full scan
+	// partial views held: 93
+}

@@ -3,7 +3,7 @@
 // Updates at it — no caller-side batching, no explicit flushes. The
 // autopilot coalesces the writes into group commits under a 5ms latency
 // bound and runs a temperature-driven view lifecycle (cold views evicted,
-// fragmented ones rebuilt, hot soft-TLBs pre-warmed). The example
+// fragmented ones rebuilt). The example
 // contrasts the same write volume pushed through a plain column with
 // synchronous lone Updates.
 package main
@@ -134,8 +134,8 @@ func main() {
 	fmt.Printf("  flush latency: p50 %s, p99 %s (bound 5ms + alignment)\n",
 		time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
 		time.Duration(lat.Quantile(0.99)).Round(time.Microsecond))
-	fmt.Printf("  lifecycle: %d maintenance ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
-		m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
+	fmt.Printf("  lifecycle: %d maintenance ticks, %d cold views evicted, %d rebuilt\n",
+		m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt)
 
 	// The two columns converged to the same data: same answers everywhere.
 	ra, err := auto.QueryOpt(0, domain/2)

@@ -16,9 +16,9 @@
 //  2. Temperature-driven view lifecycle: on every maintenance tick the
 //     pilot reads per-view access recency/frequency (exported by viewset
 //     from its LRU clock), evicts cold partial views, rebuilds
-//     fragmented ones, and pre-warms soft-TLBs — each action in its own
-//     slice of the engine lock's exclusive mode, released in between, so
-//     writers keep flowing between slices.
+//     fragmented ones and, on a tiered engine, demotes cold pages — each
+//     action in its own slice of the engine lock's exclusive mode,
+//     released in between, so writers keep flowing between slices.
 //
 // All time flows through an injectable Clock, so every behaviour is
 // deterministic in tests (ManualClock) without a single sleep.
@@ -46,7 +46,6 @@ const (
 	defaultColdTicks       = 4096
 	defaultRebuildFrag     = 0.5
 	defaultMinRebuildPages = 16
-	defaultWarmHottest     = 2
 	defaultTierHighWater   = 0.9
 	defaultTierLowWater    = 0.7
 	// tierSlowdownGate is the measured scan slowdown (CostModel, relative
@@ -110,9 +109,6 @@ type Target interface {
 	// exclusive-lock slice; false means the handle was no longer a set
 	// member.
 	RebuildView(handle any) (bool, error)
-	// WarmView re-resolves one hot view's soft-TLB, returning the number
-	// of page translations that were cold.
-	WarmView(handle any) (int, error)
 }
 
 // TierInfo is a hot-tier occupancy snapshot — the simulated memory
@@ -150,8 +146,7 @@ type TierTarget interface {
 // Config parameterizes a Pilot. The zero value of every field selects the
 // documented default; negative values disable optional duties
 // (MaintainInterval < 0 disables the lifecycle ticker, ColdTicks < 0
-// disables eviction, RebuildFrag < 0 disables rebuilds, WarmHottest < 0
-// disables TLB pre-warming).
+// disables eviction, RebuildFrag < 0 disables rebuilds).
 type Config struct {
 	// CoalesceCount flushes the intake once this many writes are queued
 	// (default 256).
@@ -177,9 +172,6 @@ type Config struct {
 	RebuildFrag float64
 	// MinRebuildPages skips rebuilding views smaller than this (default 16).
 	MinRebuildPages int
-	// WarmHottest pre-warms the soft-TLBs of this many most-used views per
-	// tick (default 2; < 0 disables warming).
-	WarmHottest int
 	// TierHighWater starts the demotion duty once hot-tier occupancy
 	// (hot frames / budget) reaches this fraction (default 0.9; < 0
 	// disables the duty even on a TierTarget). Only consulted when the
@@ -259,9 +251,6 @@ func (c Config) withDefaults() Config {
 	if c.MinRebuildPages == 0 {
 		c.MinRebuildPages = defaultMinRebuildPages
 	}
-	if c.WarmHottest == 0 {
-		c.WarmHottest = defaultWarmHottest
-	}
 	if c.TierHighWater == 0 {
 		c.TierHighWater = defaultTierHighWater
 	}
@@ -328,7 +317,6 @@ type MaintainReport struct {
 	Views        int     // partial views inspected
 	Evicted      int     // cold views released
 	Rebuilt      int     // fragmented views rebuilt
-	WarmedPages  int     // cold TLB slots re-resolved on hot views
 	PagesDemoted int     // pages moved to the capacity tier this tick
 	TierPressure float64 // 0..1 position within the [low, high] water band
 	Err          error
@@ -347,7 +335,6 @@ type Metrics struct {
 	MaintenanceTicks    uint64
 	ViewsEvicted        uint64
 	ViewsRebuilt        uint64
-	TLBPagesWarmed      uint64
 	PagesDemoted        uint64 // pages moved to the capacity tier
 }
 
@@ -410,7 +397,6 @@ type Pilot struct {
 	mMaintTicks          atomic.Uint64
 	mEvicted             atomic.Uint64
 	mRebuilt             atomic.Uint64
-	mWarmed              atomic.Uint64
 	mPagesDemoted        atomic.Uint64
 
 	// latHist/batchHist are lock-free log₂ histograms of flush latency
@@ -562,7 +548,6 @@ func (p *Pilot) Metrics() Metrics {
 		MaintenanceTicks:    p.mMaintTicks.Load(),
 		ViewsEvicted:        p.mEvicted.Load(),
 		ViewsRebuilt:        p.mRebuilt.Load(),
-		TLBPagesWarmed:      p.mWarmed.Load(),
 		PagesDemoted:        p.mPagesDemoted.Load(),
 	}
 }
@@ -586,7 +571,6 @@ func (p *Pilot) Telemetry() obs.Snapshot {
 	s.AddCounter("autopilot_maintenance_ticks", m.MaintenanceTicks)
 	s.AddCounter("autopilot_views_evicted", m.ViewsEvicted)
 	s.AddCounter("autopilot_views_rebuilt", m.ViewsRebuilt)
-	s.AddCounter("autopilot_tlb_pages_warmed", m.TLBPagesWarmed)
 	s.AddCounter("autopilot_pages_demoted", m.PagesDemoted)
 	s.SetHistogram("autopilot_flush_latency_ns", p.latHist.Snapshot())
 	s.SetHistogram("autopilot_coalesce_batch", p.batchHist.Snapshot())
@@ -731,8 +715,7 @@ func (p *Pilot) drain(reason FlushReason, align bool) {
 
 // maintain runs one temperature-driven lifecycle pass: evict cold views
 // (one exclusive slice for the batch), rebuild fragmented ones (one
-// slice each, so readers interleave), pre-warm the hottest TLBs, and —
-// on a tiered engine — demote the coldest unpinned views' pages under
+// slice each, so readers interleave), and — on a tiered engine — demote the coldest unpinned views' pages under
 // hot-tier pressure.
 //
 // The thresholds are feedback-driven rather than fixed: simulated memory
@@ -776,12 +759,6 @@ func (p *Pilot) maintain() {
 
 	var cold []any
 	var rebuild []any
-	type hotView struct {
-		h    any
-		uses uint64
-		last uint64
-	}
-	var hot []hotView
 	var demotable []ViewTemp
 	for _, t := range temps {
 		if coldTicks > 0 && clock > coldTicks && clock-t.LastUsed > coldTicks {
@@ -791,7 +768,6 @@ func (p *Pilot) maintain() {
 		if rebuildFrag > 0 && t.Frag >= rebuildFrag && t.Pages >= p.cfg.MinRebuildPages {
 			rebuild = append(rebuild, t.Handle)
 		}
-		hot = append(hot, hotView{h: t.Handle, uses: t.Uses, last: t.LastUsed})
 		if tiered && !t.Pinned {
 			demotable = append(demotable, t)
 		}
@@ -814,28 +790,6 @@ func (p *Pilot) maintain() {
 			p.mRebuilt.Add(1)
 		}
 		setErr(err)
-	}
-	if p.cfg.WarmHottest > 0 {
-		// Partial selection: repeatedly pick the hottest not yet warmed
-		// (uses desc, recency desc) — K is tiny, no sort needed.
-		k := p.cfg.WarmHottest
-		if k > len(hot) {
-			k = len(hot)
-		}
-		for i := 0; i < k; i++ {
-			best := i
-			for j := i + 1; j < len(hot); j++ {
-				if hot[j].uses > hot[best].uses ||
-					(hot[j].uses == hot[best].uses && hot[j].last > hot[best].last) {
-					best = j
-				}
-			}
-			hot[i], hot[best] = hot[best], hot[i]
-			n, err := p.target.WarmView(hot[i].h)
-			rep.WarmedPages += n
-			p.mWarmed.Add(uint64(n))
-			setErr(err)
-		}
 	}
 	if tiered && tier.Occupancy() >= p.cfg.TierHighWater && len(demotable) > 0 {
 		// Demote coldest-first down to the low watermark. Evicted views'

@@ -11,16 +11,14 @@ import (
 // concurrent use and signal appliedCh/alignedCh so tests wait on events
 // instead of sleeping.
 type fakeTarget struct {
-	mu        sync.Mutex
-	applied   [][]Write
-	aligns    int
-	applyErr  error
-	clock     uint64
-	temps     []ViewTemp
-	evicted   [][]any
-	rebuilt   []any
-	warmed    []any
-	warmPages int
+	mu       sync.Mutex
+	applied  [][]Write
+	aligns   int
+	applyErr error
+	clock    uint64
+	temps    []ViewTemp
+	evicted  [][]any
+	rebuilt  []any
 
 	appliedCh chan []Write
 	alignedCh chan struct{}
@@ -71,14 +69,6 @@ func (f *fakeTarget) RebuildView(h any) (bool, error) {
 	f.rebuilt = append(f.rebuilt, h)
 	f.mu.Unlock()
 	return true, nil
-}
-
-func (f *fakeTarget) WarmView(h any) (int, error) {
-	f.mu.Lock()
-	f.warmed = append(f.warmed, h)
-	n := f.warmPages
-	f.mu.Unlock()
-	return n, nil
 }
 
 func (f *fakeTarget) totalApplied() int {
@@ -308,7 +298,6 @@ func maintCfg(reports chan MaintainReport) Config {
 		ColdTicks:        10,
 		RebuildFrag:      0.5,
 		MinRebuildPages:  4,
-		WarmHottest:      1,
 		OnMaintain:       func(r MaintainReport) { reports <- r },
 	}
 }
@@ -333,9 +322,9 @@ func TestMaintainEvictsCold(t *testing.T) {
 	if len(tgt.evicted) != 1 || len(tgt.evicted[0]) != 1 || tgt.evicted[0][0] != "cold" {
 		t.Fatalf("evicted %v", tgt.evicted)
 	}
-	// The warm view was the hottest → pre-warmed, never rebuilt.
-	if len(tgt.warmed) != 1 || tgt.warmed[0] != "warm" {
-		t.Fatalf("warmed %v", tgt.warmed)
+	// The warm view is unfragmented: kept, never rebuilt.
+	if len(tgt.rebuilt) != 0 {
+		t.Fatalf("rebuilt %v", tgt.rebuilt)
 	}
 }
 

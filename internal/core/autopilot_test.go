@@ -25,7 +25,6 @@ func quietAutopilot() *autopilot.Config {
 		MaintainInterval: -1,
 		ColdTicks:        -1,
 		RebuildFrag:      -1,
-		WarmHottest:      -1,
 	}
 }
 
@@ -200,7 +199,6 @@ func TestAutopilotColdEviction(t *testing.T) {
 	ap.MaintainInterval = 100 * time.Millisecond
 	ap.ColdTicks = 8
 	ap.OnMaintain = func(r autopilot.MaintainReport) { maints <- r }
-	ap.WarmHottest = 1
 
 	cfg := syncConfig()
 	cfg.Autopilot = ap
@@ -377,36 +375,6 @@ func TestAutopilotRebuildDefragments(t *testing.T) {
 	}
 }
 
-// TestAutopilotWarmView: the pre-warm duty re-resolves a dropped
-// soft-TLB through the pilot-target surface.
-func TestAutopilotWarmView(t *testing.T) {
-	e := newEngine(t, testColumn(t, 64, dist.NewSine(5, 0, ccDomain, 8)), syncConfig())
-	created, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain / 4, Pinned: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := created[0]
-	// Lazy creation leaves every slot cold; the first warm materializes
-	// the view in full, and a second warm finds nothing to do.
-	n, err := pilotTarget{e}.WarmView(v)
-	if err != nil || n != v.NumPages() {
-		t.Fatalf("warm view warmed %d, %v; want %d", n, err, v.NumPages())
-	}
-	n, err = pilotTarget{e}.WarmView(v)
-	if err != nil || n != 0 {
-		t.Fatalf("warm view warmed %d, %v; want 0", n, err)
-	}
-	v.DropTLB()
-	n, err = pilotTarget{e}.WarmView(v)
-	if err != nil || n != v.NumPages() {
-		t.Fatalf("warmed %d, %v; want %d", n, err, v.NumPages())
-	}
-	// Non-member handles are skipped.
-	if n, err := (pilotTarget{e}).WarmView("bogus"); n != 0 || err != nil {
-		t.Fatalf("bogus warm: %d, %v", n, err)
-	}
-}
-
 // TestAutopilotQueryDoesNotWaitOnIntake: with an autopilot, queries are
 // decoupled from the intake — a query between enqueue and flush runs
 // against the last aligned state instead of paying the flush, and Sync
@@ -469,7 +437,6 @@ func TestAutopilotConcurrentFairness(t *testing.T) {
 		MaintainInterval: 2 * time.Millisecond,
 		ColdTicks:        -1, // keep the pinned views: this test is about fairness
 		RebuildFrag:      0.99,
-		WarmHottest:      1,
 	}
 	auto := autoEngine(t, g, pages, ap)
 	serial := alignEngine(t, g, pages)

@@ -57,13 +57,12 @@ type Config struct {
 	// The paper evaluates with r = 0.
 	ReplaceTolerance int
 	// Create selects the §2.3 view-creation optimizations. DefaultConfig
-	// also sets Create.Lazy, which defers view materialization to first
-	// access: creation records which physical page backs each slot and
-	// returns without mapping anything; a slot's demand mmap and soft-TLB
-	// resolution happen on the first query that touches it (see
-	// internal/view/lazy.go). Update alignment and explicit warming still
-	// materialize in full. Clear Create.Lazy to reproduce the eager
-	// creation path.
+	// also sets Create.Lazy: creation records which physical page backs
+	// each slot and returns without mapping anything. Queries read a lazy
+	// view's slots through the epoch's full-view capture, so no read maps
+	// it; the first update alignment maps it in runs of consecutive pages
+	// (see internal/view/lazy.go). Clear Create.Lazy to reproduce the
+	// eager creation path.
 	Create view.CreateOptions
 	// Adaptive enables partial-view creation and routing. When false the
 	// engine answers every query with a full scan — the paper's baseline.
@@ -73,8 +72,8 @@ type Config struct {
 	// (Update becomes fire-and-forget and is applied + aligned within
 	// Autopilot.MaxFlushLatency), a scan-cost model whose measured
 	// slowdown moderates tier demotion, and a temperature-driven view
-	// lifecycle (cold partials evicted, fragmented ones rebuilt, hot
-	// soft-TLBs pre-warmed in exclusive-lock slices). Engine.Close stops
+	// lifecycle (cold partials evicted and fragmented ones rebuilt in
+	// exclusive-lock slices). Engine.Close stops
 	// it. Nil keeps every maintenance action inline, the pre-autopilot
 	// behaviour.
 	Autopilot *autopilot.Config
@@ -98,7 +97,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's configuration: single-view mode, up to
 // 100 views, zero tolerances, both creation optimizations enabled, plus
-// lazy view materialization.
+// lazy view creation.
 func DefaultConfig() Config {
 	create := view.AllOptimizations
 	create.Lazy = true

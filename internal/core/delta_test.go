@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
+	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/view"
 	"github.com/asv-db/asv/internal/workload"
 )
@@ -156,6 +157,79 @@ func TestLazyEagerScanEquivalence(t *testing.T) {
 					if !bytes.Equal(lp, ep) {
 						t.Fatalf("view %d page %d bytes diverged", i, p)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestReadsNeverMapLazyViews: reads resolve a lazy view's slots through
+// the epoch capture, so no query maps one. Live and snapshot reads —
+// single- and multi-view, plain, Rows, Aggregate and traced — leave
+// DemandMaps where it was and every partial lazy; the first flush maps
+// them all.
+func TestReadsNeverMapLazyViews(t *testing.T) {
+	const pages = 96
+	probes := workload.SelectivitySweep(17, 25, ccDomain, ccDomain/2, ccDomain/100)
+	for _, mode := range []Mode{SingleView, MultiView} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := syncConfig()
+			cfg.Mode = mode
+			e := newEngine(t, testColumn(t, pages, dist.NewSine(5, 0, ccDomain, 8)), cfg)
+			as := e.Column().Space()
+			base := as.Stats().DemandMaps
+			opt := func(i int) QueryOptions {
+				o := materializations(i)
+				if i%5 == 4 {
+					o.Trace = obs.NewTrace("query")
+				}
+				return o
+			}
+			for i, q := range probes {
+				if _, err := e.QueryOpt(q.Lo, q.Hi, opt(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range probes {
+				if _, err := snap.QueryOpt(q.Lo, q.Hi, opt(i)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := snap.QueryOptAdapt(q.Hi/2, q.Hi, opt(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := as.Stats().DemandMaps; got != base {
+				t.Fatalf("reads issued %d demand maps, want 0", got-base)
+			}
+			views := e.Views()
+			if len(views) == 0 {
+				t.Fatal("premise: the reads created no views")
+			}
+			for i, v := range views {
+				if !v.Lazy() {
+					t.Fatalf("view %d (%s) was mapped by a read", i, v)
+				}
+			}
+
+			if err := e.Update(0, ccDomain/3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.FlushUpdates(); err != nil {
+				t.Fatal(err)
+			}
+			if as.Stats().DemandMaps == base {
+				t.Fatal("the first flush mapped no lazy view")
+			}
+			for i, v := range e.Views() {
+				if v.Lazy() {
+					t.Fatalf("view %d (%s) still lazy after the flush", i, v)
 				}
 			}
 		})

@@ -18,7 +18,7 @@ type QueryOptions struct {
 	// ComputeAggregate computes count/sum/min/max into Answer.Agg.
 	ComputeAggregate bool
 	// Trace, when non-nil, records a span tree for this one query —
-	// state pin, routing, per-view scanning with tier/fault attribution,
+	// state pin, routing, per-view scanning with tier attribution,
 	// candidate materialization and the publication tail — into the
 	// trace's root span and returns it on Answer.Trace. Nil (the
 	// default) keeps the query path allocation-free: every trace site is
@@ -200,7 +200,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, colle
 	}
 	route.Finish()
 	scanSp := tsp.Child("scan")
-	tierBase, mapBase := e.traceBaselines(scanSp)
+	tierBase := e.traceBaselines(scanSp)
 	var processed *bitvec.Vector
 	if len(sources) > 1 {
 		processed = e.getProcessed()
@@ -251,7 +251,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, colle
 	}
 	e.stats.pagesScanned.Add(uint64(res.PagesScanned))
 	if scanSp != nil {
-		e.finishScanSpan(scanSp, &res, tierBase, mapBase)
+		e.finishScanSpan(scanSp, &res, tierBase)
 	}
 
 	if builder == nil {

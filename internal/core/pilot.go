@@ -120,9 +120,9 @@ func viewFragmentation(v *view.View) (float64, error) {
 }
 
 // EvictViews releases the given cold views in one exclusive-lock slice.
-// Handles whose view left the set since the temperature snapshot (evicted
-// by LRU, replaced, rebuilt) are skipped — the pilot's view of the set is
-// advisory, membership is re-validated here.
+// Handles whose view left the set since the temperature snapshot
+// (replaced by a superset candidate, rebuilt) are skipped — the pilot's
+// view of the set is advisory, membership is re-validated here.
 func (t pilotTarget) EvictViews(handles []any) (int, error) {
 	e := t.e
 	e.journalDutyBegin(obs.DutyEvict)
@@ -270,27 +270,4 @@ func (t pilotTarget) DemotePages(handles []any, maxPages int) (int, error) {
 	}
 	e.journalDutyEnd(obs.DutyDemote, int64(demoted), firstErr)
 	return demoted, firstErr
-}
-
-// WarmView re-resolves one hot view's soft-TLB in an exclusive-lock
-// slice (Warm writes view state), returning how many translations were
-// cold.
-func (t pilotTarget) WarmView(h any) (n int, err error) {
-	e := t.e
-	e.journalDutyBegin(obs.DutyWarm)
-	defer func() { e.journalDutyEnd(obs.DutyWarm, int64(n), err) }()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v, ok := h.(*view.View)
-	if !ok || e.closed || !e.set.Contains(v) {
-		return 0, nil
-	}
-	n, err = v.Warm()
-	if n > 0 {
-		// Warming re-resolved translations (and may have materialized a
-		// lazy view): the cached capture no longer matches the view's
-		// resolved state, so the next publication must re-capture it.
-		e.set.MarkDirty(v)
-	}
-	return n, err
 }

@@ -443,7 +443,7 @@ func TestBarePublicationParksDisplacedFrames(t *testing.T) {
 
 // TestSnapshotRacesAutopilotLifecycle is the -race stress of the
 // satellite checklist: snapshot readers race fire-and-forget writers and
-// an aggressive autopilot lifecycle (eviction + rebuild + warming), and
+// an aggressive autopilot lifecycle (eviction + rebuild), and
 // afterwards every retired view mmap and shadow frame must drain —
 // mapping and frame counts return exactly to the column baseline.
 func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
@@ -461,7 +461,6 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 		ColdTicks:        64,
 		RebuildFrag:      0.05,
 		MinRebuildPages:  1,
-		WarmHottest:      2,
 	}
 	eng, err := NewEngine(col, cfg)
 	if err != nil {

@@ -95,31 +95,25 @@ func (e *Engine) Telemetry() obs.Snapshot {
 // nil-safe, so callers may drain unconditionally.
 func (e *Engine) Journal() *obs.Journal { return e.journal }
 
-// traceBaselines snapshots the tier and address-space counters at scan
-// start so finishScanSpan can attribute the deltas. Only called with a
-// live span (sp non-nil means tracing is on).
-func (e *Engine) traceBaselines(sp *obs.Span) (vmsim.TierStats, vmsim.MapStats) {
-	if sp == nil {
-		return vmsim.TierStats{}, vmsim.MapStats{}
+// traceBaselines snapshots the tier counters at scan start so
+// finishScanSpan can attribute the deltas. It reads nothing unless a span
+// is live (tracing is on) and the column is tiered.
+func (e *Engine) traceBaselines(sp *obs.Span) vmsim.TierStats {
+	if sp == nil || e.tier == nil {
+		return vmsim.TierStats{}
 	}
-	var ts vmsim.TierStats
-	if e.tier != nil {
-		ts = e.tier.Stats()
-	}
-	return ts, e.col.Space().Stats()
+	return e.tier.Stats()
 }
 
 // finishScanSpan closes a scan span with the counter-delta attribution:
-// pages scanned, lazy-slot demand-materialization faults, and — on a
-// tiered column — cold touches and stall time, the latter also rendered
-// as a synthetic child span so the stall shows up in the tree's time
-// budget. Deltas are process-wide counters, so concurrent queries'
-// activity can bleed into each other's attribution; the trace documents
-// where the time class went, not a per-goroutine ledger.
-func (e *Engine) finishScanSpan(sp *obs.Span, res *QueryResult, tierBase vmsim.TierStats, mapBase vmsim.MapStats) {
+// pages scanned and — on a tiered column — cold touches and stall time,
+// the latter also rendered as a synthetic child span so the stall shows
+// up in the tree's time budget. Deltas are process-wide counters, so
+// concurrent queries' activity can bleed into each other's attribution;
+// the trace documents where the time class went, not a per-goroutine
+// ledger.
+func (e *Engine) finishScanSpan(sp *obs.Span, res *QueryResult, tierBase vmsim.TierStats) {
 	sp.SetAttr("pages_scanned", int64(res.PagesScanned))
-	ms := e.col.Space().Stats()
-	sp.SetAttr("lazy_faults", int64(ms.DemandMaps-mapBase.DemandMaps))
 	if e.tier != nil {
 		ts := e.tier.Stats()
 		cold := int64(ts.ColdTouches - tierBase.ColdTouches)

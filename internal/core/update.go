@@ -267,10 +267,10 @@ func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {
 	}
 	sort.Ints(pages) // deterministic alignment order
 
-	// Demand-materialized views must be fully mapped before the maps
-	// render: the bimap's page-wise index is built from VMAs, so a cold
-	// (not yet mapped) slot would read as "not indexed" and case (1)
-	// would append a physical page the view already covers.
+	// Lazy views must be mapped before the maps render: the bimap's
+	// page-wise index is built from VMAs, so an unmapped slot would read
+	// as "not indexed" and case (1) would append a physical page the view
+	// already covers.
 	for _, v := range e.set.Partials() {
 		if err := v.EnsureMapped(); err != nil {
 			return st, fmt.Errorf("core: materializing view for alignment: %w", err)

@@ -82,7 +82,6 @@ const (
 	DutyAlign
 	DutyEvict
 	DutyRebuild
-	DutyWarm
 	DutyDemote
 )
 
@@ -97,8 +96,6 @@ func DutyName(code int64) string {
 		return "evict"
 	case DutyRebuild:
 		return "rebuild"
-	case DutyWarm:
-		return "warm"
 	case DutyDemote:
 		return "demote"
 	default:

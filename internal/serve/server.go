@@ -29,6 +29,13 @@ type ServerConfig struct {
 // connections between requests are bounded by idleTimeout instead.
 const readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds how long a connection may take to send a whole
+// request, body included, so a client that announces a body and then
+// stalls cannot hold a handler goroutine and its connection forever. It
+// is far above the time any well-behaved client needs to send a request
+// body of at most Limits.MaxBodyBytes.
+const readTimeout = 30 * time.Second
+
 // idleTimeout bounds how long a keep-alive connection may sit idle
 // between requests before the server closes it, so abandoned client
 // connections do not accumulate. It is far above any idle gap of a
@@ -63,7 +70,12 @@ func NewServer(cfg ServerConfig) *Server {
 		mux: http.NewServeMux(),
 	}
 	s.routes()
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 

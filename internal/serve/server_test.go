@@ -499,6 +499,58 @@ func TestServeReadHeaderTimeout(t *testing.T) {
 	}
 }
 
+// TestServeReadTimeout pins that the server bounds whole-request reads:
+// a client that sends its headers and part of the announced body, then
+// stalls, is answered or disconnected once the timeout passes instead of
+// holding a handler blocked on the body forever.
+func TestServeReadTimeout(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	if s.srv.ReadTimeout != readTimeout || readTimeout <= 0 {
+		t.Fatalf("ReadTimeout = %v, want %v", s.srv.ReadTimeout, readTimeout)
+	}
+	s.srv.ReadTimeout = 50 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(l) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := "POST /t/acme/columns HTTP/1.1\r\nHost: asvd\r\n" +
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"pages\":"
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	// Far beyond the shortened timeout: a server without one would keep
+	// the handler blocked on the body and this read would hit the client
+	// deadline. An answer (a 400 for the cut-off body) or a hang-up both
+	// show the server gave up on the stalled body.
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	if n, err := conn.Read(buf); n == 0 && err != nil && err != io.EOF {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("stalled request body still holds the connection after the read timeout")
+		}
+		t.Fatalf("read after stall: %v", err)
+	}
+}
+
 // TestServeIdleTimeout pins that the server bounds idle keep-alive
 // connections: a client that finishes a request and then sends nothing
 // is disconnected once the idle timeout passes.

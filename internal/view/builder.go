@@ -18,14 +18,13 @@ type CreateOptions struct {
 	// Concurrent performs the mmap calls on a background Mapper instead of
 	// the scanning thread (§2.3 optimization 2). Requires a Mapper.
 	Concurrent bool
-	// Lazy defers all file-page mapping and soft-TLB resolution to first
-	// access: the builder only records which physical page backs each
-	// slot, and the finished view materializes slots on demand through
-	// the cold → resolving → warm state machine (see lazy.go). Creation
-	// then costs the qualification scan plus one virtual reservation.
-	// Lazy takes precedence over Consecutive and Concurrent (there is
-	// nothing to map at build time); both still apply to the demand path
-	// (consecutive runs) and to later alignment work.
+	// Lazy defers all file-page mapping and soft-TLB resolution to the
+	// view's first mutation session: the builder only records which
+	// physical page backs each slot (see lazy.go). Creation then costs the
+	// qualification scan plus one virtual reservation, and reads resolve
+	// the slots through the epoch's full-view capture. Lazy takes
+	// precedence over Consecutive and Concurrent (there is nothing to map
+	// at build time); EnsureMapped still maps consecutive runs in one call.
 	Lazy bool
 }
 
@@ -158,9 +157,12 @@ func (b *Builder) Finish(lo, hi uint64) (*View, error) {
 	b.v.numPages = b.nextSlot
 	b.v.lo, b.v.hi = lo, hi
 	if b.opts.Lazy {
-		// No mapping happened; hand the recorded slot directory to the
-		// view's demand path. First access materializes each slot.
-		b.v.lazy = newPageDir(b.lazyFile)
+		// No mapping happened; the view keeps the recorded slot directory
+		// until EnsureMapped. A view with no slots still reports Lazy.
+		b.v.lazy = b.lazyFile
+		if b.v.lazy == nil {
+			b.v.lazy = []int32{}
+		}
 		return b.v, nil
 	}
 	// Warm the soft-TLB before the view becomes visible: concurrent

@@ -179,3 +179,50 @@ func TestCreateFailsCleanlyOnFrameExhaustion(t *testing.T) {
 		t.Fatal("demand-zero fault succeeded with exhausted kernel")
 	}
 }
+
+func TestEnsureMappedFailureLeavesViewLazy(t *testing.T) {
+	k := vmsim.NewKernel(0)
+	as := k.NewAddressSpace()
+	as.SetMaxMapCount(1 << 30)
+	col, err := storage.NewColumn(k, as, "col", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Fill(dist.NewUniform(3, 0, 1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Create(col, 0, 1<<30, CreateOptions{Lazy: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	want, err := v.PageIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scattered backing pages map as one run each: choke the map count
+	// so the conversion fails part way.
+	as.SetMaxMapCount(as.VMACount() + 4)
+	if err := v.EnsureMapped(); err == nil {
+		t.Fatalf("EnsureMapped of %d scattered pages succeeded despite map-count choke", v.NumPages())
+	}
+	if !v.Lazy() {
+		t.Fatal("failed EnsureMapped converted the view")
+	}
+	as.SetMaxMapCount(1 << 30)
+	if err := v.EnsureMapped(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if v.Lazy() {
+		t.Fatal("retried EnsureMapped left the view lazy")
+	}
+	got, err := v.PageIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slot %d: page %d after retry, want %d", i, got[i], want[i])
+		}
+	}
+}

@@ -35,8 +35,8 @@ var ErrFullView = errors.New("view: operation not valid on the full view")
 // its write lock around update alignment, page rewiring and release.
 // Concurrent reads — through the same view or different views — are safe:
 // the soft-TLB is fully resolved when a view becomes visible (NewFull,
-// Builder.Finish, AppendPage), so PageBytes never writes shared state on
-// the read path.
+// Builder.Finish, AppendPage, EnsureMapped), and PageBytes never writes
+// view state.
 type View struct {
 	col      *storage.Column
 	addr     vmsim.Addr
@@ -52,25 +52,24 @@ type View struct {
 	// exploits hardware prefetching", §3.1). In the simulator the walk is
 	// software, so without this cache every view read would pay an
 	// artificial page-table cost that the paper's system does not. The
-	// cache is exact: a slot's mapping only ever changes through
-	// AppendPage and RemovePageAt, which maintain it. Every constructor
-	// resolves all mapped slots up front (warmTLB), keeping PageBytes
-	// write-free so concurrent readers share the view without locking.
+	// cache is exact and complete: it holds one entry per mapped slot,
+	// a slot's mapping only ever changes through AppendPage and
+	// RemovePageAt, which maintain it, and every constructor resolves all
+	// mapped slots up front (warmTLB). PageBytes therefore stays
+	// write-free, so concurrent readers share the view without locking.
 	//
-	// Capture discipline: CapturePages may hand the array itself to a
+	// Capture discipline: CapturePages hands the array itself to a
 	// published engine state. From that moment the array is immutable —
-	// every mutation session (update alignment, Warm) must start with
+	// every mutation session (update alignment) must start with
 	// BeginTLBMutation, which installs a private clone. Constructors
 	// produce fresh arrays, so new views need no clone.
 	tlb [][]byte
 
-	// lazy is the demand-materialization directory of a lazily created
-	// view (CreateOptions.Lazy): the backing file page per slot plus the
-	// cold → resolving → warm slot-state machine that materializes a
-	// slot's mapping and translation on first access (see lazy.go). Nil
-	// for eager views and after EnsureMapped/Warm convert the view to
-	// the soft-TLB representation above.
-	lazy *pageDir
+	// lazy is the slot directory of a lazily created view
+	// (CreateOptions.Lazy): the backing file page per slot, with nothing
+	// mapped yet (see lazy.go). Nil for eager views and after EnsureMapped
+	// converts the view to the soft-TLB representation above.
+	lazy []int32
 
 	// extraRefs counts references beyond the creation (owner) reference:
 	// the logical refcount is extraRefs+1, so the zero value is a view
@@ -91,11 +90,8 @@ type View struct {
 
 // NewFull wraps a column's always-present full view. Releasing it is a
 // no-op: the column owns its mapping. The soft-TLB is seeded from the
-// column's (fully resolved at NewColumn), so reads through the full view
-// never write view state. A resolution failure is propagated rather than
-// left as a nil slot: a nil entry would silently re-enable the lazy
-// PageBytes fallback, which writes the TLB under concurrent read-locked
-// scanners.
+// column's (fully resolved at NewColumn); a resolution failure is
+// propagated rather than left as a nil slot.
 func NewFull(col *storage.Column) (*View, error) {
 	v := &View{
 		col:      col,
@@ -188,31 +184,16 @@ func (v *View) Overlaps(lo, hi uint64) bool { return v.lo <= hi && lo <= v.hi }
 
 // PageBytes returns the i-th mapped page of the view: a virtual-memory
 // access through the view's area, with the translation served from the
-// view's soft-TLB after the first touch.
+// view's soft-TLB. A lazy view has nothing mapped, so its slot's backing
+// page is read through the column instead.
 func (v *View) PageBytes(i int) ([]byte, error) {
 	if i < 0 || i >= v.numPages {
 		return nil, fmt.Errorf("view: page %d out of mapped range [0,%d)", i, v.numPages)
 	}
 	if v.lazy != nil {
-		return v.resolveLazy(i)
+		return v.col.PageBytes(int(v.lazy[i]))
 	}
-	if i < len(v.tlb) {
-		if pg := v.tlb[i]; pg != nil {
-			return pg, nil
-		}
-	}
-	pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(i)))
-	if err != nil {
-		return nil, err
-	}
-	if v.tlb == nil {
-		v.tlb = make([][]byte, v.numPages)
-	}
-	for len(v.tlb) < v.numPages {
-		v.tlb = append(v.tlb, nil)
-	}
-	v.tlb[i] = pg
-	return pg, nil
+	return v.tlb[i], nil
 }
 
 // ScanResult aggregates a range scan over a view.
@@ -256,11 +237,10 @@ func (v *View) ScanDedup(lo, hi uint64, processed *bitvec.Vector) (ScanResult, e
 // virtual order. Intended for tests and inspection tools.
 func (v *View) PageIDs() ([]uint64, error) {
 	if v.lazy != nil {
-		// The demand directory already records the backing file page per
-		// slot; answering from it keeps inspection (and the autopilot's
-		// fragmentation scoring) from materializing cold slots.
+		// The slot directory already records the backing file page per
+		// slot.
 		ids := make([]uint64, v.numPages)
-		for i, f := range v.lazy.file {
+		for i, f := range v.lazy {
 			ids[i] = uint64(f)
 		}
 		return ids, nil
@@ -295,15 +275,13 @@ func (v *View) AppendPage(filePage int) (uint64, error) {
 		return 0, err
 	}
 	v.numPages++
-	if v.tlb != nil {
-		// Resolve the new slot now: readers admitted after this mutation
-		// must find a fully-warmed TLB (PageBytes never writes it).
-		pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(slot)))
-		if err != nil {
-			return 0, err
-		}
-		v.tlb = append(v.tlb, pg)
+	// Resolve the new slot now: readers admitted after this mutation
+	// must find a fully-warmed TLB (PageBytes never writes it).
+	pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(slot)))
+	if err != nil {
+		return 0, err
 	}
+	v.tlb = append(v.tlb, pg)
 	return v.BaseVPN() + uint64(slot), nil
 }
 
@@ -361,82 +339,21 @@ func (v *View) RemovePageAt(slot int) (RemovedPage, error) {
 	// write path the moved file page may have been shadowed onto a new
 	// frame since the last slot's translation was cached, and the mmap
 	// above resolved the current frame.
-	if last < len(v.tlb) {
-		if slot < len(v.tlb) && res.MovedFilePage >= 0 {
-			pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(slot)))
-			if err != nil {
-				return res, err
-			}
-			v.tlb[slot] = pg
-		}
-		v.tlb = v.tlb[:last]
-	}
-	return res, nil
-}
-
-// Warm resolves every cold slot of the soft-TLB, returning how many
-// translations were actually re-resolved. Constructors warm the TLB up
-// front, so in steady state Warm finds nothing — it exists for the
-// autopilot's pre-warm duty, which repairs views whose lazy PageBytes
-// fallback left nil slots (e.g. after an out-of-band TLB drop) before a
-// hot view is scanned again. The caller must hold the engine lock
-// exclusively: Warm writes view state.
-func (v *View) Warm() (int, error) {
-	if v.lazy != nil {
-		// Materializing every slot is exactly the pre-warm duty; the
-		// conversion also moves the view onto the eager soft-TLB
-		// representation the rest of this function maintains.
-		cold := 0
-		for i := range v.lazy.slots {
-			if v.lazy.slots[i].state.Load() != slotWarm {
-				cold++
-			}
-		}
-		if err := v.EnsureMapped(); err != nil {
-			return 0, err
-		}
-		return cold, nil
-	}
-	// Warm mutates TLB slots, and the current array may have been handed
-	// to a published engine state: start a private clone like every
-	// other mutation session.
-	v.BeginTLBMutation()
-	for len(v.tlb) < v.numPages {
-		v.tlb = append(v.tlb, nil)
-	}
-	warmed := 0
-	for i := 0; i < v.numPages; i++ {
-		if v.tlb[i] != nil {
-			continue
-		}
-		pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(i)))
+	if res.MovedFilePage >= 0 {
+		pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(slot)))
 		if err != nil {
-			return warmed, err
+			return res, err
 		}
-		v.tlb[i] = pg
-		warmed++
+		v.tlb[slot] = pg
 	}
-	return warmed, nil
-}
-
-// DropTLB discards the soft-TLB, forcing the lazy PageBytes fallback (or
-// a Warm call) to re-resolve translations. On a demand-materialized view
-// it resets every slot to cold instead (established mappings persist;
-// only the cached translations are dropped). Intended for tests and for
-// tools that measure the simulator's software page-walk cost.
-func (v *View) DropTLB() {
-	if v.lazy != nil {
-		v.lazy = newPageDir(v.lazy.file)
-		return
-	}
-	v.tlb = nil
+	v.tlb = v.tlb[:last]
+	return res, nil
 }
 
 // BeginTLBMutation installs a private clone of the soft-TLB array,
 // detaching it from any capture a published engine state may share
 // (CapturePages). Update alignment calls it once per view before the
-// first AppendPage/RemovePageAt/RefreshSlot of a session; Warm calls it
-// itself. The clone is sized exactly, so a later AppendPage reallocates
+// first AppendPage/RemovePageAt/RefreshSlot of a session. The clone is sized exactly, so a later AppendPage reallocates
 // instead of writing one past the captured length.
 func (v *View) BeginTLBMutation() {
 	clone := make([][]byte, len(v.tlb))
@@ -468,48 +385,20 @@ func (v *View) Retain() { v.extraRefs.Add(1) }
 // inspection tooling; the value is advisory under concurrency.
 func (v *View) Refs() int { return int(v.extraRefs.Load()) + 1 }
 
-// CapturePages returns the view's resolved soft-TLB — one page slice per
-// mapped slot, in virtual order — as an immutable capture for a
-// published engine state. When the cache is fully resolved the array
-// itself is shared (mutation sessions clone before writing, see
-// BeginTLBMutation); cold slots are resolved into a private copy.
+// CapturePages returns the view's soft-TLB — one page slice per mapped
+// slot, in virtual order — as an immutable capture for a published
+// engine state. The array itself is shared: it is always complete, and
+// mutation sessions clone before writing (see BeginTLBMutation). A lazy
+// view's pages are read through the column into a private copy; the
+// engine's snapshot path never takes that branch (it captures lazy views
+// through LazyFilePages), but direct callers still get correct pages.
 func (v *View) CapturePages() ([][]byte, error) {
-	if v.lazy != nil {
-		// An eager page capture of a demand-materialized view forces full
-		// materialization. The engine's snapshot path never takes it —
-		// lazy views are captured through LazyFilePages and resolved
-		// against the column's frozen full-view capture — but direct
-		// callers still get correct pages.
-		out := make([][]byte, v.numPages)
-		for i := range out {
-			pg, err := v.resolveLazy(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = pg
-		}
-		return out, nil
+	if v.lazy == nil {
+		return v.tlb, nil
 	}
-	n := v.numPages
-	if len(v.tlb) == n {
-		warm := true
-		for i := 0; i < n; i++ {
-			if v.tlb[i] == nil {
-				warm = false
-				break
-			}
-		}
-		if warm {
-			return v.tlb, nil
-		}
-	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		if i < len(v.tlb) && v.tlb[i] != nil {
-			out[i] = v.tlb[i]
-			continue
-		}
-		pg, err := v.col.Space().PageData(vmsim.VPN(v.BaseVPN() + uint64(i)))
+	out := make([][]byte, v.numPages)
+	for i := range out {
+		pg, err := v.PageBytes(i)
 		if err != nil {
 			return nil, err
 		}

@@ -502,41 +502,3 @@ func BenchmarkCreateBothOptimizations(b *testing.B) {
 		b.StartTimer()
 	}
 }
-
-func TestWarmResolvesDroppedTLB(t *testing.T) {
-	col := testColumn(t, 16, dist.NewLinear(1, 0, 10_000, 16))
-	v, err := Create(col, 100, 5000, CreateOptions{Consecutive: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	if v.NumPages() == 0 {
-		t.Fatal("premise: view maps no pages")
-	}
-	// A fully-warmed view has nothing to do.
-	n, err := v.Warm()
-	if err != nil || n != 0 {
-		t.Fatalf("warm view: warmed %d, err %v; want 0, nil", n, err)
-	}
-	want, err := v.PageIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.DropTLB()
-	n, err = v.Warm()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != v.NumPages() {
-		t.Fatalf("warmed %d slots, want %d", n, v.NumPages())
-	}
-	got, err := v.PageIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("page %d: %d != %d after re-warm", i, got[i], want[i])
-		}
-	}
-}

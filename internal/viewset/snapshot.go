@@ -35,8 +35,8 @@ import (
 const snapChunkSize = 128
 
 // SnapView is one view as captured by a Snapshot: the covered range, the
-// resolved pages (or, for a demand-materialized view, the backing file
-// page per slot resolved against the capture's frozen full-view pages),
+// resolved pages (or, for a lazy view, the backing file page per slot
+// resolved against the capture's frozen full-view pages),
 // and the identity of the live view it was taken from. A SnapView may be
 // shared by any number of chunks across consecutive snapshots; refs
 // counts them, and the drain releases the single view retain the capture
@@ -89,8 +89,8 @@ func (sv *SnapView) Covers(lo, hi uint64) bool { return sv.lo <= lo && hi <= sv.
 // capture resolves through the capture's full-view pages: the slot's
 // backing file page was recorded at capture time, and the full-view
 // capture froze every file page's frame at the same instant, so the
-// indirection serves exactly the epoch's bytes without ever
-// materializing the live view's mapping.
+// indirection serves exactly the epoch's bytes without ever mapping the
+// live view.
 func (sv *SnapView) PageBytes(i int) []byte {
 	if sv.pages != nil {
 		return sv.pages[i]
@@ -240,7 +240,7 @@ func (s *Set) reusableChunk(ci, base int, group []*view.View) *snapChunk {
 }
 
 // captureView captures one view fresh, taking the view retain the
-// returned SnapView owns. Demand-materialized views are captured through
+// returned SnapView owns. Lazy views are captured through
 // their slot directory — O(slots) pointer work, no mapping, no page
 // resolution — and resolve against the capture's full-view pages.
 func (s *Set) captureView(v *view.View, fullPages [][]byte) (*SnapView, error) {
@@ -276,9 +276,8 @@ func (s *Set) isDirty(v *view.View) bool {
 // MarkDirty records that a live view's captured state (range, page set
 // or resolved translations) changed since the last capture, so the next
 // Snapshot re-captures it instead of sharing the parent's entry. Update
-// alignment marks every view it rewires; the autopilot marks views it
-// warms. Views not yet captured are implicitly dirty. Safe for
-// concurrent callers.
+// alignment marks every view it rewires. Views not yet captured are
+// implicitly dirty. Safe for concurrent callers.
 func (s *Set) MarkDirty(v *view.View) {
 	if v == nil || v.Full() {
 		return

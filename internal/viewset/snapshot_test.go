@@ -19,7 +19,7 @@ func (f *fixture) capFull(s *Set) [][]byte {
 	return pages
 }
 
-// mkLazyView builds a demand-materialized partial view.
+// mkLazyView builds a lazy partial view.
 func (f *fixture) mkLazyView(lo, hi uint64) *view.View {
 	v, err := view.Create(f.col, lo, hi, view.CreateOptions{Lazy: true}, nil)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotLazyCaptureReadsEpochBytes: a demand-materialized view is
+// TestSnapshotLazyCaptureReadsEpochBytes: a lazy view is
 // captured through its slot directory and resolves byte-identically to
 // an eager capture of the same range — without ever materializing the
 // live view.

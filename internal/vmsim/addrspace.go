@@ -71,7 +71,7 @@ type MapStats struct {
 	VMASplits     uint64 // existing VMAs split by overlap resolution
 	VMAMerges     uint64 // adjacent compatible VMAs merged
 	MinorFaults   uint64 // demand-zero faults on anonymous pages
-	DemandMaps    uint64 // MmapFileFixedDemand calls (fault-driven view materialization)
+	DemandMaps    uint64 // MmapFileFixedDemand calls (lazy views mapped at their first mutation)
 	VMACount      int    // current number of VMAs
 }
 
@@ -212,12 +212,10 @@ func (as *AddressSpace) MmapFileFixed(addr Addr, f *File, off, n int) error {
 	return nil
 }
 
-// MmapFileFixedDemand is MmapFileFixed invoked from a fault path:
-// identical semantics, counted separately (MapStats.DemandMaps), so
-// experiments can tell first-touch materialization of lazily created
-// views apart from eager creation-time mapping — the simulator's
-// analogue of a userfaultfd-style demand-paging handler installing the
-// mapping from the fault.
+// MmapFileFixedDemand is MmapFileFixed invoked when a lazily created view
+// is mapped at its first mutation session: identical semantics, counted
+// separately (MapStats.DemandMaps), so experiments can tell that deferred
+// mapping apart from eager creation-time mapping.
 func (as *AddressSpace) MmapFileFixedDemand(addr Addr, f *File, off, n int) error {
 	if err := as.MmapFileFixed(addr, f, off, n); err != nil {
 		return err

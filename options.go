@@ -29,8 +29,8 @@ func Aggregate() QueryOption {
 //	fmt.Print(ans.Trace)   // pin/route/scan/materialize/merge spans
 //
 // The tree attributes the query's wall time across epoch pinning,
-// routing, per-view scans (with pages scanned, TLB-resolved pages and
-// lazy-slot faults), tier cold-touch stalls, and candidate
+// routing, per-view scans (with pages scanned and TLB-resolved pages),
+// tier cold-touch stalls, and candidate
 // materialization/merge. Queries without this option pay nothing: the
 // untraced path is allocation-identical to a build without tracing.
 func Trace() QueryOption {
@@ -51,10 +51,11 @@ type viewCreateOptions struct {
 	extra   []ViewRange
 }
 
-// Lazy defers the views' materialization to first access regardless of
-// the column's Config.Create.Lazy: creation records which physical page
-// backs each slot and returns without mapping anything; demand mmap and
-// soft-TLB resolution happen on the first query touching a slot.
+// Lazy defers the views' mapping regardless of the column's
+// Config.Create.Lazy: creation records which physical page backs each
+// slot and returns without mapping anything. Queries read the slots
+// through the epoch's full-view capture; the first update alignment maps
+// the view.
 func Lazy() ViewOption {
 	return func(o *viewCreateOptions) { o.lazy, o.hasLazy = true, true }
 }
@@ -94,8 +95,8 @@ type AutopilotConfig = autopilot.Config
 // WithAutopilot enables the background maintenance subsystem on a column
 // configuration: Update becomes fire-and-forget (applied and aligned
 // within ap.MaxFlushLatency as part of a coalesced group commit), and a
-// maintenance ticker evicts cold views, rebuilds fragmented ones
-// and pre-warms hot soft-TLBs. Call with no AutopilotConfig for the
+// maintenance ticker evicts cold views and rebuilds fragmented ones.
+// Call with no AutopilotConfig for the
 // defaults (5ms latency bound, 256-write coalescing, 50ms maintenance):
 //
 //	col, _ := db.CreateColumn("hot", pages, asv.WithAutopilot(asv.DefaultConfig()))
