@@ -185,8 +185,6 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoP
 			time.Duration(h.Quantile(0.99)).Round(time.Microsecond), h.Count)
 		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt\n",
 			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt)
-		fmt.Printf("  cost model: %.0f ns/page scans, %.2fx slowdown\n",
-			p.Model().ScanNsPerPage(), p.Model().ScanSlowdown())
 		fmt.Printf("  view temperatures (LRU clock %d):\n", clock)
 		for i, tp := range eng.ViewSet().Temperatures() {
 			fmt.Printf("    view %2d: last used tick %d, %d hits\n", i, tp.LastUsed, tp.Uses)

@@ -18,7 +18,11 @@
 //     from its LRU clock), evicts cold partial views, rebuilds
 //     fragmented ones and, on a tiered engine, demotes cold pages — each
 //     action in its own slice of the engine lock's exclusive mode,
-//     released in between, so writers keep flowing between slices.
+//     released in between, so writers keep flowing between slices. Each
+//     duty reads one signal: a view's age evicts it, its page-order
+//     fragmentation rebuilds it, and hot-tier occupancy at 0.9 of the
+//     budget demotes the coldest unpinned views' pages until it is back
+//     at 0.7.
 //
 // All time flows through an injectable Clock, so every behaviour is
 // deterministic in tests (ManualClock) without a single sleep.
@@ -46,16 +50,11 @@ const (
 	defaultColdTicks       = 4096
 	defaultRebuildFrag     = 0.5
 	defaultMinRebuildPages = 16
-	defaultTierHighWater   = 0.9
-	defaultTierLowWater    = 0.7
-	// tierSlowdownGate is the measured scan slowdown (CostModel, relative
-	// to the engine's demonstrated floor) beyond which the pilot treats
-	// its own demotions as hurting reads: demotion batches are halved and
-	// fragmented views are rebuilt more eagerly.
-	tierSlowdownGate = 1.25
-	// tierPressureColdScale is how strongly hot-tier pressure accelerates
-	// eviction: at full pressure the effective ColdTicks halves.
-	tierPressureColdScale = 0.5
+	// tierHighWater starts the demotion duty once hot-tier occupancy (hot
+	// frames / budget) reaches this fraction; tierLowWater is the
+	// occupancy the duty then drives the hot tier back down to.
+	tierHighWater = 0.9
+	tierLowWater  = 0.7
 	// writeBytes is the queued size of one Write (row + value). Updates
 	// are fixed-size today, so CoalesceBytes is effectively a second
 	// count bound; the knob exists so variable-size updates slot in
@@ -109,14 +108,21 @@ type Target interface {
 	// exclusive-lock slice; false means the handle was no longer a set
 	// member.
 	RebuildView(handle any) (bool, error)
+	// TierInfo snapshots hot-tier occupancy; ok is false when the engine
+	// runs single-tier, which keeps the demotion duty off.
+	TierInfo() (info TierInfo, ok bool)
+	// DemotePages demotes pages of the given views (coldest-first order,
+	// chosen by the pilot) to the capacity tier, stopping after maxPages
+	// demotions. It returns how many pages were actually demoted; handles
+	// that left the set, pinned views and already-cold pages are skipped.
+	DemotePages(handles []any, maxPages int) (int, error)
 }
 
-// TierInfo is a hot-tier occupancy snapshot — the simulated memory
-// pressure the lifecycle's feedback loop runs on.
+// TierInfo is a hot-tier occupancy snapshot — the one signal the
+// demotion duty reads.
 type TierInfo struct {
-	HotFrames  int // file pages currently in the hot tier
-	ColdFrames int // file pages currently in the capacity tier
-	HotBudget  int // configured hot-tier frame budget
+	HotFrames int // file pages currently in the hot tier
+	HotBudget int // configured hot-tier frame budget
 }
 
 // Occupancy returns hot frames as a fraction of the budget (> 1 means
@@ -126,21 +132,6 @@ func (i TierInfo) Occupancy() float64 {
 		return 0
 	}
 	return float64(i.HotFrames) / float64(i.HotBudget)
-}
-
-// TierTarget is the optional tier-migration surface of a Target. The
-// pilot type-asserts for it on every maintenance tick: engines without a
-// second tier (and pre-tiering test fakes) simply don't implement it and
-// the demotion duty stays off.
-type TierTarget interface {
-	// TierInfo snapshots hot-tier occupancy; ok is false when the engine
-	// runs single-tier.
-	TierInfo() (info TierInfo, ok bool)
-	// DemotePages demotes pages of the given views (coldest-first order,
-	// chosen by the pilot) to the capacity tier, stopping after maxPages
-	// demotions. It returns how many pages were actually demoted; handles
-	// that left the set, pinned views and already-cold pages are skipped.
-	DemotePages(handles []any, maxPages int) (int, error)
 }
 
 // Config parameterizes a Pilot. The zero value of every field selects the
@@ -172,16 +163,6 @@ type Config struct {
 	RebuildFrag float64
 	// MinRebuildPages skips rebuilding views smaller than this (default 16).
 	MinRebuildPages int
-	// TierHighWater starts the demotion duty once hot-tier occupancy
-	// (hot frames / budget) reaches this fraction (default 0.9; < 0
-	// disables the duty even on a TierTarget). Only consulted when the
-	// target implements TierTarget and reports an active tier.
-	TierHighWater float64
-	// TierLowWater is the occupancy the demotion duty drives the hot tier
-	// back down to once triggered (default 0.7). The [low, high] band is
-	// also the pressure scale that accelerates cold-view eviction:
-	// occupancy at TierHighWater halves the effective ColdTicks.
-	TierLowWater float64
 	// Clock injects time; nil selects the real clock.
 	Clock Clock
 	// OnFlush, when non-nil, observes every coalesced flush (called from
@@ -208,19 +189,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RebuildFrag > 1 {
 		return fmt.Errorf("autopilot: RebuildFrag %g > 1", c.RebuildFrag)
-	}
-	high, low := c.TierHighWater, c.TierLowWater
-	if high == 0 {
-		high = defaultTierHighWater
-	}
-	if low == 0 {
-		low = defaultTierLowWater
-	}
-	if high > 1 {
-		return fmt.Errorf("autopilot: TierHighWater %g > 1", high)
-	}
-	if high > 0 && low > high {
-		return fmt.Errorf("autopilot: TierLowWater %g above TierHighWater %g", low, high)
 	}
 	return nil
 }
@@ -250,12 +218,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinRebuildPages == 0 {
 		c.MinRebuildPages = defaultMinRebuildPages
-	}
-	if c.TierHighWater == 0 {
-		c.TierHighWater = defaultTierHighWater
-	}
-	if c.TierLowWater == 0 {
-		c.TierLowWater = defaultTierLowWater
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -314,11 +276,10 @@ type FlushInfo struct {
 
 // MaintainReport describes one maintenance tick for the OnMaintain hook.
 type MaintainReport struct {
-	Views        int     // partial views inspected
-	Evicted      int     // cold views released
-	Rebuilt      int     // fragmented views rebuilt
-	PagesDemoted int     // pages moved to the capacity tier this tick
-	TierPressure float64 // 0..1 position within the [low, high] water band
+	Views        int // partial views inspected
+	Evicted      int // cold views released
+	Rebuilt      int // fragmented views rebuilt
+	PagesDemoted int // pages moved to the capacity tier this tick
 	Err          error
 }
 
@@ -363,7 +324,6 @@ type Pilot struct {
 	clock  Clock
 	target Target
 	rows   int
-	model  *CostModel
 
 	shards []intakeShard
 	queued atomic.Int64
@@ -418,7 +378,6 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 		clock:     cfg.Clock,
 		target:    target,
 		rows:      rows,
-		model:     new(CostModel),
 		shards:    make([]intakeShard, runtime.GOMAXPROCS(0)),
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
@@ -435,10 +394,6 @@ func Start(target Target, cfg Config, rows int) (*Pilot, error) {
 	go p.loop()
 	return p, nil
 }
-
-// Model returns the pilot's scan-cost model; the engine feeds it every
-// query scan, and maintain reads its slowdown.
-func (p *Pilot) Model() *CostModel { return p.model }
 
 // Queued returns the number of accepted-but-unapplied writes.
 func (p *Pilot) Queued() int { return int(p.queued.Load()) }
@@ -715,47 +670,17 @@ func (p *Pilot) drain(reason FlushReason, align bool) {
 
 // maintain runs one temperature-driven lifecycle pass: evict cold views
 // (one exclusive slice for the batch), rebuild fragmented ones (one
-// slice each, so readers interleave), and — on a tiered engine — demote the coldest unpinned views' pages under
-// hot-tier pressure.
-//
-// The thresholds are feedback-driven rather than fixed: simulated memory
-// pressure (hot-tier occupancy within the [TierLowWater, TierHighWater]
-// band) scales the effective ColdTicks down, so a full hot tier evicts
-// cold views sooner; the cost model's measured scan slowdown lowers the
-// effective RebuildFrag (a struggling read path rebuilds fragmented
-// views more eagerly) and halves the demotion batch (don't pile more
-// cold touches onto scans that already stall).
+// slice each, so readers interleave), and — on a tiered engine — demote
+// the coldest unpinned views' pages under hot-tier pressure. Each duty
+// reads one signal: eviction the view's age against ColdTicks, rebuilds
+// its fragmentation against RebuildFrag and MinRebuildPages, demotion
+// the hot tier's occupancy.
 func (p *Pilot) maintain() {
 	p.mMaintTicks.Add(1)
 	clock, temps := p.target.ViewTemperatures()
 	rep := MaintainReport{Views: len(temps)}
-
-	tt, _ := p.target.(TierTarget)
-	var tier TierInfo
-	tiered := false
-	if tt != nil && p.cfg.TierHighWater > 0 {
-		tier, tiered = tt.TierInfo()
-	}
-	if tiered {
-		press := (tier.Occupancy() - p.cfg.TierLowWater) /
-			(p.cfg.TierHighWater - p.cfg.TierLowWater)
-		rep.TierPressure = min(max(press, 0), 1)
-	}
-	slowdown := 1.0
-	if p.model != nil {
-		slowdown = p.model.ScanSlowdown()
-	}
-	coldTicks := uint64(0)
-	if p.cfg.ColdTicks > 0 {
-		coldTicks = uint64(float64(p.cfg.ColdTicks) * (1 - tierPressureColdScale*rep.TierPressure))
-		if coldTicks == 0 {
-			coldTicks = 1
-		}
-	}
-	rebuildFrag := p.cfg.RebuildFrag
-	if rebuildFrag > 0 && slowdown > tierSlowdownGate {
-		rebuildFrag *= tierSlowdownGate / slowdown
-	}
+	tier, tiered := p.target.TierInfo()
+	coldTicks := uint64(max(p.cfg.ColdTicks, 0))
 
 	var cold []any
 	var rebuild []any
@@ -765,7 +690,7 @@ func (p *Pilot) maintain() {
 			cold = append(cold, t.Handle)
 			continue
 		}
-		if rebuildFrag > 0 && t.Frag >= rebuildFrag && t.Pages >= p.cfg.MinRebuildPages {
+		if p.cfg.RebuildFrag > 0 && t.Frag >= p.cfg.RebuildFrag && t.Pages >= p.cfg.MinRebuildPages {
 			rebuild = append(rebuild, t.Handle)
 		}
 		if tiered && !t.Pinned {
@@ -791,16 +716,13 @@ func (p *Pilot) maintain() {
 		}
 		setErr(err)
 	}
-	if tiered && tier.Occupancy() >= p.cfg.TierHighWater && len(demotable) > 0 {
-		// Demote coldest-first down to the low watermark. Evicted views'
-		// frames are already being released this tick, so aim from the
-		// post-eviction occupancy would over-demote; the next tick corrects
-		// either way — the duty is a feedback loop, not a transaction.
-		goal := int(float64(tier.HotBudget) * p.cfg.TierLowWater)
-		maxPages := tier.HotFrames - goal
-		if slowdown > tierSlowdownGate {
-			maxPages /= 2
-		}
+	if tiered && tier.Occupancy() >= tierHighWater && len(demotable) > 0 {
+		// Demote coldest-first down to the low watermark. A view maps the
+		// column's file pages and owns no frames, so eviction this tick
+		// moved no occupancy; pages promoted back by reads in the meantime
+		// are the next tick's work — the duty is a feedback loop, not a
+		// transaction.
+		maxPages := tier.HotFrames - int(float64(tier.HotBudget)*tierLowWater)
 		if maxPages > 0 {
 			sort.Slice(demotable, func(i, j int) bool {
 				if demotable[i].LastUsed != demotable[j].LastUsed {
@@ -812,7 +734,7 @@ func (p *Pilot) maintain() {
 			for i, t := range demotable {
 				handles[i] = t.Handle
 			}
-			n, err := tt.DemotePages(handles, maxPages)
+			n, err := p.target.DemotePages(handles, maxPages)
 			rep.PagesDemoted = n
 			p.mPagesDemoted.Add(uint64(n))
 			setErr(err)

@@ -71,6 +71,10 @@ func (f *fakeTarget) RebuildView(h any) (bool, error) {
 	return true, nil
 }
 
+func (f *fakeTarget) TierInfo() (TierInfo, bool) { return TierInfo{}, false }
+
+func (f *fakeTarget) DemotePages([]any, int) (int, error) { return 0, nil }
+
 func (f *fakeTarget) totalApplied() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -377,40 +381,6 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := Start(newFakeTarget(), cfg, testRows); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
-	}
-}
-
-// TestCostModelScanSlowdown pins the signal the tier feedback reads: the
-// slowdown is 1 before any sample and while scans run at the best cost
-// seen, and rises above 1 once scans get slower than that floor.
-func TestCostModelScanSlowdown(t *testing.T) {
-	m := new(CostModel)
-	if got := m.ScanSlowdown(); got != 1 {
-		t.Fatalf("cold model: slowdown %g, want 1", got)
-	}
-	// ~1µs/page, steady: the smoothed cost sits at its own floor.
-	for i := 0; i < 10; i++ {
-		m.ObserveScan(4096, 4096*time.Microsecond)
-	}
-	if pp := m.ScanNsPerPage(); pp < 900 || pp > 1100 {
-		t.Fatalf("scanNsPerPage %g, want ~1000", pp)
-	}
-	if got := m.ScanSlowdown(); got != 1 {
-		t.Fatalf("at the floor: slowdown %g, want 1", got)
-	}
-	// Scans now take twice as long: the slowdown climbs toward 2.
-	for i := 0; i < 10; i++ {
-		m.ObserveScan(4096, 8192*time.Microsecond)
-	}
-	if got := m.ScanSlowdown(); got <= 1 || got > 2 {
-		t.Fatalf("after slower scans: slowdown %g, want in (1, 2]", got)
-	}
-	// Degenerate samples are ignored.
-	before := m.ScanNsPerPage()
-	m.ObserveScan(0, time.Millisecond)
-	m.ObserveScan(4096, 0)
-	if got := m.ScanNsPerPage(); got != before {
-		t.Fatalf("degenerate samples moved the model: %g -> %g", before, got)
 	}
 }
 

@@ -70,12 +70,11 @@ type Config struct {
 	// Autopilot, when non-nil, starts the engine's background maintenance
 	// subsystem (internal/autopilot): bounded-latency write coalescing
 	// (Update becomes fire-and-forget and is applied + aligned within
-	// Autopilot.MaxFlushLatency), a scan-cost model whose measured
-	// slowdown moderates tier demotion, and a temperature-driven view
-	// lifecycle (cold partials evicted and fragmented ones rebuilt in
-	// exclusive-lock slices). Engine.Close stops
-	// it. Nil keeps every maintenance action inline, the pre-autopilot
-	// behaviour.
+	// Autopilot.MaxFlushLatency) and a temperature-driven view lifecycle
+	// (cold partials evicted and fragmented ones rebuilt in exclusive-lock
+	// slices, and on a tiered engine cold pages demoted). Engine.Close
+	// stops it. Nil keeps every maintenance action inline, the
+	// pre-autopilot behaviour.
 	Autopilot *autopilot.Config
 	// JournalEvents, when positive, enables the engine's event journal: a
 	// fixed-size lock-free ring (rounded up to a power of two, minimum 64)
@@ -90,8 +89,9 @@ type Config struct {
 	// the hot-tier budget are charged a simulated capacity-tier latency
 	// on access, scans validate pages through the vmcache-style
 	// versioned/optimistic word, and the autopilot (when running) demotes
-	// the coldest unpinned views' pages under hot-tier pressure. Nil or
-	// a zero-value config keeps the single-tier behaviour byte-for-byte.
+	// the coldest unpinned views' pages once hot-tier occupancy reaches
+	// 0.9 of the budget, down to 0.7. Nil or a zero-value config keeps the
+	// single-tier behaviour byte-for-byte.
 	Tiering *vmsim.TierConfig
 }
 

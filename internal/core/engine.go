@@ -99,11 +99,9 @@ type Engine struct {
 	procPool sync.Pool
 
 	// pilot is the background maintenance subsystem (Config.Autopilot);
-	// nil when disabled. model is its scan-cost model, fed by every
-	// query scan. Both are set once in NewEngine and never mutated, so
+	// nil when disabled. Set once in NewEngine and never mutated, so
 	// nil-checks need no lock.
 	pilot *autopilot.Pilot
-	model *autopilot.CostModel
 
 	// tier is the column's second-tier frame map (Config.Tiering); nil
 	// keeps the single-tier scan path with zero overhead. Set once in
@@ -261,7 +259,6 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.pilot = p
-		e.model = p.Model()
 	}
 	return e, nil
 }

@@ -285,7 +285,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, agg *Aggregate, colle
 //
 // The scan is one serial pass with dedup and filter fused, the paper's
 // single-threaded hot path. It times itself once and feeds the
-// scan_ns_per_page histogram and, with an autopilot, the cost model.
+// scan_ns_per_page histogram.
 func (e *Engine) scanSource(sv *viewset.SnapView, filter func([]byte) storage.PageScan,
 	processed *bitvec.Vector, emit func(pid uint64, pg []byte)) (scanned int, qual, excl storage.PageScan) {
 
@@ -309,11 +309,7 @@ func (e *Engine) scanSource(sv *viewset.SnapView, filter func([]byte) storage.Pa
 		}
 	}
 	if scanned > 0 {
-		elapsed := time.Since(t0)
-		if e.model != nil {
-			e.model.ObserveScan(scanned, elapsed)
-		}
-		e.ins.scanNsPerPage.Observe(uint64(elapsed) / uint64(scanned))
+		e.ins.scanNsPerPage.Observe(uint64(time.Since(t0)) / uint64(scanned))
 	}
 	return scanned, qual, excl
 }

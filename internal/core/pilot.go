@@ -12,7 +12,7 @@ import (
 // read-your-writes semantics on top of fire-and-forget updates.
 
 // Autopilot returns the engine's pilot (nil when Config.Autopilot is
-// unset) — metrics, flush latencies and the cost model hang off it.
+// unset) — metrics and flush latencies hang off it.
 func (e *Engine) Autopilot() *autopilot.Pilot { return e.pilot }
 
 // QueuedUpdates returns the number of writes accepted by Update but not
@@ -204,19 +204,15 @@ func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
 }
 
 // TierInfo snapshots the column tier's hot occupancy for the pilot's
-// pressure feedback; ok is false on a single-tier engine (the pilot then
-// never runs the demotion duty).
+// demotion duty; ok is false on a single-tier engine (the pilot then
+// never runs that duty).
 func (t pilotTarget) TierInfo() (autopilot.TierInfo, bool) {
 	tier := t.e.tier
 	if tier == nil {
 		return autopilot.TierInfo{}, false
 	}
 	s := tier.Stats()
-	return autopilot.TierInfo{
-		HotFrames:  s.HotFrames,
-		ColdFrames: s.ColdFrames,
-		HotBudget:  s.HotBudget,
-	}, true
+	return autopilot.TierInfo{HotFrames: s.HotFrames, HotBudget: s.HotBudget}, true
 }
 
 // DemotePages demotes pages of the given views (the pilot passes them

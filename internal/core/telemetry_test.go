@@ -226,14 +226,13 @@ func TestTracedReadShape(t *testing.T) {
 	}
 }
 
-// TestSerialMultiViewScansFeedCostModel: every non-empty source scan —
+// TestSerialMultiViewScansFeedScanHistogram: every non-empty source scan —
 // serial ones included, which is what a MultiView cover runs by default —
-// adds one scan_ns_per_page sample and one cost-model observation.
-func TestSerialMultiViewScansFeedCostModel(t *testing.T) {
+// adds one scan_ns_per_page sample.
+func TestSerialMultiViewScansFeedScanHistogram(t *testing.T) {
 	const pages = 64
 	cfg := syncConfig()
 	cfg.Mode = MultiView
-	cfg.Autopilot = quietAutopilot()
 	e := newEngine(t, testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages)), cfg)
 	specs := make([]ViewSpec, 8)
 	for i := range specs {
@@ -254,9 +253,6 @@ func TestSerialMultiViewScansFeedCostModel(t *testing.T) {
 	}
 	if got := samples() - before; got != uint64(res.ViewsUsed) {
 		t.Fatalf("scan_ns_per_page gained %d samples over %d non-empty source scans", got, res.ViewsUsed)
-	}
-	if e.Autopilot().Model().ScanNsPerPage() == 0 {
-		t.Fatal("cost model observed no scans")
 	}
 }
 

@@ -56,6 +56,12 @@ type fillSpec struct {
 	Hi   uint64 `json:"hi"`
 }
 
+// maxShards caps the shards of one created column. Every shard is an
+// engine with its own mapper goroutine, plus a pilot goroutine with the
+// autopilot on, so without the cap one request could start a goroutine
+// per page of a MaxPages column.
+const maxShards = 64
+
 type createColumnRequest struct {
 	Name         string    `json:"name"`
 	Pages        int       `json:"pages"`
@@ -77,6 +83,11 @@ func (s *Server) handleColumnCreate(w http.ResponseWriter, r *http.Request, t *T
 	}
 	if req.Shards == 0 {
 		req.Shards = 1
+	}
+	if req.Shards > maxShards {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Errorf("serve: shards %d above the cap of %d", req.Shards, maxShards))
+		return
 	}
 	part, err := PartitioningByName(req.Partitioning)
 	if err != nil {

@@ -432,6 +432,30 @@ func TestServeConcurrentQueryUpdateChurn(t *testing.T) {
 	}
 }
 
+// TestServeShardCap pins the bound on one column's shard count: a create
+// asking for more than maxShards shards is refused with 400 and leaves no
+// column behind, while maxShards shards are accepted.
+func TestServeShardCap(t *testing.T) {
+	_, c := newTestServer(t, ServerConfig{})
+	c.must(http.StatusBadRequest, "POST", "/t/acme/columns", map[string]any{
+		"name": "wide", "pages": maxShards + 1, "shards": maxShards + 1,
+	}, nil)
+	var list struct {
+		Columns []columnInfo `json:"columns"`
+	}
+	c.must(http.StatusOK, "GET", "/t/acme/columns", nil, &list)
+	if len(list.Columns) != 0 {
+		t.Fatalf("refused create left columns %+v", list.Columns)
+	}
+	var info columnInfo
+	c.must(http.StatusCreated, "POST", "/t/acme/columns", map[string]any{
+		"name": "wide", "pages": maxShards, "shards": maxShards,
+	}, &info)
+	if info.Shards != maxShards {
+		t.Fatalf("created column = %+v, want %d shards", info, maxShards)
+	}
+}
+
 // TestServeQueryRejectsWorkersField pins that a query body still
 // carrying the retired "workers" field is a 400 like any other unknown
 // field, while the same body without it is answered.

@@ -297,7 +297,7 @@ func (c *Column) EnableTiering(cfg vmsim.TierConfig) (*vmsim.FileTier, error) {
 	if t := c.tier.Load(); t != nil {
 		return t, nil
 	}
-	t, err := c.kernel.NewFileTier(c.numPages, cfg)
+	t, err := vmsim.NewFileTier(c.numPages, cfg)
 	if err != nil {
 		return nil, err
 	}

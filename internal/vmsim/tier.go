@@ -91,10 +91,10 @@ type FileTier struct {
 	stallTotal  atomic.Uint64
 }
 
-// NewFileTier creates the tier map for a file of the given page count
-// and registers it with the kernel's aggregate tier accounting. Every
+// NewFileTier creates the tier map for a file of the given page count.
+// The caller owns the map; the kernel keeps no reference to it. Every
 // page starts hot with version 0.
-func (k *Kernel) NewFileTier(pages int, cfg TierConfig) (*FileTier, error) {
+func NewFileTier(pages int, cfg TierConfig) (*FileTier, error) {
 	if !cfg.Enabled() {
 		return nil, fmt.Errorf("%w: tier config with HotFrames %d", ErrInvalid, cfg.HotFrames)
 	}
@@ -104,15 +104,11 @@ func (k *Kernel) NewFileTier(pages int, cfg TierConfig) (*FileTier, error) {
 	if cfg.ColdMultiplier <= 0 {
 		cfg.ColdMultiplier = defaultColdMultiplier
 	}
-	t := &FileTier{
+	return &FileTier{
 		cfg:     cfg,
 		stallNs: int64(cfg.ColdMultiplier * tierBaseNanos),
 		words:   make([]atomic.Uint32, pages),
-	}
-	k.mu.Lock()
-	k.tiers = append(k.tiers, t)
-	k.mu.Unlock()
-	return t, nil
+	}, nil
 }
 
 // Config returns the (default-resolved) tier configuration.
@@ -240,28 +236,6 @@ func (t *FileTier) Stats() TierStats {
 		ColdTouches: t.coldTouches.Load(),
 		StallNanos:  t.stallTotal.Load(),
 	}
-}
-
-// TierStats aggregates every file tier registered with the kernel — the
-// machine-wide capacity-tier accounting next to MemStats.
-func (k *Kernel) TierStats() TierStats {
-	k.mu.Lock()
-	tiers := make([]*FileTier, len(k.tiers))
-	copy(tiers, k.tiers)
-	k.mu.Unlock()
-	var agg TierStats
-	for _, t := range tiers {
-		s := t.Stats()
-		agg.Pages += s.Pages
-		agg.HotFrames += s.HotFrames
-		agg.ColdFrames += s.ColdFrames
-		agg.HotBudget += s.HotBudget
-		agg.Demotions += s.Demotions
-		agg.Promotions += s.Promotions
-		agg.ColdTouches += s.ColdTouches
-		agg.StallNanos += s.StallNanos
-	}
-	return agg
 }
 
 // spinWait busy-waits for d — the charged latencies are microsecond

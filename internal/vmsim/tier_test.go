@@ -7,8 +7,7 @@ import (
 
 func newTestTier(t *testing.T, pages int, cfg TierConfig) *FileTier {
 	t.Helper()
-	k := NewKernel(0)
-	ft, err := k.NewFileTier(pages, cfg)
+	ft, err := NewFileTier(pages, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,14 +17,13 @@ func newTestTier(t *testing.T, pages int, cfg TierConfig) *FileTier {
 // TestTierConfigValidation: disabled configs and nonsense page counts are
 // rejected; the multiplier default resolves.
 func TestTierConfigValidation(t *testing.T) {
-	k := NewKernel(0)
-	if _, err := k.NewFileTier(8, TierConfig{}); err == nil {
+	if _, err := NewFileTier(8, TierConfig{}); err == nil {
 		t.Fatal("disabled config accepted")
 	}
-	if _, err := k.NewFileTier(0, TierConfig{HotFrames: 4}); err == nil {
+	if _, err := NewFileTier(0, TierConfig{HotFrames: 4}); err == nil {
 		t.Fatal("zero pages accepted")
 	}
-	ft, err := k.NewFileTier(8, TierConfig{HotFrames: 4})
+	ft, err := NewFileTier(8, TierConfig{HotFrames: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +53,9 @@ func TestTierWordTransitions(t *testing.T) {
 	}
 	if ft.Stable(1, w0) {
 		t.Fatal("stale token validated after demote")
+	}
+	if got := ft.Stats().HotFraction(); got != 0.75 {
+		t.Fatalf("HotFraction with one of four pages cold = %g", got)
 	}
 	if !ft.Promote(1) {
 		t.Fatal("promote of a cold page failed")
@@ -132,29 +133,6 @@ func TestTierOutOfRange(t *testing.T) {
 	}
 	if s := ft.Stats(); s.Demotions != 0 || s.ColdTouches != 0 {
 		t.Fatalf("out-of-range access counted: %+v", s)
-	}
-}
-
-// TestKernelTierStats: the kernel aggregates every registered tier.
-func TestKernelTierStats(t *testing.T) {
-	k := NewKernel(0)
-	a, err := k.NewFileTier(4, TierConfig{HotFrames: 4, NoStall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := k.NewFileTier(8, TierConfig{HotFrames: 6, NoStall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Demote(0)
-	b.Demote(1)
-	b.Demote(2)
-	s := k.TierStats()
-	if s.Pages != 12 || s.HotBudget != 10 || s.ColdFrames != 3 || s.Demotions != 3 {
-		t.Fatalf("aggregate stats: %+v", s)
-	}
-	if got := s.HotFraction(); got != float64(9)/12 {
-		t.Fatalf("HotFraction = %g", got)
 	}
 }
 

@@ -92,10 +92,6 @@ type Kernel struct {
 
 	framesAllocated uint64 // cumulative
 	framesFreed     uint64 // cumulative
-
-	// tiers are the per-file second-tier maps created via NewFileTier;
-	// TierStats aggregates them (see tier.go).
-	tiers []*FileTier
 }
 
 // NewKernel creates a kernel that can hand out at most maxFrames physical

@@ -67,10 +67,10 @@ func Eager() ViewOption {
 }
 
 // Pinned exempts the views' pages from tier demotion: the autopilot's
-// hot-tier pressure duty never moves a pinned view's pages to the
-// capacity tier (the temperature-driven whole-view eviction of cold
-// views still applies), so enabling tiering never slows an explicitly
-// requested hot range. Views created adaptively by queries — and
+// demotion duty never moves a pinned view's pages to the capacity tier
+// (the temperature-driven whole-view eviction of cold views still
+// applies), so enabling tiering never slows an explicitly requested hot
+// range. Views created adaptively by queries — and
 // CreateViewOpt views without this option — are demotable.
 func Pinned() ViewOption {
 	return func(o *viewCreateOptions) { o.pinned = true }
@@ -121,8 +121,9 @@ type TierConfig = vmsim.TierConfig
 // the column's pages carry a vmcache-style tier+version word, cold-tier
 // page accesses are charged tc.ColdMultiplier × the hot per-page scan
 // cost (and promote the page back under budget), writes land pages hot,
-// and — when an autopilot runs — hot-tier occupancy above its high
-// watermark demotes the coldest unpinned views' pages tier-down:
+// and — when an autopilot runs — hot-tier occupancy at 0.9 of the budget
+// demotes the coldest unpinned views' pages tier-down until it is back
+// at 0.7:
 //
 //	cfg := asv.WithTiering(asv.WithAutopilot(asv.DefaultConfig()),
 //	    asv.TierConfig{HotFrames: pages / 2})

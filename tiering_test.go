@@ -191,8 +191,6 @@ func TestTieredSnapshotRace(t *testing.T) {
 		WithAutopilot(DefaultConfig(), AutopilotConfig{
 			MaintainInterval: time.Millisecond,
 			MaxFlushLatency:  time.Millisecond,
-			TierHighWater:    0.5,
-			TierLowWater:     0.25,
 		}),
 		TierConfig{HotFrames: pages / 2, NoStall: true},
 	)
