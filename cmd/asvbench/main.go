@@ -111,7 +111,7 @@ var experiments = []experiment{
 	{"snapshot", "reader qps under forced alignment storm: epoch vs pinned-snapshot reads (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunSnapshot(s))
 	}},
-	{"manyviews", "many-views scaling: batched creation, delta publication latency, first reads of lazy views through the snapshot capture (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
+	{"manyviews", "many-views scaling: batched creation, per-flush state publication latency, first reads of lazy views through the snapshot capture (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunManyViews(s))
 	}},
 	{"tiered", "tiered view memory: adaptive qps vs hot-tier fraction at 10x suite page count (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {

@@ -14,25 +14,10 @@ import (
 	"github.com/asv-db/asv/internal/workload"
 )
 
-// republishFresh drops the delta-capture cache and publishes a fully
-// fresh (non-delta) state — the reference the delta path must match.
-func republishFresh(t *testing.T, e *Engine) {
-	t.Helper()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.set.ResetCaptureCache(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.publishStateLocked(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDeltaPublicationEquivalence drives every generator through an
-// interleaved query/update workload — each flush publishes a structural
-// delta over its predecessor — then forces a full from-scratch capture
-// and replays the probes: the delta-built state must answer exactly like
-// the rebuilt one.
+// interleaved query/update workload — each flush publishes a fresh
+// capture of a mutating view set — then replays the probes: every answer
+// must match a full scan of the column.
 func TestDeltaPublicationEquivalence(t *testing.T) {
 	const pages = 96
 	probes := workload.SelectivitySweep(13, 30, ccDomain, ccDomain/2, ccDomain/100)
@@ -46,8 +31,8 @@ func TestDeltaPublicationEquivalence(t *testing.T) {
 			ups := workload.UniformUpdates(77, 240, e.Column().Rows(), 0, ccDomain)
 
 			// Interleave: queries grow the view set, update batches flush
-			// between them so successive publications are deltas over a
-			// mutating set.
+			// between them so successive publications capture a set whose
+			// views were just realigned.
 			for i, q := range probes {
 				if _, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{}); err != nil {
 					t.Fatal(err)
@@ -61,24 +46,22 @@ func TestDeltaPublicationEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
-			before := make([]QueryResult, len(probes))
-			for i, q := range probes {
-				r, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				before[i] = r.QueryResult
+			if len(e.Views()) == 0 {
+				t.Fatal("premise: the workload created no views")
 			}
-			republishFresh(t, e)
+
 			for i, q := range probes {
 				r, err := e.QueryOpt(q.Lo, q.Hi, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Count != before[i].Count || r.Sum != before[i].Sum {
-					t.Fatalf("probe %d [%d,%d]: delta state %d/%d != fresh state %d/%d",
-						i, q.Lo, q.Hi, before[i].Count, before[i].Sum, r.Count, r.Sum)
+				wantCount, wantSum, err := e.Column().FullScan(q.Lo, q.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Count != wantCount || r.Sum != wantSum {
+					t.Fatalf("probe %d [%d,%d]: published state %d/%d != full scan %d/%d",
+						i, q.Lo, q.Hi, r.Count, r.Sum, wantCount, wantSum)
 				}
 			}
 		})
@@ -237,10 +220,10 @@ func TestReadsNeverMapLazyViews(t *testing.T) {
 }
 
 // TestEpochManyViewsStorm races view creation, view rebuilds, snapshot
-// pins and delta publications against each other: the
-// copy-on-write capture table's reference discipline must keep every
-// pinned reader consistent while chunks are shared, rebuilt and retired
-// underneath it. Run under -race in CI with fresh schedules.
+// pins and publications against each other: the captures' reference
+// discipline must keep every pinned reader consistent while views are
+// created, rebuilt and retired underneath it. Run under -race in CI with
+// fresh schedules.
 func TestEpochManyViewsStorm(t *testing.T) {
 	const pages = 64
 	cfg := syncConfig()
@@ -261,7 +244,7 @@ func TestEpochManyViewsStorm(t *testing.T) {
 		}()
 	}
 
-	// Writers: single-row batches, each flush a delta publication.
+	// Writers: single-row batches, each flush a publication.
 	ups := workload.UniformUpdates(21, 300, e.Column().Rows(), 0, ccDomain)
 	spawn(func() error {
 		for _, u := range ups {
@@ -299,8 +282,8 @@ func TestEpochManyViewsStorm(t *testing.T) {
 		}
 		return nil
 	})
-	// Rebuilder: every rebuild recreates each view, so chunk reuse and
-	// rebuild keep alternating after the set has frozen.
+	// Rebuilder: every rebuild recreates each view, so the captured
+	// membership keeps changing after the set has frozen.
 	spawn(func() error {
 		for i := 0; i < 40; i++ {
 			if err := e.RebuildViews(); err != nil {
@@ -360,8 +343,7 @@ func TestEpochManyViewsStorm(t *testing.T) {
 // TestClosePendingRetiredFreed is the satellite-1 regression test: a
 // failed publication parks the displaced frames in pendingRetired; Close
 // — even with the publication path still failing — must free every one
-// of them and drop the capture cache's view retains, leaving physical
-// memory exactly where it started.
+// of them, leaving physical memory exactly where it started.
 func TestClosePendingRetiredFreed(t *testing.T) {
 	const pages = 64
 	col := testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages))
@@ -369,9 +351,8 @@ func TestClosePendingRetiredFreed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One view over the whole domain: every update dirties it, so any
-	// publication after a write needs a fresh capture — which the hook
-	// then fails.
+	// One view over the whole domain: every publication captures it,
+	// which the hook then fails.
 	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
@@ -439,9 +420,9 @@ func TestRetireErrorsSurfaced(t *testing.T) {
 		return boom
 	})
 
-	// Pin the current state, dirty the view and publish a successor: the
-	// pinned state's capture is now the last holder of the old SnapView,
-	// so closing the pin drains it through the failing release.
+	// Pin the current state and publish a successor: closing the pin
+	// drains the pinned state, whose capture releases its view retain
+	// through the failing hook.
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)

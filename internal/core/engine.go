@@ -505,20 +505,13 @@ func (e *Engine) Close() error {
 
 	// Final-drain sweep: when the close-time publication itself failed,
 	// the displaced frames it collected are parked in pendingRetired with
-	// no later publication to fold them into, and the set's delta-capture
-	// cache still holds view references from the last successful capture.
-	// Free the frames and drop the cache here or both leak for good.
+	// no later publication to fold them into. Free them here or they leak
+	// for good.
 	e.mu.Lock()
 	for _, fr := range e.pendingRetired {
 		e.col.Kernel().FreeFrame(fr)
 	}
 	e.pendingRetired = nil
-	if err := e.set.ResetCaptureCache(); err != nil {
-		e.stats.retireErrors.Add(1)
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 	e.mu.Unlock()
 
 	e.stateMu.Lock()

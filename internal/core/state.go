@@ -164,24 +164,13 @@ func (e *Engine) publishStateLocked() error {
 		e.stats.publishAttemptNanos.Add(uint64(time.Since(t0)))
 		return err
 	}
-	// The capture may have dropped the previous delta cache's last
-	// references; a release failure there retires a superseded capture's
-	// view, so it joins the reclaim walk's error accounting.
-	if rerr := e.set.TakeReleaseErr(); rerr != nil {
-		e.stats.retireErrors.Add(1)
-		e.stateMu.Lock()
-		if e.retireErr == nil {
-			e.retireErr = rerr
-		}
-		e.stateMu.Unlock()
-	}
 	if e.pendingCount.Load() > 0 {
 		// Applied-but-unaligned writes are buffered, so this is not their
 		// alignment's publication (that one drains the buffer first):
-		// partial views those writes did not touch keep sharing captures
-		// that still resolve to the displaced frames, in this successor
-		// too. Park the frames; the alignment's own publication refreshes
-		// those views and retires them.
+		// partial views keep soft-TLBs that still resolve to the displaced
+		// frames, and this successor captures them as they are. Park the
+		// frames; the alignment's own publication refreshes those views
+		// and retires them.
 		e.pendingRetired, retired = retired, nil
 	}
 	st := &engineState{snap: snap, gen: e.gen, closed: e.closed, publishedAt: time.Now().UnixNano()}
@@ -194,14 +183,13 @@ func (e *Engine) publishStateLocked() error {
 	// that drop may retire old inline, and the timeline should read
 	// published(N+1) then retired(N).
 	if e.journal != nil {
-		e.journal.Record(obs.EvEpochPublished, int64(e.gen), int64(snap.Recaptured()), int64(len(retired)))
+		e.journal.Record(obs.EvEpochPublished, int64(e.gen), int64(snap.Len()), int64(len(retired)))
 	}
 	e.releaseState(old) // drop old's publication reference
 	e.stats.publishes.Add(1)
 	elapsed := uint64(time.Since(t0))
 	e.stats.publishNanos.Add(elapsed)
 	e.stats.publishAttemptNanos.Add(elapsed)
-	e.ins.publishRecaptured.Observe(uint64(snap.Recaptured()))
 	return nil
 }
 

@@ -21,20 +21,17 @@ type engineInstruments struct {
 	reg *obs.Registry
 
 	// retireLag observes publish→drain ns per retired epoch;
-	// publishRecaptured observes the views re-captured per publication;
 	// scanNsPerPage observes per-scan average ns per page.
-	retireLag         *obs.Histogram
-	publishRecaptured *obs.Histogram
-	scanNsPerPage     *obs.Histogram
+	retireLag     *obs.Histogram
+	scanNsPerPage *obs.Histogram
 }
 
 func newEngineInstruments() *engineInstruments {
 	reg := obs.NewRegistry()
 	return &engineInstruments{
-		reg:               reg,
-		retireLag:         reg.Histogram("epoch_retire_lag_ns"),
-		publishRecaptured: reg.Histogram("publish_views_recaptured"),
-		scanNsPerPage:     reg.Histogram("scan_ns_per_page"),
+		reg:           reg,
+		retireLag:     reg.Histogram("epoch_retire_lag_ns"),
+		scanNsPerPage: reg.Histogram("scan_ns_per_page"),
 	}
 }
 

@@ -331,10 +331,6 @@ func (e *Engine) alignView(v *view.View, pages []int, byPage map[int][]Update,
 	ensureTLB := func() {
 		if !cloned {
 			v.BeginTLBMutation()
-			// The session will change this view's pages or translations:
-			// the next publication must re-capture it instead of sharing
-			// the previous capture's entry.
-			e.set.MarkDirty(v)
 			cloned = true
 		}
 	}

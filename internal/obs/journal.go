@@ -15,7 +15,8 @@ type EventType uint32
 // per-event meaning.
 const (
 	// EvEpochPublished: a new engine state was published.
-	// A=generation, B=views re-captured, C=frames queued for retirement.
+	// A=generation, B=partial views captured, C=frames queued for
+	// retirement.
 	EvEpochPublished EventType = iota + 1
 	// EvEpochRetired: a superseded state drained and was reclaimed.
 	// A=generation, B=publish→drain lag ns, C=frames freed.

@@ -20,9 +20,10 @@ import (
 func (v *View) Lazy() bool { return v.lazy != nil }
 
 // LazyFilePages returns the backing file page per slot of a lazy view,
-// or nil for an eagerly materialized view. The slice is live view state:
-// callers that outlive the caller's serialization scope (snapshot
-// captures) must copy it.
+// or nil for an eagerly materialized view. The directory is immutable
+// once Builder.Finish installs it: EnsureMapped and Release replace the
+// field and never write an element, so snapshot captures share the slice
+// without copying it, just as they share an eager view's soft-TLB.
 func (v *View) LazyFilePages() []int32 { return v.lazy }
 
 // EnsureMapped maps every slot of a lazy view and converts it to the

@@ -29,144 +29,13 @@ func (f *fixture) mkLazyView(lo, hi uint64) *view.View {
 	return v
 }
 
-func TestSnapshotDeltaSharesUntouchedCaptures(t *testing.T) {
-	f := newFixture(t)
-	s := f.newSet(10, 0, 0)
-	views := make([]*view.View, 4)
-	for i := range views {
-		lo := uint64(i) * 200_000
-		views[i] = f.mkView(lo, lo+150_000)
-		if err := s.Insert(views[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	snap1, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An unchanged set shares the whole chunk: one retain, zero captures.
-	snap2, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap1.chunks) != 1 || len(snap2.chunks) != 1 {
-		t.Fatalf("chunks = %d/%d, want 1/1", len(snap1.chunks), len(snap2.chunks))
-	}
-	if snap1.chunks[0] != snap2.chunks[0] {
-		t.Fatal("unchanged set did not share the capture chunk")
-	}
-
-	// A dirty view forces a chunk rebuild, but every other entry is
-	// still pointer-shared with the previous capture.
-	s.MarkDirty(views[2])
-	snap3, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap3.chunks[0] == snap1.chunks[0] {
-		t.Fatal("dirty view did not invalidate its chunk")
-	}
-	p1, p3 := snap1.Partials(), snap3.Partials()
-	for i := range p1 {
-		if i == 2 {
-			if p1[i] == p3[i] {
-				t.Fatal("dirty view's capture was reused")
-			}
-			continue
-		}
-		if p1[i] != p3[i] {
-			t.Fatalf("clean view %d was re-captured", i)
-		}
-	}
-
-	// Membership change (remove) shifts positions: rebuild, share entries.
-	if !s.Remove(views[0]) {
-		t.Fatal("remove failed")
-	}
-	snap4, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4 := snap4.Partials()
-	if len(p4) != 3 {
-		t.Fatalf("len = %d, want 3", len(p4))
-	}
-	if p4[0] != p3[1] || p4[1] != p3[2] || p4[2] != p3[3] {
-		t.Fatal("surviving views' captures were not shared across the removal")
-	}
-
-	// Full teardown: release every snapshot and the cache, then the
-	// views' own references must be all that remains.
-	for _, sn := range []*Snapshot{snap1, snap2, snap3, snap4} {
-		if err := sn.ReleaseViews(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.ResetCaptureCache(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range views {
-		want := 1
-		if i == 0 {
-			// views[0] was removed from the set but never released by
-			// this test; only its owner reference should remain.
-			want = 1
-		}
-		if got := v.Refs(); got != want {
-			t.Fatalf("view %d refs = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestSnapshotDeltaMultiChunk(t *testing.T) {
-	f := newFixture(t)
-	n := snapChunkSize + 4
-	s := f.newSet(n, 0, 0)
-	views := make([]*view.View, n)
-	for i := range views {
-		lo := uint64(i * 1000)
-		views[i] = f.mkView(lo, lo+500)
-		if err := s.Insert(views[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap1, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap1.chunks) != 2 {
-		t.Fatalf("chunks = %d, want 2", len(snap1.chunks))
-	}
-	// Touch one view in the second chunk: the first chunk is shared
-	// whole, the second is rebuilt.
-	s.MarkDirty(views[snapChunkSize+1])
-	snap2, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap2.chunks[0] != snap1.chunks[0] {
-		t.Fatal("untouched chunk was rebuilt")
-	}
-	if snap2.chunks[1] == snap1.chunks[1] {
-		t.Fatal("touched chunk was shared")
-	}
-	if err := snap1.ReleaseViews(); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap2.ReleaseViews(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSnapshotCaptureFailureRollsBack pins the rollback symmetry of the
-// capture path: a CapturePages failure mid-set must release every
-// reference the half-built capture took — including retains on chunks
-// reused from the delta cache — leave the cache intact, and let a retry
-// succeed.
+// capture path: a CapturePages failure at view k of n must release every
+// view retain the half-built capture took, leave every view's reference
+// count where it was, and let a retry succeed.
 func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
 	f := newFixture(t)
-	n := snapChunkSize + 3
+	const n, k = 131, 100
 	s := f.newSet(n, 0, 0)
 	views := make([]*view.View, n)
 	for i := range views {
@@ -176,6 +45,7 @@ func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A live predecessor, so the counts under test are not all 1.
 	snap1, err := s.Snapshot(f.capFull(s))
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +55,9 @@ func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
 	for i, v := range views {
 		refsBefore[i] = v.Refs()
 	}
-	chunk0Refs := s.capChunks[0].refs.Load()
 
-	// Dirty a second-chunk view and make its re-capture fail: the first
-	// chunk has already been reused (retained) when the error hits.
-	victim := views[snapChunkSize+1]
-	s.MarkDirty(victim)
+	// The first k views are captured (and retained) when the error hits.
+	victim := views[k]
 	boom := errors.New("injected capture failure")
 	s.SetCaptureHook(func(v *view.View) ([][]byte, error) {
 		if v == victim {
@@ -208,24 +75,143 @@ func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
 			t.Fatalf("view %d refs %d -> %d after failed capture", i, refsBefore[i], got)
 		}
 	}
-	if got := s.capChunks[0].refs.Load(); got != chunk0Refs {
-		t.Fatalf("reused chunk refs %d -> %d after failed capture", chunk0Refs, got)
-	}
 
-	// The cache survived the failure: a retry succeeds and still shares
-	// the untouched chunk.
 	snap2, err := s.Snapshot(f.capFull(s))
 	if err != nil {
 		t.Fatalf("retry after failed capture: %v", err)
 	}
-	if snap2.chunks[0] != snap1.chunks[0] {
-		t.Fatal("retry did not share the untouched chunk")
+	if snap2.Len() != n {
+		t.Fatalf("retry captured %d views, want %d", snap2.Len(), n)
 	}
 	if err := snap1.ReleaseViews(); err != nil {
 		t.Fatal(err)
 	}
 	if err := snap2.ReleaseViews(); err != nil {
 		t.Fatal(err)
+	}
+	for i, v := range views {
+		if got := v.Refs(); got != 1 {
+			t.Fatalf("view %d refs = %d after releasing every capture, want 1", i, got)
+		}
+	}
+}
+
+// TestSnapshotRefsConserved: every capture takes exactly one retain per
+// partial view and its release drops exactly those. After P publications
+// over a set whose membership changes between them (eager and lazy views
+// inserted, removed, replaced), with captures overlapping and released
+// out of order, every view's count is back to its owner reference.
+func TestSnapshotRefsConserved(t *testing.T) {
+	f := newFixture(t)
+	s := f.newSet(64, 0, 0)
+	var all []*view.View
+	mk := func(i int) *view.View {
+		lo := uint64(i%50) * 20_000
+		var v *view.View
+		if i%3 == 0 {
+			v = f.mkLazyView(lo, lo+15_000)
+		} else {
+			v = f.mkView(lo, lo+15_000)
+		}
+		all = append(all, v)
+		return v
+	}
+	var snaps []*Snapshot
+	const P = 40
+	for p := 0; p < P; p++ {
+		switch {
+		case p%7 == 3 && s.Len() > 0:
+			s.Remove(s.Partials()[0])
+		case p%5 == 4 && s.Len() > 0:
+			s.ReplaceExisting(s.Partials()[s.Len()-1], mk(p))
+		default:
+			if err := s.Insert(mk(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := s.Snapshot(f.capFull(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Len() != s.Len() {
+			t.Fatalf("publication %d captured %d views, set holds %d", p, snap.Len(), s.Len())
+		}
+		snaps = append(snaps, snap)
+		// Keep up to three captures alive; retire the oldest or, every
+		// other time, the middle one.
+		if len(snaps) > 3 {
+			i := 0
+			if p%2 == 1 {
+				i = 1
+			}
+			if err := snaps[i].ReleaseViews(); err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps[:i], snaps[i+1:]...)
+		}
+	}
+	for _, snap := range snaps {
+		if err := snap.ReleaseViews(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range all {
+		if got := v.Refs(); got != 1 {
+			t.Fatalf("view %d (%s) refs = %d after %d publications and all releases, want 1", i, v, got, P)
+		}
+	}
+}
+
+// BenchmarkPublish measures one publication the way the engine runs it
+// after a single-row flush: capture the whole set, then retire the
+// predecessor. A capture does not depend on which view changed, so no
+// touch is marked. Sizes span the default 100-view cap and the
+// many-views panel's sweep.
+func BenchmarkPublish(b *testing.B) {
+	for _, n := range []int{10, 100, 1024, 4096} {
+		for _, lazy := range []bool{false, true} {
+			kind := "eager"
+			if lazy {
+				kind = "lazy"
+			}
+			b.Run(fmt.Sprintf("views=%d/%s", n, kind), func(b *testing.B) {
+				f := newFixture(b)
+				s := f.newSet(n, 0, 0)
+				width := uint64(1_000_000 / n)
+				for i := 0; i < n; i++ {
+					lo := uint64(i) * width
+					var v *view.View
+					if lazy {
+						v = f.mkLazyView(lo, lo+width-1)
+					} else {
+						v = f.mkView(lo, lo+width-1)
+					}
+					if err := s.Insert(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				full := f.capFull(s)
+				prev, err := s.Snapshot(full)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					snap, err := s.Snapshot(full)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := prev.ReleaseViews(); err != nil {
+						b.Fatal(err)
+					}
+					prev = snap
+				}
+				b.StopTimer()
+				if err := prev.ReleaseViews(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -285,9 +271,6 @@ func TestSnapshotReleaseHookSurfacesErrors(t *testing.T) {
 	}
 	snap, err := s.Snapshot(f.capFull(s))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ResetCaptureCache(); err != nil {
 		t.Fatal(err)
 	}
 	released := 0

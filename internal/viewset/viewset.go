@@ -98,26 +98,8 @@ type Set struct {
 	lruMu sync.Mutex           // guards usage (touched by concurrent routers)
 	usage map[*view.View]usage // routing recency/frequency per partial view
 
-	// Delta-capture cache (see snapshot.go): the most recent capture's
-	// chunk table, the partial-view order it captured, and the per-view
-	// entries it may share with the next capture. The set owns one chunk
-	// reference per cached chunk. All four are written only under the
-	// engine lock's exclusive mode, except capDirty, which has its own
-	// lock so MarkDirty stays safe for callers outside that mode.
-	capViews  []*view.View
-	capChunks []*snapChunk
-	capBy     map[*view.View]*SnapView
-
-	// releaseErr parks the first error hit while dropping a superseded
-	// cache's references (written under the exclusive engine lock, drained by
-	// TakeReleaseErr after each capture).
-	releaseErr error
-
-	dirtyMu  sync.Mutex
-	capDirty map[*view.View]struct{}
-
 	captureHook func(*view.View) ([][]byte, error) // test seam: per-view capture
-	releaseHook func(*view.View) error             // test seam: drained-capture release
+	releaseHook func(*view.View) error             // test seam: retired-capture release
 }
 
 // usage is one partial view's temperature record: the routing tick of its
@@ -142,8 +124,6 @@ func New(full *view.View, maxViews, discardTol, replaceTol int) *Set {
 		discardTol: discardTol,
 		replaceTol: replaceTol,
 		usage:      make(map[*view.View]usage),
-		capBy:      make(map[*view.View]*SnapView),
-		capDirty:   make(map[*view.View]struct{}),
 	}
 }
 

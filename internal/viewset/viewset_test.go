@@ -12,11 +12,11 @@ import (
 // fixture creates a column plus helper to make partial views with chosen
 // ranges (built over linear data so page counts track range widths).
 type fixture struct {
-	t   *testing.T
+	t   testing.TB
 	col *storage.Column
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	k := vmsim.NewKernel(0)
 	as := k.NewAddressSpace()
 	as.SetMaxMapCount(1 << 30)
