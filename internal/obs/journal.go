@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -134,8 +135,10 @@ func (e Event) String() string {
 }
 
 // journalSlot is one ring entry. Every field is atomic so concurrent
-// Record/Events stay race-free; seq doubles as the seqlock word — zero
-// means a write is in progress.
+// Record/Events stay race-free; seq is both the slot's claim word and
+// its seqlock word: zero means empty, slotBusy set means a writer owns
+// the slot, and otherwise it is the sequence number of the event the
+// payload holds.
 type journalSlot struct {
 	seq atomic.Uint64
 	t   atomic.Int64
@@ -145,16 +148,22 @@ type journalSlot struct {
 	c   atomic.Int64
 }
 
+// slotBusy marks a slot's seq word while a writer stores its payload.
+const slotBusy = 1 << 63
+
 // Journal is a fixed-size lock-free ring of typed engine events. Writers
-// claim a global sequence number and publish into slot seq mod size with
-// a per-slot seqlock: store seq=0 (write in progress), store the
-// payload, store the final sequence number last. Readers validate the
-// sequence word around the payload read and drop entries that changed
-// under them, so a drain never reports a torn event from any writer the
-// ring hasn't lapped. (A writer lapped by the entire ring during its
-// store window could in principle leave one mixed entry; with rings of
-// thousands of slots that window is vanishingly small, and the journal
-// is diagnostic data, not ground truth.)
+// claim a global sequence number and publish into slot seq mod size.
+// A writer owns the slot exclusively while it stores: it swaps the
+// slot's sequence word from the published number to its own number
+// with slotBusy set, stores the payload, and stores its plain sequence
+// number last. A writer that finds the slot busy waits for the owner;
+// one that finds a later sequence number there — a writer a whole ring
+// ahead of it published first — drops its event, since the ring keeps
+// the most recent events. Readers validate the sequence word around the
+// payload read and drop entries that changed under them. A slot's
+// sequence numbers only grow, so an unchanged word means an untouched
+// payload, and a drain never reports a torn event, even when writers
+// lap the ring.
 //
 // A nil *Journal is valid and inert: Record on nil is a no-op, Events on
 // nil returns nil. The engine stores nil when journaling is disabled so
@@ -200,15 +209,32 @@ func (j *Journal) Recorded() uint64 {
 	return j.next.Load()
 }
 
-// Record appends one event. Wait-free, allocation-free, and a no-op on a
-// nil journal.
+// Record appends one event. Allocation-free and a no-op on a nil
+// journal. It waits only behind another writer of the same slot, which
+// takes the whole ring lapping within that writer's store.
 func (j *Journal) Record(typ EventType, a, b, c int64) {
 	if j == nil {
 		return
 	}
-	seq := j.next.Add(1)
+	j.store(j.next.Add(1), typ, a, b, c)
+}
+
+// store publishes the event with sequence number seq into its slot.
+func (j *Journal) store(seq uint64, typ EventType, a, b, c int64) {
 	s := &j.slots[(seq-1)&j.mask]
-	s.seq.Store(0)
+	for {
+		cur := s.seq.Load()
+		if cur&slotBusy != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if cur > seq {
+			return
+		}
+		if s.seq.CompareAndSwap(cur, seq|slotBusy) {
+			break
+		}
+	}
 	s.t.Store(j.now())
 	s.typ.Store(uint32(typ))
 	s.a.Store(a)
@@ -228,7 +254,7 @@ func (j *Journal) Events() []Event {
 	for i := range j.slots {
 		s := &j.slots[i]
 		s1 := s.seq.Load()
-		if s1 == 0 {
+		if s1 == 0 || s1&slotBusy != 0 {
 			continue
 		}
 		ev := Event{

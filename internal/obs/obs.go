@@ -6,9 +6,12 @@
 //
 // The design contract every consumer relies on:
 //
-//   - Recording is wait-free and allocation-free. Counter.Add,
-//     Gauge.Set, Histogram.Observe and Journal.Record are a handful of
-//     atomic operations — safe on scan kernels and inside critical sections.
+//   - Recording is allocation-free and, except for Journal.Record,
+//     wait-free. Counter.Add, Gauge.Set, Histogram.Observe and
+//     Journal.Record are a handful of atomic operations — safe on scan
+//     kernels and inside critical sections. Journal.Record waits only
+//     behind another writer of the same ring slot, which takes the whole
+//     ring lapping during that writer's store.
 //   - Handles are stored once, bumped everywhere: a *Counter /
 //     *Gauge / *Histogram is created through a Registry (or directly)
 //     during construction and then only ever dereferenced. Instrument

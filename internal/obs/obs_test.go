@@ -236,14 +236,7 @@ func TestJournalConcurrent(t *testing.T) {
 // sequence number minus one, so readers can detect torn entries.
 func (j *Journal) recordEcho() {
 	seq := j.next.Add(1)
-	s := &j.slots[(seq-1)&j.mask]
-	s.seq.Store(0)
-	s.t.Store(j.now())
-	s.typ.Store(uint32(EvViewInserted))
-	s.a.Store(int64(seq - 1))
-	s.b.Store(0)
-	s.c.Store(0)
-	s.seq.Store(seq)
+	j.store(seq, EvViewInserted, int64(seq-1), 0, 0)
 }
 
 func TestTraceTree(t *testing.T) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
@@ -135,5 +136,30 @@ func BenchmarkFillParallel(b *testing.B) {
 			name = "workers=GOMAXPROCS"
 		}
 		b.Run(name, func(b *testing.B) { benchmarkFill(b, 4096, workers) })
+	}
+}
+
+// BenchmarkCreateColumn is a column's cold start: a fresh kernel, the
+// 16 384-page (64 MiB) file with its pageID stamps and full view, and the
+// sharded uniform fill — the step every ruler set-up, oracle twin and
+// asvd create begins with. Memory is handed back to the operating system
+// between iterations, outside the timer, so every iteration pays the
+// first-touch page faults of a cold process as a fresh set-up does.
+func BenchmarkCreateColumn(b *testing.B) {
+	const pages = 16384
+	g := dist.NewUniform(1, 0, 100_000_000)
+	b.SetBytes(int64(pages) * PageSize)
+	for i := 0; i < b.N; i++ {
+		k := vmsim.NewKernel(0)
+		c, err := NewColumn(k, k.NewAddressSpace(), "bench", pages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.FillParallel(g, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		debug.FreeOSMemory()
+		b.StartTimer()
 	}
 }

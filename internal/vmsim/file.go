@@ -2,6 +2,7 @@ package vmsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -125,7 +126,10 @@ func (f *File) NumPages() int {
 }
 
 // Truncate grows or shrinks the file to the given number of pages. Grown
-// pages are zeroed; shrunk pages return their frames to the allocator.
+// pages are zeroed; shrunk pages return their frames to the allocator. A
+// grow first extends the arena to cover every frame it takes, and fails
+// with ErrNoMemory, taking no frame, when fewer frames than it needs are
+// left below the frame limit as it starts.
 // Shrinking a file that still has mapped pages is rejected (the kernel
 // would deliver SIGBUS on later access; we catch the bug at the source).
 func (f *File) Truncate(pages int) error {
@@ -141,6 +145,12 @@ func (f *File) Truncate(pages int) error {
 		fr := f.frames[len(f.frames)-1]
 		f.frames = f.frames[:len(f.frames)-1]
 		f.kernel.freeFrame(fr)
+	}
+	if grow := pages - len(f.frames); grow > 0 {
+		if err := f.kernel.growArena(grow); err != nil {
+			return err
+		}
+		f.frames = slices.Grow(f.frames, grow)
 	}
 	for len(f.frames) < pages {
 		fr, err := f.kernel.allocFrame()

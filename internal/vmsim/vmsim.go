@@ -29,7 +29,9 @@ package vmsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -81,6 +83,9 @@ var (
 // Kernel owns the simulated physical memory and main-memory files. All
 // methods are safe for concurrent use.
 type Kernel struct {
+	// grow serializes growArena, so that concurrent file creations do not
+	// each allocate the same missing chunks.
+	grow      sync.Mutex
 	mu        sync.Mutex
 	chunks    [][]byte // physical arena, framesPerChunk frames per chunk
 	freeList  []FrameID
@@ -113,10 +118,12 @@ func NewKernel(maxFrames int) *Kernel {
 func (k *Kernel) allocFrame() (FrameID, error) {
 	k.mu.Lock()
 	var f FrameID
+	recycled := false
 	switch {
 	case len(k.freeList) > 0:
 		f = k.freeList[len(k.freeList)-1]
 		k.freeList = k.freeList[:len(k.freeList)-1]
+		recycled = true
 	case k.nextFrame < k.maxFrames:
 		f = k.nextFrame
 		k.nextFrame++
@@ -130,13 +137,69 @@ func (k *Kernel) allocFrame() (FrameID, error) {
 	k.framesAllocated++
 	k.mu.Unlock()
 
-	// Demand-zero semantics: the kernel hands out zeroed pages. Do the
-	// memset outside the lock; the frame is not yet visible to anyone else.
-	d := k.frameData(f)
-	for i := range d {
-		d[i] = 0
+	// Demand-zero semantics: the kernel hands out zeroed pages. A frame
+	// past the old end of the arena has never been handed out and is
+	// still zero from make; only a recycled frame needs clearing. Do it
+	// outside the lock; the frame is not yet visible to anyone else.
+	if recycled {
+		clear(k.frameData(f))
 	}
 	return f, nil
+}
+
+// growArena allocates, ahead of taking n frames, the chunks those frames
+// need beyond the free list and the arena's current end, so that a file
+// of many pages does not grow the arena one chunk at a time on one core.
+// At most GOMAXPROCS goroutines allocate the chunks and write one byte
+// of each page, so the first-touch page faults of the new memory run on
+// every core. It fails with ErrNoMemory, allocating nothing, when the n
+// frames would pass maxFrames; no chunk is ever allocated past that
+// limit. Caller must not hold k.mu.
+func (k *Kernel) growArena(n int) error {
+	k.grow.Lock()
+	defer k.grow.Unlock()
+	k.mu.Lock()
+	fresh := n - len(k.freeList)
+	if left := int(k.maxFrames - k.nextFrame); fresh > left {
+		k.mu.Unlock()
+		return fmt.Errorf("%w: %d frames wanted, %d left below the physical frame limit %d",
+			ErrNoMemory, fresh, left, k.maxFrames)
+	}
+	have := len(k.chunks)
+	want := (int(k.nextFrame) + fresh + framesPerChunk - 1) / framesPerChunk
+	k.mu.Unlock()
+	if want <= have {
+		return nil
+	}
+
+	add := make([][]byte, want-have)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(add)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(add); i = int(next.Add(1)) - 1 {
+				c := make([]byte, framesPerChunk*PageSize)
+				for off := 0; off < len(c); off += PageSize {
+					c[off] = 0
+				}
+				add[i] = c
+			}
+		}()
+	}
+	wg.Wait()
+
+	// allocFrame may have appended chunks meanwhile, always at the arena's
+	// end: keep only the ones it did not.
+	k.mu.Lock()
+	if done := len(k.chunks) - have; done < len(add) {
+		k.chunks = append(k.chunks, add[done:]...)
+	}
+	k.mu.Unlock()
+	return nil
 }
 
 // freeFrame returns a frame to the allocator.

@@ -10,6 +10,8 @@
 // public-domain generators with well-studied statistical behaviour.
 package xrand
 
+import "math/bits"
+
 // Splitmix64 advances the given state and returns the next value of the
 // splitmix64 sequence. It is used to expand a single user seed into the
 // four words of xoshiro state, and is handy as a cheap standalone hash.
@@ -68,7 +70,14 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
-// Lemire's multiply-shift rejection method avoids modulo bias.
+//
+// Lemire's nearly-divisionless method: the high word of the 128-bit
+// product v*n is the draw, and the draw is rejected when the low word
+// falls below 2^64 mod n, which removes the modulo bias. That threshold
+// is below n, so a low word of at least n is accepted without computing
+// it; the division runs only on the rare draws whose low word is below n.
+// The accepted and rejected draws are exactly those of computing the
+// threshold up front, so every stream is unchanged by the shortcut.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n(0)")
@@ -77,37 +86,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top bits.
-	thresh := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= thresh {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-
-	t := aLo * bLo
-	lo = t & mask
-	carry := t >> 32
-
-	t = aHi*bLo + carry
-	mid := t & mask
-	carry = t >> 32
-
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	carry2 := t >> 32
-
-	hi = aHi*bHi + carry + carry2
-	return hi, lo
+	return hi
 }
 
 // Int63 returns a non-negative int64.

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -183,41 +184,53 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-// Property: mul64 agrees with big-integer multiplication on the low 64 bits
-// and on a few spot-checkable identities.
-func TestQuickMul64(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		if lo != a*b { // low word must match wrapping multiply
-			return false
-		}
-		if a == 0 || b == 0 {
-			return hi == 0 && lo == 0
-		}
-		// (a*b) / b == a when hi==0 guarantees no overflow happened.
-		if hi == 0 && lo/b != a {
-			return false
-		}
-		return true
+// uint64nReference is Uint64n as it was before the division-free
+// rewrite: the rejection threshold 2^64 mod n computed up front, then
+// multiply-and-reject. Uint64n must accept, reject and return exactly the
+// same draws, so that every generator and workload stream is unchanged.
+func uint64nReference(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	thresh := -n % n
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= thresh {
+			return hi
+		}
 	}
 }
 
-func TestMul64KnownValues(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1, 1},
-		{^uint64(0), 2, 1, ^uint64(0) - 1},
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 509, 100_000_001, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)",
-				c.a, c.b, hi, lo, c.hi, c.lo)
+	const draws = 20_000
+	for _, n := range ns {
+		got, want := New(n), New(n)
+		for i := 0; i < draws; i++ {
+			g, w := got.Uint64n(n), uint64nReference(want, n)
+			if g != w {
+				t.Fatalf("n=%#x draw %d: Uint64n = %d, reference = %d", n, i, g, w)
+			}
+		}
+		// Equal outputs could hide a different number of rejected draws;
+		// the streams must also stay in step.
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%#x: streams diverged after %d draws", n, draws)
+		}
+	}
+	// Random bounds, one shared stream per side, as the generators use it.
+	pick := New(7)
+	got, want := New(8), New(8)
+	for i := 0; i < 200_000; i++ {
+		n := pick.Uint64() >> (pick.Uint64() & 63)
+		if n == 0 {
+			n = 1
+		}
+		if g, w := got.Uint64n(n), uint64nReference(want, n); g != w {
+			t.Fatalf("draw %d, n=%#x: Uint64n = %d, reference = %d", i, n, g, w)
 		}
 	}
 }
