@@ -41,7 +41,6 @@ import (
 	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/view"
 	"github.com/asv-db/asv/internal/vmsim"
-	"github.com/asv-db/asv/internal/workload"
 )
 
 // PageSize is the page granularity of the storage layer (4 KiB).
@@ -456,31 +455,6 @@ func (db *DB) ReadColumn(name string, r io.Reader, cfg Config) (*Column, error) 
 	return db.addColumn(name, cfg, func() (*storage.Column, error) {
 		return storage.ReadColumn(db.kernel, db.space, name, r)
 	})
-}
-
-// RangeQuery is one inclusive range predicate of a generated workload.
-type RangeQuery = workload.Query
-
-// ConcurrentStreams derives one deterministic query stream per client
-// from a single seed (n queries each, fixed selectivity sel over
-// [0, domainHi]). Client i's stream never depends on scheduling, so a
-// concurrent run fires exactly the same queries as its serial re-check —
-// the readers' workload in the `autopilot` and `snapshot` asvbench
-// panels.
-func ConcurrentStreams(seed uint64, clients, n int, domainHi uint64, sel float64) [][]RangeQuery {
-	return workload.ConcurrentClients(seed, clients, n, domainHi, sel)
-}
-
-// PointUpdate is one row overwrite of a generated update workload.
-type PointUpdate = workload.PointUpdate
-
-// ConcurrentUpdateStreams derives one deterministic update stream per
-// writer from a single seed (n uniform row overwrites each, values in
-// [valLo, valHi]). Writer i's stream never depends on scheduling or on
-// the writer count — the writers' workload in the `autopilot` and
-// `snapshot` asvbench panels.
-func ConcurrentUpdateStreams(seed uint64, writers, n, rows int, valLo, valHi uint64) [][]PointUpdate {
-	return workload.ConcurrentUpdaters(seed, writers, n, rows, valLo, valHi)
 }
 
 // Predicate is an inclusive range condition on one table column.

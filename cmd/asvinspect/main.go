@@ -7,12 +7,11 @@
 //
 //	asvinspect [-pages 2048] [-queries 40] [-dist sine] [-mode single|multi]
 //	asvinspect -autopilot            # fire-and-forget updates + lifecycle telemetry
-//	asvinspect -snapshot             # pin an epoch, mutate the column, show repeatable reads
+//	asvinspect -tiers                # demote the column to a capacity tier, probe, dump occupancy
 //	asvinspect -trace                # run one traced probe query and print its span tree
 //	asvinspect -events               # enable the event journal and dump it at the end
 //	asvinspect -metrics              # print the unified telemetry snapshot
 //	asvinspect -metrics-out f.json   # write the telemetry snapshot as JSON (for CI artifacts)
-//	asvinspect -serve                # in-process asvd: HTTP round-trip + telemetry + graceful drain
 package main
 
 import (
@@ -41,26 +40,16 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		showMaps = flag.Bool("maps", true, "print the rendered maps file")
 		autoPlt  = flag.Bool("autopilot", false, "enable the background maintenance subsystem: interleave fire-and-forget updates with the queries and dump coalescing/lifecycle telemetry")
-		snapDemo = flag.Bool("snapshot", false, "after the query sequence, pin an epoch snapshot, overwrite rows and flush, and show the pinned reads staying repeatable while live reads move")
 		tierDemo = flag.Bool("tiers", false, "attach a simulated capacity tier (hot budget = half the pages), demote the whole column after the queries, re-run a probe and dump per-tier occupancy")
 		traceQ   = flag.Bool("trace", false, "after the query sequence, run one traced probe query and print its span tree")
 		events   = flag.Bool("events", false, "enable the engine event journal (256 events) and dump it at the end")
 		metrics  = flag.Bool("metrics", false, "print the unified telemetry snapshot (counters, gauges, histograms)")
 		metOut   = flag.String("metrics-out", "", "write the telemetry snapshot as stable JSON to this file")
-		srvDemo  = flag.Bool("serve", false, "run the network front end smoke demo: in-process asvd on a random port, fill + query + update round-trip over HTTP, telemetry, graceful shutdown")
 	)
 	flag.Parse()
 
-	if *srvDemo {
-		if err := serveDemo(*pages, *distName, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "asvinspect:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	o := obsFlags{trace: *traceQ, events: *events, metrics: *metrics, metricsOut: *metOut}
-	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *autoPlt, *snapDemo, *tierDemo, o); err != nil {
+	if err := run(*pages, *queries, *distName, *mode, *seed, *showMaps, *autoPlt, *tierDemo, o); err != nil {
 		fmt.Fprintln(os.Stderr, "asvinspect:", err)
 		os.Exit(1)
 	}
@@ -75,7 +64,7 @@ type obsFlags struct {
 	metricsOut string
 }
 
-func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoPilot, snapDemo, tierDemo bool, o obsFlags) error {
+func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoPilot, tierDemo bool, o obsFlags) error {
 	const domain = 100_000_000
 
 	kern := vmsim.NewKernel(0)
@@ -149,12 +138,6 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoP
 
 	if autoPilot {
 		if _, err := eng.Sync(); err != nil {
-			return err
-		}
-	}
-
-	if snapDemo {
-		if err := snapshotDemo(eng, qs, rng, domain); err != nil {
 			return err
 		}
 	}
@@ -247,57 +230,6 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, autoP
 			}
 		}
 	}
-	return nil
-}
-
-// snapshotDemo pins the current epoch, mutates the column through the
-// write path (overwrites + flush, which realigns views and publishes new
-// states), and shows the pinned handle answering byte-identically while
-// live queries observe the new values — the epoch-routing mechanism made
-// visible.
-func snapshotDemo(eng *core.Engine, qs []workload.Query, rng *xrand.Rand, domain uint64) error {
-	fmt.Printf("\n=== snapshot (pinned epoch) ===\n")
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return err
-	}
-	defer snap.Close()
-	probe := qs[len(qs)/2]
-	before, err := snap.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  pinned gen %d with %d partial view(s); probe [%d, %d] -> %d rows (sum %d)\n",
-		snap.Gen(), snap.Views(), probe.Lo, probe.Hi, before.Count, before.Sum)
-
-	rows := eng.Column().Rows()
-	const overwrites = 4096
-	for i := 0; i < overwrites; i++ {
-		if err := eng.Update(rng.Intn(rows), rng.Uint64n(domain)); err != nil {
-			return err
-		}
-	}
-	rep, err := eng.Sync()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  mutated: %d overwrites flushed (%d dirty pages, +%d/-%d view pages realigned)\n",
-		overwrites, rep.DirtyPages, rep.PagesAdded, rep.PagesRemoved)
-
-	after, err := snap.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
-	if err != nil {
-		return err
-	}
-	live, err := eng.QueryOpt(probe.Lo, probe.Hi, core.QueryOptions{})
-	if err != nil {
-		return err
-	}
-	repeat := "repeatable"
-	if after.Count != before.Count || after.Sum != before.Sum {
-		repeat = "NOT REPEATABLE (bug!)"
-	}
-	fmt.Printf("  pinned re-read  -> %d rows (sum %d): %s\n", after.Count, after.Sum, repeat)
-	fmt.Printf("  live read       -> %d rows (sum %d) over the realigned views\n", live.Count, live.Sum)
 	return nil
 }
 

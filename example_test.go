@@ -3,6 +3,9 @@ package asv_test
 import (
 	"fmt"
 	"log"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	asv "github.com/asv-db/asv"
 )
@@ -465,4 +468,332 @@ func ExampleColumn_QueryOpt() {
 	//   view 0: values [0, 20535453] -> 3136 pages
 	//   view 1: values [36701173, 46804778] -> 896 pages
 	//   view 2: values [54133396, 18446744073709551615] -> 2240 pages
+}
+
+// ExampleColumn_FlushUpdates is the paper's batched view maintenance
+// (§2.4/§2.5). An order table keeps a hot view over "open" order keys
+// while a write stream mutates rows. Each FlushUpdates realigns the view
+// in one pass — parse the (simulated) maps file once, then add or remove
+// exactly the affected pages — and rebuilding the view from scratch
+// lands on the same pages. A final storm pushes the same kind of stream
+// through four concurrent writers: the write path is sharded by physical
+// page, so parallel UpdateBatch callers serialize only where their rows
+// share a page group, and one flush realigns everything.
+func ExampleColumn_FlushUpdates() {
+	db, err := asv.Open(asv.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	// Order keys 0..1B; the "hot" orders live in [0, 300_000] — a narrow
+	// slice, so only a small fraction of pages carries one.
+	const (
+		pages        = 4096
+		domain       = 1_000_000_000
+		hotLo, hotHi = 0, 300_000
+	)
+	col, err := db.CreateColumn("order_status", pages, asv.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := col.Fill(asv.Uniform(11, 0, domain)); err != nil {
+		log.Fatal(err)
+	}
+
+	// Pre-warm a view over the hot range, as an operator might.
+	if err := col.CreateViewOpt(hotLo, hotHi); err != nil {
+		log.Fatal(err)
+	}
+	v := col.Views()[0]
+	fmt.Printf("hot view over [%d, %d]: %d pages\n", v.Lo, v.Hi, v.Pages)
+
+	// A write stream closes and opens orders: some rows enter the hot
+	// range, some leave it.
+	rng := uint64(0xdeadbeef)
+	next := func(n uint64) uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng % n
+	}
+	for b := 0; b < 5; b++ {
+		for i := 0; i < 20_000; i++ {
+			if err := col.Update(int(next(uint64(col.Rows()))), next(domain)); err != nil {
+				log.Fatal(err)
+			}
+		}
+		rep, err := col.FlushUpdates()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("batch %d: %d updates over %d pages -> +%d/-%d view pages\n",
+			b, rep.BatchSize, rep.DirtyPages, rep.PagesAdded, rep.PagesRemoved)
+	}
+
+	// The alternative: rebuild the view from scratch (the "New" bar in
+	// the paper's Figure 7). Alignment must have reached the same pages.
+	aligned := col.Views()[0].Pages
+	if err := col.RebuildViews(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("aligned view: %d pages, rebuilt from scratch: %d pages\n", aligned, col.Views()[0].Pages)
+	res, err := col.QueryOpt(hotLo, hotHi)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("hot orders: %d (scanned %d pages via the view)\n", res.Count, res.PagesScanned)
+
+	// Four writers push group commits of 64 rows in parallel. Writer w
+	// owns the rows ≡ w (mod 4), so the final column state — and every
+	// count below — does not depend on how the writers interleave.
+	const writers, perWriter = 4, 10_000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := uint64(w + 1)
+			buf := make([]asv.RowWrite, 0, 64)
+			for i := 0; i < perWriter; i++ {
+				s = s*6364136223846793005 + 1442695040888963407
+				row := int(s>>33)%(col.Rows()/writers)*writers + w
+				buf = append(buf, asv.RowWrite{Row: row, Value: (s >> 3) % domain})
+				if len(buf) == cap(buf) || i == perWriter-1 {
+					if err := col.UpdateBatch(buf); err != nil {
+						log.Fatal(err)
+					}
+					buf = buf[:0]
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	rep, err := col.FlushUpdates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d writers: %d updates, one flush -> +%d/-%d view pages\n",
+		writers, rep.BatchSize, rep.PagesAdded, rep.PagesRemoved)
+	if res, err = col.QueryOpt(hotLo, hotHi); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("hot orders: %d (scanned %d pages via the view)\n", res.Count, res.PagesScanned)
+	// Output:
+	// hot view over [0, 300000]: 588 pages
+	// batch 0: 20000 updates over 4059 pages -> +5/-3 view pages
+	// batch 1: 20000 updates over 4074 pages -> +2/-4 view pages
+	// batch 2: 20000 updates over 4068 pages -> +9/-6 view pages
+	// batch 3: 20000 updates over 4072 pages -> +5/-4 view pages
+	// batch 4: 20000 updates over 4066 pages -> +6/-3 view pages
+	// aligned view: 595 pages, rebuilt from scratch: 595 pages
+	// hot orders: 649 (scanned 595 pages via the view)
+	// 4 writers: 40000 updates, one flush -> +10/-9 view pages
+	// hot orders: 649 (scanned 596 pages via the view)
+}
+
+// ExampleWithAutopilot turns on the background maintenance subsystem.
+// Writers fire lone, fire-and-forget Updates at a sensor column while
+// readers keep querying it — no caller-side batching, no explicit
+// flush: the autopilot coalesces the writes into group commits under a
+// 5 ms latency bound, and Sync is the read-your-writes barrier. The
+// same writes applied synchronously to a plain column, and realigned by
+// one Sync there, converge to the same answers.
+func ExampleWithAutopilot() {
+	db, err := asv.Open(asv.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	const (
+		pages     = 2048
+		domain    = 100_000_000
+		writers   = 2
+		readers   = 2
+		perWriter = 2_500
+	)
+	auto, err := db.CreateColumn("readings-auto", pages, asv.WithAutopilot(asv.DefaultConfig(),
+		asv.AutopilotConfig{MaxFlushLatency: 5 * time.Millisecond}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	plain, err := db.CreateColumn("readings-plain", pages, asv.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, col := range []*asv.Column{auto, plain} {
+		if err := col.FillParallel(asv.Sine(7, 0, domain, 100)); err != nil {
+			log.Fatal(err)
+		}
+		// A hot view an operator pre-warmed; queries grow more adaptively.
+		if err := col.CreateViewOpt(0, domain/64); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	for _, col := range []*asv.Column{plain, auto} {
+		var writes, reads sync.WaitGroup
+		var done atomic.Bool
+		for r := 0; r < readers; r++ {
+			reads.Add(1)
+			go func(r int) {
+				defer reads.Done()
+				// 1 %-wide ranges, a different walk over the domain per reader.
+				for q := uint64(r); !done.Load(); q++ {
+					lo := q * 7_919_993 % (domain - domain/100)
+					if _, err := col.QueryOpt(lo, lo+domain/100); err != nil {
+						log.Fatal(err)
+					}
+				}
+			}(r)
+		}
+		for w := 0; w < writers; w++ {
+			writes.Add(1)
+			go func(w int) {
+				defer writes.Done()
+				// Writer w owns the rows ≡ w (mod writers), so the final
+				// state does not depend on scheduling.
+				s := uint64(w + 1)
+				for i := 0; i < perWriter; i++ {
+					s = s*6364136223846793005 + 1442695040888963407
+					row := int(s>>33)%(col.Rows()/writers)*writers + w
+					if err := col.Update(row, (s>>3)%domain); err != nil {
+						log.Fatal(err)
+					}
+				}
+			}(w)
+		}
+		writes.Wait()
+		if err := col.Sync(); err != nil {
+			log.Fatal(err)
+		}
+		done.Store(true)
+		reads.Wait()
+	}
+
+	m, _ := auto.AutopilotMetrics()
+	fmt.Printf("autopilot applied %d of %d lone writes\n", m.Applied, writers*perWriter)
+	ra, err := auto.QueryOpt(0, domain/2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rp, err := plain.QueryOpt(0, domain/2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("equivalence: auto (%d, %d) vs plain (%d, %d) over half the domain\n",
+		ra.Count, ra.Sum, rp.Count, rp.Sum)
+	// Output:
+	// autopilot applied 5000 of 5000 lone writes
+	// equivalence: auto (509402, 9321094829653) vs plain (509402, 9321094829653) over half the domain
+}
+
+// ExampleColumn_concurrent is the multi-client face of the engine: one
+// shared column serves four goroutines, each firing its own
+// deterministic query stream, while a writer interleaves update bursts,
+// each flushed. Queries pin an epoch and never take the engine lock, so
+// they run beside the writer's alignments. The writer only moves values
+// inside the lower half of the domain and the clients only ask about
+// the upper half, so no answer depends on the interleaving: each one is
+// re-checked against a full scan of the final column state.
+func ExampleColumn_concurrent() {
+	db, err := asv.Open(asv.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	const (
+		pages   = 2048
+		domain  = 100_000_000
+		clients = 4
+		queries = 40 // per client
+		width   = domain / 100
+	)
+	col, err := db.CreateColumn("shared", pages, asv.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := col.FillParallel(asv.Sine(42, 0, domain, 100)); err != nil {
+		log.Fatal(err)
+	}
+
+	// The writer's rows: every 37th row whose value lies below the half.
+	var targets []int
+	for row := 0; len(targets) < 500; row += 37 {
+		v, err := col.Value(row)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if v < domain/2 {
+			targets = append(targets, row)
+		}
+	}
+
+	type answer struct {
+		lo, hi uint64
+		count  int
+		sum    uint64
+	}
+	answers := make([][]answer, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s := uint64(c + 1)
+			for i := 0; i < queries; i++ {
+				s = s*6364136223846793005 + 1442695040888963407
+				lo := domain/2 + (s>>11)%(domain/2-width)
+				res, err := col.QueryOpt(lo, lo+width)
+				if err != nil {
+					log.Fatal(err)
+				}
+				answers[c] = append(answers[c], answer{lo, lo + width, res.Count, res.Sum})
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for burst := 0; burst < 5; burst++ {
+			for i, row := range targets[burst*100 : (burst+1)*100] {
+				if err := col.Update(row, uint64(i)*1000); err != nil {
+					log.Fatal(err)
+				}
+			}
+			if _, err := col.FlushUpdates(); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}()
+	wg.Wait()
+
+	final := make([]uint64, col.Rows())
+	for row := range final {
+		if final[row], err = col.Value(row); err != nil {
+			log.Fatal(err)
+		}
+	}
+	matched, total := 0, 0
+	for _, as := range answers {
+		for _, a := range as {
+			n, sum := 0, uint64(0)
+			for _, v := range final {
+				if a.lo <= v && v <= a.hi {
+					n++
+					sum += v
+				}
+			}
+			if n == a.count && sum == a.sum {
+				matched++
+			}
+			total += a.count
+		}
+	}
+	fmt.Printf("%d clients × %d queries beside 5 flushed bursts of 100 updates\n", clients, queries)
+	fmt.Printf("full-scan re-check: %d of %d answers match, %d rows in total\n",
+		matched, clients*queries, total)
+	// Output:
+	// 4 clients × 40 queries beside 5 flushed bursts of 100 updates
+	// full-scan re-check: 160 of 160 answers match, 1605270 rows in total
 }

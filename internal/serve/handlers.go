@@ -355,15 +355,25 @@ func (s *Server) handleSnapshotCreate(w http.ResponseWriter, r *http.Request, t 
 	id, err := t.AddSnapshot(col.Name(), snap)
 	if err != nil {
 		_ = snap.Close() //asv:ignore-err unwinding a refused registration; the registration error is returned
-		status := http.StatusConflict
-		if errors.Is(err, errTooManySnapshots) {
+		status := snapshotRefusal(err)
+		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
-			status = http.StatusTooManyRequests
 		}
 		s.writeError(w, status, err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{"id": strconv.FormatUint(id, 10)})
+}
+
+// snapshotRefusal is the status of a snapshot whose registration
+// AddSnapshot refused: 429 at the tenant's handle cap, otherwise 409,
+// because the tenant or the column closed between the pin and its
+// registration.
+func snapshotRefusal(err error) int {
+	if errors.Is(err, errTooManySnapshots) {
+		return http.StatusTooManyRequests
+	}
+	return http.StatusConflict
 }
 
 func (s *Server) handleSnapshotQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {

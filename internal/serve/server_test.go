@@ -84,7 +84,8 @@ func (c *httpClient) must(status int, method, path string, body, out any) {
 
 // TestServeRoundTrip walks the full JSON surface on one tenant: create
 // a filled sharded column, query it (rows, aggregate, trace), update,
-// sync, create a view, pin and query a snapshot, read telemetry, close.
+// sync, read the server's request counters, create a view, pin and query
+// a snapshot, read telemetry, close.
 func TestServeRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, ServerConfig{})
 
@@ -93,18 +94,28 @@ func TestServeRoundTrip(t *testing.T) {
 		"name": "m", "pages": 16, "shards": 4, "partitioning": "range",
 		"fill": map[string]any{"dist": "uniform", "seed": 1, "lo": 0, "hi": 1 << 20},
 	}, &info)
-	if info.Shards != 4 || info.Pages != 16 || info.Rows != 16*asv.ValuesPerPage {
+	if info.Shards != 4 || info.Pages != 16 || info.Rows != 16*asv.ValuesPerPage || info.Partitioning != "range" {
 		t.Fatalf("created column = %+v", info)
 	}
 
 	var q queryResponse
 	c.must(http.StatusOK, "POST", "/t/acme/columns/m/query?trace=1",
 		map[string]any{"lo": 0, "hi": 1 << 20, "rows": true, "aggregate": true}, &q)
-	if q.Count != info.Rows || q.Agg == nil || q.Agg.Count != info.Rows {
+	if q.Count != info.Rows || q.Agg == nil || q.Agg.Count != info.Rows || q.Agg.Sum != q.Sum {
 		t.Fatalf("full-domain query = %+v", q)
+	}
+	// No view exists yet: every shard full-scans its pages.
+	if q.PagesScanned != info.Pages {
+		t.Fatalf("first query scanned %d pages across the shards, want all %d", q.PagesScanned, info.Pages)
 	}
 	if q.Trace == "" {
 		t.Fatal("?trace=1 returned no trace rendering")
+	}
+	// Each shard's span tree is grafted under the request's root.
+	for _, shard := range []string{"shard0", "shard1", "shard2", "shard3"} {
+		if !strings.Contains(q.Trace, shard) {
+			t.Fatalf("trace names no %s span:\n%s", shard, q.Trace)
+		}
 	}
 	if !q.RowsTruncated || len(q.Rows) != DefaultLimits().MaxRows {
 		t.Fatalf("expected MaxRows truncation, got %d rows (truncated=%v)", len(q.Rows), q.RowsTruncated)
@@ -122,6 +133,20 @@ func TestServeRoundTrip(t *testing.T) {
 		map[string]any{"lo": 3 << 20, "hi": 3 << 20, "rows": true}, &q)
 	if len(q.Rows) != 1 || q.Rows[0] != 7 {
 		t.Fatalf("sentinel query rows = %v, want [7]", q.Rows)
+	}
+
+	// The server registry counts each request per endpoint and tenant.
+	var metrics struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	c.must(http.StatusOK, "GET", "/metrics", nil, &metrics)
+	for name, want := range map[string]uint64{
+		"serve_req_column_create_acme": 1, "serve_req_query_acme": 2,
+		"serve_req_update_acme": 1, "serve_req_sync_acme": 1, "serve_status_2xx": 5,
+	} {
+		if got := metrics.Counters[name]; got != want {
+			t.Errorf("/metrics counter %s = %d, want %d", name, got, want)
+		}
 	}
 
 	// Batch form.

@@ -276,12 +276,19 @@ func (t *Tenant) QueuedUpdates() int {
 
 // AddSnapshot registers an open snapshot handle and returns its ID. It
 // refuses with errTooManySnapshots once the tenant holds
-// maxTenantSnapshots handles.
+// maxTenantSnapshots handles, and refuses a snapshot whose column is no
+// longer the tenant's column of that name: CloseColumn has already swept
+// the handles of a closed column, so a pin registered after it could
+// never be released and would block the column's Close for good. The
+// caller still owns a refused snapshot.
 func (t *Tenant) AddSnapshot(col string, s *ShardSnapshot) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return 0, fmt.Errorf("serve: tenant %q is closed", t.name)
+	}
+	if t.cols[col] != s.col {
+		return 0, fmt.Errorf("serve: column %q closed while its snapshot was being pinned", col)
 	}
 	if len(t.snaps) >= maxTenantSnapshots {
 		return 0, fmt.Errorf("%w: tenant %q holds %d (limit %d)", errTooManySnapshots, t.name, len(t.snaps), maxTenantSnapshots)

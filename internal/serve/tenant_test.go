@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"testing"
+	"time"
 
 	asv "github.com/asv-db/asv"
 )
@@ -110,5 +112,60 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 	if _, err := tn.CreateColumn("late", 1, 1, RangeParts, asv.DefaultConfig()); err == nil {
 		t.Fatal("closed tenant still creates columns")
+	}
+}
+
+// TestTenantSnapshotOutlivingItsColumn pins the registration race of a
+// snapshot created over HTTP: the handler pins the column, CloseColumn
+// removes it (sweeping its registered handles and blocking on the pin),
+// and only then does the handler register the pin. AddSnapshot must
+// refuse it, with the status the handler maps to 409, so the handler's
+// unwind closes the pin and CloseColumn returns; a registered pin could
+// never be deleted, since its column no longer resolves.
+func TestTenantSnapshotOutlivingItsColumn(t *testing.T) {
+	cat := NewCatalog()
+	defer func() {
+		if err := cat.Close(); err != nil {
+			t.Errorf("catalog close: %v", err)
+		}
+	}()
+	tn, err := cat.Tenant("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := tn.CreateColumn("c", 8, 2, RangeParts, asv.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := col.Snapshot() //asv:handoff closed below, as the handler's unwind would
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- tn.CloseColumn("c") }()
+	for {
+		if _, ok := tn.Column("c"); !ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, addErr := tn.AddSnapshot("c", snap)
+	// Close the pin whatever AddSnapshot said, so CloseColumn can return.
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("CloseColumn: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CloseColumn still blocked on the pin 10 s after it was closed")
+	}
+	if addErr == nil {
+		t.Fatal("AddSnapshot registered a pin on a column that CloseColumn had already removed")
+	}
+	if got := snapshotRefusal(addErr); got != http.StatusConflict {
+		t.Fatalf("refused registration maps to status %d, want %d", got, http.StatusConflict)
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -93,6 +94,7 @@ func TestReadColumnRejectsCorruption(t *testing.T) {
 			return c
 		}},
 		{"empty", func([]byte) []byte { return nil }},
+		{"trailing byte", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,6 +110,112 @@ func TestReadColumnRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReadColumnGrowsWithData pins that ReadColumn does not trust the
+// header's page count: a stream that claims 16 384 pages (64 MiB) but
+// carries none fails after taking at most one read-ahead chunk of
+// frames, and leaks none of them.
+func TestReadColumnGrowsWithData(t *testing.T) {
+	k := vmsim.NewKernel(0)
+	as := k.NewAddressSpace()
+	var hdr [16]byte
+	copy(hdr[:], persistMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], 16384)
+	if _, err := ReadColumn(k, as, "c", bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("a header with no page data loaded")
+	}
+	if hw := k.MemStats().FramesHighWater; hw > 4096 {
+		t.Fatalf("FramesHighWater = %d after a load that supplied no page, want <= 4096", hw)
+	}
+	if n := k.FramesInUse(); n != 0 {
+		t.Fatalf("FramesInUse = %d after a failed load", n)
+	}
+
+	// A column past one read-ahead step loads byte for byte, taking
+	// exactly its own pages.
+	const pages = 4096 + 100
+	src, err := NewColumn(k, as, "src", pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.FillParallel(dist.NewSine(3, 0, 1_000_000, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := src.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	k2 := vmsim.NewKernel(0)
+	dst, err := ReadColumn(k2, k2.NewAddressSpace(), "dst", bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a reloaded column writes different bytes")
+	}
+	if hw := k2.MemStats().FramesHighWater; hw != pages {
+		t.Fatalf("FramesHighWater = %d after loading %d pages", hw, pages)
+	}
+}
+
+// FuzzReadColumn feeds arbitrary bytes to ReadColumn, each input on a
+// fresh kernel. An input either fails, having taken no more frames than
+// the pages it supplied plus one read-ahead chunk and leaking none, or
+// loads a column whose WriteTo reproduces it byte for byte.
+func FuzzReadColumn(f *testing.F) {
+	k := vmsim.NewKernel(0)
+	src, err := NewColumn(k, k.NewAddressSpace(), "src", 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := src.Fill(dist.NewUniform(1, 0, 1000)); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-9])           // cut inside the checksum
+	f.Add(good[:16+PageSize+100])       // cut inside the second page
+	f.Add(append(bytes.Clone(good), 0)) // one byte past the checksum
+	flipped := bytes.Clone(good)
+	flipped[100] ^= 1
+	f.Add(flipped)
+	inflated := bytes.Clone(good)
+	binary.LittleEndian.PutUint64(inflated[8:], 1<<20)
+	f.Add(inflated)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k := vmsim.NewKernel(0)
+		col, err := ReadColumn(k, k.NewAddressSpace(), "c", bytes.NewReader(data))
+		supplied := max(0, len(data)-16) / PageSize
+		if hw := k.MemStats().FramesHighWater; hw > supplied+readAheadPages {
+			t.Fatalf("FramesHighWater = %d for an input of %d whole pages", hw, supplied)
+		}
+		if err != nil {
+			if n := k.FramesInUse(); n != 0 {
+				t.Fatalf("FramesInUse = %d after a failed load (%v)", n, err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := col.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("loaded %d bytes, WriteTo gave back %d different ones", len(data), out.Len())
+		}
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestReadColumnNameCollision(t *testing.T) {

@@ -117,8 +117,8 @@ type Column struct {
 	// paper's system a full-view access costs no software translation,
 	// and charging one per page here would distort every scan-path
 	// comparison (and serialize concurrent mapping against scanning on
-	// the simulated page-table lock). NewColumn resolves every entry
-	// while stamping pageIDs, so after construction PageBytes never
+	// the simulated page-table lock). mapColumn resolves every entry
+	// before the column exists for anyone else, so PageBytes never
 	// writes the cache — which is what lets concurrent queries share a
 	// column without any locking.
 	//
@@ -147,8 +147,8 @@ type Column struct {
 	tier atomic.Pointer[vmsim.FileTier]
 }
 
-// NewColumn creates the file, stamps every page's pageID header, and maps
-// the full view.
+// NewColumn creates the file, maps the full view, and stamps every page's
+// pageID header.
 func NewColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, numPages int) (*Column, error) {
 	if numPages <= 0 {
 		return nil, fmt.Errorf("storage: column needs at least one page, got %d", numPages)
@@ -157,9 +157,23 @@ func NewColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, numPages in
 	if err != nil {
 		return nil, err
 	}
-	addr, err := as.MmapFile(f, 0, numPages)
+	c, err := mapColumn(k, as, f, name, numPages)
 	if err != nil {
 		_ = k.RemoveFile(name) //asv:ignore-err unwinding a failed mmap; the mmap error is returned
+		return nil, err
+	}
+	for p, pg := range *c.tlb.Load() {
+		SetPageID(pg, uint64(p))
+	}
+	return c, nil
+}
+
+// mapColumn maps the first numPages pages of file f as a column's full
+// view and resolves every entry of its soft-TLB. On failure nothing of f
+// is left mapped.
+func mapColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, f *vmsim.File, name string, numPages int) (*Column, error) {
+	addr, err := as.MmapFile(f, 0, numPages)
+	if err != nil {
 		return nil, err
 	}
 	c := &Column{
@@ -169,11 +183,10 @@ func NewColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, numPages in
 	arr := make([][]byte, numPages)
 	c.tlb.Store(&arr)
 	for p := 0; p < numPages; p++ {
-		pg, err := c.PageBytes(p)
-		if err != nil {
+		if _, err := c.PageBytes(p); err != nil {
+			_ = as.MunmapPages(addr, numPages) //asv:ignore-err unwinding a failed translation; the translation error is returned
 			return nil, err
 		}
-		SetPageID(pg, uint64(p))
 	}
 	return c, nil
 }
@@ -320,7 +333,7 @@ func (c *Column) PageBytes(pageID int) ([]byte, error) {
 	if pg := (*c.tlb.Load())[pageID]; pg != nil {
 		return pg, nil
 	}
-	// Cold slot: only reachable during NewColumn's own warming loop (the
+	// Cold slot: only reachable during mapColumn's own warming loop (the
 	// constructor resolves every page before the column becomes visible),
 	// so writing the slot here never races a reader.
 	pg, err := c.as.PageData(vmsim.VPN(c.fullAddr>>vmsim.PageShift) + vmsim.VPN(pageID))
