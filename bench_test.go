@@ -517,7 +517,157 @@ func BenchmarkAutopilotEnqueue(b *testing.B) {
 			if _, err := eng.Sync(); err != nil {
 				b.Fatal(err)
 			}
+			p := eng.Autopilot()
+			h := p.LatencyHistogram()
 			b.ReportMetric(float64(writers), "updates/op")
+			b.ReportMetric(p.Metrics().AvgCoalesce(), "rows/flush")
+			b.ReportMetric(float64(h.Quantile(0.5))/1e6, "flush_p50_ms")
+			b.ReportMetric(float64(h.Quantile(0.99))/1e6, "flush_p99_ms")
+		})
+	}
+}
+
+// BenchmarkReadersUnderAlignment measures read throughput while one
+// writer keeps the engine realigning: it loops 64-row UpdateBatch +
+// FlushUpdates over a sine column with four pinned narrow views until
+// the readers finish. An epoch reader calls QueryOpt, which pins the
+// current state per query; a pinned reader re-pins a Snapshot every 16
+// queries. One iteration = every reader completes one query. flushes/op
+// is the writer's progress over the same window, so a reader gain bought
+// by starving the writer shows.
+func BenchmarkReadersUnderAlignment(b *testing.B) {
+	const (
+		group    = 64
+		pinBatch = 16
+	)
+	for _, mode := range []string{"epoch", "pinned"} {
+		for _, readers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/readers%d", mode, readers), func(b *testing.B) {
+				col := benchColumn(b, benchPages, dist.NewSine(42, 0, benchDomain, 100))
+				eng, err := core.NewEngine(col, core.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				for _, r := range workload.RandomSubranges(47, 4, benchDomain, 1.0/64) {
+					if _, err := eng.CreateViewsOpt([]core.ViewSpec{{Lo: r.Lo, Hi: r.Hi, Pinned: true}}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				writes := workload.ConcurrentUpdaters(63, 1, 4096, col.Rows(), 0, benchDomain)[0]
+				streams := workload.ConcurrentClients(65, readers, 64, benchDomain, 0.01)
+
+				stop := make(chan struct{})
+				writerDone := make(chan struct{})
+				flushes := 0
+				b.ResetTimer()
+				go func() {
+					defer close(writerDone)
+					ws := make([]core.RowWrite, group)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for j := range ws {
+							u := writes[(i*group+j)%len(writes)]
+							ws[j] = core.RowWrite{Row: u.Row, Value: u.Value}
+						}
+						if err := eng.UpdateBatch(ws); err != nil {
+							b.Error(err)
+							return
+						}
+						if _, err := eng.FlushUpdates(); err != nil {
+							b.Error(err)
+							return
+						}
+						flushes++
+					}
+				}()
+				var wg sync.WaitGroup
+				for r := 0; r < readers; r++ {
+					wg.Add(1)
+					go func(stream []workload.Query) {
+						defer wg.Done()
+						if mode == "epoch" {
+							for i := 0; i < b.N; i++ {
+								q := stream[i%len(stream)]
+								if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
+									b.Error(err)
+									return
+								}
+							}
+							return
+						}
+						for i := 0; i < b.N; i += pinBatch {
+							snap, err := eng.Snapshot()
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							for j := i; j < i+pinBatch && j < b.N && err == nil; j++ {
+								q := stream[j%len(stream)]
+								_, err = snap.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
+							}
+							if cerr := snap.Close(); err == nil {
+								err = cerr
+							}
+							if err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(streams[r])
+				}
+				wg.Wait()
+				b.StopTimer()
+				close(stop)
+				<-writerDone
+				b.ReportMetric(float64(readers), "queries/op")
+				b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+			})
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Tiering (beyond the paper): scans over the simulated capacity tier.
+
+// BenchmarkTieredScan runs the selectivity sweep on an adaptive sine
+// column whose hot tier holds 1/8, 1/2 or all of its pages. Every page
+// is demoted before the clock starts; scans pay the cold-tier stall for
+// each cold page they touch and promote it within the hot budget, so a
+// long run shows the steady state that promote-on-access reaches under
+// each budget. One iteration = one query; stall_ns/op is the simulated
+// cold-access latency it was charged.
+func BenchmarkTieredScan(b *testing.B) {
+	queries := workload.SelectivitySweep(42, 250, benchDomain, benchDomain/2, 5000)
+	for _, frac := range []float64{0.125, 0.5, 1} {
+		b.Run(fmt.Sprintf("hot=%g", frac), func(b *testing.B) {
+			col := benchColumn(b, benchPages, dist.NewSine(42, 0, benchDomain, 100))
+			cfg := core.DefaultConfig()
+			cfg.MaxViews = 100
+			cfg.Tiering = &vmsim.TierConfig{HotFrames: int(benchPages * frac)}
+			eng, err := core.NewEngine(col, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for p := 0; p < benchPages; p++ {
+				eng.Tier().Demote(p)
+			}
+			before, _ := eng.TierStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				if _, err := eng.QueryOpt(q.Lo, q.Hi, core.QueryOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after, _ := eng.TierStats()
+			b.ReportMetric(float64(after.StallNanos-before.StallNanos)/float64(b.N), "stall_ns/op")
 		})
 	}
 }

@@ -7,24 +7,19 @@
 //	asvbench -experiment fig3                 # one experiment, text output
 //	asvbench -experiment all -format tsv      # everything, plot-ready TSV
 //	asvbench -experiment table1 -pages 262144 # larger scale
-//	asvbench -experiment autopilot -json      # machine-readable panel
 //
-// Experiments: fig2, fig3, fig4a-f (d-f run the hotspot, clustered and
-// shifted scenario distributions beyond the paper), fig5a, fig5b, fig6a,
-// fig6b, fig7a, fig7b, table1, autopilot (bounded-latency engine-side
-// write coalescing, beyond the paper), snapshot (reader qps under a
-// forced alignment storm: epoch-routed reads vs pinned snapshots, beyond
-// the paper), manyviews (many-views scaling, beyond the paper), tiered
-// (qps vs hot-tier fraction over the simulated capacity tier, beyond the
-// paper), all. An unknown -experiment name fails with the list of valid
-// names. The default scale is 1/16 of the paper's
-// (65,536 pages ≈ 256 MiB per column); -pages 1048576 reproduces the
-// paper's full size if you have the memory and patience. -json emits one
-// JSON object per panel — the diffable shape CI archives as an artifact.
+// Experiments: fig2, fig3, fig4a, fig4b, fig4c, fig4d, fig4e, fig4f,
+// fig5a, fig5b, fig6a, fig6b, fig7a, fig7b, table1, all. fig4d-f run the
+// hotspot, clustered and shifted scenario distributions beyond the paper;
+// every other id is one of the paper's figures or its table. An unknown
+// -experiment name fails with the list of valid names. The default scale
+// is 1/16 of the paper's (65,536 pages ≈ 256 MiB per column);
+// -pages 1048576 reproduces the paper's full size if you have the memory
+// and patience. Measurements beyond the paper are Go benchmarks
+// (go test -bench), not experiments here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +30,6 @@ import (
 	"time"
 
 	"github.com/asv-db/asv/internal/harness"
-	"github.com/asv-db/asv/internal/obs"
 )
 
 // experiment binds an ID to its harness runner.
@@ -105,18 +99,6 @@ var experiments = []experiment{
 	{"table1", "accumulated response times (runs fig4a-c, fig5a-b)", func(s harness.Scale) ([]*harness.Table, error) {
 		return one(harness.RunTable1(s))
 	}},
-	{"autopilot", "autopilot write coalescing: lone vs auto vs batched writes, p50/p99 flush latency (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunAutopilot(s))
-	}},
-	{"snapshot", "reader qps under forced alignment storm: epoch vs pinned-snapshot reads (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunSnapshot(s))
-	}},
-	{"manyviews", "many-views scaling: batched creation, per-flush state publication latency, first reads of lazy views through the snapshot capture (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunManyViews(s))
-	}},
-	{"tiered", "tiered view memory: adaptive qps vs hot-tier fraction at 10x suite page count (beyond the paper)", func(s harness.Scale) ([]*harness.Table, error) {
-		return one(harness.RunTiered(s))
-	}},
 }
 
 func main() {
@@ -127,15 +109,11 @@ func main() {
 		queries = flag.Int("queries", 0, "query sequence length (default 250)")
 		runs    = flag.Int("runs", 0, "repetitions to average (default 3)")
 		seed    = flag.Uint64("seed", 0, "workload seed (default 42)")
-		format  = flag.String("format", "text", "output format: text, tsv or json")
-		jsonOut = flag.Bool("json", false, "emit machine-readable JSON (one object per panel); shorthand for -format json")
-		outDir  = flag.String("out", "", "write one <experiment>.tsv (or .json with -json) per table into this directory")
+		format  = flag.String("format", "text", "output format: text or tsv")
+		outDir  = flag.String("out", "", "write one <experiment>.tsv per table into this directory")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()
-	if *jsonOut {
-		*format = "json"
-	}
 
 	if *list {
 		for _, e := range experiments {
@@ -148,8 +126,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "asvbench: -experiment is required (try -list)")
 		os.Exit(2)
 	}
-	if *format != "text" && *format != "tsv" && *format != "json" {
-		fmt.Fprintln(os.Stderr, "asvbench: -format must be text, tsv or json")
+	if *format != "text" && *format != "tsv" {
+		fmt.Fprintln(os.Stderr, "asvbench: -format must be text or tsv")
 		os.Exit(2)
 	}
 
@@ -227,24 +205,14 @@ func emit(t *harness.Table, format, outDir string) error {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return err
 		}
-		ext := ".tsv"
-		if format == "json" {
-			ext = ".json"
-		}
-		f, err := os.Create(filepath.Join(outDir, t.ID+ext))
+		f, err := os.Create(filepath.Join(outDir, t.ID+".tsv"))
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if format == "json" {
-			return writeJSON(f, t)
-		}
 		return t.WriteTSV(f)
 	}
-	switch format {
-	case "json":
-		return writeJSON(w, t)
-	case "tsv":
+	if format == "tsv" {
 		return t.WriteTSV(w)
 	}
 	if err := t.WriteText(w); err != nil {
@@ -252,18 +220,4 @@ func emit(t *harness.Table, format, outDir string) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// writeJSON emits one self-describing JSON object per panel — the shape CI
-// archives as a bench artifact, so trajectory tooling can diff runs
-// without parsing aligned text.
-func writeJSON(w io.Writer, t *harness.Table) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		ID        string        `json:"id"`
-		Title     string        `json:"title"`
-		Header    []string      `json:"header"`
-		Rows      [][]string    `json:"rows"`
-		Telemetry *obs.Snapshot `json:"telemetry,omitempty"`
-	}{t.ID, t.Title, t.Header, t.Rows, t.Telemetry})
 }

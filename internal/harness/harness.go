@@ -15,8 +15,6 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"github.com/asv-db/asv/internal/obs"
 )
 
 // Scale parameterizes experiment sizes. The paper runs on 1M-page (4 GB)
@@ -39,11 +37,6 @@ type Scale struct {
 	// Fig7Batches are the §3.4 batch sizes (paper: 100 … 1,000,000 in
 	// logarithmic steps).
 	Fig7Batches []int
-	// MixedUpdates is the total update volume of each cell of the
-	// autopilot panel (beyond the paper), split across the cell's
-	// writers; the snapshot panel's storm writer cycles a stream of
-	// this length.
-	MixedUpdates int
 	// Progress receives human-readable progress lines (nil = silent).
 	Progress io.Writer
 }
@@ -51,14 +44,13 @@ type Scale struct {
 // DefaultScale returns the 1/16-scale configuration.
 func DefaultScale() Scale {
 	return Scale{
-		Seed:         42,
-		Pages:        65536,
-		Queries:      250,
-		Runs:         3,
-		Fig3Updates:  10000,
-		Fig7Views:    5,
-		Fig7Batches:  []int{100, 1000, 10000, 100000, 1000000},
-		MixedUpdates: 10000,
+		Seed:        42,
+		Pages:       65536,
+		Queries:     250,
+		Runs:        3,
+		Fig3Updates: 10000,
+		Fig7Views:   5,
+		Fig7Batches: []int{100, 1000, 10000, 100000, 1000000},
 	}
 }
 
@@ -82,11 +74,6 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-
-	// Telemetry, when set, is the unified instrument snapshot of the
-	// panel's last engine — embedded in asvbench's JSON artifacts so
-	// nightly runs can diff histogram quantiles alongside the rows.
-	Telemetry *obs.Snapshot
 }
 
 // AddRow appends a formatted row.

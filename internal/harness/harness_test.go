@@ -13,14 +13,13 @@ import (
 // missing paper-vs-measured table).
 func tinyScale() Scale {
 	return Scale{
-		Seed:         42,
-		Pages:        1024,
-		Queries:      60,
-		Runs:         1,
-		Fig3Updates:  500,
-		Fig7Views:    3,
-		Fig7Batches:  []int{100, 1000},
-		MixedUpdates: 1000,
+		Seed:        42,
+		Pages:       1024,
+		Queries:     60,
+		Runs:        1,
+		Fig3Updates: 500,
+		Fig7Views:   3,
+		Fig7Batches: []int{100, 1000},
 	}
 }
 
@@ -244,105 +243,6 @@ func TestRunTable1(t *testing.T) {
 	for _, r := range tbl.Rows {
 		if _, err := strconv.ParseFloat(r[3], 64); err != nil {
 			t.Fatalf("speedup column broken: %v", r)
-		}
-	}
-}
-
-func TestRunAutopilot(t *testing.T) {
-	s := tinyScale()
-	if raceEnabled {
-		// The panel sweeps real-time windows per cell; race-slowed
-		// alignment makes full streams dominate.
-		s.MixedUpdates = 200
-	}
-	tbl, err := RunAutopilot(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "autopilot" {
-		t.Fatalf("id = %q", tbl.ID)
-	}
-	wantHeader := []string{"lat_budget_us", "writers", "readers",
-		"lone_upds", "auto_upds", "batch_upds",
-		"coalesce_avg", "flush_p50_ms", "flush_p99_ms", "reader_qps"}
-	if len(tbl.Header) != len(wantHeader) {
-		t.Fatalf("header %v", tbl.Header)
-	}
-	for i, h := range wantHeader {
-		if tbl.Header[i] != h {
-			t.Fatalf("header[%d] = %q, want %q", i, tbl.Header[i], h)
-		}
-	}
-	if len(tbl.Rows) != len(autopilotCells()) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(autopilotCells()))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(wantHeader) {
-			t.Fatalf("row %v: %d cells", row, len(row))
-		}
-		readers, err := strconv.Atoi(row[2])
-		if err != nil {
-			t.Fatalf("row %v: bad readers cell", row)
-		}
-		// All three write paths and the coalesce average must be
-		// positive: writers always run and the autopilot always flushes
-		// at least once (the final Sync).
-		for _, idx := range []int{3, 4, 5, 6} {
-			v, err := strconv.ParseFloat(row[idx], 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("row %v: bad cell %q (col %d)", row, row[idx], idx)
-			}
-		}
-		p50, err1 := strconv.ParseFloat(row[7], 64)
-		p99, err2 := strconv.ParseFloat(row[8], 64)
-		if err1 != nil || err2 != nil || p50 < 0 || p99 < p50 {
-			t.Fatalf("row %v: latency cells p50=%q p99=%q", row, row[7], row[8])
-		}
-		qps, err := strconv.ParseFloat(row[9], 64)
-		if err != nil {
-			t.Fatalf("row %v: bad qps cell", row)
-		}
-		if readers > 0 && qps <= 0 {
-			t.Fatalf("row %v: readers present but no queries measured", row)
-		}
-		if readers == 0 && qps != 0 {
-			t.Fatalf("row %v: phantom reader throughput", row)
-		}
-	}
-}
-
-func TestRunManyViews(t *testing.T) {
-	s := tinyScale()
-	s.Runs = 1
-	tbl, err := RunManyViews(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "manyviews" {
-		t.Fatalf("id = %q", tbl.ID)
-	}
-	wantHeader := []string{"views", "create_ms", "state_pub_ms", "firsttouch_qps"}
-	for i, h := range wantHeader {
-		if tbl.Header[i] != h {
-			t.Fatalf("header[%d] = %q, want %q", i, tbl.Header[i], h)
-		}
-	}
-	// Counts above the tiny column's page count are skipped.
-	want := 0
-	for _, n := range manyViewsCounts {
-		if n <= s.Pages {
-			want++
-		}
-	}
-	if len(tbl.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), want)
-	}
-	for _, row := range tbl.Rows {
-		for _, idx := range []int{1, 2, 3} {
-			v, err := strconv.ParseFloat(row[idx], 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("row %v: bad cell %q (col %d)", row, row[idx], idx)
-			}
 		}
 	}
 }
