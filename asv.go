@@ -358,7 +358,15 @@ func (c *Column) UpdateBatch(writes []RowWrite) error { return c.eng.UpdateBatch
 // FlushUpdates realigns all partial views with the buffered updates.
 func (c *Column) FlushUpdates() (UpdateReport, error) { return c.eng.FlushUpdates() }
 
-// RebuildViews drops and recreates every partial view from scratch.
+// RebuildViews recreates every partial view from scratch over its
+// declared range, keeping the views' order and pinned flags. It is
+// all-or-nothing: every replacement is built in one column pass before
+// any old view is released, so on a build error the views, the
+// buffered updates and the mappings are exactly as before the call.
+// The old and the new views are therefore mapped side by side for a
+// moment: under a tight Options.MaxMappings the rebuild needs room for
+// both sets. A release error after the swap is reported, but every
+// range is already rebuilt by then.
 func (c *Column) RebuildViews() error { return c.eng.RebuildViews() }
 
 // Views lists the current partial views.

@@ -288,12 +288,12 @@ func benchFig6(b *testing.B, distName string, opts view.CreateOptions) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := view.Create(col, lo, hi, opts, mapper)
+		vs, err := view.Build(col, []view.Spec{{Lo: lo, Hi: hi, Opts: opts}}, mapper)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := v.Release(); err != nil {
+		if err := vs[0].Release(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -865,10 +865,11 @@ func BenchmarkAblation_RemoveCompaction(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				v, err := view.Create(col, 0, ^uint64(0), view.CreateOptions{Consecutive: true}, nil)
+				vs, err := view.Build(col, []view.Spec{{Lo: 0, Hi: ^uint64(0), Opts: view.CreateOptions{Consecutive: true}}}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				v := vs[0]
 				slot := 0
 				if mode == "remove_last" {
 					slot = v.NumPages() - 1

@@ -480,3 +480,105 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 		t.Fatalf("closed engine holds %d partial views", n)
 	}
 }
+
+// TestRebuildUnderReaders: live adaptive readers and one open Snapshot
+// query while RebuildViews and the autopilot's per-view rebuild loop.
+// Every answer equals a full column scan (no writer runs, so the column
+// never changes), and once the snapshot and the engine are closed the
+// VMA and frame counts are back at the fresh engine's.
+func TestRebuildUnderReaders(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			col := testColumn(t, 64, dist.NewSine(23, 0, ccDomain, 8))
+			cfg := DefaultConfig() // concurrent mapper: rebuilds and candidates share it
+			cfg.Mode = MultiView
+			cfg.Create.Lazy = lazy
+			e := newEngine(t, col, cfg)
+			as, k := col.Space(), col.Kernel()
+			vmas, frames := as.VMACount(), k.FramesInUse()
+
+			queries := workload.SelectivitySweep(3, 16, ccDomain, ccDomain/4, ccDomain/50)
+			type answer struct {
+				count int
+				sum   uint64
+			}
+			want := make([]answer, len(queries))
+			for i, q := range queries {
+				c, s, err := col.FullScan(q.Lo, q.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = answer{c, s}
+			}
+			if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain / 8, Pinned: true}, {Lo: ccDomain / 2, Hi: 3 * ccDomain / 4}}); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Each reader runs a fixed number of queries; the rebuilds loop
+			// until every reader is done, so the two always overlap.
+			const perReader = 150
+			var wg sync.WaitGroup
+			read := func(id int, query func(lo, hi uint64) (Answer, error)) {
+				defer wg.Done()
+				for i := id; i < id+perReader; i++ {
+					q := queries[i%len(queries)]
+					ans, err := query(q.Lo, q.Hi)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if w := want[i%len(queries)]; ans.Count != w.count || ans.Sum != w.sum {
+						t.Errorf("reader %d query [%d,%d]: (%d,%d), want (%d,%d)", id, q.Lo, q.Hi, ans.Count, ans.Sum, w.count, w.sum)
+						return
+					}
+				}
+			}
+			for id := 0; id < 3; id++ {
+				wg.Add(1)
+				go read(id, func(lo, hi uint64) (Answer, error) { return e.QueryOpt(lo, hi, QueryOptions{}) })
+			}
+			wg.Add(1)
+			go read(7, func(lo, hi uint64) (Answer, error) { return snap.QueryOpt(lo, hi, QueryOptions{}) })
+			readersDone := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(readersDone)
+			}()
+
+		loop:
+			for {
+				if err := e.RebuildViews(); err != nil {
+					t.Error(err)
+					break
+				}
+				for _, v := range e.Views() {
+					if _, err := (pilotTarget{e}).RebuildView(v); err != nil {
+						t.Error(err)
+					}
+				}
+				select {
+				case <-readersDone:
+					break loop
+				default:
+				}
+			}
+			<-readersDone
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := as.VMACount(); got != vmas {
+				t.Fatalf("VMACount = %d after Close, want the fresh engine's %d", got, vmas)
+			}
+			if got := k.FramesInUse(); got != frames {
+				t.Fatalf("FramesInUse = %d after Close, want the fresh engine's %d", got, frames)
+			}
+		})
+	}
+}

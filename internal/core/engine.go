@@ -75,11 +75,9 @@ type Engine struct {
 	shards       []updateShard
 	pendingCount atomic.Int64 // total buffered updates across all shards
 
-	// releaseHook/createHook intercept view release/creation during
-	// RebuildViews; tests inject faults through them. Nil selects the
-	// real operations.
+	// releaseHook intercepts the old views' release during a rebuild;
+	// tests inject faults through it. Nil selects the real operation.
 	releaseHook func(*view.View) error
-	createHook  func(lo, hi uint64) (*view.View, error)
 
 	// gen counts the mutations that invalidate an in-flight candidate
 	// view: update alignment, view rebuild, and engine close (guarded by
@@ -299,85 +297,44 @@ type ViewSpec struct {
 }
 
 // CreateViewsOpt builds one partial view per spec in a single column
-// pass and publishes them in one state swap — the one explicit-creation
-// entry point. Each view keeps its declared [Lo, Hi] rather than an
-// extended range, like rebuilt views, so one call per spec builds the
-// same page sets; the cost is one qualification scan — with a per-page
-// zone-map prefilter — plus one publication instead of len(specs) of
-// each; the many-views experiments stand up thousands of views this way.
-// On any error nothing is inserted and nothing is published.
+// pass (view.Build) and publishes them in one state swap — the one
+// explicit-creation entry point. Each view keeps its declared [Lo, Hi]
+// rather than an extended range, like rebuilt views, so one call per spec
+// builds the same page sets; the cost is one qualification scan plus one
+// publication instead of len(specs) of each. On any error nothing is
+// inserted and nothing is published.
 func (e *Engine) CreateViewsOpt(specs []ViewSpec) ([]*view.View, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	builders := make([]*view.Builder, len(specs))
-	abort := func(firstErr error) ([]*view.View, error) {
-		for _, b := range builders {
-			if b != nil {
-				_ = b.Abort() //asv:ignore-err aborting half-built views after a prior error; that error is returned
-			}
-		}
-		return nil, firstErr
-	}
+	vspecs := make([]view.Spec, len(specs))
 	for i, sp := range specs {
 		opts := e.cfg.Create
 		if sp.HasLazy {
 			opts.Lazy = sp.Lazy
 		}
-		b, err := view.NewBuilder(e.col, opts, e.mapper)
-		if err != nil {
-			return abort(err)
-		}
-		builders[i] = b
+		vspecs[i] = view.Spec{Lo: sp.Lo, Hi: sp.Hi, Opts: opts, Pinned: sp.Pinned}
 	}
-	for p := 0; p < e.col.NumPages(); p++ {
-		pg, err := e.col.PageBytes(p)
-		if err != nil {
-			return abort(err)
-		}
-		// Zone-map prefilter: a page whose [min, max] zone misses a
-		// requested range cannot qualify for it, and most pages miss most
-		// ranges when thousands of narrow views are requested at once.
-		zmin, zmax := storage.Zone(pg)
-		for i, sp := range specs {
-			if zmax < sp.Lo || zmin > sp.Hi {
-				continue
-			}
-			if s := storage.ScanFilter(pg, sp.Lo, sp.Hi); s.Count > 0 {
-				builders[i].AddPage(p)
-			}
-		}
+	views, err := view.Build(e.col, vspecs, e.mapper)
+	if err != nil {
+		return nil, err
 	}
-	views := make([]*view.View, len(specs))
-	for i, sp := range specs {
-		v, err := builders[i].Finish(sp.Lo, sp.Hi)
-		builders[i] = nil
-		if err != nil {
-			for _, w := range views[:i] {
-				e.set.Remove(w)
-				_ = w.Release() //asv:ignore-err unwinding batch creation; the build error is returned
-			}
-			return abort(err)
-		}
-		v.SetPinned(sp.Pinned)
-		if err := e.set.Insert(v); err != nil {
-			_ = v.Release() //asv:ignore-err unwinding a failed insert; the insert error is returned
-			for _, w := range views[:i] {
-				e.set.Remove(w)
-				_ = w.Release() //asv:ignore-err unwinding batch creation; the insert error is returned
-			}
-			return abort(err)
-		}
-		views[i] = v
-	}
-	if err := e.publishStateLocked(); err != nil {
+	unwind := func(err error) ([]*view.View, error) {
 		for _, v := range views {
 			e.set.Remove(v)
-			_ = v.Release() //asv:ignore-err unwinding a failed publication; the publish error is returned
+			_ = v.Release() //asv:ignore-err unwinding batch creation; the insert or publish error is returned
 		}
 		return nil, err
+	}
+	for _, v := range views {
+		if err := e.set.Insert(v); err != nil {
+			return unwind(err)
+		}
+	}
+	if err := e.publishStateLocked(); err != nil {
+		return unwind(err)
 	}
 	return views, nil
 }
@@ -390,71 +347,58 @@ func (e *Engine) releaseView(v *view.View) error {
 	return v.Release()
 }
 
-// createView builds a partial view over [lo, hi] through the
-// test-injectable hook.
-func (e *Engine) createView(lo, hi uint64) (*view.View, error) {
-	if e.createHook != nil {
-		return e.createHook(lo, hi)
-	}
-	return view.Create(e.col, lo, hi, e.cfg.Create, e.mapper)
-}
-
-// RebuildViews drops every partial view and recreates each one from
-// scratch over its covered range — the "New" (rebuild) alternative that
-// Figure 7 compares against incremental alignment. Pending updates are
-// dropped rather than flushed: the rebuild scans the column's current
-// contents, which already include every applied write.
+// RebuildViews recreates every partial view from scratch over its
+// declared range — the "New" (rebuild) alternative that Figure 7 compares
+// against incremental alignment. Pending updates are dropped rather than
+// flushed: the rebuild scans the column's current contents, which
+// already include every applied write.
 //
-// Errors are collected, not short-circuited: all ranges are recorded
-// before anything is released, releases proceed best-effort, and every
-// range is still rebuilt even when an earlier release or creation
-// failed — a mid-rebuild error must not leak the remaining old views or
-// silently drop their ranges from the rebuilt set. The first error is
-// returned.
+// The rebuild is all-or-nothing: every replacement is built before any
+// old view is touched, so a failed build leaves the views, their order,
+// the pending updates and the mappings exactly as they were. A failing
+// release after the swap is reported, but every range is already live.
 func (e *Engine) RebuildViews() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.gen++ // in-flight candidates were routed over the pre-rebuild set
-	e.resetPendingLocked()
-	old := e.set.Clear()
-	type rng struct {
-		lo, hi uint64
-		pinned bool
+	_, err := e.rebuildLocked(e.set.Partials(), true)
+	return err
+}
+
+// rebuildLocked is the one rebuild slice, shared by RebuildViews and the
+// autopilot's per-view rebuild: it builds a replacement for every view
+// in old (set members) in one view.Build pass, with the engine's default
+// creation options, each old view's declared range and its pinned flag.
+// Only then does it swap each replacement into its old view's slot,
+// drop the pending updates when dropPending is set, bump gen, release the
+// old views and publish. swapped is false when the build failed, which
+// changes nothing.
+//
+//asv:locked=exclusive
+func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) (swapped bool, err error) {
+	specs := make([]view.Spec, len(old))
+	for i, v := range old {
+		specs[i] = view.Spec{Lo: v.Lo(), Hi: v.Hi(), Opts: e.cfg.Create, Pinned: v.Pinned()}
 	}
-	ranges := make([]rng, 0, len(old))
+	repl, err := view.Build(e.col, specs, e.mapper)
+	if err != nil {
+		return false, err
+	}
+	for i, v := range old {
+		e.set.ReplaceExisting(v, repl[i])
+	}
+	if dropPending {
+		e.resetPendingLocked()
+	}
+	e.gen++ // in-flight candidates were routed over the old views' pages
 	for _, v := range old {
-		ranges = append(ranges, rng{v.Lo(), v.Hi(), v.Pinned()})
-	}
-	var firstErr error
-	for _, v := range old {
-		if err := e.releaseView(v); err != nil && firstErr == nil {
-			firstErr = err
+		if rerr := e.releaseView(v); rerr != nil && err == nil {
+			err = rerr
 		}
 	}
-	for _, r := range ranges {
-		v, err := e.createView(r.lo, r.hi)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// Rebuilt views keep their original declared range (Create may
-		// extend, but the view's contract is its pre-update range) and
-		// their demotion exemption.
-		v.SetRange(r.lo, r.hi)
-		v.SetPinned(r.pinned)
-		if err := e.set.Insert(v); err != nil {
-			_ = v.Release() //asv:ignore-err unwinding a failed insert; the insert error is recorded in firstErr
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
+	if perr := e.publishStateLocked(); perr != nil && err == nil {
+		err = perr
 	}
-	if err := e.publishStateLocked(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return true, err
 }
 
 // Close releases all partial views and stops the mapping thread and the

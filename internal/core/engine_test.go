@@ -320,13 +320,35 @@ func TestCreateViewAndClose(t *testing.T) {
 	}
 }
 
+// TestCreateRangeExtension: a query-built candidate claims the §2.2
+// extended range [l'+1, u'-1], and indexes every page that holds a value
+// in it. Linear data clusters values, so neighbouring excluded pages
+// carry values strictly below lo and above hi and the range widens on
+// both sides.
+func TestCreateRangeExtension(t *testing.T) {
+	col := testColumn(t, 128, dist.NewLinear(3, 0, ccDomain, 128))
+	e := newEngine(t, col, syncConfig())
+	lo, hi := uint64(ccDomain/5), uint64(2*ccDomain/5)
+	if _, err := e.QueryOpt(lo, hi, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	vs := e.Views()
+	if len(vs) != 1 {
+		t.Fatalf("query kept %d views, want its candidate", len(vs))
+	}
+	if v := vs[0]; v.Lo() >= lo || v.Hi() <= hi {
+		t.Fatalf("no extension on both sides: view [%d,%d], query [%d,%d]", v.Lo(), v.Hi(), lo, hi)
+	}
+	checkViewInvariant(t, e, 0)
+}
+
 func TestRebuildViews(t *testing.T) {
 	col := testColumn(t, 128, dist.NewUniform(13, 0, 1_000_000))
 	e := newEngine(t, col, syncConfig())
 	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: 50_000, Pinned: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 600_000, Hi: 700_000, Pinned: true}}); err != nil {
+	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 600_000, Hi: 700_000}}); err != nil {
 		t.Fatal(err)
 	}
 	ranges := [][2]uint64{}
@@ -342,6 +364,9 @@ func TestRebuildViews(t *testing.T) {
 	for i, v := range e.Views() {
 		if v.Lo() != ranges[i][0] || v.Hi() != ranges[i][1] {
 			t.Fatalf("view %d range [%d,%d], want %v", i, v.Lo(), v.Hi(), ranges[i])
+		}
+		if v.Pinned() != (i == 0) {
+			t.Fatalf("view %d pinned = %v after rebuild", i, v.Pinned())
 		}
 		// Rebuilt views answer correctly.
 		r, err := v.Scan(v.Lo(), v.Hi())

@@ -158,8 +158,8 @@ func (t pilotTarget) EvictViews(handles []any) (int, error) {
 }
 
 // RebuildView rebuilds one fragmented view from the column's current
-// contents in its own exclusive-lock slice (create first, swap, then
-// release — a failed creation leaves the old view serving). Releasing
+// contents in its own exclusive-lock slice (rebuildLocked: build, swap,
+// then release — a failed build leaves the old view serving). Releasing
 // the lock between slices lets writers interleave with a multi-view
 // maintenance sweep.
 func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
@@ -178,29 +178,12 @@ func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
 	if !ok || e.closed || !e.set.Contains(v) {
 		return false, nil
 	}
-	lo, hi := v.Lo(), v.Hi()
-	nv, err := e.createView(lo, hi)
-	if err != nil {
-		return false, err
+	rebuilt, err = e.rebuildLocked([]*view.View{v}, false)
+	if rebuilt {
+		e.stats.viewsRebuilt.Add(1)
+		e.journalViewEvent(obs.EvViewRebuilt, v.Lo(), v.Hi())
 	}
-	// Rebuilt views keep their declared range (Create may extend it) and
-	// their demotion exemption.
-	nv.SetRange(lo, hi)
-	nv.SetPinned(v.Pinned())
-	// In-flight candidates were routed over the old view's pages;
-	// invalidate them like RebuildViews does.
-	e.gen++
-	if !e.set.ReplaceExisting(v, nv) {
-		_ = nv.Release() //asv:ignore-err discarding the loser of the replace race is the designed outcome
-		return false, nil
-	}
-	e.stats.viewsRebuilt.Add(1)
-	e.journalViewEvent(obs.EvViewRebuilt, lo, hi)
-	err = e.releaseView(v)
-	if perr := e.publishStateLocked(); perr != nil && err == nil {
-		err = perr
-	}
-	return true, err
+	return rebuilt, err
 }
 
 // TierInfo snapshots the column tier's hot occupancy for the pilot's

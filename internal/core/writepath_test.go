@@ -3,13 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
+	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/view"
 	"github.com/asv-db/asv/internal/viewset"
+	"github.com/asv-db/asv/internal/vmsim"
 	"github.com/asv-db/asv/internal/workload"
 	"github.com/asv-db/asv/internal/xrand"
 )
@@ -379,13 +382,17 @@ func TestEmptyFlushNotCounted(t *testing.T) {
 	}
 }
 
+// rebuildTestRanges are the pinned view ranges of the RebuildViews
+// fault-injection tests.
+var rebuildTestRanges = [][2]uint64{{0, ccDomain / 8}, {ccDomain / 4, ccDomain / 3}, {ccDomain / 2, 3 * ccDomain / 4}}
+
 // rebuildTestEngine builds an engine with three pinned views for the
 // RebuildViews fault-injection tests.
 func rebuildTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	col := testColumn(t, 64, dist.NewSine(17, 0, ccDomain, 8))
 	e := newEngine(t, col, syncConfig())
-	for _, r := range [][2]uint64{{0, ccDomain / 8}, {ccDomain / 4, ccDomain / 3}, {ccDomain / 2, 3 * ccDomain / 4}} {
+	for _, r := range rebuildTestRanges {
 		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
 			t.Fatal(err)
 		}
@@ -395,17 +402,29 @@ func rebuildTestEngine(t *testing.T) *Engine {
 
 // TestRebuildViewsReleaseError: a failing release mid-rebuild must not
 // leak the remaining old views or drop any range from the rebuilt set —
-// all ranges are rebuilt and the first release error is reported.
+// every rebuilt range is live before the first release runs, the release
+// loop goes on past the failure, and the first release error is reported.
 func TestRebuildViewsReleaseError(t *testing.T) {
 	e := rebuildTestEngine(t)
-	ranges := [][2]uint64{}
-	for _, v := range e.Views() {
-		ranges = append(ranges, [2]uint64{v.Lo(), v.Hi()})
-	}
+	old := e.Views()
 	boom := errors.New("injected release failure")
 	calls, released := 0, 0
 	e.releaseHook = func(v *view.View) error {
 		calls++
+		if calls == 1 {
+			// The hook runs under the exclusive engine lock: read the set
+			// directly.
+			live := e.set.Partials()
+			if len(live) != len(old) {
+				t.Errorf("first release: %d views live, want %d", len(live), len(old))
+			}
+			for i, nv := range live {
+				if nv == old[i] || nv.Lo() != old[i].Lo() || nv.Hi() != old[i].Hi() || !nv.Pinned() {
+					t.Errorf("first release: slot %d holds [%d,%d] (old view %v), want a rebuilt pinned [%d,%d]",
+						i, nv.Lo(), nv.Hi(), nv == old[i], old[i].Lo(), old[i].Hi())
+				}
+			}
+		}
 		if calls == 2 {
 			return boom // the view's area stays mapped; rebuild must go on
 		}
@@ -421,51 +440,96 @@ func TestRebuildViewsReleaseError(t *testing.T) {
 		t.Fatalf("release loop stopped early: %d calls, %d released", calls, released)
 	}
 	vs := e.Views()
-	if len(vs) != len(ranges) {
-		t.Fatalf("rebuilt %d views, want %d — ranges were dropped", len(vs), len(ranges))
+	if len(vs) != len(rebuildTestRanges) {
+		t.Fatalf("rebuilt %d views, want %d — ranges were dropped", len(vs), len(rebuildTestRanges))
 	}
 	for i, v := range vs {
-		if v.Lo() != ranges[i][0] || v.Hi() != ranges[i][1] {
-			t.Fatalf("view %d range [%d,%d], want %v", i, v.Lo(), v.Hi(), ranges[i])
+		if v.Lo() != rebuildTestRanges[i][0] || v.Hi() != rebuildTestRanges[i][1] {
+			t.Fatalf("view %d range [%d,%d], want %v", i, v.Lo(), v.Hi(), rebuildTestRanges[i])
 		}
 		checkViewInvariant(t, e, i)
 	}
 }
 
-// TestRebuildViewsCreateError: a failing view creation mid-rebuild must
-// not abandon the later ranges — they are still rebuilt, and the first
-// creation error is reported.
+// TestRebuildViewsCreateError: a rebuild that cannot build its views
+// leaves the engine exactly as it was — the same views (ranges, order,
+// pinned flags), the same pending writes, and the VMA and frame counts
+// of before the call. The fault is the real vm.max_map_count limit, set
+// just above the column's VMA count without its partial views (room for
+// about one view), so no set of replacements fits beside the old views.
 func TestRebuildViewsCreateError(t *testing.T) {
-	e := rebuildTestEngine(t)
-	ranges := [][2]uint64{}
-	for _, v := range e.Views() {
-		ranges = append(ranges, [2]uint64{v.Lo(), v.Hi()})
-	}
-	boom := errors.New("injected create failure")
-	e.createHook = func(lo, hi uint64) (*view.View, error) {
-		if lo == ranges[1][0] && hi == ranges[1][1] {
-			return nil, boom
+	col := testColumn(t, 64, dist.NewSine(17, 0, ccDomain, 8))
+	cfg := syncConfig()
+	cfg.Create.Lazy = false // eager views hold VMAs
+	e := newEngine(t, col, cfg)
+	as := col.Space()
+	for row := 0; row < 4*storage.ValuesPerPage; row += 97 {
+		if err := e.Update(row, uint64(row)%ccDomain); err != nil {
+			t.Fatal(err)
 		}
-		return view.Create(e.col, lo, hi, e.cfg.Create, e.mapper)
 	}
+	base := as.VMACount()
+	firstView := 0 // VMAs the first view adds
+	for i, r := range rebuildTestRanges {
+		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: i != 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstView = as.VMACount() - base
+		}
+	}
+
+	type viewState struct {
+		v      *view.View
+		lo, hi uint64
+		pinned bool
+	}
+	capture := func() ([]viewState, []Update, int64) {
+		var vs []viewState
+		for _, v := range e.Views() {
+			vs = append(vs, viewState{v, v.Lo(), v.Hi(), v.Pinned()})
+		}
+		var pending []Update
+		for i := range e.shards {
+			pending = append(pending, e.shards[i].ups...)
+		}
+		return vs, pending, e.pendingCount.Load()
+	}
+	views, pending, pendingCount := capture()
+	if len(pending) == 0 {
+		t.Fatal("premise: no pending writes")
+	}
+	vmas, frames := as.VMACount(), col.Kernel().FramesInUse()
+
+	as.SetMaxMapCount(base + firstView + 1)
 	err := e.RebuildViews()
-	e.createHook = nil
-	if !errors.Is(err, boom) {
-		t.Fatalf("RebuildViews error = %v, want injected failure", err)
+	as.SetMaxMapCount(1 << 30)
+	if !errors.Is(err, vmsim.ErrNoMemory) {
+		t.Fatalf("RebuildViews error = %v, want the map-count limit", err)
 	}
-	vs := e.Views()
-	if len(vs) != 2 {
-		t.Fatalf("rebuilt %d views, want 2 (all ranges but the failing one)", len(vs))
+	gotViews, gotPending, gotCount := capture()
+	if !reflect.DeepEqual(gotViews, views) {
+		t.Fatalf("views after failed rebuild %+v, want %+v", gotViews, views)
 	}
-	want := [][2]uint64{ranges[0], ranges[2]}
-	for i, v := range vs {
-		if v.Lo() != want[i][0] || v.Hi() != want[i][1] {
-			t.Fatalf("view %d range [%d,%d], want %v", i, v.Lo(), v.Hi(), want[i])
-		}
+	if !reflect.DeepEqual(gotPending, pending) || gotCount != pendingCount {
+		t.Fatalf("pending writes after failed rebuild: %d (%d buffered), want %d (%d)",
+			gotCount, len(gotPending), pendingCount, len(pending))
+	}
+	if got := as.VMACount(); got != vmas {
+		t.Fatalf("VMACount = %d after failed rebuild, want %d", got, vmas)
+	}
+	if got := col.Kernel().FramesInUse(); got != frames {
+		t.Fatalf("FramesInUse = %d after failed rebuild, want %d", got, frames)
+	}
+
+	// The engine stays usable, and a rebuild with room succeeds.
+	if err := e.RebuildViews(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.Views() {
 		checkViewInvariant(t, e, i)
 	}
-	// The engine stays usable after the partial rebuild.
-	wantCount, wantSum, _ := e.Column().FullScan(0, ccDomain/8)
+	wantCount, wantSum, _ := col.FullScan(0, ccDomain/8)
 	res, err := e.QueryOpt(0, ccDomain/8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -23,12 +23,11 @@ type VirtualView struct {
 // NewVirtualView creates the partial view over [lo, hi] with the given
 // creation options.
 func NewVirtualView(col *storage.Column, lo, hi uint64, opts view.CreateOptions, mapper *view.Mapper) (*VirtualView, error) {
-	v, err := view.Create(col, lo, hi, opts, mapper)
+	vs, err := view.Build(col, []view.Spec{{Lo: lo, Hi: hi, Opts: opts}}, mapper)
 	if err != nil {
 		return nil, err
 	}
-	// Pin the exact experiment range (Create extends it).
-	v.SetRange(lo, hi)
+	v := vs[0]
 	ids, err := v.PageIDs()
 	if err != nil {
 		_ = v.Release() //asv:ignore-err unwinding failed index construction; the PageIDs error is returned

@@ -77,7 +77,7 @@ func RunFig6(sc Scale, distName string) (*Table, error) {
 		for r := 0; r < sc.Runs; r++ {
 			before := as.Stats().MmapCalls
 			t0 := time.Now()
-			v, err := view.Create(col, vLo, vHi, variant.opts, mapper)
+			vs, err := view.Build(col, []view.Spec{{Lo: vLo, Hi: vHi, Opts: variant.opts}}, mapper)
 			if err != nil {
 				if mapper != nil {
 					mapper.Stop()
@@ -85,6 +85,7 @@ func RunFig6(sc Scale, distName string) (*Table, error) {
 				return nil, fmt.Errorf("fig6 %s: %w", variant.name, err)
 			}
 			times = append(times, time.Since(t0))
+			v := vs[0]
 			pages = v.NumPages()
 			calls = as.Stats().MmapCalls - before
 			if err := v.Release(); err != nil {

@@ -175,8 +175,8 @@ func (b *Builder) Finish(lo, hi uint64) (*View, error) {
 }
 
 // Abort discards the view under construction, waiting for any queued
-// mapping requests before unmapping the area. Safe to call after Finish
-// has failed; not after it succeeded.
+// mapping requests before unmapping the area. After Finish, successful or
+// not, it is a no-op.
 func (b *Builder) Abort() error {
 	if b.finished {
 		return nil

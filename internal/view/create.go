@@ -4,36 +4,72 @@ import (
 	"github.com/asv-db/asv/internal/storage"
 )
 
-// Create builds a partial view covering [lo, hi] by scanning the column's
-// full view — the standalone creation path used by the micro-benchmarks
-// (§3.1, §3.3) and by view rebuilds. The adaptive engine instead drives a
-// Builder directly, fusing creation into query answering (Listing 1).
+// Spec is one view request of Build: the declared range the view
+// keeps, the §2.3 creation options, and the tier-demotion exemption.
+type Spec struct {
+	Lo, Hi uint64
+	Opts   CreateOptions
+	Pinned bool
+}
+
+// Build creates one partial view per spec in a single qualifying scan of
+// the column's full view (§2, §2.3) — the one creation pass of explicit
+// creation, view rebuilds and the micro-benchmarks (§3.1, §3.3). The
+// adaptive engine instead drives a Builder directly, fusing creation into
+// query answering (Listing 1).
 //
-// The returned view's range is extended to [l'+1, u'-1] per §2.2: l' is
-// the largest value below lo and u' the smallest value above hi observed
-// on non-qualifying pages, so every value strictly between them lives on
-// an indexed page.
-func Create(col *storage.Column, lo, hi uint64, opts CreateOptions, mapper *Mapper) (*View, error) {
-	b, err := NewBuilder(col, opts, mapper)
-	if err != nil {
+// A page whose header zone misses a spec's range cannot qualify for it
+// and is skipped; every other page goes through storage.ScanFilter. Each
+// view keeps its declared [Lo, Hi]: no §2.2 extension (see
+// RangeExtender). On any error every builder is aborted and every
+// finished view released, so a failed Build leaves the address space as
+// it found it.
+func Build(col *storage.Column, specs []Spec, mapper *Mapper) ([]*View, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	builders := make([]*Builder, 0, len(specs))
+	views := make([]*View, 0, len(specs))
+	fail := func(err error) ([]*View, error) {
+		for _, b := range builders {
+			_ = b.Abort() //asv:ignore-err unwinding a failed build; the first error is returned
+		}
+		for _, v := range views {
+			_ = v.Release() //asv:ignore-err unwinding a failed build; the first error is returned
+		}
 		return nil, err
 	}
-	ext := NewRangeExtender(lo, hi)
+	for _, sp := range specs {
+		b, err := NewBuilder(col, sp.Opts, mapper)
+		if err != nil {
+			return fail(err)
+		}
+		builders = append(builders, b)
+	}
 	for p := 0; p < col.NumPages(); p++ {
 		pg, err := col.PageBytes(p)
 		if err != nil {
-			_ = b.Abort() //asv:ignore-err aborting the builder after a page read error; that error is returned
-			return nil, err
+			return fail(err)
 		}
-		s := storage.ScanFilter(pg, lo, hi)
-		if s.Count > 0 {
-			b.AddPage(p)
-		} else {
-			ext.ObserveExcluded(s)
+		zmin, zmax := storage.Zone(pg)
+		for i, sp := range specs {
+			if zmax < sp.Lo || zmin > sp.Hi {
+				continue
+			}
+			if storage.ScanFilter(pg, sp.Lo, sp.Hi).Count > 0 {
+				builders[i].AddPage(p)
+			}
 		}
 	}
-	cLo, cHi := ext.Range()
-	return b.Finish(cLo, cHi)
+	for i, sp := range specs {
+		v, err := builders[i].Finish(sp.Lo, sp.Hi)
+		if err != nil {
+			return fail(err)
+		}
+		v.SetPinned(sp.Pinned)
+		views = append(views, v)
+	}
+	return views, nil
 }
 
 // RangeExtender accumulates the candidate-range extension of §2.2 across

@@ -25,18 +25,20 @@ func TestCreateFailsCleanlyOnMapCountExhaustion(t *testing.T) {
 	if err := col.Fill(dist.NewUniform(3, 0, 1<<40)); err != nil {
 		t.Fatal(err)
 	}
-	// Choke the map count: enough for the reservation, not for the pages.
+	// Choke the map count: enough for the reservations, not for the pages.
 	as.SetMaxMapCount(as.VMACount() + 4)
-
 	before := as.VMACount()
-	v, err := Create(col, 0, 1<<33, CreateOptions{}, nil)
-	if err == nil {
-		t.Fatalf("Create succeeded with %d pages despite map-count choke", v.NumPages())
-	}
-	// The failed builder must have released its reservation; partially
-	// mapped pages may bump the count transiently but must be gone.
-	if got := as.VMACount(); got != before {
-		t.Fatalf("VMACount = %d after failed create, want %d", got, before)
+	narrow := Spec{Lo: 0, Hi: 1 << 33}
+	empty := Spec{Lo: 1 << 41, Hi: 1 << 42} // above the domain: finishes with no pages
+	for _, specs := range [][]Spec{{narrow}, {empty, narrow, empty}} {
+		if vs, err := Build(col, specs, nil); err == nil {
+			t.Fatalf("Build of %d specs succeeded despite map-count choke (%d pages)", len(specs), vs[len(vs)-1].NumPages())
+		}
+		// Every reservation, finished view and partly mapped page must be
+		// gone again.
+		if got := as.VMACount(); got != before {
+			t.Fatalf("%d specs: VMACount = %d after failed build, want %d", len(specs), got, before)
+		}
 	}
 }
 
@@ -56,15 +58,15 @@ func TestConcurrentCreateFailsCleanly(t *testing.T) {
 	m := NewMapper()
 	defer m.Stop()
 	before := as.VMACount()
-	if _, err := Create(col, 0, 1<<33, CreateOptions{Concurrent: true}, m); err == nil {
-		t.Fatal("concurrent Create succeeded despite map-count choke")
+	if _, err := build1(col, 0, 1<<33, CreateOptions{Concurrent: true}, m); err == nil {
+		t.Fatal("concurrent Build succeeded despite map-count choke")
 	}
 	if got := as.VMACount(); got != before {
 		t.Fatalf("VMACount = %d after failed concurrent create, want %d", got, before)
 	}
 	// The mapper must still be usable for the next view.
 	as.SetMaxMapCount(1 << 30)
-	v, err := Create(col, 0, 1<<33, CreateOptions{Concurrent: true}, m)
+	v, err := build1(col, 0, 1<<33, CreateOptions{Concurrent: true}, m)
 	if err != nil {
 		t.Fatalf("mapper unusable after earlier failure: %v", err)
 	}
@@ -163,7 +165,7 @@ func TestCreateFailsCleanlyOnFrameExhaustion(t *testing.T) {
 		t.Fatalf("FramesInUse = %d", k.FramesInUse())
 	}
 	// Creating a view must not need a single new frame.
-	v, err := Create(col, 0, 500, CreateOptions{Consecutive: true}, nil)
+	v, err := build1(col, 0, 500, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatalf("view creation allocated frames: %v", err)
 	}
@@ -191,7 +193,7 @@ func TestEnsureMappedFailureLeavesViewLazy(t *testing.T) {
 	if err := col.Fill(dist.NewUniform(3, 0, 1<<40)); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Create(col, 0, 1<<30, CreateOptions{Lazy: true}, nil)
+	v, err := build1(col, 0, 1<<30, CreateOptions{Lazy: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

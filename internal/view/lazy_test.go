@@ -14,11 +14,11 @@ import (
 func lazyEagerPair(t *testing.T, lo, hi uint64) (lazy, eager *View) {
 	t.Helper()
 	c := testColumn(t, 128, dist.NewLinear(3, 0, 100_000, 128))
-	lazy, err := Create(c, lo, hi, CreateOptions{Lazy: true}, nil)
+	lazy, err := build1(c, lo, hi, CreateOptions{Lazy: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err = Create(c, lo, hi, CreateOptions{}, nil)
+	eager, err = build1(c, lo, hi, CreateOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func lazyEagerPair(t *testing.T, lo, hi uint64) (lazy, eager *View) {
 func TestLazyCreateMapsNothing(t *testing.T) {
 	c := testColumn(t, 128, dist.NewLinear(3, 0, 100_000, 128))
 	c.Space().ResetStats()
-	v, err := Create(c, 20_000, 60_000, CreateOptions{Lazy: true}, nil)
+	v, err := build1(c, 20_000, 60_000, CreateOptions{Lazy: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

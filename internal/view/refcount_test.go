@@ -18,7 +18,7 @@ func TestRetainDefersRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Create(col, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
+	v, err := build1(col, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCapturePagesDetachesFromMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Create(col, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
+	v, err := build1(col, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/asv-db/asv/internal/bitvec"
 	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/vmsim"
 )
@@ -153,15 +152,6 @@ func (v *View) BaseVPN() uint64 { return uint64(v.addr) >> vmsim.PageShift }
 // EndMappedVPN returns the virtual page number just past the mapped prefix.
 func (v *View) EndMappedVPN() uint64 { return v.BaseVPN() + uint64(v.numPages) }
 
-// SetRange overwrites the covered value range. The adaptive engine uses
-// this after candidate-range extension (§2.2).
-func (v *View) SetRange(lo, hi uint64) {
-	if v.full {
-		return
-	}
-	v.lo, v.hi = lo, hi
-}
-
 // SetPinned marks or unmarks the view as exempt from tier demotion.
 func (v *View) SetPinned(p bool) { v.pinned.Store(p) }
 
@@ -205,25 +195,11 @@ type ScanResult struct {
 
 // Scan answers the range query [lo, hi] from this view alone.
 func (v *View) Scan(lo, hi uint64) (ScanResult, error) {
-	return v.ScanDedup(lo, hi, nil)
-}
-
-// ScanDedup answers [lo, hi], skipping pages whose pageID bit is already
-// set in processed and marking the ones it reads. This implements the
-// multi-view shared-page handling of §2.1: "we additionally have to keep
-// track of processed physical pages to avoid scanning a page twice".
-// A nil processed vector disables deduplication.
-func (v *View) ScanDedup(lo, hi uint64, processed *bitvec.Vector) (ScanResult, error) {
 	var r ScanResult
 	for i := 0; i < v.numPages; i++ {
 		pg, err := v.PageBytes(i)
 		if err != nil {
 			return r, err
-		}
-		if processed != nil {
-			if processed.TestAndSet(int(storage.PageID(pg))) {
-				continue
-			}
 		}
 		s := storage.ScanFilter(pg, lo, hi)
 		r.Count += s.Count

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/asv-db/asv/internal/bitvec"
 	"github.com/asv-db/asv/internal/dist"
 	"github.com/asv-db/asv/internal/storage"
 	"github.com/asv-db/asv/internal/vmsim"
@@ -24,6 +23,16 @@ func testColumn(t testing.TB, pages int, g dist.Generator) *storage.Column {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// build1 builds the one view over [lo, hi] that Build makes of a
+// one-spec request.
+func build1(c *storage.Column, lo, hi uint64, opts CreateOptions, m *Mapper) (*View, error) {
+	vs, err := Build(c, []Spec{{Lo: lo, Hi: hi, Opts: opts}}, m)
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
 }
 
 // qualifyingPages returns the page IDs holding at least one value in [lo,hi].
@@ -73,56 +82,40 @@ func TestFullViewProperties(t *testing.T) {
 }
 
 func TestCreateIndexesExactlyQualifyingPages(t *testing.T) {
-	c := testColumn(t, 128, dist.NewLinear(3, 0, 100_000, 128))
-	lo, hi := uint64(20_000), uint64(40_000)
-	want := qualifyingPages(t, c, lo, hi)
-
-	v, err := Create(c, lo, hi, CreateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := v.PageIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(want) {
-		t.Fatalf("view indexes %d pages, want %d", len(ids), len(want))
-	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Fatalf("view indexes non-qualifying page %d", id)
+	// One Build pass over overlapping, disjoint, empty and full-domain
+	// specs: the zone prefilter must skip no qualifying page for any of
+	// them, and each view keeps its declared range and pinned flag.
+	for gi, g := range []dist.Generator{dist.NewLinear(3, 0, 100_000, 128), dist.NewSine(5, 0, 100_000, 10)} {
+		c := testColumn(t, 128, g)
+		specs := []Spec{
+			{Lo: 20_000, Hi: 40_000},
+			{Lo: 30_000, Hi: 35_000, Pinned: true},
+			{Lo: 90_000, Hi: 90_010},
+			{Lo: 200_000, Hi: 300_000}, // above the domain
+			{Lo: 0, Hi: ^uint64(0), Opts: CreateOptions{Consecutive: true}},
 		}
-	}
-	// Covered range must include the query range (possibly extended).
-	if !v.Covers(lo, hi) {
-		t.Fatalf("view range [%d,%d] does not cover query", v.Lo(), v.Hi())
-	}
-}
-
-func TestCreateRangeExtension(t *testing.T) {
-	// Linear data clusters values, so the extension should widen the range
-	// beyond the query on both sides (neighbouring excluded pages carry
-	// values strictly below lo / above hi).
-	c := testColumn(t, 128, dist.NewLinear(3, 0, 100_000, 128))
-	lo, hi := uint64(20_000), uint64(40_000)
-	v, err := Create(c, lo, hi, CreateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Lo() >= lo && v.Hi() <= hi {
-		t.Fatalf("no extension happened: view [%d,%d], query [%d,%d]", v.Lo(), v.Hi(), lo, hi)
-	}
-	// Extension correctness: every page with a value in the extended range
-	// must be indexed.
-	want := qualifyingPages(t, c, v.Lo(), v.Hi())
-	ids, _ := v.PageIDs()
-	got := map[uint64]bool{}
-	for _, id := range ids {
-		got[id] = true
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("extended range [%d,%d] misses page %d", v.Lo(), v.Hi(), p)
+		vs, err := Build(c, specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sp := range specs {
+			v := vs[i]
+			want := qualifyingPages(t, c, sp.Lo, sp.Hi)
+			ids, err := v.PageIDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != len(want) {
+				t.Fatalf("column %d spec %d: view indexes %d pages, want %d", gi, i, len(ids), len(want))
+			}
+			for _, id := range ids {
+				if !want[id] {
+					t.Fatalf("column %d spec %d: view indexes non-qualifying page %d", gi, i, id)
+				}
+			}
+			if v.Lo() != sp.Lo || v.Hi() != sp.Hi || v.Pinned() != sp.Pinned {
+				t.Fatalf("column %d spec %d: view [%d,%d] pinned=%v, want the declared %+v", gi, i, v.Lo(), v.Hi(), v.Pinned(), sp)
+			}
 		}
 	}
 }
@@ -130,7 +123,7 @@ func TestCreateRangeExtension(t *testing.T) {
 func TestViewScanMatchesFullScan(t *testing.T) {
 	c := testColumn(t, 96, dist.NewSine(5, 0, 100_000_000, 10))
 	lo, hi := uint64(10_000_000), uint64(30_000_000)
-	v, err := Create(c, lo, hi, CreateOptions{Consecutive: true}, nil)
+	v, err := build1(c, lo, hi, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +146,7 @@ func TestViewScanMatchesFullScan(t *testing.T) {
 func TestSubqueryThroughView(t *testing.T) {
 	// Any query within the view's covered range must be answerable.
 	c := testColumn(t, 64, dist.NewUniform(11, 0, 1_000_000))
-	v, err := Create(c, 100_000, 500_000, CreateOptions{Consecutive: true}, nil)
+	v, err := build1(c, 100_000, 500_000, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,49 +163,18 @@ func TestSubqueryThroughView(t *testing.T) {
 	}
 }
 
-func TestScanDedupSkipsProcessedPages(t *testing.T) {
-	c := testColumn(t, 32, dist.NewUniform(2, 0, 1000))
-	v1, err := Create(c, 0, 500, CreateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Create(c, 200, 800, CreateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both views share pages (uniform data qualifies almost everywhere).
-	processed := bitvec.New(c.NumPages())
-	r1, err := v1.ScanDedup(300, 400, processed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := v2.ScanDedup(300, 400, processed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCount, wantSum, _ := c.FullScan(300, 400)
-	if r1.Count+r2.Count != wantCount || r1.Sum+r2.Sum != wantSum {
-		t.Fatalf("dedup scan total (%d,%d), want (%d,%d)",
-			r1.Count+r2.Count, r1.Sum+r2.Sum, wantCount, wantSum)
-	}
-	if r2.PagesScanned != 0 && r1.PagesScanned+r2.PagesScanned > c.NumPages() {
-		t.Fatalf("scanned %d+%d pages from a %d-page column",
-			r1.PagesScanned, r2.PagesScanned, c.NumPages())
-	}
-}
-
 func TestConsecutiveOptimizationReducesMmapCalls(t *testing.T) {
 	// Linear data: qualifying pages are one contiguous run.
 	c := testColumn(t, 256, dist.NewLinear(7, 0, 1_000_000, 256))
 	statsBefore := c.Space().Stats()
-	v1, err := Create(c, 0, 250_000, CreateOptions{Consecutive: false}, nil)
+	v1, err := build1(c, 0, 250_000, CreateOptions{Consecutive: false}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	unopt := c.Space().Stats().MmapCalls - statsBefore.MmapCalls
 
 	statsBefore = c.Space().Stats()
-	v2, err := Create(c, 0, 250_000, CreateOptions{Consecutive: true}, nil)
+	v2, err := build1(c, 0, 250_000, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +198,11 @@ func TestConcurrentCreationMatchesSynchronous(t *testing.T) {
 	m := NewMapper()
 	defer m.Stop()
 
-	sync1, err := Create(c, 100_000, 300_000, CreateOptions{Consecutive: true}, nil)
+	sync1, err := build1(c, 100_000, 300_000, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := Create(c, 100_000, 300_000, CreateOptions{Consecutive: true, Concurrent: true}, m)
+	conc, err := build1(c, 100_000, 300_000, CreateOptions{Consecutive: true, Concurrent: true}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +231,7 @@ func TestConcurrentRequiresMapper(t *testing.T) {
 
 func TestAppendPage(t *testing.T) {
 	c := testColumn(t, 64, dist.NewUniform(4, 100, 1000))
-	v, err := Create(c, 0, 50, CreateOptions{}, nil) // matches nothing -> 0 pages
+	v, err := build1(c, 0, 50, CreateOptions{}, nil) // matches nothing -> 0 pages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +259,7 @@ func TestAppendPage(t *testing.T) {
 
 func TestAppendPageCapacity(t *testing.T) {
 	c := testColumn(t, 4, dist.NewUniform(4, 0, 10))
-	v, err := Create(c, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
+	v, err := build1(c, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +273,7 @@ func TestAppendPageCapacity(t *testing.T) {
 
 func TestRemovePageAtCompacts(t *testing.T) {
 	c := testColumn(t, 16, dist.NewUniform(4, 0, 10))
-	v, err := Create(c, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
+	v, err := build1(c, 0, ^uint64(0), CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +315,7 @@ func TestRemovePageAtCompacts(t *testing.T) {
 func TestReleaseFreesVirtualArea(t *testing.T) {
 	c := testColumn(t, 32, dist.NewUniform(4, 0, 1000))
 	before := c.Space().VMACount()
-	v, err := Create(c, 0, 500, CreateOptions{Consecutive: true}, nil)
+	v, err := build1(c, 0, 500, CreateOptions{Consecutive: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +409,7 @@ func TestQuickViewEquivalence(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		v, err := Create(c, a, b, CreateOptions{Consecutive: true}, nil)
+		v, err := build1(c, a, b, CreateOptions{Consecutive: true}, nil)
 		if err != nil {
 			return false
 		}
@@ -477,7 +439,7 @@ func BenchmarkCreateUnoptimized(b *testing.B) {
 	c := testColumn(b, 1024, dist.NewUniform(1, 0, 100_000_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := Create(c, 0, 40_000_000, CreateOptions{}, nil)
+		v, err := build1(c, 0, 40_000_000, CreateOptions{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -493,7 +455,7 @@ func BenchmarkCreateBothOptimizations(b *testing.B) {
 	defer m.Stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := Create(c, 0, 40_000_000, AllOptimizations, m)
+		v, err := build1(c, 0, 40_000_000, AllOptimizations, m)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,12 +21,7 @@ func (f *fixture) capFull(s *Set) [][]byte {
 
 // mkLazyView builds a lazy partial view.
 func (f *fixture) mkLazyView(lo, hi uint64) *view.View {
-	v, err := view.Create(f.col, lo, hi, view.CreateOptions{Lazy: true}, nil)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	v.SetRange(lo, hi)
-	return v
+	return f.build(view.Spec{Lo: lo, Hi: hi, Opts: view.CreateOptions{Lazy: true}})
 }
 
 // TestSnapshotCaptureFailureRollsBack pins the rollback symmetry of the

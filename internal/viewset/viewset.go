@@ -196,8 +196,8 @@ func (s *Set) Consider(cand *view.View) (Decision, *view.View) {
 	return Inserted, nil
 }
 
-// Insert adds a view unconditionally (used by rebuilds and by experiment
-// setup that creates views directly, §3.1/§3.4). It fails once maxViews is
+// Insert adds a view unconditionally (used by explicit creation, which
+// experiment setup uses to create views directly, §3.1/§3.4). It fails once maxViews is
 // reached. The view starts with the current clock as its recency, like an
 // adaptively inserted candidate — a pre-created view must not look
 // never-used (and therefore cold) to the temperature export. Insert is a
@@ -268,8 +268,8 @@ func (s *Set) ReplaceExisting(old, repl *view.View) bool {
 }
 
 // Clear removes and returns all partial views (the caller releases them)
-// and unfreezes the set. Used when rebuilding views from scratch. Clear is
-// a write operation.
+// and unfreezes the set. Used when the engine closes. Clear is a write
+// operation.
 func (s *Set) Clear() []*view.View {
 	out := s.partials
 	s.partials = nil

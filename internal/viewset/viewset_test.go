@@ -31,14 +31,16 @@ func newFixture(t testing.TB) *fixture {
 }
 
 func (f *fixture) mkView(lo, hi uint64) *view.View {
-	v, err := view.Create(f.col, lo, hi, view.CreateOptions{Consecutive: true}, nil)
+	return f.build(view.Spec{Lo: lo, Hi: hi, Opts: view.CreateOptions{Consecutive: true}})
+}
+
+// build creates the view of one spec; it keeps the spec's exact range.
+func (f *fixture) build(sp view.Spec) *view.View {
+	vs, err := view.Build(f.col, []view.Spec{sp}, nil)
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	// Pin the range exactly (Create extends it; routing tests want precise
-	// ranges).
-	v.SetRange(lo, hi)
-	return v
+	return vs[0]
 }
 
 func (f *fixture) newSet(maxViews, d, r int) *Set {

@@ -81,8 +81,7 @@ func Pinned() ViewOption {
 // qualification scan of the column and published in one state swap,
 // each view inheriting the call's Lazy/Eager/Pinned settings.
 // Semantically identical to one CreateViewOpt call per range, at the
-// cost of a single scan and publication — the many-views experiments
-// stand up thousands of views this way.
+// cost of a single scan and publication.
 func Batch(specs ...ViewRange) ViewOption {
 	return func(o *viewCreateOptions) { o.extra = append(o.extra, specs...) }
 }
