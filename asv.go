@@ -387,9 +387,10 @@ func (c *Column) Stats() EngineStats { return c.eng.Stats() }
 
 // Close releases the views and the column storage and deregisters the
 // column from the DB catalog, so the name becomes reusable. Close blocks
-// until every Snapshot taken from the column has been closed.
-// Double-close is a no-op, and a column closed directly is skipped (not
-// double-closed) by a later DB.Close.
+// until every Snapshot taken from the column has been closed. With an
+// autopilot, Close returns the error of a background flush that no Sync
+// reported. Double-close is a no-op, and a column closed directly is
+// skipped (not double-closed) by a later DB.Close.
 func (c *Column) Close() error {
 	if c.closed.Swap(true) {
 		return nil

@@ -534,7 +534,10 @@ func BenchmarkAutopilotEnqueue(b *testing.B) {
 // current state per query; a pinned reader re-pins a Snapshot every 16
 // queries. One iteration = every reader completes one query. flushes/op
 // is the writer's progress over the same window, so a reader gain bought
-// by starving the writer shows.
+// by starving the writer shows. views is the view count at the end (epoch
+// readers adapt, pinned ones do not), flush_ms the mean wall time of one
+// FlushUpdates and parse_ms the mean of its ParseDuration: each view
+// makes every flush dearer.
 func BenchmarkReadersUnderAlignment(b *testing.B) {
 	const (
 		group    = 64
@@ -560,6 +563,7 @@ func BenchmarkReadersUnderAlignment(b *testing.B) {
 				stop := make(chan struct{})
 				writerDone := make(chan struct{})
 				flushes := 0
+				var flushWall, parse time.Duration
 				b.ResetTimer()
 				go func() {
 					defer close(writerDone)
@@ -578,10 +582,14 @@ func BenchmarkReadersUnderAlignment(b *testing.B) {
 							b.Error(err)
 							return
 						}
-						if _, err := eng.FlushUpdates(); err != nil {
+						start := time.Now()
+						st, err := eng.FlushUpdates()
+						if err != nil {
 							b.Error(err)
 							return
 						}
+						flushWall += time.Since(start)
+						parse += st.ParseDuration
 						flushes++
 					}
 				}()
@@ -626,6 +634,11 @@ func BenchmarkReadersUnderAlignment(b *testing.B) {
 				<-writerDone
 				b.ReportMetric(float64(readers), "queries/op")
 				b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+				b.ReportMetric(float64(len(eng.Views())), "views")
+				if flushes > 0 {
+					b.ReportMetric(flushWall.Seconds()*1e3/float64(flushes), "flush_ms")
+					b.ReportMetric(parse.Seconds()*1e3/float64(flushes), "parse_ms")
+				}
 			})
 		}
 	}

@@ -3,6 +3,10 @@ package asv
 import (
 	"errors"
 	"testing"
+	"time"
+
+	"github.com/asv-db/asv/internal/autopilot"
+	"github.com/asv-db/asv/internal/vmsim"
 )
 
 // TestDBCloseAllColumnsOnError pins the DB.Close error contract: the
@@ -73,5 +77,51 @@ func TestColumnCloseContinuesPastEngineError(t *testing.T) {
 	}
 	if _, err := db.CreateColumn("x", 8, DefaultConfig()); err != nil {
 		t.Fatalf("name not reusable after erroring Close: %v", err)
+	}
+}
+
+// TestColumnCloseReportsUnsyncedFlushError: an autopilot deadline flush
+// fails and no Sync consumes its error, so Close must return it.
+func TestColumnCloseReportsUnsyncedFlushError(t *testing.T) {
+	const pages, domain = 64, 1_000_000
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	clock := autopilot.NewManualClock(time.Unix(1000, 0))
+	flushed := make(chan FlushInfo, 1)
+	cfg := WithAutopilot(DefaultConfig(), AutopilotConfig{
+		Clock:            clock,
+		MaxFlushLatency:  5 * time.Millisecond,
+		MaintainInterval: -1,
+		OnFlush:          func(fi FlushInfo) { flushed <- fi },
+	})
+	col, err := db.CreateColumn("x", pages, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The linear fill puts the view's values on the first pages only.
+	if err := col.Fill(Linear(3, 0, domain, pages)); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.CreateViewOpt(0, domain/8, Eager(), Pinned()); err != nil {
+		t.Fatal(err)
+	}
+	// Aligning a write of the view's range to the last page must map that
+	// page into the view: one more VMA than the limit allows.
+	as := col.col.Space()
+	as.SetMaxMapCount(as.VMACount())
+	if err := col.Update((pages-1)*ValuesPerPage, 1); err != nil {
+		t.Fatal(err)
+	}
+	clock.BlockUntilTimers(1)
+	clock.Advance(5 * time.Millisecond)
+	if fi := <-flushed; !errors.Is(fi.Err, vmsim.ErrNoMemory) {
+		t.Fatalf("premise: flush error %v, want the map-count limit", fi.Err)
+	}
+	as.SetMaxMapCount(1 << 30)
+	if err := col.Close(); !errors.Is(err, vmsim.ErrNoMemory) {
+		t.Fatalf("Column.Close = %v, want the unsynced flush error", err)
 	}
 }

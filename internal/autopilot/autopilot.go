@@ -332,9 +332,9 @@ type Pilot struct {
 	oldest    time.Time
 	hasOldest bool
 
-	// drainMu serializes drains (pilot, cooperative writers, Sync); it is
-	// acquired before any Target call and never while holding a shard or
-	// metric lock.
+	// drainMu serializes drains (pilot, cooperative writers,
+	// ApplyQueued); it is acquired before any Target call and never while
+	// holding a shard or metric lock.
 	drainMu sync.Mutex
 
 	wake        chan struct{}
@@ -451,14 +451,6 @@ func (p *Pilot) Enqueue(row int, value uint64) error {
 	default:
 	}
 	return nil
-}
-
-// Sync drains the intake synchronously — apply plus §2.4 alignment — and
-// returns the first error any flush (including asynchronous ones)
-// encountered. The engine's read-your-writes barrier.
-func (p *Pilot) Sync() error {
-	p.drain(FlushSync, true)
-	return p.takeErr()
 }
 
 // ApplyQueued drains the intake synchronously without aligning — for
@@ -623,8 +615,8 @@ func (p *Pilot) collect() ([]Write, time.Time) {
 
 // drain applies (and, when align is set, aligns) everything queued, as
 // one coalesced group commit. Serialized by drainMu so concurrent
-// triggers (pilot deadline, cooperative writer, Sync) coalesce instead
-// of interleaving.
+// triggers (pilot deadline, cooperative writer, ApplyQueued) coalesce
+// instead of interleaving.
 func (p *Pilot) drain(reason FlushReason, align bool) {
 	p.drainMu.Lock()
 	defer p.drainMu.Unlock()

@@ -87,6 +87,13 @@ func (f *fakeTarget) totalApplied() int {
 
 const testRows = 1 << 20
 
+// settle waits out the drain in flight: a flush records its metrics and
+// its error after the target returns, before it releases the drain lock.
+func settle(p *Pilot) {
+	p.drainMu.Lock()
+	p.drainMu.Unlock()
+}
+
 // startPilot builds a pilot over a fake target and a manual clock, with
 // maintenance disabled unless the config enables it.
 func startPilot(t *testing.T, tgt Target, cfg Config) (*Pilot, *ManualClock) {
@@ -114,6 +121,7 @@ func TestCountThresholdFlush(t *testing.T) {
 	}
 	batch := <-tgt.appliedCh
 	<-tgt.alignedCh
+	settle(p)
 	if len(batch) != 4 {
 		t.Fatalf("coalesced %d writes, want 4", len(batch))
 	}
@@ -140,6 +148,7 @@ func TestBytesThresholdFlush(t *testing.T) {
 	}
 	batch := <-tgt.appliedCh
 	<-tgt.alignedCh
+	settle(p)
 	if len(batch) != 3 {
 		t.Fatalf("coalesced %d writes, want 3", len(batch))
 	}
@@ -160,6 +169,7 @@ func TestDeadlineFlush(t *testing.T) {
 	clock.Advance(5 * time.Millisecond)
 	batch := <-tgt.appliedCh
 	<-tgt.alignedCh
+	settle(p)
 	if len(batch) != 1 || batch[0] != (Write{Row: 7, Value: 42}) {
 		t.Fatalf("batch %v", batch)
 	}
@@ -205,20 +215,14 @@ func TestSyncDrainsBelowThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Sync(); err != nil {
+	if err := p.ApplyQueued(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tgt.totalApplied(); got != 3 {
 		t.Fatalf("applied %d, want 3", got)
 	}
-	tgt.mu.Lock()
-	aligns := tgt.aligns
-	tgt.mu.Unlock()
-	if aligns != 1 {
-		t.Fatalf("aligns %d, want 1", aligns)
-	}
 	// Empty sync is a no-op flush-wise.
-	if err := p.Sync(); err != nil {
+	if err := p.ApplyQueued(); err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Metrics(); m.Flushes != 1 || m.SyncFlushes != 1 {
@@ -285,11 +289,20 @@ func TestFlushErrorSurfacesAtSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-tgt.appliedCh
-	if err := p.Sync(); !errors.Is(err, boom) {
-		t.Fatalf("Sync error = %v, want the async flush failure", err)
+	settle(p)
+	for range 2 { // Err reports without consuming
+		if err := p.Err(); !errors.Is(err, boom) {
+			t.Fatalf("Err = %v, want the async flush failure", err)
+		}
 	}
-	if err := p.Sync(); err != nil {
+	if err := p.ApplyQueued(); !errors.Is(err, boom) {
+		t.Fatalf("ApplyQueued error = %v, want the async flush failure", err)
+	}
+	if err := p.ApplyQueued(); err != nil {
 		t.Fatalf("error not consumed: %v", err)
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("Err after the error was consumed: %v", err)
 	}
 }
 

@@ -141,13 +141,6 @@ func (c *ManualClock) Advance(d time.Duration) {
 	}
 }
 
-// Timers returns the number of armed one-shot timers.
-func (c *ManualClock) Timers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
-}
-
 // BlockUntilTimers blocks until at least n one-shot timers are armed —
 // the handshake a test needs before Advance, so the deadline it is about
 // to trigger was computed from the pre-advance instant.

@@ -111,26 +111,6 @@ func (v *Vector) NextSet(i int) int {
 	}
 }
 
-// NextClear returns the index of the first zero bit at or after i, or -1 if
-// there is none.
-func (v *Vector) NextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for ; i < v.n; i++ {
-		w := v.words[i/wordBits]
-		if w == ^uint64(0) {
-			// Whole word set: skip to its end.
-			i = (i/wordBits)*wordBits + wordBits - 1
-			continue
-		}
-		if w&(1<<(uint(i)%wordBits)) == 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // Or sets v to the bitwise OR of v and o. Both vectors must have equal length.
 func (v *Vector) Or(o *Vector) {
 	if v.n != o.n {
@@ -169,13 +149,6 @@ func (v *Vector) And(o *Vector) {
 	for i := range v.words {
 		v.words[i] &= o.words[i]
 	}
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	w := make([]uint64, len(v.words))
-	copy(w, v.words)
-	return &Vector{words: w, n: v.n}
 }
 
 // String renders the vector as a compact summary, e.g. "bitvec(12/64 set)".

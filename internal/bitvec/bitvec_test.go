@@ -81,31 +81,17 @@ func TestNextSet(t *testing.T) {
 	}
 }
 
-func TestNextClear(t *testing.T) {
-	v := New(130)
-	for i := 0; i < 130; i++ {
-		v.Set(i)
-	}
-	if got := v.NextClear(0); got != -1 {
-		t.Fatalf("NextClear on full vector = %d, want -1", got)
-	}
-	v.Clear(64)
-	if got := v.NextClear(0); got != 64 {
-		t.Fatalf("NextClear(0) = %d, want 64", got)
-	}
-	if got := v.NextClear(65); got != -1 {
-		t.Fatalf("NextClear(65) = %d, want -1", got)
-	}
-}
-
 func TestOrAnd(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Set(1)
-	a.Set(50)
-	b.Set(50)
-	b.Set(99)
+	vec := func(bits ...int) *Vector {
+		v := New(100)
+		for _, i := range bits {
+			v.Set(i)
+		}
+		return v
+	}
+	b := vec(50, 99)
 
-	or := a.Clone()
+	or := vec(1, 50)
 	or.Or(b)
 	for _, i := range []int{1, 50, 99} {
 		if !or.Get(i) {
@@ -116,7 +102,7 @@ func TestOrAnd(t *testing.T) {
 		t.Errorf("or.Count() = %d, want 3", or.Count())
 	}
 
-	and := a.Clone()
+	and := vec(1, 50)
 	and.And(b)
 	if !and.Get(50) || and.Count() != 1 {
 		t.Errorf("and: got count %d, want only bit 50", and.Count())
@@ -134,19 +120,6 @@ func TestReset(t *testing.T) {
 	}
 	if v.Len() != 500 {
 		t.Fatalf("Len() = %d after Reset, want 500", v.Len())
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	v := New(64)
-	v.Set(10)
-	c := v.Clone()
-	c.Set(20)
-	if v.Get(20) {
-		t.Fatal("mutation of clone visible in original")
-	}
-	if !c.Get(10) {
-		t.Fatal("clone lost original bit")
 	}
 }
 

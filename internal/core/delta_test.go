@@ -196,7 +196,7 @@ func TestReadsNeverMapLazyViews(t *testing.T) {
 				t.Fatal("premise: the reads created no views")
 			}
 			for i, v := range views {
-				if !v.Lazy() {
+				if v.LazyFilePages() == nil {
 					t.Fatalf("view %d (%s) was mapped by a read", i, v)
 				}
 			}
@@ -211,7 +211,7 @@ func TestReadsNeverMapLazyViews(t *testing.T) {
 				t.Fatal("the first flush mapped no lazy view")
 			}
 			for i, v := range e.Views() {
-				if v.Lazy() {
+				if v.LazyFilePages() != nil {
 					t.Fatalf("view %d (%s) still lazy after the flush", i, v)
 				}
 			}

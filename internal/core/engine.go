@@ -264,9 +264,6 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 // Column returns the underlying physical column.
 func (e *Engine) Column() *storage.Column { return e.col }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // ViewSet returns the engine's view index.
 func (e *Engine) ViewSet() *viewset.Set { return e.set }
 
@@ -405,15 +402,19 @@ func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) (swapped bool
 // autopilot. It waits for in-flight queries to drain and blocks until
 // every Snapshot taken from the engine has been closed — a pinned epoch
 // keeps its views and frozen page frames alive, and Close's contract is
-// that nothing survives it. Close is idempotent. The column itself
-// stays usable (and must be closed by its owner).
+// that nothing survives it. It returns first the autopilot's unreported
+// flush error, if any. Close is idempotent. The column itself stays
+// usable (and must be closed by its owner).
 func (e *Engine) Close() error {
+	var firstErr error
 	if e.pilot != nil {
 		// Stop before taking the lock exclusively: the pilot's final drain
 		// applies any queued writes (under the shared mode), so no
 		// accepted Update is lost; alignment is skipped, the views are
-		// about to be released anyway.
+		// about to be released anyway. Its error, or that of a background
+		// flush no Sync consumed, is the first Close reports.
 		e.pilot.Stop()
+		firstErr = e.pilot.Err()
 	}
 	e.closing.Store(true)
 	e.mu.Lock()
@@ -424,7 +425,6 @@ func (e *Engine) Close() error {
 	}
 	e.gen++
 	e.closed = true
-	var firstErr error
 	for _, v := range e.set.Clear() {
 		// Drops the set's owner reference; the unmap happens here unless
 		// a still-pinned state holds the view, in which case it follows

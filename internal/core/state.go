@@ -334,15 +334,6 @@ func (s *Snapshot) query(lo, hi uint64, opt QueryOptions, adapt bool) (Answer, e
 	return s.e.read(st, lo, hi, opt, adapt)
 }
 
-// Gen reports the pinned state's candidate-invalidation generation;
-// inspection tooling uses it to tell epochs apart. Zero after Close.
-func (s *Snapshot) Gen() uint64 {
-	if st := s.pinned(); st != nil {
-		return st.gen
-	}
-	return 0
-}
-
 // Views returns the number of partial views captured by the pinned
 // epoch (0 after Close).
 func (s *Snapshot) Views() int {

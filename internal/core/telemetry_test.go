@@ -211,8 +211,8 @@ func TestTracedReadShape(t *testing.T) {
 			t.Fatalf("%s: first child is not the pin span:\n%s", r.name, tr)
 		}
 		pin := root.Children[0]
-		if v, ok := attrVal(pin, "epoch_gen"); !ok || v != int64(snap.Gen()) {
-			t.Fatalf("%s: pin epoch_gen = %d (ok=%v), want %d", r.name, v, ok, snap.Gen())
+		if v, ok := attrVal(pin, "epoch_gen"); !ok || v != int64(snap.pinned().gen) {
+			t.Fatalf("%s: pin epoch_gen = %d (ok=%v), want %d", r.name, v, ok, snap.pinned().gen)
 		}
 		// The adaptive snapshot read may have grown the live set by then.
 		if v, ok := attrVal(pin, "views"); !ok || v < int64(snap.Views()) {

@@ -52,9 +52,6 @@ func (w *VirtualView) Hi() uint64 { return w.v.Hi() }
 // Pages implements Index.
 func (w *VirtualView) Pages() int { return w.v.NumPages() }
 
-// View exposes the wrapped view.
-func (w *VirtualView) View() *view.View { return w.v }
-
 // Lookup implements Index: a dense scan of the view.
 func (w *VirtualView) Lookup(qlo, qhi uint64) (int, uint64, error) {
 	if err := checkRange(w.Name(), w.v.Lo(), w.v.Hi(), qlo, qhi); err != nil {

@@ -54,14 +54,6 @@ func DefaultScale() Scale {
 	}
 }
 
-// PaperScale returns the paper's full experiment size (1M pages = 4 GB per
-// column; expect long runtimes and high memory use).
-func PaperScale() Scale {
-	s := DefaultScale()
-	s.Pages = 1 << 20
-	return s
-}
-
 func (s Scale) logf(format string, args ...any) {
 	if s.Progress != nil {
 		fmt.Fprintf(s.Progress, format+"\n", args...)

@@ -18,10 +18,10 @@ import (
 // analyzer only concerns itself with function-style sync/atomic use.)
 //
 // The analyzer also knows the obs telemetry instruments: a struct field
-// holding a raw obs.Counter / obs.Gauge / obs.Histogram value (directly
-// or inside an array/slice) is rejected. Instruments are shared atomics
-// behind a handle stored once at construction; a value field forks the
-// counts whenever the struct is copied, and the copy compiles fine — the
+// holding a raw obs.Counter / obs.Histogram value (directly or inside an
+// array/slice) is rejected. Instruments are shared atomics behind a
+// handle stored once at construction; a value field forks the counts
+// whenever the struct is copied, and the copy compiles fine — the
 // instrument's pointer-receiver methods auto-address the field — so only
 // a module-wide rule catches the drift.
 func runAtomicField(m *Module) []Diagnostic {
@@ -166,7 +166,7 @@ func rawInstrumentType(t types.Type) (string, bool) {
 				return "", false
 			}
 			switch obj.Name() {
-			case "Counter", "Gauge", "Histogram":
+			case "Counter", "Histogram":
 				return obj.Name(), true
 			}
 			return "", false

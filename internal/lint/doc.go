@@ -36,10 +36,10 @@
 //     everywhere — a single plain read of a field that is elsewhere
 //     atomic.AddUint64'd is a data race the race detector only catches
 //     probabilistically. The analyzer also rejects struct fields that
-//     hold an obs telemetry instrument (Counter, Gauge, Histogram) by
-//     value: instruments are shared atomics behind pointer handles
-//     stored once at construction, and a value field silently forks
-//     the counts whenever the struct is copied.
+//     hold an obs telemetry instrument (Counter, Histogram) by value:
+//     instruments are shared atomics behind pointer handles stored once
+//     at construction, and a value field silently forks the counts
+//     whenever the struct is copied.
 //
 //   - droppederr: an error result discarded by assigning it to the
 //     blank identifier requires an //asv:ignore-err <reason> directive;

@@ -15,11 +15,6 @@ func (c *Counter) Add(d uint64) { c.v.Add(d) }
 
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge mirrors the real instantaneous instrument.
-type Gauge struct{ v atomic.Int64 }
-
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Histogram mirrors the real log₂ instrument closely enough to have
 // atomic innards and a value-copy Snapshot.
 type Histogram struct {

@@ -13,18 +13,15 @@ type pilot struct {
 	last    obs.HistogramSnapshot
 
 	lat   obs.Histogram  // want `\[atomicfield\] field lat holds a raw obs\.Histogram value`
-	depth obs.Gauge      // want `\[atomicfield\] field depth holds a raw obs\.Gauge value`
 	waits [2]obs.Counter // want `\[atomicfield\] field waits holds a raw obs\.Counter value`
 }
 
 // observe compiles fine against the raw fields — pointer-receiver
 // methods auto-address them — which is exactly why the rule exists: a
-// copy of pilot forks lat/depth/waits without a diagnostic from the
-// compiler.
+// copy of pilot forks lat/waits without a diagnostic from the compiler.
 func (p *pilot) observe(d uint64) {
 	p.flushes.Add(1)
 	p.lat.Observe(d)
-	p.depth.Set(int64(d))
 	p.waits[0].Add(1)
 }
 

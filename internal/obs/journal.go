@@ -87,24 +87,6 @@ const (
 	DutyDemote
 )
 
-// DutyName returns the stable name of an autopilot duty code.
-func DutyName(code int64) string {
-	switch code {
-	case DutyApply:
-		return "apply"
-	case DutyAlign:
-		return "align"
-	case DutyEvict:
-		return "evict"
-	case DutyRebuild:
-		return "rebuild"
-	case DutyDemote:
-		return "demote"
-	default:
-		return "unknown"
-	}
-}
-
 // Event is one drained journal entry. Seq is globally unique and
 // monotone in claim order; Time comes from the journal's clock.
 type Event struct {
@@ -198,15 +180,6 @@ func (j *Journal) Cap() int {
 		return 0
 	}
 	return len(j.slots)
-}
-
-// Recorded returns how many events have ever been recorded (the ring
-// keeps the most recent Cap of them).
-func (j *Journal) Recorded() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.next.Load()
 }
 
 // Record appends one event. Allocation-free and a no-op on a nil

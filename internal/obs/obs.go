@@ -1,22 +1,23 @@
 // Package obs is the repository's zero-dependency telemetry layer: a
-// metrics registry of named lock-free instruments (counters, gauges,
-// log₂-bucket histograms) with mergeable, stably-JSON-encoded snapshots;
-// a per-query span tree (trace.go); and a fixed-size lock-free journal
-// of typed engine events (journal.go).
+// metrics registry of named lock-free instruments (counters, log₂-bucket
+// histograms) with mergeable, stably-JSON-encoded snapshots, which also
+// carry gauges, instantaneous readings their producer sets (SetGauge); a
+// per-query span tree (trace.go); and a fixed-size lock-free journal of
+// typed engine events (journal.go).
 //
 // The design contract every consumer relies on:
 //
 //   - Recording is allocation-free and, except for Journal.Record,
-//     wait-free. Counter.Add, Gauge.Set, Histogram.Observe and
-//     Journal.Record are a handful of atomic operations — safe on scan
-//     kernels and inside critical sections. Journal.Record waits only
-//     behind another writer of the same ring slot, which takes the whole
-//     ring lapping during that writer's store.
-//   - Handles are stored once, bumped everywhere: a *Counter /
-//     *Gauge / *Histogram is created through a Registry (or directly)
-//     during construction and then only ever dereferenced. Instrument
-//     fields must be pointers — copying an instrument value forks its
-//     counts, which internal/lint's atomicfield analyzer rejects.
+//     wait-free. Counter.Inc, Histogram.Observe and Journal.Record are
+//     a handful of atomic operations — safe on scan kernels and inside
+//     critical sections. Journal.Record waits only behind another
+//     writer of the same ring slot, which takes the whole ring lapping
+//     during that writer's store.
+//   - Handles are stored once, bumped everywhere: a *Counter or
+//     *Histogram is created through a Registry (or directly) during
+//     construction and then only ever dereferenced. Instrument fields
+//     must be pointers — copying an instrument value forks its counts,
+//     which internal/lint's atomicfield analyzer rejects.
 //   - Reading is snapshot-based: Registry.Snapshot (and the engine
 //     surfaces built on it) copy every instrument into a plain Snapshot
 //     that merges and encodes deterministically (Go's encoding/json
@@ -37,26 +38,11 @@ import (
 // Counter is a monotonically increasing uint64 instrument.
 type Counter struct{ v atomic.Uint64 }
 
-// Add bumps the counter by d.
-func (c *Counter) Add(d uint64) { c.v.Add(d) }
-
 // Inc bumps the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous int64 instrument (occupancy, queue depth).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count of a log₂ histogram: bucket i
 // holds the observations whose value has bit length i — bucket 0 is
@@ -80,12 +66,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values (wrapping).
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
 // Snapshot copies the histogram into a plain value. Under concurrent
 // Observe the copy is advisory (each field exact at its own read), which
 // is the usual contract of statistics counters.
@@ -104,9 +84,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-quantile (0..1) of the live histogram.
-func (h *Histogram) Quantile(q float64) uint64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is a copied histogram: total count and sum plus the
 // log₂ buckets (trailing zero buckets trimmed; bucket i covers values of
@@ -185,7 +162,6 @@ func (s HistogramSnapshot) merge(o HistogramSnapshot) HistogramSnapshot {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -193,7 +169,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -208,18 +183,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -241,9 +204,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := NewSnapshot()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()

@@ -8,15 +8,16 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(41)
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Load(); got != -3 {
+	s := NewSnapshot()
+	s.SetGauge("g", 7)
+	s.SetGauge("g", -3)
+	if got := s.Gauges["g"]; got != -3 {
 		t.Fatalf("gauge = %d, want -3", got)
 	}
 }
@@ -69,14 +70,14 @@ func TestRegistryHandlesStoredOnce(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("Counter(name) must return the same handle")
 	}
-	if r.Gauge("g") != r.Gauge("g") || r.Histogram("h") != r.Histogram("h") {
-		t.Fatal("Gauge/Histogram must return stable handles")
+	if r.Histogram("h") != r.Histogram("h") {
+		t.Fatal("Histogram(name) must return the same handle")
 	}
-	c1.Add(5)
-	r.Gauge("g").Set(-1)
+	c1.Inc()
+	c2.Inc()
 	r.Histogram("h").Observe(9)
 	s := r.Snapshot()
-	if s.Counters["x"] != 5 || s.Gauges["g"] != -1 || s.Histograms["h"].Count != 1 {
+	if s.Counters["x"] != 2 || len(s.Gauges) != 0 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }
@@ -137,8 +138,8 @@ func TestJournalRecordDrain(t *testing.T) {
 	if evs[1].Seq != 2 || evs[1].Type != EvEpochRetired || evs[1].C != 6 {
 		t.Fatalf("event 1 = %+v", evs[1])
 	}
-	if j.Recorded() != 2 {
-		t.Fatalf("recorded = %d, want 2", j.Recorded())
+	if got := j.next.Load(); got != 2 {
+		t.Fatalf("recorded = %d, want 2", got)
 	}
 }
 
@@ -166,7 +167,7 @@ func TestJournalWrapKeepsNewest(t *testing.T) {
 func TestJournalNilInert(t *testing.T) {
 	var j *Journal
 	j.Record(EvEpochPublished, 0, 0, 0)
-	if j.Events() != nil || j.Cap() != 0 || j.Recorded() != 0 {
+	if j.Events() != nil || j.Cap() != 0 {
 		t.Fatal("nil journal must be inert")
 	}
 	if NewJournal(0, nil) != nil {
@@ -227,7 +228,7 @@ func TestJournalConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readerWG.Wait()
-	if got := j.Recorded(); got != writers*perWriter {
+	if got := j.next.Load(); got != writers*perWriter {
 		t.Fatalf("recorded = %d, want %d", got, writers*perWriter)
 	}
 }

@@ -23,8 +23,8 @@ const bimapShards = 16
 // state in general, per-view entries are naturally independent: a
 // virtual page belongs to exactly one view, so callers must serialize
 // operations on the same VPN externally, while reverse-direction reads
-// (MappedIn, VirtualPages) and cross-view list updates are kept
-// consistent by the file-page shard locks.
+// (MappedIn) and cross-view list updates are kept consistent by the
+// file-page shard locks.
 type Bimap struct {
 	v2p [bimapShards]vpnShard
 	p2v [bimapShards]fpShard
@@ -132,31 +132,6 @@ func (b *Bimap) dropReverse(fp int64, vpn uint64) {
 	}
 }
 
-// FilePage returns the file page mapped at virtual page vpn.
-func (b *Bimap) FilePage(vpn uint64) (int64, bool) {
-	vs := b.vshard(vpn)
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	fp, ok := vs.m[vpn]
-	return fp, ok
-}
-
-// VirtualPages returns the virtual pages that map file page fp. The
-// returned slice is the caller's to keep (a private copy — the live list
-// may be mutated concurrently by callers working on other views).
-func (b *Bimap) VirtualPages(fp int64) []uint64 {
-	ps := b.pshard(fp)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	vs := ps.m[fp]
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(vs))
-	copy(out, vs)
-	return out
-}
-
 // MappedIn reports whether file page fp is mapped anywhere inside the
 // virtual page range [lo, hi), and returns the first such virtual page.
 // Update alignment uses this to test "is page p already indexed by this
@@ -173,16 +148,4 @@ func (b *Bimap) MappedIn(fp int64, lo, hi uint64) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Len returns the number of virtual pages currently recorded.
-func (b *Bimap) Len() int {
-	n := 0
-	for i := range b.v2p {
-		vs := &b.v2p[i]
-		vs.mu.Lock()
-		n += len(vs.m)
-		vs.mu.Unlock()
-	}
-	return n
 }

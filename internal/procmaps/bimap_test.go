@@ -1,6 +1,7 @@
 package procmaps
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,18 +13,18 @@ func TestBimapAddLookup(t *testing.T) {
 	b.Add(101, 7)
 	b.Add(200, 5) // second view maps the same file page
 
-	if fp, ok := b.FilePage(100); !ok || fp != 5 {
-		t.Fatalf("FilePage(100) = %d,%v", fp, ok)
+	if fp, ok := b.filePage(100); !ok || fp != 5 {
+		t.Fatalf("filePage(100) = %d,%v", fp, ok)
 	}
-	if _, ok := b.FilePage(999); ok {
-		t.Fatal("FilePage(999) found")
+	if _, ok := b.filePage(999); ok {
+		t.Fatal("filePage(999) found")
 	}
-	vs := b.VirtualPages(5)
+	vs := b.virtualPages(5)
 	if len(vs) != 2 {
-		t.Fatalf("VirtualPages(5) = %v, want two entries", vs)
+		t.Fatalf("virtualPages(5) = %v, want two entries", vs)
 	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
+	if b.size() != 3 {
+		t.Fatalf("Len = %d, want 3", b.size())
 	}
 }
 
@@ -31,14 +32,14 @@ func TestBimapAddReplaces(t *testing.T) {
 	b := NewBimap()
 	b.Add(100, 5)
 	b.Add(100, 9) // rewire: vpn 100 now maps file page 9
-	if fp, _ := b.FilePage(100); fp != 9 {
-		t.Fatalf("FilePage(100) = %d, want 9", fp)
+	if fp, _ := b.filePage(100); fp != 9 {
+		t.Fatalf("filePage(100) = %d, want 9", fp)
 	}
-	if vs := b.VirtualPages(5); len(vs) != 0 {
+	if vs := b.virtualPages(5); len(vs) != 0 {
 		t.Fatalf("stale reverse entry: %v", vs)
 	}
-	if vs := b.VirtualPages(9); len(vs) != 1 || vs[0] != 100 {
-		t.Fatalf("VirtualPages(9) = %v", vs)
+	if vs := b.virtualPages(9); len(vs) != 1 || vs[0] != 100 {
+		t.Fatalf("virtualPages(9) = %v", vs)
 	}
 }
 
@@ -52,11 +53,11 @@ func TestBimapRemove(t *testing.T) {
 	if b.Remove(1) {
 		t.Fatal("double Remove succeeded")
 	}
-	if vs := b.VirtualPages(10); len(vs) != 1 || vs[0] != 2 {
-		t.Fatalf("VirtualPages(10) = %v", vs)
+	if vs := b.virtualPages(10); len(vs) != 1 || vs[0] != 2 {
+		t.Fatalf("virtualPages(10) = %v", vs)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d", b.Len())
+	if b.size() != 1 {
+		t.Fatalf("Len = %d", b.size())
 	}
 }
 
@@ -82,16 +83,16 @@ func TestBuildBimapFiltersInode(t *testing.T) {
 		{Start: 0x8000, End: 0x9000, Inode: 0},                 // anonymous
 	}
 	b := BuildBimap(mappings, 7, 4096)
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
+	if b.size() != 2 {
+		t.Fatalf("Len = %d, want 2", b.size())
 	}
-	if fp, ok := b.FilePage(1); !ok || fp != 4 {
-		t.Fatalf("FilePage(vpn 1) = %d,%v, want 4", fp, ok)
+	if fp, ok := b.filePage(1); !ok || fp != 4 {
+		t.Fatalf("filePage(vpn 1) = %d,%v, want 4", fp, ok)
 	}
-	if fp, ok := b.FilePage(2); !ok || fp != 5 {
-		t.Fatalf("FilePage(vpn 2) = %d,%v, want 5", fp, ok)
+	if fp, ok := b.filePage(2); !ok || fp != 5 {
+		t.Fatalf("filePage(vpn 2) = %d,%v, want 5", fp, ok)
 	}
-	if _, ok := b.FilePage(5); ok {
+	if _, ok := b.filePage(5); ok {
 		t.Fatal("inode 9 leaked into bimap")
 	}
 }
@@ -112,19 +113,19 @@ func TestQuickBimapConsistency(t *testing.T) {
 				ref[vpn] = fp
 			}
 		}
-		if b.Len() != len(ref) {
+		if b.size() != len(ref) {
 			return false
 		}
 		// Forward agrees with reference.
 		for vpn, fp := range ref {
-			if got, ok := b.FilePage(vpn); !ok || got != fp {
+			if got, ok := b.filePage(vpn); !ok || got != fp {
 				return false
 			}
 		}
 		// Reverse lists exactly the forward entries.
 		seen := 0
 		for fp := int64(0); fp < 16; fp++ {
-			for _, vpn := range b.VirtualPages(fp) {
+			for _, vpn := range b.virtualPages(fp) {
 				if ref[vpn] != fp {
 					return false
 				}
@@ -169,7 +170,7 @@ func TestBimapConcurrentPerViewWorkers(t *testing.T) {
 					t.Errorf("worker %d: MappedIn(%d) = %d,%v after Add(%d)", w, fp, got, ok, vpn)
 					return
 				}
-				if mapped, ok := b.FilePage(got); !ok || mapped != fp {
+				if mapped, ok := b.filePage(got); !ok || mapped != fp {
 					t.Errorf("worker %d: MappedIn(%d) returned vpn %d mapping %d,%v", w, fp, got, mapped, ok)
 					return
 				}
@@ -199,30 +200,30 @@ func TestBimapConcurrentPerViewWorkers(t *testing.T) {
 			vpn := base + uint64(i)
 			switch {
 			case i%3 == 1: // removed
-				if _, ok := b.FilePage(vpn); ok {
+				if _, ok := b.filePage(vpn); ok {
 					t.Fatalf("removed vpn %d still mapped", vpn)
 				}
 			case i%3 == 0: // rewired
 				want++
-				if fp, ok := b.FilePage(vpn); !ok || fp != int64((i+1)%filePages) {
+				if fp, ok := b.filePage(vpn); !ok || fp != int64((i+1)%filePages) {
 					t.Fatalf("rewired vpn %d -> %d,%v", vpn, fp, ok)
 				}
 			default:
 				want++
-				if fp, ok := b.FilePage(vpn); !ok || fp != int64(i%filePages) {
+				if fp, ok := b.filePage(vpn); !ok || fp != int64(i%filePages) {
 					t.Fatalf("vpn %d -> %d,%v", vpn, fp, ok)
 				}
 			}
 		}
 	}
-	if b.Len() != want {
-		t.Fatalf("Len = %d, want %d", b.Len(), want)
+	if b.size() != want {
+		t.Fatalf("Len = %d, want %d", b.size(), want)
 	}
 	// Reverse direction agrees with forward.
 	seen := 0
 	for fp := int64(0); fp < filePages; fp++ {
-		for _, vpn := range b.VirtualPages(fp) {
-			if got, ok := b.FilePage(vpn); !ok || got != fp {
+		for _, vpn := range b.virtualPages(fp) {
+			if got, ok := b.filePage(vpn); !ok || got != fp {
 				t.Fatalf("reverse entry %d -> %d disagrees with forward (%d,%v)", fp, vpn, got, ok)
 			}
 			seen++
@@ -231,4 +232,32 @@ func TestBimapConcurrentPerViewWorkers(t *testing.T) {
 	if seen != want {
 		t.Fatalf("reverse lists hold %d entries, want %d", seen, want)
 	}
+}
+
+// filePage, virtualPages and size read the bimap's two directions
+// directly: update alignment asks only MappedIn, the tests check both.
+func (b *Bimap) filePage(vpn uint64) (int64, bool) {
+	vs := b.vshard(vpn)
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	fp, ok := vs.m[vpn]
+	return fp, ok
+}
+
+func (b *Bimap) virtualPages(fp int64) []uint64 {
+	ps := b.pshard(fp)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return slices.Clone(ps.m[fp])
+}
+
+func (b *Bimap) size() int {
+	n := 0
+	for i := range b.v2p {
+		vs := &b.v2p[i]
+		vs.mu.Lock()
+		n += len(vs.m)
+		vs.mu.Unlock()
+	}
+	return n
 }

@@ -45,10 +45,9 @@ const idleTimeout = 120 * time.Second
 
 // Server is the asvd HTTP front end: a stdlib-only JSON API over a
 // tenant catalog of sharded adaptive columns. Create one with
-// NewServer, run it with Serve or ListenAndServe, stop it with
-// Shutdown — which drains in-flight requests first and closes the
-// tenant catalog after, so no request ever observes a half-closed
-// engine.
+// NewServer, run it with Serve, stop it with Shutdown — which drains
+// in-flight requests first and closes the tenant catalog after, so no
+// request ever observes a half-closed engine.
 type Server struct {
 	cat *Catalog
 	lim Limits
@@ -93,15 +92,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like http.Server.Serve.
 func (s *Server) Serve(l net.Listener) error { return s.srv.Serve(l) }
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Shutdown stops the server gracefully: stop accepting, drain every
 // in-flight request (bounded by ctx), then close the tenant catalog —

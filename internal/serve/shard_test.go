@@ -278,11 +278,10 @@ func TestShardSnapshotSingleInstant(t *testing.T) {
 	}
 }
 
-// TestTelemetryCountsSharedAddressSpaceOnce: the shards of a column, and
-// the columns of a tenant, live in one address space, and each of them
-// reports that space's map_* instruments. The merged telemetry must carry
-// them once — what any one constituent reads — while the constituents'
-// own counters still add.
+// TestTelemetryCountsSharedAddressSpaceOnce: the shards of a column live
+// in one address space, and each of them reports that space's map_*
+// instruments. The merged telemetry must carry them once — what any one
+// shard reads — while the shards' own counters still add.
 func TestTelemetryCountsSharedAddressSpaceOnce(t *testing.T) {
 	cat := NewCatalog()
 	defer func() {
@@ -294,37 +293,30 @@ func TestTelemetryCountsSharedAddressSpaceOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cols []*ShardedColumn
-	for _, name := range []string{"a", "b"} {
-		col, err := tn.CreateColumn(name, eqPages, 4, RangeParts, asv.DefaultConfig())
-		if err != nil {
+	col, err := tn.CreateColumn("a", eqPages, 4, RangeParts, asv.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Fill(asv.Sine(eqSeed, 0, eqDomain, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range eqQueries() { // adaptive queries map views: mmap calls on every shard
+		if _, err := col.QueryOpt(q.Lo, q.Hi); err != nil {
 			t.Fatal(err)
 		}
-		if err := col.Fill(asv.Sine(eqSeed, 0, eqDomain, 4)); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range eqQueries() { // adaptive queries map views: mmap calls on every shard
-			if _, err := col.QueryOpt(q.Lo, q.Hi); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cols = append(cols, col)
 	}
 
-	space := cols[0].shards[0].Telemetry() // any one constituent reads the whole space
+	space := col.shards[0].Telemetry() // any one shard reads the whole space
 	if space.Counters["map_mmap_calls"] == 0 {
 		t.Fatal("setup: no mmap calls to count")
 	}
 	wantQueries := uint64(0)
-	for _, sc := range cols[0].shards {
+	for _, sc := range col.shards {
 		wantQueries += sc.Telemetry().Counters["engine_queries"]
 	}
-	column, tenant := cols[0].Telemetry(), tn.Telemetry()
+	column := col.Telemetry()
 	if got := column.Counters["engine_queries"]; got != wantQueries || got == space.Counters["engine_queries"] {
 		t.Errorf("column engine_queries = %d, want the shards' sum %d", got, wantQueries)
-	}
-	if got := tenant.Counters["engine_queries"]; got != 2*wantQueries {
-		t.Errorf("tenant engine_queries = %d, want both columns' sum %d", got, 2*wantQueries)
 	}
 	for name, want := range space.Counters {
 		if !strings.HasPrefix(name, "map_") {
@@ -333,11 +325,8 @@ func TestTelemetryCountsSharedAddressSpaceOnce(t *testing.T) {
 		if got := column.Counters[name]; got != want {
 			t.Errorf("4-shard column reports %s = %d, its address space %d", name, got, want)
 		}
-		if got := tenant.Counters[name]; got != want {
-			t.Errorf("2-column tenant reports %s = %d, its address space %d", name, got, want)
-		}
 	}
-	if got, want := tenant.Gauges["map_vma_count"], space.Gauges["map_vma_count"]; got != want {
-		t.Errorf("tenant reports map_vma_count = %d, its address space %d", got, want)
+	if got, want := column.Gauges["map_vma_count"], space.Gauges["map_vma_count"]; got != want {
+		t.Errorf("4-shard column reports map_vma_count = %d, its address space %d", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	asv "github.com/asv-db/asv"
-	"github.com/asv-db/asv/internal/obs"
 )
 
 // Limits are the request-scoped guard rails of one server: a tenant can
@@ -352,17 +351,6 @@ func (t *Tenant) CloseColumn(name string) error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// Telemetry merges the instrument snapshots of every column of the
-// tenant. The columns live in the tenant's one DB, so its address
-// space's map_* instruments are reported once (see mergeSameSpace).
-func (t *Tenant) Telemetry() obs.Snapshot {
-	out := obs.NewSnapshot()
-	for _, col := range t.Columns() {
-		out = mergeSameSpace(out, col.Telemetry())
-	}
-	return out
 }
 
 // Close releases the tenant: open snapshots first (column Close blocks

@@ -34,13 +34,6 @@ func (c *Column) EnableSnapshots() {
 	c.snapEpoch.Store(1)
 }
 
-// SnapshotsEnabled reports whether the copy-on-write write path is on.
-func (c *Column) SnapshotsEnabled() bool {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	return c.snapOn
-}
-
 // CaptureSnapshot hands out the column's current resolved soft-TLB as an
 // immutable capture and opens the next snapshot epoch, returning the
 // frames displaced by copy-on-write shadows since the previous capture.

@@ -85,8 +85,8 @@ func SetValueAt(page []byte, i int, v uint64) {
 	binary.LittleEndian.PutUint64(page[off:off+8], v)
 }
 
-// PageMinMax returns the smallest and largest value on the page (used to
-// build zone maps).
+// PageMinMax returns the smallest and largest value on the page by a
+// full pass: the oracle the page-header zones are checked against.
 func PageMinMax(page []byte) (min, max uint64) {
 	min = ^uint64(0)
 	for i := 0; i < ValuesPerPage; i++ {
@@ -286,9 +286,6 @@ func (c *Column) NumPages() int { return c.numPages }
 // Rows returns the number of value slots in the column.
 func (c *Column) Rows() int { return c.numPages * ValuesPerPage }
 
-// Name returns the column (file) name.
-func (c *Column) Name() string { return c.name }
-
 // File returns the backing main-memory file.
 func (c *Column) File() *vmsim.File { return c.file }
 
@@ -319,9 +316,6 @@ func (c *Column) EnableTiering(cfg vmsim.TierConfig) (*vmsim.FileTier, error) {
 	}
 	return t, nil
 }
-
-// Tier returns the column's tier map, or nil when tiering is off.
-func (c *Column) Tier() *vmsim.FileTier { return c.tier.Load() }
 
 // PageBytes returns physical page pageID accessed through the full view —
 // a virtual-memory access whose translation is served from the column's

@@ -102,11 +102,6 @@ func (b *Builder) AddPage(filePage int) {
 	b.runStart, b.runLen = filePage, 1
 }
 
-// PendingPages returns how many pages have been added so far (mapped or
-// queued). The engine compares this against the full view's page count for
-// the retention decision (Listing 1, line 22).
-func (b *Builder) PendingPages() int { return b.nextSlot + b.runLen }
-
 func (b *Builder) flushRun() {
 	if b.runLen == 0 {
 		return

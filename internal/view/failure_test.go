@@ -208,14 +208,14 @@ func TestEnsureMappedFailureLeavesViewLazy(t *testing.T) {
 	if err := v.EnsureMapped(); err == nil {
 		t.Fatalf("EnsureMapped of %d scattered pages succeeded despite map-count choke", v.NumPages())
 	}
-	if !v.Lazy() {
+	if v.lazy == nil {
 		t.Fatal("failed EnsureMapped converted the view")
 	}
 	as.SetMaxMapCount(1 << 30)
 	if err := v.EnsureMapped(); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	if v.Lazy() {
+	if v.lazy != nil {
 		t.Fatal("retried EnsureMapped left the view lazy")
 	}
 	got, err := v.PageIDs()

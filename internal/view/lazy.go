@@ -15,10 +15,6 @@ import (
 // representation — from then on every existing invalidation path
 // (BeginTLBMutation, RefreshSlot, compaction) applies unchanged.
 
-// Lazy reports whether the view is still an unmapped slot directory
-// (EnsureMapped converts a lazy view to the eager representation).
-func (v *View) Lazy() bool { return v.lazy != nil }
-
 // LazyFilePages returns the backing file page per slot of a lazy view,
 // or nil for an eagerly materialized view. The directory is immutable
 // once Builder.Finish installs it: EnsureMapped and Release replace the

@@ -143,9 +143,6 @@ func (v *View) NumPages() int { return v.numPages }
 // Full reports whether this is the column's full view.
 func (v *View) Full() bool { return v.full }
 
-// Addr returns the base address of the view's virtual area.
-func (v *View) Addr() vmsim.Addr { return v.addr }
-
 // BaseVPN returns the first virtual page number of the view's area.
 func (v *View) BaseVPN() uint64 { return uint64(v.addr) >> vmsim.PageShift }
 
@@ -158,9 +155,6 @@ func (v *View) SetPinned(p bool) { v.pinned.Store(p) }
 // Pinned reports whether the view's pages are exempt from tier demotion.
 func (v *View) Pinned() bool { return v.pinned.Load() }
 
-// Covers reports whether the view's range fully contains [lo, hi].
-func (v *View) Covers(lo, hi uint64) bool { return v.lo <= lo && hi <= v.hi }
-
 // CoversSubsetOf reports whether v's range is contained in o's (Listing 1,
 // line 24).
 func (v *View) CoversSubsetOf(o *View) bool { return o.lo <= v.lo && v.hi <= o.hi }
@@ -168,9 +162,6 @@ func (v *View) CoversSubsetOf(o *View) bool { return o.lo <= v.lo && v.hi <= o.h
 // CoversSupersetOf reports whether v's range contains o's (Listing 1,
 // line 28).
 func (v *View) CoversSupersetOf(o *View) bool { return v.lo <= o.lo && o.hi <= v.hi }
-
-// Overlaps reports whether the view's range intersects [lo, hi].
-func (v *View) Overlaps(lo, hi uint64) bool { return v.lo <= hi && lo <= v.hi }
 
 // PageBytes returns the i-th mapped page of the view: a virtual-memory
 // access through the view's area, with the translation served from the

@@ -63,9 +63,6 @@ func TestFullViewProperties(t *testing.T) {
 	if fv.Lo() != 0 || fv.Hi() != ^uint64(0) {
 		t.Fatal("full view range not [-inf, inf]")
 	}
-	if !fv.Covers(0, ^uint64(0)) {
-		t.Fatal("full view does not cover everything")
-	}
 	// Release must be a no-op.
 	if err := fv.Release(); err != nil {
 		t.Fatal(err)
@@ -349,21 +346,6 @@ func TestBuilderAbort(t *testing.T) {
 	}
 }
 
-func TestBuilderPendingPages(t *testing.T) {
-	c := testColumn(t, 32, dist.NewUniform(4, 0, 1000))
-	b, err := NewBuilder(c, CreateOptions{Consecutive: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Abort() }()
-	for _, p := range []int{3, 4, 5, 9} {
-		b.AddPage(p)
-	}
-	if got := b.PendingPages(); got != 4 {
-		t.Fatalf("PendingPages = %d, want 4", got)
-	}
-}
-
 func TestCoverPredicates(t *testing.T) {
 	a := &View{lo: 10, hi: 20}
 	b := &View{lo: 5, hi: 25}
@@ -375,12 +357,6 @@ func TestCoverPredicates(t *testing.T) {
 	}
 	if !a.CoversSubsetOf(a) || !a.CoversSupersetOf(a) {
 		t.Fatal("equal ranges must be both subset and superset")
-	}
-	if !a.Overlaps(20, 30) || a.Overlaps(21, 30) {
-		t.Fatal("overlap predicate wrong")
-	}
-	if !a.Covers(10, 20) || a.Covers(9, 20) {
-		t.Fatal("covers predicate wrong")
 	}
 }
 

@@ -39,11 +39,6 @@ type SnapView struct {
 	full  bool
 }
 
-// View returns the captured view's identity. Callers must not read live
-// view fields through it on the read path — that is what the captured
-// accessors are for.
-func (sv *SnapView) View() *view.View { return sv.view }
-
 // Lo returns the captured lower bound of the covered range (inclusive).
 func (sv *SnapView) Lo() uint64 { return sv.lo }
 
@@ -186,12 +181,6 @@ func (s *Snapshot) ReleaseViews() error {
 
 // Full returns the captured full view.
 func (s *Snapshot) Full() *SnapView { return s.full }
-
-// Partials returns the captured partial views in set order (a fresh
-// slice the caller may keep).
-func (s *Snapshot) Partials() []*SnapView {
-	return append([]*SnapView(nil), s.partials...)
-}
 
 // Len returns the number of captured partial views.
 func (s *Snapshot) Len() int { return len(s.partials) }

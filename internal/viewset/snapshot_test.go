@@ -12,7 +12,7 @@ import (
 // capFull captures the full view's resolved pages — the viewset-level
 // stand-in for the column capture the engine passes to Snapshot.
 func (f *fixture) capFull(s *Set) [][]byte {
-	pages, err := s.Full().CapturePages()
+	pages, err := s.full.CapturePages()
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSnapshotLazyCaptureReadsEpochBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := snap.Partials()[0]
+	sv := snap.partials[0]
 	if !sv.Lazy() {
 		t.Fatal("lazy view captured eagerly")
 	}
@@ -242,7 +242,7 @@ func TestSnapshotLazyCaptureReadsEpochBytes(t *testing.T) {
 			t.Fatalf("page %d diverged between lazy capture and eager view", i)
 		}
 	}
-	if lazy.Lazy() != true {
+	if lazy.LazyFilePages() == nil {
 		t.Fatal("snapshot capture materialized the live view")
 	}
 	if err := snap.ReleaseViews(); err != nil {

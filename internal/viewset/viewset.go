@@ -127,9 +127,6 @@ func New(full *view.View, maxViews, discardTol, replaceTol int) *Set {
 	}
 }
 
-// Full returns the full view.
-func (s *Set) Full() *view.View { return s.full }
-
 // Partials returns a snapshot of the current partial views. The returned
 // slice is the caller's to keep: mutations never write a published slice
 // in place.

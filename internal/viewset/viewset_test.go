@@ -77,18 +77,18 @@ func TestRouteSinglePrefersSmallest(t *testing.T) {
 
 	sn := f.snap(s)
 	got := sn.RouteSingle(150_000, 250_000)
-	if got.View() != narrow {
-		t.Fatalf("RouteSingle picked %v, want the narrow view", got.View())
+	if got.view != narrow {
+		t.Fatalf("RouteSingle picked %v, want the narrow view", got.view)
 	}
 	// Query not covered by any partial -> full view.
 	got = sn.RouteSingle(900_000, 950_000)
 	if !got.Full() || got != sn.Full() {
-		t.Fatalf("RouteSingle picked %v, want full view", got.View())
+		t.Fatalf("RouteSingle picked %v, want full view", got.view)
 	}
 	// Query covered only by the wide view.
 	got = sn.RouteSingle(500_000, 700_000)
-	if got.View() != wide {
-		t.Fatalf("RouteSingle picked %v, want wide view", got.View())
+	if got.view != wide {
+		t.Fatalf("RouteSingle picked %v, want wide view", got.view)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestRouteMultiGreedyCover(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("RouteMulti used %d views, want 3", len(got))
 	}
-	if got[0].View() != a || got[1].View() != b || got[2].View() != c {
+	if got[0].view != a || got[1].view != b || got[2].view != c {
 		t.Fatalf("RouteMulti order wrong: %v", got)
 	}
 	// A query inside one view needs just that view.
@@ -150,13 +150,13 @@ func TestRouteMultiPrefersCheapestViews(t *testing.T) {
 	// finish the cover.
 	sn := f.snap(s)
 	got := sn.RouteMulti(0, 400_000)
-	if len(got) != 2 || got[0].View() != short || got[1].View() != long {
+	if len(got) != 2 || got[0].view != short || got[1].view != long {
 		t.Fatalf("RouteMulti = %v, want [short long]", got)
 	}
 	// With equal page counts, furthest reach wins the tie: a query fully
 	// inside both still picks just one view.
 	got = sn.RouteMulti(250_000, 400_000)
-	if len(got) != 1 || got[0].View() != long {
+	if len(got) != 1 || got[0].view != long {
 		t.Fatalf("RouteMulti tail = %v, want [long]", got)
 	}
 }
@@ -319,7 +319,7 @@ func TestCoveredInterval(t *testing.T) {
 		}
 	}
 	sn := f.snap(s)
-	parts := sn.Partials()
+	parts := sn.partials
 
 	lo, hi := sn.CoveredInterval(parts, 180, 450)
 	if lo != 100 || hi != 500 {
@@ -381,8 +381,8 @@ func TestTemperatures(t *testing.T) {
 	// capture touches the live set's LRU accounting.
 	sn := f.snap(s)
 	for i := 0; i < 5; i++ {
-		if got := sn.RouteSingle(100_000, 200_000); got.View() != hot {
-			t.Fatalf("routed to %v", got.View())
+		if got := sn.RouteSingle(100_000, 200_000); got.view != hot {
+			t.Fatalf("routed to %v", got.view)
 		}
 	}
 	temps := s.Temperatures()

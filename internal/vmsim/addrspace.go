@@ -56,9 +56,6 @@ func (v *VMA) End() Addr { return Addr(v.end) << PageShift }
 // Pages returns the length of the area in pages.
 func (v *VMA) Pages() int { return int(v.end - v.start) }
 
-// Anonymous reports whether the area has no backing file.
-func (v *VMA) Anonymous() bool { return v.file == nil }
-
 // MapStats counts address-space operations. The view-creation experiments
 // (Fig. 6) and the maps-parsing experiment (Fig. 7) are explained by these
 // counters: fewer calls per mapped page and fewer live VMAs are exactly
@@ -135,13 +132,6 @@ func (as *AddressSpace) Stats() MapStats {
 	s := as.stats
 	s.VMACount = as.vmas.len()
 	return s
-}
-
-// ResetStats zeroes the cumulative counters (VMACount is recomputed).
-func (as *AddressSpace) ResetStats() {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.stats = MapStats{}
 }
 
 // MmapAnon reserves a region of n pages of anonymous memory at a
@@ -472,14 +462,6 @@ func (as *AddressSpace) RepointPage(vpn VPN) error {
 		as.pt.set(vpn, fr)
 	}
 	return nil
-}
-
-// Translate returns the physical frame backing vpn, if present in the page
-// table. Anonymous pages that were never touched are absent.
-func (as *AddressSpace) Translate(vpn VPN) (FrameID, bool) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.pt.get(vpn)
 }
 
 // PageData returns the 4 KiB page backing the virtual page vpn. For

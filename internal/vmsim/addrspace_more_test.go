@@ -195,7 +195,7 @@ func TestVMAAccessors(t *testing.T) {
 	if got.Start() != addr || got.End() != addr+3*PageSize {
 		t.Fatalf("Start/End = %#x/%#x", got.Start(), got.End())
 	}
-	if got.Pages() != 3 || got.Anonymous() {
-		t.Fatalf("Pages=%d Anonymous=%v", got.Pages(), got.Anonymous())
+	if got.Pages() != 3 || got.file != f {
+		t.Fatalf("Pages=%d file=%v", got.Pages(), got.file)
 	}
 }

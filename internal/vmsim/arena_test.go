@@ -75,8 +75,8 @@ func TestCreateFilePastFrameLimit(t *testing.T) {
 	if got := chunks(); got != before {
 		t.Fatalf("failed create grew the arena from %d to %d chunks", before, got)
 	}
-	if _, err := k.OpenFile("big"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("failed create left the file behind: %v", err)
+	if _, ok := k.files["big"]; ok {
+		t.Fatal("failed create left the file behind")
 	}
 
 	if _, err := k.CreateFile("rest", maxFrames-3); err != nil {
@@ -96,11 +96,12 @@ func TestCreateFilePastFrameLimit(t *testing.T) {
 // page must keep its contents, and the frames must balance at the end.
 func TestConcurrentCreateFileAndReplacePageFrame(t *testing.T) {
 	k := NewKernel(0)
-	src, err := k.CreateFile("src", 64)
+	const srcPages = 64
+	src, err := k.CreateFile("src", srcPages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < src.NumPages(); p++ {
+	for p := 0; p < srcPages; p++ {
 		d, _ := src.PageData(p)
 		d[0] = byte(p)
 	}
@@ -113,12 +114,13 @@ func TestConcurrentCreateFileAndReplacePageFrame(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				name := fmt.Sprintf("c%d-%d", c, r)
-				f, err := k.CreateFile(name, framesPerChunk/2+c*100)
+				pages := framesPerChunk/2 + c*100
+				f, err := k.CreateFile(name, pages)
 				if err != nil {
 					errs <- err
 					return
 				}
-				for p := 0; p < f.NumPages(); p += 97 {
+				for p := 0; p < pages; p += 97 {
 					d, _ := f.PageData(p)
 					if d[0] != 0 || d[PageSize-1] != 0 {
 						errs <- fmt.Errorf("%s page %d not zero", name, p)
@@ -137,7 +139,7 @@ func TestConcurrentCreateFileAndReplacePageFrame(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			p := i % src.NumPages()
+			p := i % srcPages
 			old, data, err := src.ReplacePageFrame(p)
 			if err != nil {
 				errs <- err
@@ -155,11 +157,11 @@ func TestConcurrentCreateFileAndReplacePageFrame(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := k.FramesInUse(); got != src.NumPages() {
-		t.Fatalf("FramesInUse = %d after every other file was removed, want %d", got, src.NumPages())
+	if got := k.FramesInUse(); got != srcPages {
+		t.Fatalf("FramesInUse = %d after every other file was removed, want %d", got, srcPages)
 	}
 	s := k.MemStats()
-	if s.FramesAllocated-s.FramesFreed != uint64(src.NumPages()) {
-		t.Fatalf("allocated %d - freed %d != %d live frames", s.FramesAllocated, s.FramesFreed, src.NumPages())
+	if s.FramesAllocated-s.FramesFreed != srcPages {
+		t.Fatalf("allocated %d - freed %d != %d live frames", s.FramesAllocated, s.FramesFreed, srcPages)
 	}
 }

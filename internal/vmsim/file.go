@@ -71,17 +71,6 @@ func (k *Kernel) CreateFile(name string, pages int) (*File, error) {
 	return f, nil
 }
 
-// OpenFile returns the existing file with the given name.
-func (k *Kernel) OpenFile(name string) (*File, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	f, ok := k.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return f, nil
-}
-
 // RemoveFile unlinks the file and returns its frames to the allocator.
 // Existing mappings keep working in Linux after an unlink; our simulator
 // instead requires that callers unmap first — the adaptive layer always
@@ -112,18 +101,8 @@ func (k *Kernel) RemoveFile(name string) error {
 	return nil
 }
 
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
-
 // Inode returns the file's inode number (rendered in the maps file).
 func (f *File) Inode() uint64 { return f.inode }
-
-// NumPages returns the current length of the file in pages.
-func (f *File) NumPages() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.frames)
-}
 
 // Truncate grows or shrinks the file to the given number of pages. Grown
 // pages are zeroed; shrunk pages return their frames to the allocator. A

@@ -122,9 +122,6 @@ func (l *vmaList) containing(vpn VPN) *VMA {
 	return nil
 }
 
-// first returns the node with the smallest start, or nil.
-func (l *vmaList) first() *vmaNode { return l.head.next[0] }
-
 // len returns the number of VMAs.
 func (l *vmaList) len() int { return l.size }
 

@@ -127,7 +127,7 @@ func TestSkiplistContaining(t *testing.T) {
 
 func TestSkiplistFirstEmpty(t *testing.T) {
 	l := newVMAList(6)
-	if l.first() != nil {
+	if l.head.next[0] != nil {
 		t.Fatal("first() on empty list non-nil")
 	}
 	if l.floor(100) != nil {

@@ -111,12 +111,6 @@ func NewFileTier(pages int, cfg TierConfig) (*FileTier, error) {
 	}, nil
 }
 
-// Config returns the (default-resolved) tier configuration.
-func (t *FileTier) Config() TierConfig { return t.cfg }
-
-// Pages returns the number of tracked file pages.
-func (t *FileTier) Pages() int { return len(t.words) }
-
 // Word returns page i's current tier+version word — the version token of
 // the optimistic read protocol.
 func (t *FileTier) Word(i int) uint32 {

@@ -27,7 +27,7 @@ func TestTierConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ft.Config().ColdMultiplier; got != defaultColdMultiplier {
+	if got := ft.cfg.ColdMultiplier; got != defaultColdMultiplier {
 		t.Fatalf("ColdMultiplier default = %g, want %d", got, defaultColdMultiplier)
 	}
 }

@@ -24,8 +24,7 @@ func Splitmix64(state *uint64) uint64 {
 }
 
 // Rand is a deterministic xoshiro256** generator. It is not safe for
-// concurrent use; create one generator per goroutine (Fork derives
-// independent streams).
+// concurrent use; create one generator per goroutine.
 type Rand struct {
 	s [4]uint64
 }
@@ -44,12 +43,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 1
 	}
 	return &r
-}
-
-// Fork returns a new generator whose stream is independent of r's by
-// construction (seeded from r's next output mixed with a constant).
-func (r *Rand) Fork() *Rand {
-	return New(r.Uint64() ^ 0xd3833e804f4c574b)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -95,9 +88,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 	return hi
 }
-
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {

@@ -169,21 +169,6 @@ func TestShuffleDeterministic(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	r := New(1)
-	f := r.Fork()
-	// The fork must not replay the parent's stream.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if r.Uint64() == f.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("fork mirrors parent: %d/100 identical", same)
-	}
-}
-
 // uint64nReference is Uint64n as it was before the division-free
 // rewrite: the rejection threshold 2^64 mod n computed up front, then
 // multiply-and-reject. Uint64n must accept, reject and return exactly the

@@ -167,10 +167,10 @@ func TestCreateViewWrapperEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := loose.eng.Views()
-	if !vs[0].Lazy() {
+	if vs[0].LazyFilePages() == nil {
 		t.Fatal("default view not lazy under Config.Create.Lazy")
 	}
-	if vs[1].Lazy() {
+	if vs[1].LazyFilePages() != nil {
 		t.Fatal("Eager() view is lazy")
 	}
 }
