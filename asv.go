@@ -306,12 +306,6 @@ type Column struct {
 	eng    *core.Engine
 	name   string
 	closed atomic.Bool
-
-	// closeHook, when set (tests only), injects an extra error source
-	// into Close after the engine and storage have released — the seam
-	// behind TestDBCloseAllColumnsOnError, which pins that DB.Close
-	// keeps closing every remaining column past the first failure.
-	closeHook func() error
 }
 
 // Name returns the column name.
@@ -396,13 +390,7 @@ func (c *Column) Close() error {
 		return nil
 	}
 	c.db.removeColumn(c.name)
-	firstErr := c.release()
-	if c.closeHook != nil {
-		if err := c.closeHook(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return c.release()
 }
 
 // release closes the engine, then the storage, and returns the first

@@ -644,6 +644,73 @@ func BenchmarkReadersUnderAlignment(b *testing.B) {
 	}
 }
 
+// BenchmarkFlushByViews prices a view on the write path: one op is one
+// 64-row UpdateBatch plus one FlushUpdates on a 16 384-page sine column
+// holding 0, 4, 25 or 100 pinned 1 % views made by CreateViewsOpt, eager
+// or lazy. It reports per flush the maps parse, the per-view alignment,
+// the state publication (the Stats().PublishNanos delta) and the size of
+// the parsed maps file, so the slope over the view count is each view's
+// price. Lazy views are materialized by the first flush that aligns them.
+func BenchmarkFlushByViews(b *testing.B) {
+	const (
+		pages = 16384
+		group = 64
+	)
+	for _, lazy := range []bool{false, true} {
+		for _, n := range []int{0, 4, 25, 100} {
+			name := fmt.Sprintf("eager/views%d", n)
+			if lazy {
+				name = fmt.Sprintf("lazy/views%d", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				col := benchColumn(b, pages, dist.NewSine(42, 0, benchDomain, 100))
+				eng, err := core.NewEngine(col, core.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				if n > 0 {
+					specs := make([]core.ViewSpec, n)
+					for i, r := range workload.RandomSubranges(47, n, benchDomain, 0.01) {
+						specs[i] = core.ViewSpec{Lo: r.Lo, Hi: r.Hi, Pinned: true, Lazy: lazy, HasLazy: true}
+					}
+					if _, err := eng.CreateViewsOpt(specs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				writes := workload.UniformUpdates(63, 4096, col.Rows(), 0, benchDomain)
+				ws := make([]core.RowWrite, group)
+				var parse, align time.Duration
+				var mapsBytes int
+				publish0 := eng.Stats().PublishNanos
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range ws {
+						u := writes[(i*group+j)%len(writes)]
+						ws[j] = core.RowWrite{Row: u.Row, Value: u.Value}
+					}
+					if err := eng.UpdateBatch(ws); err != nil {
+						b.Fatal(err)
+					}
+					st, err := eng.FlushUpdates()
+					if err != nil {
+						b.Fatal(err)
+					}
+					parse += st.ParseDuration
+					align += st.AlignDuration
+					mapsBytes += st.MapsBytes
+				}
+				b.StopTimer()
+				publish := time.Duration(eng.Stats().PublishNanos - publish0)
+				b.ReportMetric(parse.Seconds()*1e3/float64(b.N), "parse_ms")
+				b.ReportMetric(align.Seconds()*1e3/float64(b.N), "align_ms")
+				b.ReportMetric(publish.Seconds()*1e3/float64(b.N), "publish_ms")
+				b.ReportMetric(float64(mapsBytes)/float64(b.N), "maps_bytes")
+			})
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Tiering (beyond the paper): scans over the simulated capacity tier.
 

@@ -9,86 +9,15 @@ import (
 	"github.com/asv-db/asv/internal/vmsim"
 )
 
-// TestDBCloseAllColumnsOnError pins the DB.Close error contract: the
-// first column close error is returned, but every remaining column is
-// still closed and deregistered — a failing column must never leak its
-// siblings' views, frames or catalog names.
-func TestDBCloseAllColumnsOnError(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"a", "b", "c"}
-	cols := make([]*Column, len(names))
-	for i, name := range names {
-		cols[i], err = db.CreateColumn(name, 8, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	boom := errors.New("injected close failure")
-	hooked := 0
-	for _, c := range cols {
-		c.closeHook = func() error { hooked++; return boom }
-	}
-
-	if err := db.Close(); !errors.Is(err, boom) {
-		t.Fatalf("DB.Close = %v, want the injected error", err)
-	}
-	if hooked != len(cols) {
-		t.Fatalf("only %d of %d columns were closed past the first failure", hooked, len(cols))
-	}
-	for i, c := range cols {
-		if !c.closed.Load() {
-			t.Fatalf("column %q not marked closed after erroring DB.Close", names[i])
-		}
-	}
-	db.mu.Lock()
-	left := len(db.columns)
-	db.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d columns still registered after DB.Close", left)
-	}
-	if got := db.MemoryInUse(); got != 0 {
-		t.Fatalf("%d bytes of simulated memory still in use after DB.Close", got)
-	}
-}
-
-// TestColumnCloseContinuesPastEngineError pins the same contract one
-// layer down: Column.Close surfaces the first error but still releases
-// the storage column and deregisters the name, so the name is reusable.
-func TestColumnCloseContinuesPastEngineError(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	col, err := db.CreateColumn("x", 8, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("injected close failure")
-	col.closeHook = func() error { return boom }
-	if err := col.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Column.Close = %v, want the injected error", err)
-	}
-	if _, ok := db.Column("x"); ok {
-		t.Fatal("column still registered after erroring Close")
-	}
-	if _, err := db.CreateColumn("x", 8, DefaultConfig()); err != nil {
-		t.Fatalf("name not reusable after erroring Close: %v", err)
-	}
-}
-
-// TestColumnCloseReportsUnsyncedFlushError: an autopilot deadline flush
-// fails and no Sync consumes its error, so Close must return it.
-func TestColumnCloseReportsUnsyncedFlushError(t *testing.T) {
+// failingColumn creates a column whose Close fails for real: an
+// autopilot on a manual clock, an eager pinned view, and one update whose
+// alignment needs one more VMA than the map-count limit allows. The
+// deadline flush fails with vmsim.ErrNoMemory and no Sync consumes the
+// error, so Close must report it. The limit is lifted again before the
+// helper returns; the address space is the DB's, shared by its columns.
+func failingColumn(t *testing.T, db *DB, name string) *Column {
+	t.Helper()
 	const pages, domain = 64, 1_000_000
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
 	clock := autopilot.NewManualClock(time.Unix(1000, 0))
 	flushed := make(chan FlushInfo, 1)
 	cfg := WithAutopilot(DefaultConfig(), AutopilotConfig{
@@ -97,7 +26,7 @@ func TestColumnCloseReportsUnsyncedFlushError(t *testing.T) {
 		MaintainInterval: -1,
 		OnFlush:          func(fi FlushInfo) { flushed <- fi },
 	})
-	col, err := db.CreateColumn("x", pages, cfg)
+	col, err := db.CreateColumn(name, pages, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +50,73 @@ func TestColumnCloseReportsUnsyncedFlushError(t *testing.T) {
 		t.Fatalf("premise: flush error %v, want the map-count limit", fi.Err)
 	}
 	as.SetMaxMapCount(1 << 30)
+	return col
+}
+
+// TestDBCloseAllColumnsOnError pins the DB.Close error contract: the
+// first column close error is returned, but every remaining column is
+// still closed and deregistered — a failing column must never leak its
+// siblings' views, frames or catalog names.
+func TestDBCloseAllColumnsOnError(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b", "c"}
+	cols := make([]*Column, len(names))
+	for i, name := range names {
+		cols[i] = failingColumn(t, db, name)
+	}
+
+	if err := db.Close(); !errors.Is(err, vmsim.ErrNoMemory) {
+		t.Fatalf("DB.Close = %v, want the unsynced flush error", err)
+	}
+	for i, c := range cols {
+		if !c.closed.Load() {
+			t.Fatalf("column %q not marked closed after erroring DB.Close", names[i])
+		}
+	}
+	db.mu.Lock()
+	left := len(db.columns)
+	db.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d columns still registered after DB.Close", left)
+	}
+	if got := db.MemoryInUse(); got != 0 {
+		t.Fatalf("%d bytes of simulated memory still in use after DB.Close", got)
+	}
+}
+
+// TestColumnCloseContinuesPastEngineError pins the same contract one
+// layer down: Column.Close surfaces the engine's error but still releases
+// the storage column and deregisters the name, so the name is reusable.
+func TestColumnCloseContinuesPastEngineError(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col := failingColumn(t, db, "x")
+	if err := col.Close(); !errors.Is(err, vmsim.ErrNoMemory) {
+		t.Fatalf("Column.Close = %v, want the unsynced flush error", err)
+	}
+	if _, ok := db.Column("x"); ok {
+		t.Fatal("column still registered after erroring Close")
+	}
+	if _, err := db.CreateColumn("x", 8, DefaultConfig()); err != nil {
+		t.Fatalf("name not reusable after erroring Close: %v", err)
+	}
+}
+
+// TestColumnCloseReportsUnsyncedFlushError: an autopilot deadline flush
+// fails and no Sync consumes its error, so Close must return it.
+func TestColumnCloseReportsUnsyncedFlushError(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col := failingColumn(t, db, "x")
 	if err := col.Close(); !errors.Is(err, vmsim.ErrNoMemory) {
 		t.Fatalf("Column.Close = %v, want the unsynced flush error", err)
 	}

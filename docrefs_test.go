@@ -226,7 +226,6 @@ var testOnlyWaivers = map[string]string{
 	"(*github.com/asv-db/asv/internal/vmsim.Kernel).MemStats":       "the frame-conservation oracle of the vmsim, storage and core tests",
 	"(*github.com/asv-db/asv/internal/vmsim.FileTier).IsCold":       "the core tiering tests read a page's tier through it; its bit is vmsim's",
 
-	"(*github.com/asv-db/asv/internal/viewset.Set).SetCaptureHook":     "fault seam of the viewset and core publication tests; ROADMAP item 11 (c) replaces it",
 	"(*github.com/asv-db/asv/internal/viewset.Set).SetReleaseViewHook": "fault seam of the viewset and core release tests; ROADMAP item 11 (c) replaces it",
 	"(*github.com/asv-db/asv/internal/view.View).Refs":                 "the viewset capture tests check that publication and release balance a view's references",
 	"(*github.com/asv-db/asv/internal/core.Engine).PendingUpdates":     "the buffered-write count the core write-path and the facade table tests check",

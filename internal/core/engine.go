@@ -55,10 +55,10 @@ type Engine struct {
 
 	// state is the current published routed-read state; stateMu/stateCond
 	// guard the retirement walk from oldest to newest (see state.go).
-	// pendingRetired parks displaced frames across a failed publication,
-	// and across publications that run while applied writes are still
-	// unaligned (see publishStateLocked); retireErr records the first
-	// error surfaced while retiring states (returned by Close).
+	// pendingRetired parks displaced frames across publications that run
+	// while applied writes are still unaligned (see publishStateLocked);
+	// retireErr records the first error surfaced while retiring states
+	// (returned by Close).
 	state          atomic.Pointer[engineState]
 	stateMu        sync.Mutex
 	stateCond      *sync.Cond
@@ -155,56 +155,47 @@ type Stats struct {
 	ViewsExpired    uint64 // cold views evicted by the autopilot lifecycle
 	ViewsRebuilt    uint64 // fragmented views rebuilt by the autopilot lifecycle
 	StatePublishes  uint64 // routed-read states published (epoch swaps)
-	PublishNanos    uint64 // cumulative wall time of successful state publications, ns
-	// PublishAttemptNanos accumulates the wall time of every publication
-	// attempt, successful or not — failed captures burn real exclusive-lock
-	// time that PublishNanos (successes only) would hide.
-	PublishAttemptNanos uint64
-	PublishErrors       uint64 // failed publication attempts (capture snapshot errors)
-	RetireErrors        uint64 // errors surfaced while retiring drained states
+	PublishNanos    uint64 // cumulative wall time of state publications, ns
+	RetireErrors    uint64 // errors surfaced while retiring drained states
 }
 
 // engineStats is the lock-free internal counterpart of Stats: counters
 // are bumped from concurrent read-locked queries, so each is atomic.
 type engineStats struct {
-	queries             atomic.Uint64
-	fullViewQueries     atomic.Uint64
-	pagesScanned        atomic.Uint64
-	viewsCreated        atomic.Uint64
-	viewsReplaced       atomic.Uint64
-	viewsDiscarded      atomic.Uint64
-	updatesBuffered     atomic.Uint64
-	updateBatches       atomic.Uint64
-	pagesAdded          atomic.Uint64
-	pagesRemoved        atomic.Uint64
-	viewsExpired        atomic.Uint64
-	viewsRebuilt        atomic.Uint64
-	publishes           atomic.Uint64
-	publishNanos        atomic.Uint64
-	publishAttemptNanos atomic.Uint64
-	publishErrors       atomic.Uint64
-	retireErrors        atomic.Uint64
+	queries         atomic.Uint64
+	fullViewQueries atomic.Uint64
+	pagesScanned    atomic.Uint64
+	viewsCreated    atomic.Uint64
+	viewsReplaced   atomic.Uint64
+	viewsDiscarded  atomic.Uint64
+	updatesBuffered atomic.Uint64
+	updateBatches   atomic.Uint64
+	pagesAdded      atomic.Uint64
+	pagesRemoved    atomic.Uint64
+	viewsExpired    atomic.Uint64
+	viewsRebuilt    atomic.Uint64
+	publishes       atomic.Uint64
+	publishNanos    atomic.Uint64
+	retireErrors    atomic.Uint64
 }
 
 func (s *engineStats) snapshot() Stats {
 	return Stats{
-		Queries:             s.queries.Load(),
-		FullViewQueries:     s.fullViewQueries.Load(),
-		PagesScanned:        s.pagesScanned.Load(),
-		ViewsCreated:        s.viewsCreated.Load(),
-		ViewsReplaced:       s.viewsReplaced.Load(),
-		ViewsDiscarded:      s.viewsDiscarded.Load(),
-		UpdatesBuffered:     s.updatesBuffered.Load(),
-		UpdateBatches:       s.updateBatches.Load(),
-		PagesAdded:          s.pagesAdded.Load(),
-		PagesRemoved:        s.pagesRemoved.Load(),
-		ViewsExpired:        s.viewsExpired.Load(),
-		ViewsRebuilt:        s.viewsRebuilt.Load(),
-		StatePublishes:      s.publishes.Load(),
-		PublishNanos:        s.publishNanos.Load(),
-		PublishAttemptNanos: s.publishAttemptNanos.Load(),
-		PublishErrors:       s.publishErrors.Load(),
-		RetireErrors:        s.retireErrors.Load(),
+		Queries:         s.queries.Load(),
+		FullViewQueries: s.fullViewQueries.Load(),
+		PagesScanned:    s.pagesScanned.Load(),
+		ViewsCreated:    s.viewsCreated.Load(),
+		ViewsReplaced:   s.viewsReplaced.Load(),
+		ViewsDiscarded:  s.viewsDiscarded.Load(),
+		UpdatesBuffered: s.updatesBuffered.Load(),
+		UpdateBatches:   s.updateBatches.Load(),
+		PagesAdded:      s.pagesAdded.Load(),
+		PagesRemoved:    s.pagesRemoved.Load(),
+		ViewsExpired:    s.viewsExpired.Load(),
+		ViewsRebuilt:    s.viewsRebuilt.Load(),
+		StatePublishes:  s.publishes.Load(),
+		PublishNanos:    s.publishNanos.Load(),
+		RetireErrors:    s.retireErrors.Load(),
 	}
 }
 
@@ -242,9 +233,7 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 		}
 		e.tier = t
 	}
-	if err := e.initState(); err != nil {
-		return nil, err
-	}
+	e.initState()
 	if cfg.Adaptive && cfg.Create.Concurrent {
 		e.mapper = view.NewMapper()
 	}
@@ -318,21 +307,16 @@ func (e *Engine) CreateViewsOpt(specs []ViewSpec) ([]*view.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	unwind := func(err error) ([]*view.View, error) {
-		for _, v := range views {
-			e.set.Remove(v)
-			_ = v.Release() //asv:ignore-err unwinding batch creation; the insert or publish error is returned
-		}
-		return nil, err
-	}
 	for _, v := range views {
 		if err := e.set.Insert(v); err != nil {
-			return unwind(err)
+			for _, v := range views {
+				e.set.Remove(v)
+				_ = v.Release() //asv:ignore-err unwinding batch creation; the insert error is returned
+			}
+			return nil, err
 		}
 	}
-	if err := e.publishStateLocked(); err != nil {
-		return unwind(err)
-	}
+	e.publishStateLocked()
 	return views, nil
 }
 
@@ -392,9 +376,7 @@ func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) (swapped bool
 			err = rerr
 		}
 	}
-	if perr := e.publishStateLocked(); perr != nil && err == nil {
-		err = perr
-	}
+	e.publishStateLocked()
 	return true, err
 }
 
@@ -433,9 +415,7 @@ func (e *Engine) Close() error {
 			firstErr = err
 		}
 	}
-	if err := e.publishStateLocked(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	e.publishStateLocked()
 	e.mu.Unlock()
 
 	// Wait for every superseded state to drain: in-flight queries finish
@@ -447,10 +427,11 @@ func (e *Engine) Close() error {
 		e.mapper.Stop()
 	}
 
-	// Final-drain sweep: when the close-time publication itself failed,
-	// the displaced frames it collected are parked in pendingRetired with
-	// no later publication to fold them into. Free them here or they leak
-	// for good.
+	// Final-drain sweep: writes applied but never aligned (buffered
+	// updates, or the pilot's final drain, which skips alignment) leave
+	// the close-time publication's displaced frames parked in
+	// pendingRetired, with no later publication to fold them into. Free
+	// them here or they leak for good.
 	e.mu.Lock()
 	for _, fr := range e.pendingRetired {
 		e.col.Kernel().FreeFrame(fr)

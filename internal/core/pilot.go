@@ -149,9 +149,7 @@ func (t pilotTarget) EvictViews(handles []any) (int, error) {
 		evicted++
 	}
 	if evicted > 0 {
-		if err := e.publishStateLocked(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.publishStateLocked()
 	}
 	e.journalDutyEnd(obs.DutyEvict, int64(evicted), firstErr)
 	return evicted, firstErr

@@ -65,25 +65,11 @@ func (e *Engine) publishCandidate(cand *view.View, gen uint64) (viewset.Decision
 	}
 	dec, displaced := e.set.Consider(cand)
 	switch dec {
-	case viewset.DiscardedLimit:
-		// The set just froze — a set-state transition readers must
-		// observe, or every later query would keep building (and
-		// discarding) candidates. A failed capture is tolerable here:
-		// the freeze itself stands, publication catches up with the
-		// next successful mutation.
-		_ = e.publishStateLocked() //asv:ignore-err a failed publication is counted in Stats.PublishErrors and the next successful mutation republishes
-	case viewset.Inserted, viewset.Replaced:
-		if err := e.publishStateLocked(); err != nil {
-			// The set mutated but the capture failed — undo by removing
-			// the candidate again so readers never observe a state the
-			// capture machinery could not publish.
-			if displaced != nil {
-				e.set.ReplaceExisting(cand, displaced)
-			} else {
-				e.set.Remove(cand)
-			}
-			return viewset.DiscardedStale, nil
-		}
+	case viewset.DiscardedLimit, viewset.Inserted, viewset.Replaced:
+		// A new member, or the set just froze — a set-state transition
+		// readers must observe, or every later query would keep building
+		// (and discarding) candidates.
+		e.publishStateLocked()
 	}
 	return dec, displaced
 }

@@ -91,19 +91,15 @@ type engineState struct {
 
 // initState publishes the engine's first state; called from NewEngine
 // before the engine is visible to any other goroutine.
-func (e *Engine) initState() error {
+func (e *Engine) initState() {
 	fullPages, retired := e.col.CaptureSnapshot() //asv:handoff displaced frames park in e.pendingRetired until the reclaim walk frees them
-	snap, err := e.set.Snapshot(fullPages)        //asv:handoff the capture is owned by the published engineState; reclaim releases it
-	if err != nil {
-		return err
-	}
+	snap := e.set.Snapshot(fullPages)             //asv:handoff the capture is owned by the published engineState; reclaim releases it
 	st := &engineState{snap: snap, publishedAt: time.Now().UnixNano()}
 	st.refs.init(1)
 	e.state.Store(st)
 	e.oldest = st
 	// A fresh column has no shadowed frames; tolerate any anyway.
 	e.pendingRetired = retired
-	return nil
 }
 
 // acquireState pins and returns the current state. The retry loop closes
@@ -140,30 +136,18 @@ func (e *Engine) releaseState(st *engineState) {
 // resolved soft-TLBs) and swaps it in as the new current state, retiring
 // the predecessor. The caller holds the engine lock exclusively —
 // captures read live view and column state. Every exclusive mutation that
-// changes
-// what readers may observe (alignment, view-set mutation, close) ends
-// with a publication; between publications the current state is
-// immutable by construction.
+// changes what readers may observe (alignment, view-set mutation, close)
+// ends with a publication; between publications the current state is
+// immutable by construction. A publication cannot fail: the capture only
+// shares pointers (viewset.Set.Snapshot).
 //
 //asv:locked=exclusive
-func (e *Engine) publishStateLocked() error {
+func (e *Engine) publishStateLocked() {
 	t0 := time.Now()
 	fullPages, retired := e.col.CaptureSnapshot() //asv:handoff displaced frames ride the retiring state's retiredFrames to the reclaim walk
 	retired = append(retired, e.pendingRetired...)
 	e.pendingRetired = nil
-	snap, err := e.set.Snapshot(fullPages) //asv:handoff the capture is owned by the published engineState; reclaim releases it
-	if err != nil {
-		// The epoch already advanced and the displaced frames are out of
-		// the column's hands; park them for the next successful
-		// publication (freeing late is safe, dropping them would leak).
-		e.pendingRetired = retired
-		e.stats.publishErrors.Add(1)
-		// Failed attempts burn exclusive-lock wall time too; without
-		// this line the error path would vanish from latency accounting
-		// (PublishNanos counts successes only).
-		e.stats.publishAttemptNanos.Add(uint64(time.Since(t0)))
-		return err
-	}
+	snap := e.set.Snapshot(fullPages) //asv:handoff the capture is owned by the published engineState; reclaim releases it
 	if e.pendingCount.Load() > 0 {
 		// Applied-but-unaligned writes are buffered, so this is not their
 		// alignment's publication (that one drains the buffer first):
@@ -187,10 +171,7 @@ func (e *Engine) publishStateLocked() error {
 	}
 	e.releaseState(old) // drop old's publication reference
 	e.stats.publishes.Add(1)
-	elapsed := uint64(time.Since(t0))
-	e.stats.publishNanos.Add(elapsed)
-	e.stats.publishAttemptNanos.Add(elapsed)
-	return nil
+	e.stats.publishNanos.Add(uint64(time.Since(t0)))
 }
 
 // reclaim advances the oldest-state pointer across drained states in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -12,64 +11,6 @@ import (
 	"github.com/asv-db/asv/internal/vmsim"
 	"github.com/asv-db/asv/internal/workload"
 )
-
-// TestPublishNanosCountsOnlySuccesses is the satellite regression test
-// for the Stats split: PublishNanos is successful-publication wall time
-// only, while PublishAttemptNanos accumulates on the error path too. A
-// capture failure therefore grows attempts and errors but leaves the
-// success clock untouched.
-func TestPublishNanosCountsOnlySuccesses(t *testing.T) {
-	const pages = 64
-	col := testColumn(t, pages, dist.NewLinear(5, 0, ccDomain, pages))
-	e := newEngine(t, col, syncConfig())
-	if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: 0, Hi: ccDomain, Pinned: true}}); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats()
-
-	boom := errors.New("injected capture failure")
-	e.set.SetCaptureHook(func(*view.View) ([][]byte, error) { return nil, boom })
-	for _, u := range workload.UniformUpdates(9, 40, col.Rows(), 0, ccDomain) {
-		if err := e.Update(u.Row, u.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.FlushUpdates(); !errors.Is(err, boom) {
-		t.Fatalf("flush error = %v, want injected capture failure", err)
-	}
-
-	mid := e.Stats()
-	if mid.PublishErrors == before.PublishErrors {
-		t.Fatal("capture hook failure produced no publish error")
-	}
-	if mid.PublishNanos != before.PublishNanos {
-		t.Fatalf("PublishNanos grew by %d on a failed publication",
-			mid.PublishNanos-before.PublishNanos)
-	}
-	if mid.PublishAttemptNanos <= before.PublishAttemptNanos {
-		t.Fatal("PublishAttemptNanos did not grow on a failed publication")
-	}
-
-	// Clearing the hook lets a fresh batch publish: now both clocks
-	// advance, and attempts stay >= successes.
-	e.set.SetCaptureHook(nil)
-	for _, u := range workload.UniformUpdates(10, 40, col.Rows(), 0, ccDomain) {
-		if err := e.Update(u.Row, u.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.FlushUpdates(); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Stats()
-	if after.PublishNanos <= mid.PublishNanos {
-		t.Fatal("PublishNanos did not grow on a successful publication")
-	}
-	if after.PublishAttemptNanos < after.PublishNanos {
-		t.Fatalf("PublishAttemptNanos %d < PublishNanos %d",
-			after.PublishAttemptNanos, after.PublishNanos)
-	}
-}
 
 // sumChildren returns the summed durations of a span's direct children.
 func sumChildren(sp *obs.Span) time.Duration {

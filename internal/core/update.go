@@ -237,7 +237,8 @@ func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {
 		// No views to align, but the batch's writes shadowed pages: the
 		// successor state must capture the shadows or readers would keep
 		// answering from the pre-write frames.
-		return st, e.publishStateLocked()
+		e.publishStateLocked()
+		return st, nil
 	}
 
 	// Step 1 (§2.4): filter the sequence so only the last update per row
@@ -301,7 +302,8 @@ func (e *Engine) alignLocked(batch []Update) (UpdateStats, error) {
 	e.stats.pagesRemoved.Add(uint64(st.PagesRemoved))
 	// Publish the aligned state: from here on, readers route the
 	// realigned views and the post-write page frames.
-	return st, e.publishStateLocked()
+	e.publishStateLocked()
+	return st, nil
 }
 
 // alignPartials walks every partial view in view order with the §2.4

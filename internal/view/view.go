@@ -355,24 +355,10 @@ func (v *View) Refs() int { return int(v.extraRefs.Load()) + 1 }
 // CapturePages returns the view's soft-TLB — one page slice per mapped
 // slot, in virtual order — as an immutable capture for a published
 // engine state. The array itself is shared: it is always complete, and
-// mutation sessions clone before writing (see BeginTLBMutation). A lazy
-// view's pages are read through the column into a private copy; the
-// engine's snapshot path never takes that branch (it captures lazy views
-// through LazyFilePages), but direct callers still get correct pages.
-func (v *View) CapturePages() ([][]byte, error) {
-	if v.lazy == nil {
-		return v.tlb, nil
-	}
-	out := make([][]byte, v.numPages)
-	for i := range out {
-		pg, err := v.PageBytes(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pg
-	}
-	return out, nil
-}
+// mutation sessions clone before writing (see BeginTLBMutation). It is
+// for eager views only: a lazy view has no soft-TLB (nil here) and is
+// captured through LazyFilePages.
+func (v *View) CapturePages() [][]byte { return v.tlb }
 
 // Release drops one reference; the call that drops the last one unmaps
 // the partial view's entire virtual area. A view starts with exactly its

@@ -94,61 +94,36 @@ type Snapshot struct {
 // copy-on-write write path, so the column capture is authoritative; it
 // also serves as the resolution target for lazily captured views.
 // Snapshot is a write-side operation (the engine holds its lock
-// exclusively). On error every view retain the half-built capture took
-// is released again, so a retry (or the next publication) starts from
-// the same references — capture and retain stay symmetric on all paths.
-func (s *Set) Snapshot(fullPages [][]byte) (*Snapshot, error) {
+// exclusively). It cannot fail: a capture only shares pointers.
+func (s *Set) Snapshot(fullPages [][]byte) *Snapshot {
 	full := &SnapView{
 		view: s.full, lo: 0, hi: ^uint64(0),
 		pages: fullPages, full: true,
 	}
-	snap := &Snapshot{set: s, full: full, partials: make([]*SnapView, 0, len(s.partials)), frozen: s.frozen}
+	snap := &Snapshot{set: s, full: full, partials: make([]*SnapView, len(s.partials)), frozen: s.frozen}
 	// One allocation holds every entry; the capture is retired as a whole.
 	entries := make([]SnapView, len(s.partials))
 	for i, v := range s.partials {
-		sv := &entries[i]
-		if err := s.captureView(sv, v, fullPages); err != nil {
-			// Symmetric unwind: each entry captured so far holds exactly
-			// the one retain captureView took.
-			_ = snap.ReleaseViews() //asv:ignore-err unwinding a half-built capture; the capture error is returned and a retry starts clean
-			return nil, err
-		}
-		snap.partials = append(snap.partials, sv)
+		captureView(&entries[i], v, fullPages)
+		snap.partials[i] = &entries[i]
 	}
-	return snap, nil
+	return snap
 }
 
 // captureView captures v into sv, taking the view retain sv owns. A lazy
 // view is captured through its slot directory — shared, not copied: no
 // mapping, no page resolution — and resolves against the capture's
 // full-view pages.
-func (s *Set) captureView(sv *SnapView, v *view.View, fullPages [][]byte) error {
+func captureView(sv *SnapView, v *view.View, fullPages [][]byte) {
 	sv.view, sv.lo, sv.hi = v, v.Lo(), v.Hi()
-	if s.captureHook != nil {
-		pages, err := s.captureHook(v)
-		if err != nil {
-			return err
-		}
-		sv.pages = pages
-	} else if f := v.LazyFilePages(); f != nil {
+	if f := v.LazyFilePages(); f != nil {
 		sv.file = f
 		sv.pages = fullPages
 	} else {
-		pages, err := v.CapturePages()
-		if err != nil {
-			return err
-		}
-		sv.pages = pages
+		sv.pages = v.CapturePages()
 	}
 	v.Retain() //asv:handoff the retain is owned by the SnapView; Snapshot.ReleaseViews releases it
-	return nil
 }
-
-// SetCaptureHook intercepts per-view page capture (test instrumentation:
-// fault injection on the publication path). The hook replaces both the
-// eager and the lazy capture for every view; nil restores the real
-// operations.
-func (s *Set) SetCaptureHook(fn func(*view.View) ([][]byte, error)) { s.captureHook = fn }
 
 // SetReleaseViewHook intercepts the view release performed when a
 // snapshot retires (test instrumentation: fault injection on the

@@ -2,7 +2,6 @@ package viewset
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -11,84 +10,11 @@ import (
 
 // capFull captures the full view's resolved pages — the viewset-level
 // stand-in for the column capture the engine passes to Snapshot.
-func (f *fixture) capFull(s *Set) [][]byte {
-	pages, err := s.full.CapturePages()
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	return pages
-}
+func (f *fixture) capFull(s *Set) [][]byte { return s.full.CapturePages() }
 
 // mkLazyView builds a lazy partial view.
 func (f *fixture) mkLazyView(lo, hi uint64) *view.View {
 	return f.build(view.Spec{Lo: lo, Hi: hi, Opts: view.CreateOptions{Lazy: true}})
-}
-
-// TestSnapshotCaptureFailureRollsBack pins the rollback symmetry of the
-// capture path: a CapturePages failure at view k of n must release every
-// view retain the half-built capture took, leave every view's reference
-// count where it was, and let a retry succeed.
-func TestSnapshotCaptureFailureRollsBack(t *testing.T) {
-	f := newFixture(t)
-	const n, k = 131, 100
-	s := f.newSet(n, 0, 0)
-	views := make([]*view.View, n)
-	for i := range views {
-		lo := uint64(i * 1000)
-		views[i] = f.mkView(lo, lo+500)
-		if err := s.Insert(views[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A live predecessor, so the counts under test are not all 1.
-	snap1, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	refsBefore := make([]int, n)
-	for i, v := range views {
-		refsBefore[i] = v.Refs()
-	}
-
-	// The first k views are captured (and retained) when the error hits.
-	victim := views[k]
-	boom := errors.New("injected capture failure")
-	s.SetCaptureHook(func(v *view.View) ([][]byte, error) {
-		if v == victim {
-			return nil, boom
-		}
-		return v.CapturePages()
-	})
-	if _, err := s.Snapshot(f.capFull(s)); !errors.Is(err, boom) {
-		t.Fatalf("Snapshot error = %v, want injected failure", err)
-	}
-	s.SetCaptureHook(nil)
-
-	for i, v := range views {
-		if got := v.Refs(); got != refsBefore[i] {
-			t.Fatalf("view %d refs %d -> %d after failed capture", i, refsBefore[i], got)
-		}
-	}
-
-	snap2, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatalf("retry after failed capture: %v", err)
-	}
-	if snap2.Len() != n {
-		t.Fatalf("retry captured %d views, want %d", snap2.Len(), n)
-	}
-	if err := snap1.ReleaseViews(); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap2.ReleaseViews(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range views {
-		if got := v.Refs(); got != 1 {
-			t.Fatalf("view %d refs = %d after releasing every capture, want 1", i, got)
-		}
-	}
 }
 
 // TestSnapshotRefsConserved: every capture takes exactly one retain per
@@ -124,10 +50,7 @@ func TestSnapshotRefsConserved(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap, err := s.Snapshot(f.capFull(s))
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := s.Snapshot(f.capFull(s))
 		if snap.Len() != s.Len() {
 			t.Fatalf("publication %d captured %d views, set holds %d", p, snap.Len(), s.Len())
 		}
@@ -186,16 +109,10 @@ func BenchmarkPublish(b *testing.B) {
 					}
 				}
 				full := f.capFull(s)
-				prev, err := s.Snapshot(full)
-				if err != nil {
-					b.Fatal(err)
-				}
+				prev := s.Snapshot(full)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					snap, err := s.Snapshot(full)
-					if err != nil {
-						b.Fatal(err)
-					}
+					snap := s.Snapshot(full)
 					if err := prev.ReleaseViews(); err != nil {
 						b.Fatal(err)
 					}
@@ -222,10 +139,7 @@ func TestSnapshotLazyCaptureReadsEpochBytes(t *testing.T) {
 	if err := s.Insert(lazy); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot(f.capFull(s))
 	sv := snap.partials[0]
 	if !sv.Lazy() {
 		t.Fatal("lazy view captured eagerly")
@@ -264,10 +178,7 @@ func TestSnapshotReleaseHookSurfacesErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot(f.capFull(s))
 	released := 0
 	s.SetReleaseViewHook(func(v *view.View) error {
 		released++

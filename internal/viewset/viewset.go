@@ -98,8 +98,7 @@ type Set struct {
 	lruMu sync.Mutex           // guards usage (touched by concurrent routers)
 	usage map[*view.View]usage // routing recency/frequency per partial view
 
-	captureHook func(*view.View) ([][]byte, error) // test seam: per-view capture
-	releaseHook func(*view.View) error             // test seam: retired-capture release
+	releaseHook func(*view.View) error // test seam: retired-capture release
 }
 
 // usage is one partial view's temperature record: the routing tick of its

@@ -55,10 +55,7 @@ func (f *fixture) newSet(maxViews, d, r int) *Set {
 // over this immutable capture, never over the live set.
 func (f *fixture) snap(s *Set) *Snapshot {
 	f.t.Helper()
-	sn, err := s.Snapshot(f.capFull(s))
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	sn := s.Snapshot(f.capFull(s))
 	f.t.Cleanup(func() { _ = sn.ReleaseViews() })
 	return sn
 }

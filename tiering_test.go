@@ -141,7 +141,6 @@ func TestCreateViewWrapperEquivalence(t *testing.T) {
 	// Publication count and wall time are the batch's saving.
 	got.StatePublishes, wantStats.StatePublishes = 0, 0
 	got.PublishNanos, wantStats.PublishNanos = 0, 0
-	got.PublishAttemptNanos, wantStats.PublishAttemptNanos = 0, 0
 	if got != wantStats {
 		t.Fatalf("batched telemetry %+v != per-range %+v", got, wantStats)
 	}
