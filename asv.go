@@ -359,8 +359,7 @@ func (c *Column) FlushUpdates() (UpdateReport, error) { return c.eng.FlushUpdate
 // buffered updates and the mappings are exactly as before the call.
 // The old and the new views are therefore mapped side by side for a
 // moment: under a tight Options.MaxMappings the rebuild needs room for
-// both sets. A release error after the swap is reported, but every
-// range is already rebuilt by then.
+// both sets.
 func (c *Column) RebuildViews() error { return c.eng.RebuildViews() }
 
 // Views lists the current partial views.
@@ -589,7 +588,7 @@ func (t *Table) Select(preds ...Predicate) (*SelectResult, error) {
 	snaps := make(map[string]*core.Snapshot)
 	defer func() {
 		for _, s := range snaps {
-			_ = s.Close() //asv:ignore-err Snapshot.Close never returns an error
+			s.Close()
 		}
 	}()
 	for i, cn := range t.Columns() {
@@ -829,8 +828,12 @@ func (s *Snapshot) QueryOpt(lo, hi uint64, opts ...QueryOption) (QueryAnswer, er
 // Views returns the number of partial views captured by the pinned epoch.
 func (s *Snapshot) Views() int { return s.snap.Views() }
 
-// Close releases the pin; idempotent.
-func (s *Snapshot) Close() error { return s.snap.Close() }
+// Close releases the pin; idempotent. It always returns nil: the error
+// result keeps Snapshot an io.Closer.
+func (s *Snapshot) Close() error {
+	s.snap.Close()
+	return nil
+}
 
 // CreateViewOpt eagerly builds one partial view over [lo, hi] — plus one
 // per Batch range — according to the options, bypassing adaptivity:

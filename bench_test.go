@@ -293,9 +293,7 @@ func benchFig6(b *testing.B, distName string, opts view.CreateOptions) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := vs[0].Release(); err != nil {
-			b.Fatal(err)
-		}
+		vs[0].Release()
 		b.StartTimer()
 	}
 }
@@ -618,9 +616,7 @@ func BenchmarkReadersUnderAlignment(b *testing.B) {
 								q := stream[j%len(stream)]
 								_, err = snap.QueryOpt(q.Lo, q.Hi, core.QueryOptions{})
 							}
-							if cerr := snap.Close(); err == nil {
-								err = cerr
-							}
+							snap.Close()
 							if err != nil {
 								b.Error(err)
 								return
@@ -959,7 +955,7 @@ func BenchmarkAblation_RemoveCompaction(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				_ = v.Release()
+				v.Release()
 				b.StartTimer()
 			}
 		})

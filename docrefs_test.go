@@ -226,9 +226,8 @@ var testOnlyWaivers = map[string]string{
 	"(*github.com/asv-db/asv/internal/vmsim.Kernel).MemStats":       "the frame-conservation oracle of the vmsim, storage and core tests",
 	"(*github.com/asv-db/asv/internal/vmsim.FileTier).IsCold":       "the core tiering tests read a page's tier through it; its bit is vmsim's",
 
-	"(*github.com/asv-db/asv/internal/viewset.Set).SetReleaseViewHook": "fault seam of the viewset and core release tests; ROADMAP item 11 (c) replaces it",
-	"(*github.com/asv-db/asv/internal/view.View).Refs":                 "the viewset capture tests check that publication and release balance a view's references",
-	"(*github.com/asv-db/asv/internal/core.Engine).PendingUpdates":     "the buffered-write count the core write-path and the facade table tests check",
+	"(*github.com/asv-db/asv/internal/view.View).Refs":             "the viewset capture tests check that publication and release balance a view's references",
+	"(*github.com/asv-db/asv/internal/core.Engine).PendingUpdates": "the buffered-write count the core write-path and the facade table tests check",
 
 	"github.com/asv-db/asv/internal/workload.ConcurrentClients":  "the concurrent-reader driver shared by the root benchmarks and the core race tests",
 	"github.com/asv-db/asv/internal/workload.ConcurrentUpdaters": "the concurrent-writer driver shared by the root benchmarks and the core race tests",
@@ -411,6 +410,94 @@ func TestEveryFuncHasACaller(t *testing.T) {
 		t.Fatal("found no function under internal/ or cmd/: the load is broken")
 	}
 	t.Logf("%d funcs and methods checked, %d waived", len(declared), len(testOnlyWaivers))
+}
+
+// alwaysNilWaivers names the funcs and methods under internal/ and cmd/
+// whose error result is always nil and that keep it anyway, keyed by
+// types.Func.FullName, each with its reason.
+var alwaysNilWaivers = map[string]string{
+	"(*github.com/asv-db/asv/internal/explicit.ZoneMap).ApplyUpdate": "implements explicit.Index, whose other ApplyUpdate implementations can fail",
+}
+
+// TestEveryErrorCanHappen fails when a func or method declared in a
+// non-test file under internal/ or cmd/ has unnamed results, the last an
+// error, and gives a literal nil for it at every return (returns inside
+// func literals are not its own): that error cannot happen, and every
+// caller carries a dead branch for it. An alwaysNilWaivers entry
+// that names a function which is gone or can now fail fails too.
+func TestEveryErrorCanHappen(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs, err := lint.Load(fset, root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const module = "github.com/asv-db/asv"
+	errType := types.Universe.Lookup("error").Type()
+	declared := make(map[string]bool)
+	waived := make(map[string]bool) // waivers whose function still always gives nil
+	var alwaysNil []string
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.ImportPath, module+"/internal/") && !strings.HasPrefix(p.ImportPath, module+"/cmd/") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := p.Info.Defs[fd.Name].(*types.Func)
+				declared[fn.FullName()] = true
+				res := fn.Signature().Results()
+				n := res.Len()
+				if n == 0 || res.At(0).Name() != "" || !types.Identical(res.At(n-1).Type(), errType) {
+					continue
+				}
+				returns, alwaysNilErr := 0, true
+				ast.Inspect(fd.Body, func(node ast.Node) bool {
+					switch node := node.(type) {
+					case *ast.FuncLit:
+						return false
+					case *ast.ReturnStmt:
+						returns++
+						if len(node.Results) != n || !p.Info.Types[node.Results[n-1]].IsNil() {
+							alwaysNilErr = false // a call giving all results, or an error that can be non-nil
+						}
+					}
+					return true
+				})
+				if returns == 0 || !alwaysNilErr {
+					continue
+				}
+				if _, ok := alwaysNilWaivers[fn.FullName()]; ok {
+					waived[fn.FullName()] = true
+					continue
+				}
+				pos := fset.Position(fd.Pos())
+				rel, _ := filepath.Rel(root, pos.Filename)
+				alwaysNil = append(alwaysNil, fmt.Sprintf("%s:%d: %s", rel, pos.Line, fn.FullName()))
+			}
+		}
+	}
+	sort.Strings(alwaysNil)
+	for _, d := range alwaysNil {
+		t.Errorf("%s returns a nil error at every return: drop the error result, or waive it in alwaysNilWaivers with the reason", d)
+	}
+	for key := range alwaysNilWaivers {
+		switch {
+		case !declared[key]:
+			t.Errorf("alwaysNilWaivers names %s, which is not declared under internal/ or cmd/", key)
+		case !waived[key]:
+			t.Errorf("alwaysNilWaivers names %s, which can now return an error: drop the waiver", key)
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no function under internal/ or cmd/: the load is broken")
+	}
 }
 
 // typeKey names a defined type as "pkg/path.Name".

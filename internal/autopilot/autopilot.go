@@ -103,7 +103,7 @@ type Target interface {
 	// EvictViews releases the given cold views in one exclusive-lock
 	// slice, skipping handles that left the set since the snapshot. It
 	// returns how many views were actually evicted.
-	EvictViews(handles []any) (int, error)
+	EvictViews(handles []any) int
 	// RebuildView rebuilds one fragmented view from the column in its own
 	// exclusive-lock slice; false means the handle was no longer a set
 	// member.
@@ -695,10 +695,9 @@ func (p *Pilot) maintain() {
 		}
 	}
 	if len(cold) > 0 {
-		n, err := p.target.EvictViews(cold)
+		n := p.target.EvictViews(cold)
 		rep.Evicted = n
 		p.mEvicted.Add(uint64(n))
-		setErr(err)
 	}
 	for _, h := range rebuild {
 		ok, err := p.target.RebuildView(h)

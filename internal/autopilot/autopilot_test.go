@@ -57,11 +57,11 @@ func (f *fakeTarget) ViewTemperatures() (uint64, []ViewTemp) {
 	return f.clock, append([]ViewTemp(nil), f.temps...)
 }
 
-func (f *fakeTarget) EvictViews(hs []any) (int, error) {
+func (f *fakeTarget) EvictViews(hs []any) int {
 	f.mu.Lock()
 	f.evicted = append(f.evicted, hs)
 	f.mu.Unlock()
-	return len(hs), nil
+	return len(hs)
 }
 
 func (f *fakeTarget) RebuildView(h any) (bool, error) {

@@ -389,9 +389,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 	if dec != viewset.Inserted || displaced != nil {
 		t.Fatalf("fresh candidate: %v (displaced %v), want inserted", dec, displaced)
 	}
-	if err := eng.applyDecision(dec, cand, displaced); err != nil {
-		t.Fatal(err)
-	}
+	eng.applyDecision(dec, cand, displaced)
 
 	// An Update+FlushUpdates pair lands in the window: stale.
 	cand, gen = scan(ccDomain/2, ccDomain/2+ccDomain/10)
@@ -405,9 +403,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 	if dec != viewset.DiscardedStale {
 		t.Fatalf("post-flush candidate: %v, want %v", dec, viewset.DiscardedStale)
 	}
-	if err := eng.applyDecision(dec, cand, displaced); err != nil {
-		t.Fatal(err)
-	}
+	eng.applyDecision(dec, cand, displaced)
 
 	// A rebuild lands in the window: stale (the rebuild dropped the
 	// pending list, so no later flush would carry the batch either).
@@ -419,9 +415,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 	if dec != viewset.DiscardedStale {
 		t.Fatalf("post-rebuild candidate: %v, want %v", dec, viewset.DiscardedStale)
 	}
-	if err := eng.applyDecision(dec, cand, displaced); err != nil {
-		t.Fatal(err)
-	}
+	eng.applyDecision(dec, cand, displaced)
 	if st := eng.Stats(); st.ViewsDiscarded != 2 {
 		t.Fatalf("ViewsDiscarded = %d, want 2", st.ViewsDiscarded)
 	}
@@ -463,9 +457,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 	if dec != viewset.DiscardedStale {
 		t.Fatalf("candidate racing Close: %v, want %v", dec, viewset.DiscardedStale)
 	}
-	if err := eng.applyDecision(dec, cand, displaced); err != nil {
-		t.Fatal(err)
-	}
+	eng.applyDecision(dec, cand, displaced)
 
 	// The full view outlives Close (the column owns it), so queries still
 	// answer — but a closed engine skips candidate construction entirely.
@@ -567,9 +559,7 @@ func TestRebuildUnderReaders(t *testing.T) {
 				}
 			}
 			<-readersDone
-			if err := snap.Close(); err != nil {
-				t.Fatal(err)
-			}
+			snap.Close()
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -56,15 +56,12 @@ type Engine struct {
 	// state is the current published routed-read state; stateMu/stateCond
 	// guard the retirement walk from oldest to newest (see state.go).
 	// pendingRetired parks displaced frames across publications that run
-	// while applied writes are still unaligned (see publishStateLocked);
-	// retireErr records the first error surfaced while retiring states
-	// (returned by Close).
+	// while applied writes are still unaligned (see publishStateLocked).
 	state          atomic.Pointer[engineState]
 	stateMu        sync.Mutex
 	stateCond      *sync.Cond
 	oldest         *engineState
 	pendingRetired []vmsim.FrameID
-	retireErr      error
 	// closing arms the drain barrier's wakeup in releaseState; set by
 	// Close before it waits, so the hot read path pays one atomic load.
 	closing atomic.Bool
@@ -74,10 +71,6 @@ type Engine struct {
 	// drains them (takePendingLocked) into one deterministic batch.
 	shards       []updateShard
 	pendingCount atomic.Int64 // total buffered updates across all shards
-
-	// releaseHook intercepts the old views' release during a rebuild;
-	// tests inject faults through it. Nil selects the real operation.
-	releaseHook func(*view.View) error
 
 	// gen counts the mutations that invalidate an in-flight candidate
 	// view: update alignment, view rebuild, and engine close (guarded by
@@ -156,7 +149,6 @@ type Stats struct {
 	ViewsRebuilt    uint64 // fragmented views rebuilt by the autopilot lifecycle
 	StatePublishes  uint64 // routed-read states published (epoch swaps)
 	PublishNanos    uint64 // cumulative wall time of state publications, ns
-	RetireErrors    uint64 // errors surfaced while retiring drained states
 }
 
 // engineStats is the lock-free internal counterpart of Stats: counters
@@ -176,7 +168,6 @@ type engineStats struct {
 	viewsRebuilt    atomic.Uint64
 	publishes       atomic.Uint64
 	publishNanos    atomic.Uint64
-	retireErrors    atomic.Uint64
 }
 
 func (s *engineStats) snapshot() Stats {
@@ -195,7 +186,6 @@ func (s *engineStats) snapshot() Stats {
 		ViewsRebuilt:    s.viewsRebuilt.Load(),
 		StatePublishes:  s.publishes.Load(),
 		PublishNanos:    s.publishNanos.Load(),
-		RetireErrors:    s.retireErrors.Load(),
 	}
 }
 
@@ -311,21 +301,13 @@ func (e *Engine) CreateViewsOpt(specs []ViewSpec) ([]*view.View, error) {
 		if err := e.set.Insert(v); err != nil {
 			for _, v := range views {
 				e.set.Remove(v)
-				_ = v.Release() //asv:ignore-err unwinding batch creation; the insert error is returned
+				v.Release()
 			}
 			return nil, err
 		}
 	}
 	e.publishStateLocked()
 	return views, nil
-}
-
-// releaseView releases a view through the test-injectable hook.
-func (e *Engine) releaseView(v *view.View) error {
-	if e.releaseHook != nil {
-		return e.releaseHook(v)
-	}
-	return v.Release()
 }
 
 // RebuildViews recreates every partial view from scratch over its
@@ -336,13 +318,11 @@ func (e *Engine) releaseView(v *view.View) error {
 //
 // The rebuild is all-or-nothing: every replacement is built before any
 // old view is touched, so a failed build leaves the views, their order,
-// the pending updates and the mappings exactly as they were. A failing
-// release after the swap is reported, but every range is already live.
+// the pending updates and the mappings exactly as they were.
 func (e *Engine) RebuildViews() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, err := e.rebuildLocked(e.set.Partials(), true)
-	return err
+	return e.rebuildLocked(e.set.Partials(), true)
 }
 
 // rebuildLocked is the one rebuild slice, shared by RebuildViews and the
@@ -351,18 +331,17 @@ func (e *Engine) RebuildViews() error {
 // creation options, each old view's declared range and its pinned flag.
 // Only then does it swap each replacement into its old view's slot,
 // drop the pending updates when dropPending is set, bump gen, release the
-// old views and publish. swapped is false when the build failed, which
-// changes nothing.
+// old views and publish. A failed build changes nothing.
 //
 //asv:locked=exclusive
-func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) (swapped bool, err error) {
+func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) error {
 	specs := make([]view.Spec, len(old))
 	for i, v := range old {
 		specs[i] = view.Spec{Lo: v.Lo(), Hi: v.Hi(), Opts: e.cfg.Create, Pinned: v.Pinned()}
 	}
 	repl, err := view.Build(e.col, specs, e.mapper)
 	if err != nil {
-		return false, err
+		return err
 	}
 	for i, v := range old {
 		e.set.ReplaceExisting(v, repl[i])
@@ -372,12 +351,10 @@ func (e *Engine) rebuildLocked(old []*view.View, dropPending bool) (swapped bool
 	}
 	e.gen++ // in-flight candidates were routed over the old views' pages
 	for _, v := range old {
-		if rerr := e.releaseView(v); rerr != nil && err == nil {
-			err = rerr
-		}
+		v.Release()
 	}
 	e.publishStateLocked()
-	return true, err
+	return nil
 }
 
 // Close releases all partial views and stops the mapping thread and the
@@ -411,9 +388,7 @@ func (e *Engine) Close() error {
 		// Drops the set's owner reference; the unmap happens here unless
 		// a still-pinned state holds the view, in which case it follows
 		// that state's drain.
-		if err := v.Release(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		v.Release()
 	}
 	e.publishStateLocked()
 	e.mu.Unlock()
@@ -438,12 +413,6 @@ func (e *Engine) Close() error {
 	}
 	e.pendingRetired = nil
 	e.mu.Unlock()
-
-	e.stateMu.Lock()
-	if e.retireErr != nil && firstErr == nil {
-		firstErr = e.retireErr
-	}
-	e.stateMu.Unlock()
 	return firstErr
 }
 

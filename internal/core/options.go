@@ -101,7 +101,7 @@ func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bo
 	}
 	if err != nil {
 		if cand != nil {
-			_ = cand.Release() //asv:ignore-err discarding the candidate after a seal error; that error is returned
+			cand.Release()
 		}
 		return ans, err
 	}
@@ -112,11 +112,11 @@ func (e *Engine) read(st *engineState, lo, hi uint64, opt QueryOptions, adapt bo
 		dec, displaced := e.publishCandidate(cand, st.gen)
 		ans.CandidateBuilt = true
 		ans.Decision = dec
-		err = e.applyDecision(dec, cand, displaced)
+		e.applyDecision(dec, cand, displaced)
 		merge.Finish()
 	}
 	e.journalTierPromotions()
-	return ans, err
+	return ans, nil
 }
 
 // flushPendingForRead flushes the buffered update batch, if any, so the

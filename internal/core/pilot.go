@@ -123,17 +123,16 @@ func viewFragmentation(v *view.View) (float64, error) {
 // Handles whose view left the set since the temperature snapshot
 // (replaced by a superset candidate, rebuilt) are skipped — the pilot's
 // view of the set is advisory, membership is re-validated here.
-func (t pilotTarget) EvictViews(handles []any) (int, error) {
+func (t pilotTarget) EvictViews(handles []any) int {
 	e := t.e
 	e.journalDutyBegin(obs.DutyEvict)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		e.journalDutyEnd(obs.DutyEvict, 0, nil)
-		return 0, nil
+		return 0
 	}
 	evicted := 0
-	var firstErr error
 	for _, h := range handles {
 		v, ok := h.(*view.View)
 		if !ok || !e.set.Remove(v) {
@@ -142,17 +141,15 @@ func (t pilotTarget) EvictViews(handles []any) (int, error) {
 		e.journalViewEvent(obs.EvViewExpired, v.Lo(), v.Hi())
 		// Drops the set's owner reference; a pinned epoch still routing
 		// to the view keeps it mapped until that state drains.
-		if err := v.Release(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		v.Release()
 		e.stats.viewsExpired.Add(1)
 		evicted++
 	}
 	if evicted > 0 {
 		e.publishStateLocked()
 	}
-	e.journalDutyEnd(obs.DutyEvict, int64(evicted), firstErr)
-	return evicted, firstErr
+	e.journalDutyEnd(obs.DutyEvict, int64(evicted), nil)
+	return evicted
 }
 
 // RebuildView rebuilds one fragmented view from the column's current
@@ -176,12 +173,12 @@ func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
 	if !ok || e.closed || !e.set.Contains(v) {
 		return false, nil
 	}
-	rebuilt, err = e.rebuildLocked([]*view.View{v}, false)
-	if rebuilt {
-		e.stats.viewsRebuilt.Add(1)
-		e.journalViewEvent(obs.EvViewRebuilt, v.Lo(), v.Hi())
+	if err := e.rebuildLocked([]*view.View{v}, false); err != nil {
+		return false, err
 	}
-	return rebuilt, err
+	e.stats.viewsRebuilt.Add(1)
+	e.journalViewEvent(obs.EvViewRebuilt, v.Lo(), v.Hi())
+	return true, nil
 }
 
 // TierInfo snapshots the column tier's hot occupancy for the pilot's

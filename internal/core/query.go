@@ -30,7 +30,7 @@ type QueryResult struct {
 // and every older state that can still route to it holds its own
 // reference, so the release here only drops the set's owner reference —
 // the unmap happens when the last pinned epoch drains.
-func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View) error {
+func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View) {
 	switch dec {
 	case viewset.Inserted:
 		e.stats.viewsCreated.Add(1)
@@ -38,13 +38,12 @@ func (e *Engine) applyDecision(dec viewset.Decision, cand, displaced *view.View)
 	case viewset.Replaced:
 		e.stats.viewsReplaced.Add(1)
 		e.journalViewEvent(obs.EvViewReplaced, cand.Lo(), cand.Hi())
-		return displaced.Release()
+		displaced.Release()
 	default:
 		e.stats.viewsDiscarded.Add(1)
 		e.journalViewEvent(obs.EvViewDiscarded, cand.Lo(), cand.Hi())
-		return cand.Release()
+		cand.Release()
 	}
-	return nil
 }
 
 // publishCandidate takes the engine lock exclusively and runs the retention

@@ -58,9 +58,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				as, err := snap.QueryOpt(q.Lo, q.Hi, opt)
-				if cerr := snap.Close(); cerr != nil {
-					t.Fatal(cerr)
-				}
+				snap.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,9 +252,7 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	if again.Count != first.Count || again.Sum != first.Sum {
 		t.Fatalf("pinned read not repeatable: %+v then %+v", first, again)
 	}
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
+	snap.Close()
 }
 
 // TestEpochRetirementReleasesEvictedViews checks the retire path: a view
@@ -320,9 +316,7 @@ func TestEpochRetirementReleasesEvictedViews(t *testing.T) {
 		t.Fatal("pinned query fell back to the full view")
 	}
 
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
+	snap.Close()
 	mappedAfter := col.File().MappedPages()
 	if mappedAfter != mappedPinned-v1Pages {
 		t.Fatalf("displaced view not unmapped on drain: %d -> %d (view had %d pages)",
@@ -339,9 +333,7 @@ func TestSnapshotAfterCloseRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
+	snap.Close()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -489,14 +481,11 @@ func TestSnapshotRacesAutopilotLifecycle(t *testing.T) {
 					hi := lo + ccDomain/50
 					if _, err := snap.QueryOpt(lo, hi, QueryOptions{}); err != nil {
 						errs <- fmt.Errorf("snapshot query: %w", err)
-						_ = snap.Close()
+						snap.Close()
 						return
 					}
 				}
-				if err := snap.Close(); err != nil {
-					errs <- err
-					return
-				}
+				snap.Close()
 			}
 		}(100 + uint64(r))
 	}

@@ -196,14 +196,7 @@ func (e *Engine) reclaim() {
 		if st == nil || !st.refs.drained() || st.next == nil {
 			break
 		}
-		if err := st.snap.ReleaseViews(); err != nil {
-			// Surface, never swallow: the error is counted for Stats and
-			// the first one is reported by Engine.Close.
-			e.stats.retireErrors.Add(1)
-			if e.retireErr == nil {
-				e.retireErr = err
-			}
-		}
+		st.snap.ReleaseViews()
 		for _, fr := range st.retiredFrames {
 			e.col.Kernel().FreeFrame(fr)
 		}
@@ -325,9 +318,8 @@ func (s *Snapshot) Views() int {
 }
 
 // Close releases the pin. Double-close is a no-op.
-func (s *Snapshot) Close() error {
+func (s *Snapshot) Close() {
 	if st := s.st.Swap(nil); st != nil {
 		s.e.releaseState(st)
 	}
-	return nil
 }

@@ -57,7 +57,6 @@ func (e *Engine) Telemetry() obs.Snapshot {
 	s.AddCounter("engine_views_rebuilt", st.ViewsRebuilt)
 	s.AddCounter("engine_state_publishes", st.StatePublishes)
 	s.AddCounter("engine_publish_ns", st.PublishNanos)
-	s.AddCounter("engine_retire_errors", st.RetireErrors)
 	if e.pilot != nil {
 		s = s.Merge(e.pilot.Telemetry())
 	}

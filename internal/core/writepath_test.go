@@ -382,74 +382,8 @@ func TestEmptyFlushNotCounted(t *testing.T) {
 	}
 }
 
-// rebuildTestRanges are the pinned view ranges of the RebuildViews
-// fault-injection tests.
+// rebuildTestRanges are the view ranges of TestRebuildViewsCreateError.
 var rebuildTestRanges = [][2]uint64{{0, ccDomain / 8}, {ccDomain / 4, ccDomain / 3}, {ccDomain / 2, 3 * ccDomain / 4}}
-
-// rebuildTestEngine builds an engine with three pinned views for the
-// RebuildViews fault-injection tests.
-func rebuildTestEngine(t *testing.T) *Engine {
-	t.Helper()
-	col := testColumn(t, 64, dist.NewSine(17, 0, ccDomain, 8))
-	e := newEngine(t, col, syncConfig())
-	for _, r := range rebuildTestRanges {
-		if _, err := e.CreateViewsOpt([]ViewSpec{{Lo: r[0], Hi: r[1], Pinned: true}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return e
-}
-
-// TestRebuildViewsReleaseError: a failing release mid-rebuild must not
-// leak the remaining old views or drop any range from the rebuilt set —
-// every rebuilt range is live before the first release runs, the release
-// loop goes on past the failure, and the first release error is reported.
-func TestRebuildViewsReleaseError(t *testing.T) {
-	e := rebuildTestEngine(t)
-	old := e.Views()
-	boom := errors.New("injected release failure")
-	calls, released := 0, 0
-	e.releaseHook = func(v *view.View) error {
-		calls++
-		if calls == 1 {
-			// The hook runs under the exclusive engine lock: read the set
-			// directly.
-			live := e.set.Partials()
-			if len(live) != len(old) {
-				t.Errorf("first release: %d views live, want %d", len(live), len(old))
-			}
-			for i, nv := range live {
-				if nv == old[i] || nv.Lo() != old[i].Lo() || nv.Hi() != old[i].Hi() || !nv.Pinned() {
-					t.Errorf("first release: slot %d holds [%d,%d] (old view %v), want a rebuilt pinned [%d,%d]",
-						i, nv.Lo(), nv.Hi(), nv == old[i], old[i].Lo(), old[i].Hi())
-				}
-			}
-		}
-		if calls == 2 {
-			return boom // the view's area stays mapped; rebuild must go on
-		}
-		released++
-		return v.Release()
-	}
-	err := e.RebuildViews()
-	e.releaseHook = nil
-	if !errors.Is(err, boom) {
-		t.Fatalf("RebuildViews error = %v, want injected failure", err)
-	}
-	if calls != 3 || released != 2 {
-		t.Fatalf("release loop stopped early: %d calls, %d released", calls, released)
-	}
-	vs := e.Views()
-	if len(vs) != len(rebuildTestRanges) {
-		t.Fatalf("rebuilt %d views, want %d — ranges were dropped", len(vs), len(rebuildTestRanges))
-	}
-	for i, v := range vs {
-		if v.Lo() != rebuildTestRanges[i][0] || v.Hi() != rebuildTestRanges[i][1] {
-			t.Fatalf("view %d range [%d,%d], want %v", i, v.Lo(), v.Hi(), rebuildTestRanges[i])
-		}
-		checkViewInvariant(t, e, i)
-	}
-}
 
 // TestRebuildViewsCreateError: a rebuild that cannot build its views
 // leaves the engine exactly as it was — the same views (ranges, order,
@@ -522,11 +456,21 @@ func TestRebuildViewsCreateError(t *testing.T) {
 		t.Fatalf("FramesInUse = %d after failed rebuild, want %d", got, frames)
 	}
 
-	// The engine stays usable, and a rebuild with room succeeds.
+	// The engine stays usable, and a rebuild with room succeeds: every
+	// range comes back in its slot, freshly built, with its pinned flag.
 	if err := e.RebuildViews(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range e.Views() {
+	rebuilt := e.Views()
+	if len(rebuilt) != len(rebuildTestRanges) {
+		t.Fatalf("rebuilt %d views, want %d", len(rebuilt), len(rebuildTestRanges))
+	}
+	for i, v := range rebuilt {
+		r := rebuildTestRanges[i]
+		if v == views[i].v || v.Lo() != r[0] || v.Hi() != r[1] || v.Pinned() != views[i].pinned {
+			t.Fatalf("slot %d holds [%d,%d] pinned=%v (old view %v), want a rebuilt [%d,%d] pinned=%v",
+				i, v.Lo(), v.Hi(), v.Pinned(), v == views[i].v, r[0], r[1], views[i].pinned)
+		}
 		checkViewInvariant(t, e, i)
 	}
 	wantCount, wantSum, _ := col.FullScan(0, ccDomain/8)

@@ -82,4 +82,4 @@ func (b *Bitmap) ApplyUpdate(row int, old, new uint64) error {
 }
 
 // Release implements Index.
-func (b *Bitmap) Release() error { return nil }
+func (b *Bitmap) Release() {}

@@ -36,7 +36,7 @@ type Index interface {
 	// update (row overwritten: old -> new).
 	ApplyUpdate(row int, old, new uint64) error
 	// Release frees any resources the index holds.
-	Release() error
+	Release()
 }
 
 // qualifies reports whether a page currently holds a value in [lo, hi].

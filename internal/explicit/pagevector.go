@@ -112,4 +112,4 @@ func (v *PageVector) ApplyUpdate(row int, old, new uint64) error {
 }
 
 // Release implements Index.
-func (v *PageVector) Release() error { return nil }
+func (v *PageVector) Release() {}

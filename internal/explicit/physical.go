@@ -118,7 +118,6 @@ func (ps *PhysicalScan) removeAt(idx int) {
 }
 
 // Release implements Index.
-func (ps *PhysicalScan) Release() error {
+func (ps *PhysicalScan) Release() {
 	ps.buf, ps.ids, ps.pos = nil, nil, nil
-	return nil
 }

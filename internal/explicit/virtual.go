@@ -30,7 +30,7 @@ func NewVirtualView(col *storage.Column, lo, hi uint64, opts view.CreateOptions,
 	v := vs[0]
 	ids, err := v.PageIDs()
 	if err != nil {
-		_ = v.Release() //asv:ignore-err unwinding failed index construction; the PageIDs error is returned
+		v.Release()
 		return nil, err
 	}
 	slot := make(map[uint64]int, len(ids))
@@ -98,4 +98,4 @@ func (w *VirtualView) ApplyUpdate(row int, old, new uint64) error {
 }
 
 // Release implements Index.
-func (w *VirtualView) Release() error { return w.v.Release() }
+func (w *VirtualView) Release() { w.v.Release() }

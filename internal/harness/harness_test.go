@@ -69,10 +69,7 @@ func TestFormattingHelpers(t *testing.T) {
 }
 
 func TestRunFig2(t *testing.T) {
-	tbl, err := RunFig2(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := RunFig2(tinyScale())
 	if len(tbl.Rows) != 300 {
 		t.Fatalf("fig2 rows = %d, want 300", len(tbl.Rows))
 	}

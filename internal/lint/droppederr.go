@@ -8,9 +8,9 @@ import (
 // The droppederr analyzer finds error results discarded by assigning
 // them to the blank identifier — `_ = col.Close()`, `n, _ := w.Write(p)`
 // — and requires each to carry an //asv:ignore-err <reason> directive.
-// The reason is the point: "best-effort teardown, error surfaced via
-// Stats.RetireErrors" is reviewable; a bare `_ =` is indistinguishable
-// from a forgotten check.
+// The reason is the point: "an unmapped file always shrinks; the
+// allocation error is returned" is reviewable; a bare `_ =` is
+// indistinguishable from a forgotten check.
 func runDroppedErr(m *Module) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range m.pkgs {

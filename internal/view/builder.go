@@ -146,7 +146,7 @@ func (b *Builder) Finish(lo, hi uint64) (*View, error) {
 	b.wg.Wait()
 	b.finished = true
 	if err := b.ferr.get(); err != nil {
-		_ = b.v.Release() //asv:ignore-err unwinding a failed build; the builder error is returned
+		b.v.Release()
 		return nil, err
 	}
 	b.v.numPages = b.nextSlot
@@ -163,7 +163,7 @@ func (b *Builder) Finish(lo, hi uint64) (*View, error) {
 	// Warm the soft-TLB before the view becomes visible: concurrent
 	// readers then never write view state (see View.tlb).
 	if err := b.v.warmTLB(); err != nil {
-		_ = b.v.Release() //asv:ignore-err unwinding a failed build; the warm error is returned
+		b.v.Release()
 		return nil, err
 	}
 	return b.v, nil
@@ -172,12 +172,12 @@ func (b *Builder) Finish(lo, hi uint64) (*View, error) {
 // Abort discards the view under construction, waiting for any queued
 // mapping requests before unmapping the area. After Finish, successful or
 // not, it is a no-op.
-func (b *Builder) Abort() error {
+func (b *Builder) Abort() {
 	if b.finished {
-		return nil
+		return
 	}
 	b.runLen = 0
 	b.wg.Wait()
 	b.finished = true
-	return b.v.Release()
+	b.v.Release()
 }

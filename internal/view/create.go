@@ -32,10 +32,10 @@ func Build(col *storage.Column, specs []Spec, mapper *Mapper) ([]*View, error) {
 	views := make([]*View, 0, len(specs))
 	fail := func(err error) ([]*View, error) {
 		for _, b := range builders {
-			_ = b.Abort() //asv:ignore-err unwinding a failed build; the first error is returned
+			b.Abort()
 		}
 		for _, v := range views {
-			_ = v.Release() //asv:ignore-err unwinding a failed build; the first error is returned
+			v.Release()
 		}
 		return nil, err
 	}

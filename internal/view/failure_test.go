@@ -120,9 +120,7 @@ func TestBuilderDoubleFinish(t *testing.T) {
 		t.Fatal("double Finish succeeded")
 	}
 	// Abort after successful Finish is a no-op, not a release.
-	if err := b.Abort(); err != nil {
-		t.Fatal(err)
-	}
+	b.Abort()
 }
 
 func TestAddPageAfterFinishPanics(t *testing.T) {
@@ -226,5 +224,51 @@ func TestEnsureMappedFailureLeavesViewLazy(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("slot %d: page %d after retry, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestReleaseNeedsNoMapHeadroom pins the premise that makes Release
+// infallible: vmsim's munmap never refuses a split, so a view releases
+// even when the address space sits at vm.max_map_count. Three lazy
+// reservations built by one Build merge into one anonymous VMA, so
+// releasing the middle one splits it and the VMA count rises past the
+// limit. Linux's munmap would fail that split with ENOMEM; a Linux
+// backend has to restore the error (README, "Departures from the paper").
+func TestReleaseNeedsNoMapHeadroom(t *testing.T) {
+	const domain = 1_000_000
+	col := testColumn(t, 64, dist.NewSine(5, 0, domain, 16))
+	as, k := col.Space(), col.Kernel()
+	vmas, mapped, frames := as.VMACount(), col.File().MappedPages(), k.FramesInUse()
+	var views []*View
+	for _, opts := range []CreateOptions{{Lazy: true}, {Consecutive: true}} {
+		vs, err := Build(col, []Spec{
+			{Lo: 0, Hi: domain / 10, Opts: opts},
+			{Lo: 4 * domain / 10, Hi: domain / 2, Opts: opts},
+			{Lo: 8 * domain / 10, Hi: 9 * domain / 10, Opts: opts},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, vs...)
+	}
+	limit := as.VMACount()
+	as.SetMaxMapCount(limit)
+	// The middle lazy view first, then the others.
+	peak := 0
+	for _, i := range []int{1, 0, 2, 3, 4, 5} {
+		views[i].Release()
+		peak = max(peak, as.VMACount())
+	}
+	if peak <= limit {
+		t.Fatalf("premise: VMA count peaked at %d, never past the limit %d", peak, limit)
+	}
+	if got := as.VMACount(); got != vmas {
+		t.Fatalf("VMACount = %d after the releases, want %d", got, vmas)
+	}
+	if got := col.File().MappedPages(); got != mapped {
+		t.Fatalf("MappedPages = %d after the releases, want %d", got, mapped)
+	}
+	if got := k.FramesInUse(); got != frames {
+		t.Fatalf("FramesInUse = %d after the releases, want %d", got, frames)
 	}
 }

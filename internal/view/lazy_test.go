@@ -52,9 +52,7 @@ func TestLazyCreateMapsNothing(t *testing.T) {
 	if v.lazy == nil {
 		t.Fatal("slot read converted the view")
 	}
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 }
 
 func TestLazyResolvesSameBytesAsEager(t *testing.T) {
@@ -75,12 +73,8 @@ func TestLazyResolvesSameBytesAsEager(t *testing.T) {
 			t.Fatalf("page %d diverged between lazy and eager view", i)
 		}
 	}
-	if err := lazy.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Release(); err != nil {
-		t.Fatal(err)
-	}
+	lazy.Release()
+	eager.Release()
 }
 
 func TestEnsureMappedConvertsToEager(t *testing.T) {
@@ -108,12 +102,8 @@ func TestEnsureMappedConvertsToEager(t *testing.T) {
 	if err := lazy.EnsureMapped(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lazy.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Release(); err != nil {
-		t.Fatal(err)
-	}
+	lazy.Release()
+	eager.Release()
 }
 
 func TestLazyConcurrentReaders(t *testing.T) {
@@ -154,10 +144,6 @@ func TestLazyConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent lazy read: %v", err)
 	}
-	if err := lazy.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Release(); err != nil {
-		t.Fatal(err)
-	}
+	lazy.Release()
+	eager.Release()
 }

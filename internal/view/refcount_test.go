@@ -28,25 +28,19 @@ func TestRetainDefersRelease(t *testing.T) {
 	mapped := col.File().MappedPages()
 
 	v.Retain()
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 	if got := col.File().MappedPages(); got != mapped {
 		t.Fatalf("first release unmapped despite outstanding reference: %d -> %d", mapped, got)
 	}
 	if _, err := v.PageBytes(0); err != nil {
 		t.Fatalf("retained view unreadable: %v", err)
 	}
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 	if got := col.File().MappedPages(); got != col.NumPages() {
 		t.Fatalf("last release did not unmap: %d, want %d (full view only)", got, col.NumPages())
 	}
 	// Double-release stays idempotent.
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 }
 
 // TestCapturePagesDetachesFromMutation pins the capture discipline: a

@@ -64,9 +64,7 @@ func TestFullViewProperties(t *testing.T) {
 		t.Fatal("full view range not [-inf, inf]")
 	}
 	// Release must be a no-op.
-	if err := fv.Release(); err != nil {
-		t.Fatal(err)
-	}
+	fv.Release()
 	if _, err := fv.PageBytes(0); err != nil {
 		t.Fatal("full view unusable after no-op Release")
 	}
@@ -316,16 +314,12 @@ func TestReleaseFreesVirtualArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 	if got := c.Space().VMACount(); got != before {
 		t.Fatalf("VMACount = %d after release, want %d", got, before)
 	}
 	// Double release is harmless.
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
+	v.Release()
 }
 
 func TestBuilderAbort(t *testing.T) {
@@ -338,9 +332,7 @@ func TestBuilderAbort(t *testing.T) {
 	b.AddPage(1)
 	b.AddPage(2)
 	b.AddPage(10)
-	if err := b.Abort(); err != nil {
-		t.Fatal(err)
-	}
+	b.Abort()
 	if got := c.Space().VMACount(); got != before {
 		t.Fatalf("VMACount = %d after abort, want %d", got, before)
 	}
@@ -389,7 +381,7 @@ func TestQuickViewEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer func() { _ = v.Release() }()
+		defer func() { v.Release() }()
 		// Subquery inside [a, b].
 		qa := a + uint64(cRaw)%(b-a+1)
 		qb := a + uint64(dRaw)%(b-a+1)
@@ -420,7 +412,7 @@ func BenchmarkCreateUnoptimized(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		_ = v.Release()
+		v.Release()
 		b.StartTimer()
 	}
 }
@@ -436,7 +428,7 @@ func BenchmarkCreateBothOptimizations(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		_ = v.Release()
+		v.Release()
 		b.StartTimer()
 	}
 }

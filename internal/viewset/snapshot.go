@@ -125,33 +125,17 @@ func captureView(sv *SnapView, v *view.View, fullPages [][]byte) {
 	v.Retain() //asv:handoff the retain is owned by the SnapView; Snapshot.ReleaseViews releases it
 }
 
-// SetReleaseViewHook intercepts the view release performed when a
-// snapshot retires (test instrumentation: fault injection on the
-// retirement path). Nil restores the real release.
-func (s *Set) SetReleaseViewHook(fn func(*view.View) error) { s.releaseHook = fn }
-
 // ReleaseViews drops the snapshot's view retains — the retire step once
 // the owning engine state has drained. A view whose last reference this
 // was is unmapped here, which is how a view evicted from the live set
 // outlives every pinned reader that can still route to it, and no
-// longer. The first error is returned; the walk continues, since a
-// failed unmap must not leak the remaining references.
-func (s *Snapshot) ReleaseViews() error {
+// longer. It cannot fail: a release only unmaps a view's reservation.
+func (s *Snapshot) ReleaseViews() {
 	partials := s.partials
 	s.partials = nil
-	var firstErr error
 	for _, sv := range partials {
-		var err error
-		if s.set.releaseHook != nil {
-			err = s.set.releaseHook(sv.view)
-		} else {
-			err = sv.view.Release()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		sv.view.Release()
 	}
-	return firstErr
 }
 
 // Full returns the captured full view.

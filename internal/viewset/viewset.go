@@ -97,8 +97,6 @@ type Set struct {
 
 	lruMu sync.Mutex           // guards usage (touched by concurrent routers)
 	usage map[*view.View]usage // routing recency/frequency per partial view
-
-	releaseHook func(*view.View) error // test seam: retired-capture release
 }
 
 // usage is one partial view's temperature record: the routing tick of its

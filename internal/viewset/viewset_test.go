@@ -56,7 +56,7 @@ func (f *fixture) newSet(maxViews, d, r int) *Set {
 func (f *fixture) snap(s *Set) *Snapshot {
 	f.t.Helper()
 	sn := s.Snapshot(f.capFull(s))
-	f.t.Cleanup(func() { _ = sn.ReleaseViews() })
+	f.t.Cleanup(func() { sn.ReleaseViews() })
 	return sn
 }
 
@@ -188,7 +188,7 @@ func TestConsiderSubsetDiscard(t *testing.T) {
 	if dec != DiscardedSubset {
 		t.Fatalf("equal-range candidate: %v, want DiscardedSubset", dec)
 	}
-	_ = cand.Release()
+	cand.Release()
 
 	// A much narrower candidate (far fewer pages) is kept.
 	cand2 := f.mkView(200_000, 250_000)
@@ -437,7 +437,7 @@ func TestRemoveUnfreezes(t *testing.T) {
 	if dec, _ := s.Consider(big); dec != Inserted {
 		t.Fatalf("post-remove decision %v", dec)
 	}
-	_ = v.Release()
+	v.Release()
 }
 
 func TestReplaceExistingTransfersTemperature(t *testing.T) {
@@ -465,5 +465,5 @@ func TestReplaceExistingTransfersTemperature(t *testing.T) {
 	if temps[0].Uses != 3 {
 		t.Fatalf("replacement uses = %d, want inherited 3", temps[0].Uses)
 	}
-	_ = old.Release()
+	old.Release()
 }
