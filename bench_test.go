@@ -930,6 +930,65 @@ func BenchmarkAblation_PageHeader(b *testing.B) {
 	})
 }
 
+var zoneFirstSink storage.PageScan
+
+// BenchmarkAblation_ZoneFirst prices the adaptive read path's header read
+// (ROADMAP item 13): the kernel a candidate-building query runs per page,
+// with and without storage.ZoneScan in front, on the pages of a sine
+// column that lie wholly on one side of a 1 % query and on the pages
+// whose zone straddles it. One op is one page. The one-sided rows are the
+// win; the straddling rows are the cost of the extra header compare.
+func BenchmarkAblation_ZoneFirst(b *testing.B) {
+	col := benchColumn(b, benchPages, dist.NewSine(7, 0, benchDomain, 1024))
+	lo, hi := uint64(benchDomain*37/100), uint64(benchDomain*38/100)
+	var oneSided, straddling [][]byte
+	for p := 0; p < col.NumPages(); p++ {
+		pg, err := col.PageBytes(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, hit := storage.ZoneScan(pg, lo, hi); hit {
+			oneSided = append(oneSided, pg)
+		} else {
+			straddling = append(straddling, pg)
+		}
+	}
+	bounds := func(pg []byte) storage.PageScan {
+		if s, miss := storage.ScanBounds(pg, lo, hi); miss {
+			return s
+		}
+		return storage.ScanCountSum(pg, lo, hi)
+	}
+	kernels := []struct {
+		name string
+		scan func([]byte) storage.PageScan
+	}{
+		{"bounds", bounds},
+		{"zone_first", func(pg []byte) storage.PageScan {
+			if s, hit := storage.ZoneScan(pg, lo, hi); hit {
+				return s
+			}
+			return bounds(pg)
+		}},
+	}
+	for _, class := range []struct {
+		name  string
+		pages [][]byte
+	}{{"one_sided", oneSided}, {"straddling", straddling}} {
+		if len(class.pages) == 0 {
+			b.Fatalf("premise: no %s page for [%d, %d]", class.name, lo, hi)
+		}
+		for _, k := range kernels {
+			b.Run(class.name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					zoneFirstSink = k.scan(class.pages[i%len(class.pages)])
+				}
+				b.ReportMetric(float64(len(class.pages)), "pages")
+			})
+		}
+	}
+}
+
 // BenchmarkAblation_RemoveCompaction: removing a view page from the middle
 // (compaction rewires the last page into the hole: one mmap + one munmap)
 // vs removing the last page (one munmap). The delta is what keeping scans

@@ -215,8 +215,6 @@ func TestConfigFieldBudget(t *testing.T) {
 // test packages only through non-test files, so an oracle or a seam that
 // tests in two packages use must live in one.
 var testOnlyWaivers = map[string]string{
-	"github.com/asv-db/asv/internal/storage.PageMinMax": "the brute-force oracle the storage tests check the header zones against; ROADMAP item 13 reuses it",
-
 	"github.com/asv-db/asv/internal/autopilot.NewManualClock":                  "the deterministic clock the autopilot, core and facade tests drive deadlines and ticks with",
 	"(*github.com/asv-db/asv/internal/autopilot.ManualClock).Advance":          "moves the manual clock; see NewManualClock",
 	"(*github.com/asv-db/asv/internal/autopilot.ManualClock).BlockUntilTimers": "waits for the pilot to arm its timer before a test advances the manual clock",

@@ -43,6 +43,7 @@ func TestDeltaPublicationEquivalence(t *testing.T) {
 				if _, err := e.FlushUpdates(); err != nil {
 					t.Fatal(err)
 				}
+				checkZonesExact(t, e.Column())
 			}
 			if len(e.Views()) == 0 {
 				t.Fatal("premise: the workload created no views")

@@ -125,6 +125,7 @@ func TestModelInterleavedQueriesAndUpdates(t *testing.T) {
 						if _, err := e.FlushUpdates(); err != nil {
 							t.Fatal(err)
 						}
+						checkZonesExact(t, col)
 					case 4: // occasional rebuild from scratch
 						if step%7 == 0 {
 							if err := e.RebuildViews(); err != nil {

@@ -47,10 +47,17 @@ func tierScanFilter(t *vmsim.FileTier, pg []byte, scan func(pg []byte) storage.P
 // Row IDs are not the filter's business: a Rows query collects them from
 // the qualifying pages it is handed (buildCollect).
 //
+// An adaptive engine reads the page header first: a page whose zone lies
+// wholly below or above the range is answered by storage.ZoneScan — no
+// match, and the same boundary observation ScanBounds would make, since
+// zones are exact — and only the other pages run the kernels above. A
+// baseline engine keeps the paper's plain full scan of every value.
+//
 // On a tiered engine the chosen kernel runs inside the tier bracket
 // above, so tier accounting covers eager and lazy captures uniformly —
-// both hand back pages whose embedded PageID keys the tier. Single-tier
-// (nil e.tier) is the zero-overhead default.
+// both hand back pages whose embedded PageID keys the tier — and a
+// header read is charged as a touch like any other. Single-tier (nil
+// e.tier) is the zero-overhead default.
 func (e *Engine) pageFilter(lo, hi uint64, building, aggregate bool) func(pg []byte) storage.PageScan {
 	scan := storage.ScanCountSum
 	if aggregate {
@@ -59,14 +66,25 @@ func (e *Engine) pageFilter(lo, hi uint64, building, aggregate bool) func(pg []b
 	// One closure either way, not one wrapping another: the allocations
 	// of a query are pinned by TestQueryOptTelemetryOffNoExtraAllocs.
 	var filter func(pg []byte) storage.PageScan
-	if building {
+	switch {
+	case building:
 		filter = func(pg []byte) storage.PageScan {
+			if s, miss := storage.ZoneScan(pg, lo, hi); miss {
+				return s
+			}
 			if s, miss := storage.ScanBounds(pg, lo, hi); miss {
 				return s
 			}
 			return scan(pg, lo, hi)
 		}
-	} else {
+	case e.cfg.Adaptive:
+		filter = func(pg []byte) storage.PageScan {
+			if s, miss := storage.ZoneScan(pg, lo, hi); miss {
+				return s
+			}
+			return scan(pg, lo, hi)
+		}
+	default:
 		filter = func(pg []byte) storage.PageScan { return scan(pg, lo, hi) }
 	}
 	if t := e.tier; t != nil {

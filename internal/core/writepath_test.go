@@ -67,6 +67,7 @@ func TestAlignParallelEquivalence(t *testing.T) {
 			if st.BatchSize != len(ups) || st.DirtyPages == 0 {
 				t.Fatalf("batch shape %+v for %d updates", st, len(ups))
 			}
+			checkZonesExact(t, e.Column())
 			for i := range e.Views() {
 				checkViewInvariant(t, e, i)
 			}

@@ -131,7 +131,8 @@ func TestPageCountsConsistent(t *testing.T) {
 	}
 	for _, idx := range variants {
 		if idx.Name() == "zonemap" {
-			// Zones may overapproximate; must be at least the truth.
+			// An exact zone still meets the range on a page whose values
+			// straddle it with none inside; must be at least the truth.
 			if got := idx.Pages(); got < want {
 				t.Errorf("zonemap.Pages() = %d < ground truth %d", got, want)
 			}

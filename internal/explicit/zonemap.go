@@ -9,9 +9,9 @@ import "github.com/asv-db/asv/internal/storage"
 // million address translations, which is why this variant loses everywhere
 // in Figure 3 — and scans only the pages whose zone intersects the query.
 //
-// Zones are maintained by the storage layer on every write (enlarge-only),
-// so ApplyUpdate is free; after overwrites the zones may overapproximate,
-// causing harmless extra page scans, exactly like classical zone maps.
+// Zones are maintained by the storage layer on every write, so
+// ApplyUpdate is free. storage.Column.SetValue keeps them exact, where a
+// classical zone map only widens and then scans pages it could skip.
 type ZoneMap struct {
 	col    *storage.Column
 	lo, hi uint64
@@ -70,7 +70,7 @@ func (z *ZoneMap) Lookup(qlo, qhi uint64) (int, uint64, error) {
 	return count, sum, nil
 }
 
-// ApplyUpdate implements Index. Zone enlargement already happened inside
+// ApplyUpdate implements Index. The zone was already kept exact inside
 // storage.Column.SetValue; nothing to do.
 func (z *ZoneMap) ApplyUpdate(row int, old, new uint64) error { return nil }
 

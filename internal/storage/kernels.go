@@ -14,6 +14,8 @@ import (
 //	ScanAggregate  … and Min, Max of the qualifying values
 //	ScanBounds     MaxBelow, MinAbove of a page where nothing qualified
 //	               (§2.2), or false at the first chunk with a match
+//	ZoneScan       the same from the page header alone, for a page whose
+//	               zone lies wholly below or above the range
 //	ScanFilter     Count, Sum, MaxBelow, MinAbove of every page
 //	MatchMask      one bit per qualifying slot
 //
@@ -211,6 +213,25 @@ func ScanBounds(page []byte, lo, hi uint64) (PageScan, bool) {
 		r.HasAbove, r.MinAbove = true, lo+md
 	}
 	return r, true
+}
+
+// ZoneScan answers a page from its header zone when the zone lies wholly
+// below lo or wholly above hi: nothing on the page qualifies, and the
+// zone's maximum is its largest value below lo (or its minimum the
+// smallest above hi). It returns that answer and true — on a page with an
+// exact zone, exactly what ScanBounds returns, and a count of 0 — or
+// false when the zone meets the range, and the caller scans the values.
+// A zone wider than the page's values still answers correctly; its
+// boundary only narrows the candidate range built from it.
+func ZoneScan(page []byte, lo, hi uint64) (PageScan, bool) {
+	zmin, zmax := Zone(page)
+	if zmax < lo {
+		return PageScan{MaxBelow: zmax, HasBelow: true}, true
+	}
+	if zmin > hi {
+		return PageScan{MinAbove: zmin, HasAbove: true}, true
+	}
+	return PageScan{}, false
 }
 
 // ScanFilter scans all value slots of a page against [lo, hi] (inclusive)

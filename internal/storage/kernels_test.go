@@ -87,6 +87,15 @@ func checkKernels(t *testing.T, page []byte, lo, hi uint64) {
 	if got := ScanFilter(page, lo, hi); got != filter {
 		t.Errorf("ScanFilter[%d,%d] = %+v, want %+v", lo, hi, got, filter)
 	}
+	// With an exact header, ZoneScan hits exactly on a page lying wholly
+	// on one side of the range, and then gives ScanBounds' answer.
+	vmin, vmax := PageMinMax(page)
+	SetZone(page, vmin, vmax)
+	if got, hit := ZoneScan(page, lo, hi); hit != (vmax < lo || vmin > hi) {
+		t.Errorf("ZoneScan[%d,%d] hit = %v on a page with values [%d, %d]", lo, hi, hit, vmin, vmax)
+	} else if hit && (want.Count != 0 || got != bounds) {
+		t.Errorf("ZoneScan[%d,%d] = %+v on a page with %d matches, want %+v", lo, hi, got, want.Count, bounds)
+	}
 
 	var mask, wantMask PageMask
 	refCollectMatches(page, lo, hi, func(slot int, _ uint64) { wantMask[slot/64] |= 1 << (slot % 64) })

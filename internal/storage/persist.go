@@ -70,7 +70,8 @@ const readAheadPages = 4096
 // more than readAheadPages ahead, so a short or lying stream fails before
 // the kernel allocates — and keeps, since its arena never shrinks — the
 // memory the header asks for. The full view is mapped only once the
-// checksum verifies. Bytes after the checksum are rejected.
+// checksum verifies. Bytes after the checksum are rejected, and so is a
+// page whose zone does not contain its values (checkZone).
 func ReadColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, r io.Reader) (*Column, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 
@@ -116,6 +117,9 @@ func ReadColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, r io.Reade
 		if _, err := io.ReadFull(br, pg); err != nil {
 			return fail(fmt.Errorf("storage: reading page %d: %w", p, err))
 		}
+		if err := checkZone(p, pg); err != nil {
+			return fail(err)
+		}
 		_, _ = crc.Write(pg) //asv:ignore-err hash.Hash.Write never fails
 	}
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -135,4 +139,17 @@ func ReadColumn(k *vmsim.Kernel, as *vmsim.AddressSpace, name string, r io.Reade
 		return fail(err)
 	}
 	return c, nil
+}
+
+// checkZone refuses a page whose header zone does not contain its values:
+// an adaptive query would skip the values outside it (ZoneScan), and view
+// creation would leave the page out of a view it belongs to. A wider zone
+// is accepted; it only narrows candidate ranges.
+func checkZone(p int, pg []byte) error {
+	zmin, zmax := Zone(pg)
+	vmin, vmax := PageMinMax(pg)
+	if zmin > vmin || zmax < vmax {
+		return fmt.Errorf("storage: page %d: zone [%d, %d] does not contain its values [%d, %d]", p, zmin, zmax, vmin, vmax)
+	}
+	return nil
 }

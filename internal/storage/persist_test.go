@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
@@ -165,7 +167,8 @@ func TestReadColumnGrowsWithData(t *testing.T) {
 // FuzzReadColumn feeds arbitrary bytes to ReadColumn, each input on a
 // fresh kernel. An input either fails, having taken no more frames than
 // the pages it supplied plus one read-ahead chunk and leaking none, or
-// loads a column whose WriteTo reproduces it byte for byte.
+// loads a column whose every page zone contains the page's values and
+// whose WriteTo reproduces the input byte for byte.
 func FuzzReadColumn(f *testing.F) {
 	k := vmsim.NewKernel(0)
 	src, err := NewColumn(k, k.NewAddressSpace(), "src", 2)
@@ -190,6 +193,10 @@ func FuzzReadColumn(f *testing.F) {
 	inflated := bytes.Clone(good)
 	binary.LittleEndian.PutUint64(inflated[8:], 1<<20)
 	f.Add(inflated)
+	narrow := bytes.Clone(good) // page 1's zone moved past its values, checksum recomputed
+	SetZone(narrow[16+PageSize:], 2000, 3000)
+	binary.LittleEndian.PutUint64(narrow[len(narrow)-8:], uint64(crc32.Checksum(narrow[16:len(narrow)-8], crcTable)))
+	f.Add(narrow)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -205,6 +212,16 @@ func FuzzReadColumn(f *testing.F) {
 			}
 			return
 		}
+		for p := 0; p < col.NumPages(); p++ {
+			pg, err := col.PageBytes(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zmin, zmax := Zone(pg)
+			if vmin, vmax := PageMinMax(pg); zmin > vmin || zmax < vmax {
+				t.Fatalf("page %d loaded with zone [%d, %d] over values [%d, %d]", p, zmin, zmax, vmin, vmax)
+			}
+		}
 		var out bytes.Buffer
 		if _, err := col.WriteTo(&out); err != nil {
 			t.Fatal(err)
@@ -216,6 +233,51 @@ func FuzzReadColumn(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestReadColumnRefusesNarrowZone: a page whose header zone leaves out
+// some of its values is refused, with an error naming the page; a zone
+// wider than the values loads.
+func TestReadColumnRefusesNarrowZone(t *testing.T) {
+	k := vmsim.NewKernel(0)
+	src, err := NewColumn(k, k.NewAddressSpace(), "src", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Fill(dist.NewUniform(1, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	load := func(zmin, zmax uint64) (*Column, error) {
+		t.Helper()
+		pg, _ := src.PageBytes(3)
+		SetZone(pg, zmin, zmax)
+		var buf bytes.Buffer
+		if _, err := src.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		k2 := vmsim.NewKernel(0)
+		col, err := ReadColumn(k2, k2.NewAddressSpace(), "c", &buf)
+		if err != nil && k2.FramesInUse() != 0 {
+			t.Fatalf("FramesInUse = %d after a refused load", k2.FramesInUse())
+		}
+		return col, err
+	}
+	pg, _ := src.PageBytes(3)
+	vmin, vmax := PageMinMax(pg)
+	for _, z := range [][2]uint64{{2000, 3000}, {vmin, vmax - 1}, {vmin + 1, vmax}, {500, 500}} {
+		if _, err := load(z[0], z[1]); err == nil || !strings.Contains(err.Error(), "page 3") {
+			t.Fatalf("zone [%d, %d] over values [%d, %d]: err = %v, want a refusal naming page 3", z[0], z[1], vmin, vmax, err)
+		}
+	}
+	col, err := load(0, 5000)
+	if err != nil {
+		t.Fatalf("a wider zone was refused: %v", err)
+	}
+	c1, s1, _ := src.FullScan(0, 1000)
+	c2, s2, _ := col.FullScan(0, 1000)
+	if c1 != c2 || s1 != s2 || c1 != src.Rows() {
+		t.Fatalf("full scans (%d,%d) and (%d,%d) of %d rows", c1, s1, c2, s2, src.Rows())
+	}
 }
 
 func TestReadColumnNameCollision(t *testing.T) {

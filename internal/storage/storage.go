@@ -11,9 +11,12 @@
 // and maximum value) in the header: the "Zone Map" baseline of §3.1 stores
 // its metadata "in-place at the beginning of the page, before the actual
 // values", and carrying the fields in the common layout lets every §3.1
-// variant operate on the same column. The adaptive layer itself never
-// reads the zones (a documented divergence: 509 instead of 511 values per
-// page, see README.md, "Departures from the paper").
+// variant operate on the same column. The adaptive layer reads them too:
+// view creation skips a page whose zone misses the range, and an adaptive
+// query answers a page lying wholly on one side of its range from the
+// zone alone (ZoneScan). Both are departures from the paper, and so is
+// the header's cost of 509 instead of 511 values per page (README.md,
+// "Departures from the paper"). SetValue keeps every zone exact.
 package storage
 
 import (
@@ -49,9 +52,10 @@ func SetPageID(page []byte, id uint64) {
 }
 
 // Zone reads the in-page zone fields: the smallest and largest value the
-// page has ever held. Zones are maintained conservatively — overwrites
-// only enlarge them — so they may overapproximate after updates, exactly
-// like classical zone maps.
+// page holds. Fill and SetValue keep them exact, unlike classical zone
+// maps, which only widen. A zone read from a file may be wider than its
+// page's values (ReadColumn refuses a narrower one), which only narrows
+// candidate ranges.
 func Zone(page []byte) (min, max uint64) {
 	return binary.LittleEndian.Uint64(page[8:16]), binary.LittleEndian.Uint64(page[16:24])
 }
@@ -62,9 +66,16 @@ func SetZone(page []byte, min, max uint64) {
 	binary.LittleEndian.PutUint64(page[16:24], max)
 }
 
-// enlargeZone grows the zone to include v.
-func enlargeZone(page []byte, v uint64) {
+// updateZone keeps the zone exact across the overwrite of old by v: it
+// recomputes the zone by a full pass when old was an extreme that v does
+// not replace, and enlarges it to v otherwise.
+func updateZone(page []byte, old, v uint64) {
 	min, max := Zone(page)
+	if (old == min && v > min) || (old == max && v < max) {
+		min, max = PageMinMax(page)
+		SetZone(page, min, max)
+		return
+	}
 	if v < min {
 		binary.LittleEndian.PutUint64(page[8:16], v)
 	}
@@ -379,7 +390,7 @@ func (c *Column) SetValue(row int, v uint64) (old uint64, err error) {
 	}
 	old = ValueAt(pg, s)
 	SetValueAt(pg, s, v)
-	enlargeZone(pg, v)
+	updateZone(pg, old, v)
 	return old, nil
 }
 

@@ -74,28 +74,52 @@ func TestFillStampsExactZones(t *testing.T) {
 	}
 }
 
-func TestSetValueEnlargesZone(t *testing.T) {
+// TestSetValueKeepsZoneExact: a write outside the zone enlarges it, and
+// overwriting the page's minimum or maximum shrinks it back to the page's
+// values.
+func TestSetValueKeepsZoneExact(t *testing.T) {
 	c := newTestColumn(t, 2)
 	if err := c.Fill(dist.NewUniform(3, 500, 600)); err != nil {
 		t.Fatal(err)
 	}
 	pg, _ := c.PageBytes(0)
+	exact := func(when string) {
+		t.Helper()
+		zMin, zMax := Zone(pg)
+		if min, max := PageMinMax(pg); zMin != min || zMax != max {
+			t.Fatalf("%s: zone (%d,%d), values (%d,%d)", when, zMin, zMax, min, max)
+		}
+	}
 	if _, err := c.SetValue(3, 10); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.SetValue(4, 9999); err != nil {
 		t.Fatal(err)
 	}
-	zMin, zMax := Zone(pg)
-	if zMin != 10 || zMax != 9999 {
+	if zMin, zMax := Zone(pg); zMin != 10 || zMax != 9999 {
 		t.Fatalf("zone after updates (%d,%d), want (10,9999)", zMin, zMax)
 	}
-	// Zones are conservative: overwriting 10 does not shrink the zone.
+	exact("after enlarging")
 	if _, err := c.SetValue(3, 550); err != nil {
 		t.Fatal(err)
 	}
-	if zMin, _ := Zone(pg); zMin != 10 {
-		t.Fatal("zone shrank on overwrite")
+	if zMin, _ := Zone(pg); zMin < 500 {
+		t.Fatalf("zone minimum %d after overwriting the minimum 10", zMin)
+	}
+	exact("after overwriting the minimum")
+	if _, err := c.SetValue(4, 550); err != nil {
+		t.Fatal(err)
+	}
+	if _, zMax := Zone(pg); zMax > 600 {
+		t.Fatalf("zone maximum %d after overwriting the maximum 9999", zMax)
+	}
+	exact("after overwriting the maximum")
+	// Every slot overwritten in turn: the zone follows each one.
+	for i := 0; i < ValuesPerPage; i++ {
+		if _, err := c.SetValue(i, uint64(1000+i%7)); err != nil {
+			t.Fatal(err)
+		}
+		exact("during the sweep")
 	}
 }
 
